@@ -54,7 +54,6 @@ from .sales import (
     GaussianLimit,
     ResidualDecomposition,
     assemble_fluctuation,
-    bass_share,
     compute_residuals,
     decompose_residuals,
     fit_bass,

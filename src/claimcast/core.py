@@ -116,10 +116,6 @@ class ClaimsMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def total(self) -> int:
-        return len(self.points)
-
     def count_in(self, lo: float, hi: float) -> int:
         """Number of points in the closed interval [lo, hi]."""
         return sum(1 for p in self.points if lo <= p <= hi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -97,9 +98,15 @@ def load_sales(path) -> Tuple[List[SalesRecord], List[RowIssue]]:
 
 
 def load_claims(path) -> Tuple[List[ClaimRecord], List[RowIssue]]:
-    """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount)."""
+    """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
+
+    Duplicate claim ids are fatal (both line numbers reported); other
+    malformed rows, non-finite amounts included, are collected and become
+    fatal only past a 1% share.
+    """
     records: List[ClaimRecord] = []
     issues: List[RowIssue] = []
+    seen: Dict[str, int] = {}
     total = 0
     for line, row in _read_rows(
         path, ("vehicle_id", "claim_date", "claim_id", "amount")
@@ -121,9 +128,19 @@ def load_claims(path) -> Tuple[List[ClaimRecord], List[RowIssue]]:
         except ValueError:
             issues.append(RowIssue(line, f"unparseable amount {row.get('amount')!r}"))
             continue
+        if not math.isfinite(amount):
+            issues.append(RowIssue(line, f"non-finite amount {amount}"))
+            continue
         if amount < 0.0:
             issues.append(RowIssue(line, f"negative amount {amount}"))
             continue
+        cid = (row.get("claim_id") or "").strip()
+        if cid in seen:
+            raise LoadError(
+                f"{path}: duplicate claim id {cid!r} (lines {seen[cid]} and {line})",
+                issues,
+            )
+        seen[cid] = line
         records.append(ClaimRecord(vid, day, amount))
     _check_bad_share(path, total, issues)
     return records, issues

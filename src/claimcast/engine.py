@@ -243,14 +243,18 @@ def approx_cdf(approx: CostApproximation, x: float) -> float:
     return float(stable_cdf(approx.stable, z))
 
 
-def approx_quantile(approx: CostApproximation, p: float) -> float:
-    """Quantile of the approximating law at level p in (0, 1)."""
-    if not (0.0 < p < 1.0):
+def approx_quantile(approx: CostApproximation, p):
+    """Quantile of the approximating law at level p in (0, 1); an array of
+    levels gives an array, from one batched stable inversion."""
+    levels = np.asarray(p, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("quantile level must lie in (0, 1)")
     if approx.kind == "normal":
-        return float(approx.location + approx.scale * ndtri(p))
-    z = stable_quantile(approx.stable, p)
-    return float(approx.location + approx.scale * (z + approx.shift))
+        q = approx.location + approx.scale * ndtri(levels)
+    else:
+        z = stable_quantile(approx.stable, levels)
+        q = approx.location + approx.scale * (z + approx.shift)
+    return float(q) if levels.ndim == 0 else q
 
 
 def extremeness(u: float) -> float:

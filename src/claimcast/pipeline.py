@@ -324,7 +324,8 @@ def run_pipeline(
                     lp, alpha, sc.b_n, sc.e_n
                 )
         for kind, approx in approxes.items():
-            quantiles[kind] = {p: approx_quantile(approx, p) for p in QUANTILE_LEVELS}
+            column = approx_quantile(approx, np.array(QUANTILE_LEVELS))
+            quantiles[kind] = dict(zip(QUANTILE_LEVELS, column.tolist()))
 
         sanity: Dict[str, float] = {}
         actual_count, actual_cost = realized_window_totals(sales, aggregated, horizon)

@@ -29,7 +29,6 @@ __all__ = [
     "ResidualDecomposition",
     "GaussianLimit",
     "fit_bass",
-    "bass_share",
     "compute_residuals",
     "decompose_residuals",
     "assemble_fluctuation",
@@ -67,8 +66,15 @@ class BassParams:
         """Cumulative share in [0, 1); vectorized, 0 before the origin."""
         tau = np.maximum(np.asarray(t, dtype=float) - self.origin, 0.0)
         rate = self.p + self.q
-        e = np.exp(-rate * tau)
-        out = (1.0 - e) / (1.0 + (self.q / self.p) * e)
+        if self.q >= 0.0:
+            e = np.exp(-rate * tau)
+            out = (1.0 - e) / (1.0 + (self.q / self.p) * e)
+        else:
+            # 1 - share = (1 + r) / (e^{rate tau} + r) with -1 < r = q/p < 0:
+            # every operation is monotone, so the rounded share is too
+            r = self.q / self.p
+            with np.errstate(over="ignore"):
+                out = 1.0 - (1.0 + r) / (np.exp(rate * tau) + r)
         return float(out) if out.ndim == 0 else out
 
     def density(self, t) -> np.ndarray:
@@ -80,11 +86,6 @@ class BassParams:
             tau < 0.0, 0.0, (rate**2 / self.p) * e / (1.0 + (self.q / self.p) * e) ** 2
         )
         return float(out) if out.ndim == 0 else out
-
-
-def bass_share(params: BassParams, t) -> np.ndarray:
-    """Cumulative sales share at day t (extrapolates beyond observed days)."""
-    return params.share(t)
 
 
 def _binned(counts: np.ndarray, width: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from .engine import (
 from .errors import DomainError
 from .sales import GaussianLimit, window_increment_moments
 from .stable import (
-    StableParams,
     params_eq_one_case,
     params_mean_case,
     params_zero_one_case,
@@ -57,7 +56,6 @@ __all__ = [
     "simulate_sales",
     "simulate_claims_measure",
     "realize_cost",
-    "sample_stable",
     "MonteCarloStudy",
     "ValidationReport",
     "theoretical_limit",
@@ -404,41 +402,6 @@ def realize_cost(
 
 
 # --------------------------------------------------------------------------
-# stable sampling (test oracle only)
-
-
-def sample_stable(params: StableParams, size: int, rng: np.random.Generator):
-    """Polar-transform sampler for S1 stable laws.
-
-    Used only to cross-check the CDF numerics; estimation never samples.
-    """
-    a, b = params.alpha, params.beta
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
-    e = rng.exponential(size=size)
-    if abs(a - 1.0) < 1e-12:
-        half_pi = np.pi / 2.0
-        x = (
-            (half_pi + b * u) * np.tan(u)
-            - b * np.log((half_pi * e * np.cos(u)) / (half_pi + b * u))
-        ) * (2.0 / np.pi)
-        # scaling a standard alpha = 1 law shifts location by (2/pi) b s log s
-        return (
-            params.sigma * x
-            + params.mu
-            + (2.0 / np.pi) * b * params.sigma * np.log(params.sigma)
-        )
-    shift = np.arctan(b * np.tan(np.pi * a / 2.0)) / a
-    scale = (1.0 + b**2 * np.tan(np.pi * a / 2.0) ** 2) ** (1.0 / (2.0 * a))
-    x = (
-        scale
-        * np.sin(a * (u + shift))
-        / np.cos(u) ** (1.0 / a)
-        * (np.cos(u - a * (u + shift)) / e) ** ((1.0 - a) / a)
-    )
-    return params.sigma * x + params.mu
-
-
-# --------------------------------------------------------------------------
 # Monte Carlo validation
 
 
@@ -660,7 +623,7 @@ def _ks_against(approx: CostApproximation, sample: np.ndarray) -> float:
         lower = np.arange(0, n) / n
         return float(np.max(np.maximum(cdf - lower, upper - cdf)))
     ps = np.linspace(0.0025, 0.9975, 401)
-    grid = np.array([approx_quantile(approx, p) for p in ps])
+    grid = approx_quantile(approx, ps)
     emp = np.searchsorted(x, grid, side="right") / n
     return float(np.max(np.abs(emp - ps)))
 
@@ -711,7 +674,7 @@ def monte_carlo_validate(
     z = _standardize(study, lp, counts, costs)
     approx = reference_approximation(study, lp)
     ks = _ks_against(approx, z)
-    limit_q = tuple(approx_quantile(approx, p) for p in _REPORT_LEVELS)
+    limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())
     emp_q = tuple(float(np.quantile(z, p)) for p in _REPORT_LEVELS)
     coverage = tuple(float(np.mean(z <= q)) for q in limit_q)
     return ValidationReport(

@@ -61,7 +61,7 @@ class TestBuildClaimsMeasures:
     def test_claim_free_items_get_empty_measures(self):
         sales = [SalesRecord("A", -10), SalesRecord("B", -20)]
         built = build_claims_measures(sales, [ClaimRecord("A", -5, 1.0)], HORIZON)
-        assert built.measures["B"].total == 0
+        assert len(built.measures["B"]) == 0
         assert built.n == 2
 
     def test_claim_count_conserved(self):
@@ -73,7 +73,7 @@ class TestBuildClaimsMeasures:
             vid = f"v{rng.integers(0, 50)}"  # some ids unknown
             claims.append(ClaimRecord(vid, int(rng.integers(-W, T)), 1.0))
         built = build_claims_measures(sales, claims, HORIZON)
-        kept = sum(m.total for m in built.measures.values())
+        kept = sum(len(m) for m in built.measures.values())
         assert kept + len(built.rejects) == len(claims)
         known = {s.vehicle_id for s in sales}
         assert kept == sum(1 for c in claims if c.vehicle_id in known)

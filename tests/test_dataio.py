@@ -91,6 +91,26 @@ class TestLoadClaims:
         records, issues = load_claims(p)
         assert len(issues) == 1 and "negative" in issues[0].message
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_amount_is_an_issue(self, tmp_path, bad):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(100)]
+        rows[3] = f"V,102,C2,{bad}"
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        records, issues = load_claims(p)
+        assert len(records) == 99
+        assert [i.line for i in issues] == [4]
+        assert "non-finite" in issues[0].message
+
+    def test_duplicate_claim_id_fatal_with_line_numbers(self, tmp_path):
+        p = write(
+            tmp_path / "c.csv",
+            "vehicle_id,claim_date,claim_id,amount\n"
+            "A,120,C1,10.5\nB,130,C2,2\nA,120,C1,10.5\n",
+        )
+        with pytest.raises(LoadError, match=r"claim id 'C1' \(lines 2 and 4\)"):
+            load_claims(p)
+
 
 class TestAnchoring:
     def test_day_zero_after_last_sale(self):

@@ -298,10 +298,24 @@ class TestEvaluate:
             qs = [approx_quantile(approx, p) for p in np.linspace(0.05, 0.95, 12)]
             assert np.all(np.diff(qs) > 0.0)
 
+    def test_array_levels_match_scalar_calls(self):
+        lp = car_limit_params(0)
+        levels = np.array([0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99])
+        for approx in (
+            cost_approx_normal(lp, E_SIZE, V_SIZE),
+            cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, N ** (1 / 1.52)),
+        ):
+            got = approx_quantile(approx, levels)
+            want = [approx_quantile(approx, float(p)) for p in levels]
+            assert isinstance(got, np.ndarray)
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_quantile_level_domain(self):
         approx = claims_count_approx(car_limit_params(0))
         with pytest.raises(DomainError):
             approx_quantile(approx, 1.0)
+        with pytest.raises(DomainError):
+            approx_quantile(approx, np.array([0.5, 0.0]))
 
 
 class TestExtremeness:

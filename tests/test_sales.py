@@ -10,7 +10,6 @@ from claimcast.sales import (
     GaussianLimit,
     ResidualDecomposition,
     assemble_fluctuation,
-    bass_share,
     centered_moving_average,
     compute_residuals,
     decompose_residuals,
@@ -82,10 +81,6 @@ class TestFitBass:
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
             fit_bass(np.r_[np.ones(40), -1.0], 100, first_day=-41)
-
-    def test_share_used_by_alias(self):
-        b = car_bass()
-        assert bass_share(b, 0.0) == b.share(0.0)
 
 
 class TestResiduals:

@@ -3,8 +3,8 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from claimcast.errors import DomainError
-from claimcast.sim import make_rng, sample_stable
+from claimcast.errors import DomainError, NumericalError
+from claimcast.sim import make_rng
 from claimcast.stable import (
     StableParams,
     params_eq_one_case,
@@ -13,6 +13,34 @@ from claimcast.stable import (
     stable_cdf,
     stable_quantile,
 )
+
+
+def sample_stable(params: StableParams, size: int, rng: np.random.Generator):
+    """Polar-transform sampler for S1 stable laws (the cross-check oracle)."""
+    a, b = params.alpha, params.beta
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+    e = rng.exponential(size=size)
+    if abs(a - 1.0) < 1e-12:
+        half_pi = np.pi / 2.0
+        x = (
+            (half_pi + b * u) * np.tan(u)
+            - b * np.log((half_pi * e * np.cos(u)) / (half_pi + b * u))
+        ) * (2.0 / np.pi)
+        # scaling a standard alpha = 1 law shifts location by (2/pi) b s log s
+        return (
+            params.sigma * x
+            + params.mu
+            + (2.0 / np.pi) * b * params.sigma * np.log(params.sigma)
+        )
+    shift = np.arctan(b * np.tan(np.pi * a / 2.0)) / a
+    scale = (1.0 + b**2 * np.tan(np.pi * a / 2.0) ** 2) ** (1.0 / (2.0 * a))
+    x = (
+        scale
+        * np.sin(a * (u + shift))
+        / np.cos(u) ** (1.0 / a)
+        * (np.cos(u - a * (u + shift)) / e) ** ((1.0 - a) / a)
+    )
+    return params.sigma * x + params.mu
 
 
 class TestParamsMeanCase:
@@ -246,3 +274,64 @@ class TestSamplerCrossCheck:
         grid = np.array([stable_quantile(params, p) for p in ps])
         emp = np.searchsorted(draws, grid, side="right") / len(draws)
         assert np.max(np.abs(emp - ps)) < 0.01
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize(
+        "x,want",
+        [
+            (7557.12, 0.9999984778217145),
+            (30228.48, 0.9999998097277143),
+            (120913.92, 0.9999999762159643),
+        ],
+    )
+    def test_far_tail_on_the_bracket_expansion_path(self, x, want):
+        # where the quantile search expands its bracket; the transition
+        # there is too narrow for the fixed nodes without bisection
+        assert stable_cdf(params_mean_case(1.5), x) == pytest.approx(want, abs=5e-8)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gauss_legendre_rule(self, n):
+        from claimcast.stable import _gauss_legendre
+
+        nodes, weights = _gauss_legendre(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - want_nodes)) < 1e-14
+        assert np.max(np.abs(weights - want_weights)) < 1e-14
+
+    def test_error_budget_enforced(self, monkeypatch):
+        import claimcast.stable as stable_mod
+
+        monkeypatch.setattr(stable_mod, "_CDF_ERROR_BUDGET", 0.0)
+        with pytest.raises(NumericalError, match="error estimate"):
+            stable_cdf(params_mean_case(1.5), 1.0)
+
+
+class TestBatchedQuantiles:
+    @pytest.mark.parametrize(
+        "params,levels",
+        [
+            (params_mean_case(1.52), np.linspace(0.0025, 0.9975, 401)),
+            (params_zero_one_case(0.6, 0.3), np.linspace(0.01, 0.99, 50)),
+            (params_eq_one_case(0.5), np.linspace(0.01, 0.99, 50)),
+            (StableParams(1.9, -0.5, 2.0, 3.0), np.linspace(0.01, 0.99, 50)),
+        ],
+    )
+    def test_array_matches_scalar_calls(self, params, levels):
+        got = stable_quantile(params, levels)
+        want = np.array([stable_quantile(params, float(p)) for p in levels])
+        assert got.shape == levels.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_shape_and_repeated_levels(self):
+        params = params_mean_case(1.52)
+        levels = np.array([[0.9, 0.1], [0.5, 0.9]])
+        got = stable_quantile(params, levels)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == got[1, 1]
+        assert got[0, 1] == stable_quantile(params, 0.1)
+        assert stable_quantile(params, np.array([])).shape == (0,)
+
+    def test_level_domain(self):
+        with pytest.raises(DomainError):
+            stable_quantile(params_mean_case(1.52), np.array([0.2, 1.0]))
