@@ -13,17 +13,17 @@ from .core import (
     TimeHorizon,
     WeightedMeasure,
     mean_window_claims,
-    window_claim_total,
 )
 from .claims import (
-    ClaimRecord,
+    ClaimsTable,
     EmpiricalMeanMeasure,
+    JoinedClaims,
     MomentGrids,
-    SalesRecord,
+    SalesTable,
     aggregate_daily_claims,
-    build_claims_measures,
     empirical_mean_measure,
     fit_mean_measure,
+    join_claims,
     moment_grids,
 )
 from .engine import (

@@ -1,22 +1,24 @@
-"""From raw sales/claims records to fitted mean measures and moment grids.
+"""From sales and claims tables to fitted mean measures and moment grids.
 
-The chain is: aggregate same-day claims per vehicle, convert claim dates to
-age offsets clamped into [0, W], average the per-item point measures into
-daily bins, fit a linear density plus end atoms, and finally tabulate the
-per-sale-day mean and variance of rebate-weighted window claims.
+Records travel as numpy columns: a :class:`SalesTable` with one row per sold
+item and a :class:`ClaimsTable` with one row per claim.  The chain is:
+merge same-day claims per vehicle (:func:`aggregate_daily_claims`), join
+each claim onto its item with the age clipped into [0, W]
+(:func:`join_claims`), tally the ages into daily bins, fit a linear density
+plus end atoms, and finally tabulate the per-sale-day mean and variance of
+rebate-weighted window claims.  Which claims land in a window is decided by
+:class:`claimcast.core.TimeHorizon` alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .core import (
-    EMPTY_MEASURE,
-    ClaimsMeasure,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -28,105 +30,124 @@ from .errors import DomainError
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ClaimRecord",
-    "SalesRecord",
+    "SalesTable",
+    "ClaimsTable",
+    "JoinedClaims",
     "EmpiricalMeanMeasure",
     "MomentGrids",
     "aggregate_daily_claims",
-    "build_claims_measures",
+    "join_claims",
     "empirical_mean_measure",
     "fit_mean_measure",
     "moment_grids",
 ]
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    vehicle_id: str
-    day: int
-    amount: float = 0.0
+def _columns(table, **dtypes) -> None:
+    """Coerce a frozen table's columns to arrays and check equal lengths."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(table, name, np.asarray(getattr(table, name), dtype=dtype))
+    if len({getattr(table, name).shape for name in dtypes}) != 1:
+        raise DomainError(f"{type(table).__name__} columns differ in length")
+
+
+@dataclass(frozen=True, eq=False)
+class SalesTable:
+    """Sold items as columns: vehicle id and sale day, one row per item."""
+
+    vehicle_id: np.ndarray
+    day: np.ndarray
 
     def __post_init__(self):
-        if self.amount < 0.0:
+        _columns(self, vehicle_id=str, day=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+
+@dataclass(frozen=True, eq=False)
+class ClaimsTable:
+    """Claims as columns: vehicle id, claim day and amount, one row per claim."""
+
+    vehicle_id: np.ndarray
+    day: np.ndarray
+    amount: np.ndarray
+
+    def __post_init__(self):
+        _columns(self, vehicle_id=str, day=np.int64, amount=float)
+        if np.any(self.amount < 0.0):
             raise DomainError("claim amount must be non-negative")
 
-
-@dataclass(frozen=True)
-class SalesRecord:
-    vehicle_id: str
-    day: int
+    def __len__(self) -> int:
+        return len(self.day)
 
 
-def aggregate_daily_claims(claims: Iterable[ClaimRecord]) -> List[ClaimRecord]:
-    """Merge all of a vehicle's same-day claims into one record.
+def aggregate_daily_claims(claims: ClaimsTable) -> ClaimsTable:
+    """Merge all of a vehicle's same-day claims into one row.
 
     A car returning with p claims on one date is treated as a single claim
-    whose size is the sum of the p amounts.  Output is sorted by
-    (vehicle_id, day) for a deterministic downstream order.
+    whose size is the sum of the p amounts (added in input order).  Output
+    is sorted by (vehicle_id, day) for a deterministic downstream order.
     """
-    totals: Dict[Tuple[str, int], float] = {}
-    for rec in claims:
-        key = (rec.vehicle_id, rec.day)
-        totals[key] = totals.get(key, 0.0) + rec.amount
-    return [ClaimRecord(vid, day, amt) for (vid, day), amt in sorted(totals.items())]
+    keys = np.empty(
+        len(claims), dtype=[("vehicle_id", claims.vehicle_id.dtype), ("day", np.int64)]
+    )
+    keys["vehicle_id"] = claims.vehicle_id
+    keys["day"] = claims.day
+    merged, inverse = np.unique(keys, return_inverse=True)
+    amount = np.bincount(inverse.ravel(), weights=claims.amount, minlength=len(merged))
+    return ClaimsTable(merged["vehicle_id"], merged["day"], amount)
 
 
-@dataclass(frozen=True)
-class BuiltMeasures:
-    """Per-item claim-age measures plus the claims that referenced unknown items."""
+@dataclass(frozen=True, eq=False)
+class JoinedClaims:
+    """Claims of sold items as columns, sorted by (item, age).
 
-    measures: Mapping[str, ClaimsMeasure]
-    rejects: Tuple[ClaimRecord, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.measures)
-
-    def values(self) -> List[ClaimsMeasure]:
-        return list(self.measures.values())
-
-
-def build_claims_measures(
-    sales: Sequence[SalesRecord],
-    claims: Sequence[ClaimRecord],
-    horizon: TimeHorizon,
-) -> BuiltMeasures:
-    """Claim-age offsets per sold item, clamped into the warranty window.
-
-    Offsets below 0 (claims honored before the recorded sale) become 0 and
-    offsets beyond W (claims honored past warranty) become W.  Items with
-    no claims map to the empty measure.  Claims whose vehicle_id has no
-    sales record are quarantined in ``rejects`` rather than dropped.
+    ``item`` indexes the sales table, ``age`` is the claim day minus the
+    sale day clipped into [0, W], and ``quarantined`` counts the claims whose
+    vehicle has no sales row.
     """
-    w = horizon.warranty
-    sale_day = {s.vehicle_id: s.day for s in sales}
-    points: Dict[str, List[float]] = {}
-    rejects: List[ClaimRecord] = []
-    for rec in claims:
-        sold = sale_day.get(rec.vehicle_id)
-        if sold is None:
-            rejects.append(rec)
-            continue
-        offset = min(max(rec.day - sold, 0), w)
-        points.setdefault(rec.vehicle_id, []).append(float(offset))
-    measures = {
-        s.vehicle_id: ClaimsMeasure(tuple(points[s.vehicle_id]))
-        if s.vehicle_id in points
-        else EMPTY_MEASURE
-        for s in sales
-    }
-    if rejects:
+
+    item: np.ndarray
+    age: np.ndarray
+    amount: np.ndarray
+    quarantined: int = 0
+
+    def __post_init__(self):
+        _columns(self, item=np.int64, age=float, amount=float)
+        if np.any(np.diff(self.item) < 0):
+            raise DomainError("joined claims must be sorted by item")
+
+
+def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> JoinedClaims:
+    """Attach every claim to its sold item, with the age clipped into [0, W].
+
+    Ages below 0 (claims honored before the recorded sale) become 0 and ages
+    beyond W (claims honored past warranty) become W.  Claims whose
+    vehicle_id has no sales row are quarantined: counted, not dropped
+    silently.
+    """
+    order = np.argsort(sales.vehicle_id, kind="stable")
+    ids = sales.vehicle_id[order]
+    pos = np.searchsorted(ids, claims.vehicle_id)
+    known = pos < len(ids)
+    known[known] = ids[pos[known]] == claims.vehicle_id[known]
+    item = order[pos[known]]
+    age = np.clip(claims.day[known] - sales.day[item], 0, warranty)
+    rows = np.lexsort((age, item))
+    quarantined = int(len(claims) - np.count_nonzero(known))
+    if quarantined:
         logger.warning(
             "%d claim records reference unknown vehicles and were quarantined",
-            len(rejects),
+            quarantined,
         )
-    return BuiltMeasures(measures, tuple(rejects))
+    return JoinedClaims(item[rows], age[rows], claims.amount[known][rows], quarantined)
 
 
 @dataclass(frozen=True)
 class EmpiricalMeanMeasure:
-    """Daily-binned average of the per-item measures: bin i holds the mean
-    mass of ((i-1, i], with bin 0 the mass at age 0."""
+    """Daily-binned claim ages averaged over items: bin i holds the mean
+    number of claims per item aged in (i-1, i], with bin 0 those at age 0."""
 
     bins: np.ndarray
     n: int
@@ -142,22 +163,18 @@ class EmpiricalMeanMeasure:
             raise DomainError("bin masses must be non-negative")
 
 
-def empirical_mean_measure(
-    measures: Iterable[ClaimsMeasure], n: int, warranty: int
-) -> EmpiricalMeanMeasure:
+def empirical_mean_measure(ages, n: int, warranty: int) -> EmpiricalMeanMeasure:
     """Average daily claim-age histogram over all n sold items.
 
-    ``n`` counts every sold item, claim-free ones included; ``measures``
-    may omit the empty ones.
+    ``ages`` holds every claim's age in [0, W]; ``n`` counts every sold
+    item, claim-free ones included.  Age 0 falls in bin 0 and an age in
+    (i-1, i] in bin i.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
-    bins = np.zeros(warranty + 1)
-    for m in measures:
-        for p in m.points:
-            idx = 0 if p <= 0.0 else int(np.ceil(p))
-            bins[min(idx, warranty)] += 1.0
-    return EmpiricalMeanMeasure(bins / n, n, warranty)
+    days = np.minimum(np.ceil(np.maximum(ages, 0.0)), warranty).astype(np.int64)
+    bins = np.bincount(days, minlength=warranty + 1) / n
+    return EmpiricalMeanMeasure(bins, n, warranty)
 
 
 def fit_mean_measure(emp: EmpiricalMeanMeasure) -> MeanClaimsMeasure:
@@ -189,7 +206,7 @@ class MomentGrids:
 
     ``days`` is the integer sale grid [-W+offset, T+offset]; ``mean`` is
     evaluated from the fitted measure, while the second moment behind
-    ``var`` comes from the raw per-item measures.  Mixing the two can push
+    ``var`` comes from the raw claims of each item.  Mixing the two can push
     the variance slightly negative; such entries are floored at zero and
     counted in ``floor_count``.
     """
@@ -204,20 +221,6 @@ class MomentGrids:
     def __post_init__(self):
         if np.any(self.mean < 0.0) or np.any(self.var < 0.0):
             raise DomainError("moment grids must be non-negative")
-
-
-def _window_day_range(
-    a: np.ndarray, b: np.ndarray, horizon: TimeHorizon
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer sale days x whose claim window [lo(x), hi(x)] contains [a, b].
-
-    The window contains [a, b] iff x >= offset - a and x <= T + offset - b,
-    intersected with the sale grid.
-    """
-    t, o = horizon.period, horizon.offset
-    start = np.maximum(np.ceil(o - a), -horizon.warranty + o)
-    end = np.minimum(np.floor(t + o - b), t + o)
-    return start.astype(np.int64), end.astype(np.int64)
 
 
 def _accumulate_over_days(
@@ -237,63 +240,45 @@ def _accumulate_over_days(
 
 
 def moment_grids(
-    measures: Iterable[ClaimsMeasure],
+    claims: JoinedClaims,
     fitted: Optional[MeanClaimsMeasure],
     rebate: RebateFunction,
     horizon: TimeHorizon,
-    n: Optional[int] = None,
+    n: int,
 ) -> MomentGrids:
     """Mean/variance grids of per-item window claims over sale days.
 
     The mean grid integrates the fitted measure over each day's window
-    (if ``fitted`` is None it is tallied from the raw measures instead,
+    (if ``fitted`` is None it is tallied from the raw claims instead,
     which makes the variance non-negative by construction).  The second
     moment is always the raw per-item average of the squared weighted
-    window totals, accumulated pairwise so the whole grid costs one pass
-    over the claim pairs.
+    window totals: every ordered pair (i, j) of one item's claims adds
+    r(c_i) r(c_j) on the sale days whose window holds both ages, so the
+    whole grid costs one pass over the claim pairs.
     """
-    measures = list(measures)
-    if n is None:
-        n = len(measures)
     if n < 1:
         raise DomainError("need at least one sold item")
+    age = claims.age
+    wts = np.asarray(rebate(age), dtype=float)
+
+    # pair expansion: claim i pairs with every claim of its item, in order
+    first = np.searchsorted(claims.item, claims.item, side="left")
+    size = np.searchsorted(claims.item, claims.item, side="right") - first
+    left = np.repeat(np.arange(len(age)), size)
+    right = np.repeat(first, size) + (
+        np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
+    )
+    start, end = horizon.sale_day_range(
+        np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
+    )
+    second = _accumulate_over_days(start, end, wts[left] * wts[right], horizon) / n
+
     days = horizon.sale_days
-
-    pair_a: List[np.ndarray] = []
-    pair_b: List[np.ndarray] = []
-    pair_w: List[np.ndarray] = []
-    single_p: List[np.ndarray] = []
-    single_w: List[np.ndarray] = []
-    for m in measures:
-        if not m.points:
-            continue
-        pts = np.asarray(m.points)
-        wts = np.atleast_1d(np.asarray(rebate(pts), dtype=float))
-        single_p.append(pts)
-        single_w.append(wts)
-        pair_a.append(np.minimum.outer(pts, pts).ravel())
-        pair_b.append(np.maximum.outer(pts, pts).ravel())
-        pair_w.append(np.outer(wts, wts).ravel())
-
-    if pair_a:
-        a = np.concatenate(pair_a)
-        b = np.concatenate(pair_b)
-        wgt = np.concatenate(pair_w)
-        start, end = _window_day_range(a, b, horizon)
-        second = _accumulate_over_days(start, end, wgt, horizon) / n
-    else:
-        second = np.zeros(len(days))
-
     if fitted is not None:
-        weighted = WeightedMeasure(fitted, rebate)
-        mean = np.array([mean_window_claims(weighted, int(x), horizon) for x in days])
-    elif single_p:
-        p = np.concatenate(single_p)
-        wgt = np.concatenate(single_w)
-        start, end = _window_day_range(p, p, horizon)
-        mean = _accumulate_over_days(start, end, wgt, horizon) / n
+        mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
     else:
-        mean = np.zeros(len(days))
+        start, end = horizon.sale_day_range(age, age)
+        mean = _accumulate_over_days(start, end, wts, horizon) / n
 
     var = second - mean**2
     floored = int(np.sum(var < 0.0))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, pipeline
-from .claims import aggregate_daily_claims
+from .claims import ClaimsTable, aggregate_daily_claims
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .errors import DomainError, FitError, LoadError, NumericalError, ValidationError
 from .pipeline import RunConfig, run_pipeline, synthesize_dataset
@@ -123,11 +123,9 @@ def cmd_fit_sales(args) -> int:
     sales, issues = dataio.load_sales(args.sales)
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
-    anchored, _, anchor = dataio.anchor_day_zero(sales, [])
-    days = np.array([s.day for s in anchored])
-    first = int(days.min())
-    counts = np.bincount(days - first).astype(float)
-    n = len(sales) if config.n_policy == "observed_total" else config.n_explicit
+    anchored, _, anchor = dataio.anchor_day_zero(sales, ClaimsTable([], [], []))
+    counts, first = pipeline._daily_counts(anchored)
+    n = config.items_sold(len(sales))
     params = fit_bass(counts, n, first, bin_width=args.bin_width)
     resid = compute_residuals(counts, first, params)
     print(f"n = {n} sales over {len(counts)} days (anchor raw day {anchor})")
@@ -140,24 +138,18 @@ def cmd_fit_sales(args) -> int:
 
 def cmd_fit_claims(args) -> int:
     config = _build_config(args)
-    from . import claims as claims_mod
-
     sales, claims = _load_inputs(args)
     sales, claims, _ = dataio.anchor_day_zero(sales, claims)
-    aggregated = aggregate_daily_claims(claims)
-    horizon = TimeHorizon(config.warranty, config.period, 0, max(len(sales), 1))
-    built = claims_mod.build_claims_measures(sales, aggregated, horizon)
-    emp = claims_mod.empirical_mean_measure(
-        built.measures.values(), len(sales), config.warranty
+    aggregated, joined, _, fitted = pipeline._fit_claims(
+        sales, claims, config.warranty, config.items_sold(len(sales))
     )
-    fitted = claims_mod.fit_mean_measure(emp)
     print(f"items: {len(sales)}; aggregated claims: {len(aggregated)}")
     print(f"density slope     = {fitted.slope:.6e}")
     print(f"density intercept = {fitted.intercept:.6e}")
     print(f"atom at age 0     = {fitted.atom0:.6f}")
     print(f"atom at age W     = {fitted.atomW:.6f}")
-    if built.rejects:
-        print(f"quarantined claims: {len(built.rejects)}", file=sys.stderr)
+    if joined.quarantined:
+        print(f"quarantined claims: {joined.quarantined}", file=sys.stderr)
     return 0
 
 
@@ -167,7 +159,7 @@ def cmd_diagnose_tail(args) -> int:
     for issue in issues:
         print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
     aggregated = aggregate_daily_claims(claims)
-    sizes = np.array([c.amount for c in aggregated])
+    sizes = aggregated.amount
     if args.truncate_above is not None:
         sizes = sizes[sizes < args.truncate_above]
     k = min(config.qq_k, len(sizes))

@@ -8,15 +8,18 @@ Conventions used throughout the package:
   first future period, ``period`` for the one after it).
 * A sold item's claims are recorded as age offsets (claim day minus sale
   day) inside ``[0, warranty]``.
-* A claim raised by an item sold on day ``x`` lands in the forecast window
-  exactly when its age falls in a branch-dependent sub-interval of
-  ``[0, warranty]``; see :meth:`TimeHorizon.claim_window`.
+* The window rule is stated once, here: a claim of age ``c`` raised by an
+  item sold on day ``x`` lands in the forecast window exactly when
+  ``0 <= c <= W`` and ``o <= x + c <= T + o``.  :meth:`TimeHorizon.claim_window`
+  turns that into age bounds per sale time (over arrays of sale times),
+  :meth:`TimeHorizon.sale_day_range` is its inverse over integer sale days,
+  and :meth:`TimeHorizon.lands_in_window` answers the rule claim by claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -30,22 +33,22 @@ __all__ = [
     "RebateFunction",
     "MeanClaimsMeasure",
     "WeightedMeasure",
-    "window_claim_total",
     "mean_window_claims",
 ]
 
 
 class ClaimWindow(NamedTuple):
-    """Closed age interval ``[lo, hi]`` whose claims hit the forecast window.
+    """Closed age intervals ``[lo, hi]`` whose claims hit the forecast window,
+    one per sale time (scalars for a scalar sale time).
 
-    ``at_zero`` / ``at_warranty`` flag whether the interval is pinned at the
+    ``at_zero`` / ``at_warranty`` flag whether an interval is pinned at the
     age-0 / age-W boundary, where the mean claims measure may carry atoms.
     """
 
-    lo: float
-    hi: float
-    at_zero: bool
-    at_warranty: bool
+    lo: np.ndarray
+    hi: np.ndarray
+    at_zero: np.ndarray
+    at_warranty: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,32 +80,61 @@ class TimeHorizon:
     def shifted(self, offset: int) -> "TimeHorizon":
         return TimeHorizon(self.warranty, self.period, offset, self.scale)
 
-    def claim_window(self, sale_time: float) -> ClaimWindow:
-        """Age window, per the three sale-time branches.
+    def claim_window(self, sale_time) -> ClaimWindow:
+        """Age windows of sales at ``sale_time`` (a scalar or an array).
 
         With ``o`` the window offset, a sale at ``x`` contributes claims of
         age ``c`` when ``x + c`` lies in ``[o, T + o]`` and ``c`` in
-        ``[0, W]``; the branches below are that intersection, with the
-        boundary conventions fixed at ``x = o`` (first branch applies) and
-        ``x = T + o - W`` (last branch applies).
+        ``[0, W]``, i.e. when ``max(0, o - x) <= c <= min(W, T + o - x)``.
+        The window is pinned at age 0 when ``x >= o`` and at age W when
+        ``x <= T + o - W``.  Sale times outside ``[-W + o, T + o]`` raise.
         """
         w, t, o = self.warranty, self.period, self.offset
-        if not (-w + o <= sale_time <= t + o):
+        x = np.asarray(sale_time, dtype=float)
+        outside = ~((x >= -w + o) & (x <= t + o))
+        if np.any(outside):
             raise DomainError(
-                f"sale time {sale_time} outside [{-w + o}, {t + o}]"
+                f"sale time {x[outside].flat[0]} outside [{-w + o}, {t + o}]"
             )
-        if sale_time >= o:
-            return ClaimWindow(0.0, float(t + o - sale_time), True, False)
-        if sale_time <= t + o - w:
-            return ClaimWindow(float(o - sale_time), float(w), False, True)
-        return ClaimWindow(float(o - sale_time), float(t + o - sale_time), False, False)
+        return ClaimWindow(
+            np.maximum(0.0, o - x)[()],
+            np.minimum(float(w), t + o - x)[()],
+            (x >= o)[()],
+            (x <= t + o - w)[()],
+        )
+
+    def sale_day_range(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
+        """Inverse of :meth:`claim_window` over integer sale days.
+
+        For ages ``0 <= a <= b <= W`` (arrays), returns the first and last
+        integer sale day ``x`` whose claim window contains both ``a`` and
+        ``b``; the range is empty when ``start > end``.  The window contains
+        them iff ``x >= o - a`` and ``x <= T + o - b``, intersected with the
+        sale grid.
+        """
+        w, t, o = self.warranty, self.period, self.offset
+        start = np.maximum(np.ceil(o - np.asarray(a)), -w + o)
+        end = np.minimum(np.floor(t + o - np.asarray(b)), t + o)
+        return start.astype(np.int64), end.astype(np.int64)
+
+    def lands_in_window(self, sale_time, age) -> np.ndarray:
+        """Whether a claim of ``age`` from a sale at ``sale_time`` lands in the
+        window (element-wise); sales before ``-W + o`` or after ``T + o``
+        never contribute."""
+        w, t, o = self.warranty, self.period, self.offset
+        x = np.asarray(sale_time, dtype=float)
+        live = (x >= -w + o) & (x <= t + o)
+        win = self.claim_window(np.where(live, x, o))
+        return live & (win.lo <= age) & (age <= win.hi)
 
 
 @dataclass(frozen=True)
 class ClaimsMeasure:
-    """Finite point measure of one item's claim-age offsets.
+    """Finite point measure of one simulated item's claim-age offsets.
 
-    Stored as a sorted tuple; the empty tuple is the zero measure.
+    Stored as a sorted tuple; the empty tuple is the zero measure.  Only the
+    simulator keeps claims per item; estimation works on the columns of
+    :class:`claimcast.claims.JoinedClaims`.
     """
 
     points: tuple = ()
@@ -115,13 +147,6 @@ class ClaimsMeasure:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def count_in(self, lo: float, hi: float) -> int:
-        """Number of points in the closed interval [lo, hi]."""
-        return sum(1 for p in self.points if lo <= p <= hi)
-
-
-EMPTY_MEASURE = ClaimsMeasure()
 
 
 _REBATE_KINDS = ("free_replacement", "linear", "quadratic", "tabulated")
@@ -293,76 +318,60 @@ class WeightedMeasure:
         if self.base.warranty != self.weight.warranty:
             raise ValidationError("measure and rebate must share the warranty length")
 
-    def mass(
-        self,
-        lo: float,
-        hi: float,
-        include_left_atom: bool = False,
-        include_right_atom: bool = False,
-    ) -> float:
+    def mass(self, lo, hi, include_left_atom=False, include_right_atom=False):
         """Integral of r(y) over [lo, hi] against the density, plus flagged atoms.
 
-        Exact for polynomial rebates; trapezoid on the daily grid otherwise.
+        Element-wise over arrays of bounds and flags (a float for scalars).
+        Exact for polynomial rebates; trapezoid on the nodes ``lo``, the
+        integer days inside, and ``hi`` otherwise.
         """
         w = self.base.warranty
-        if not (0.0 <= lo <= hi <= w):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= w)):
             raise DomainError(f"interval [{lo}, {hi}] not inside [0, {w}]")
         coef = self.weight.poly_coef
         if coef is not None:
             dens = np.array([self.base.intercept, self.base.slope])
-            prod = npoly.polymul(coef, dens)
-            anti = npoly.polyint(prod)
+            anti = npoly.polyint(npoly.polymul(coef, dens))
             out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
         else:
-            nodes = np.unique(
-                np.concatenate(
-                    [[lo, hi], np.arange(np.ceil(lo), np.floor(hi) + 1.0)]
-                )
+            def f(y):
+                return self.weight(y) * self.base.density(y)
+
+            grid = np.arange(w + 1.0)
+            g = f(grid)
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]))])
+            # first and last integer node inside [lo, hi], or hi when none
+            k0 = np.minimum(np.ceil(lo), hi)
+            k1 = np.maximum(np.floor(hi), k0)
+            out = (
+                0.5 * (k0 - lo) * (f(lo) + f(k0))
+                + (np.interp(k1, grid, cum) - np.interp(k0, grid, cum))
+                + 0.5 * (hi - k1) * (f(k1) + f(hi))
             )
-            nodes = nodes[(nodes >= lo) & (nodes <= hi)]
-            vals = np.asarray(self.weight(nodes)) * self.base.density(nodes)
-            out = float(np.trapezoid(vals, nodes)) if len(nodes) > 1 else 0.0
-        if include_left_atom and lo <= 0.0:
-            out += self.base.atom0 * float(self.weight(0.0))
-        if include_right_atom and hi >= w:
-            out += self.base.atomW * float(self.weight(float(w)))
-        return float(out)
+        out = out + np.where(
+            np.asarray(include_left_atom) & (lo <= 0.0),
+            self.base.atom0 * float(self.weight(0.0)),
+            0.0,
+        )
+        out = out + np.where(
+            np.asarray(include_right_atom) & (hi >= w),
+            self.base.atomW * float(self.weight(float(w))),
+            0.0,
+        )
+        return float(out) if out.ndim == 0 else out
 
     @property
     def total_mass(self) -> float:
         return self.mass(0.0, float(self.base.warranty), True, True)
 
 
-def window_claim_total(
-    measure: ClaimsMeasure,
-    sale_time: float,
-    rebate: RebateFunction,
-    horizon: TimeHorizon,
-) -> float:
-    """Rebate-weighted number of claims an item sold at ``sale_time``
-    lands in the forecast window.
+def mean_window_claims(weighted: WeightedMeasure, sale_time, horizon: TimeHorizon):
+    """Expected rebate-weighted claims in the window for sales at ``sale_time``
+    (a scalar or an array).
 
-    With r identically 1 this is a plain claim count; under a pro-rata
-    schedule each claim of age c contributes r(c).  Bounded above by the
-    measure's total mass.
-    """
-    win = horizon.claim_window(sale_time)
-    if not measure.points:
-        return 0.0
-    pts = np.fromiter(
-        (p for p in measure.points if win.lo <= p <= win.hi), dtype=float
-    )
-    if pts.size == 0:
-        return 0.0
-    return float(np.sum(rebate(pts)))
-
-
-def mean_window_claims(
-    weighted: WeightedMeasure, sale_time: float, horizon: TimeHorizon
-) -> float:
-    """Expected rebate-weighted claims in the window for a sale at ``sale_time``.
-
-    Evaluates the weighted mean measure over the branch-correct age window,
+    Evaluates the weighted mean measure over each sale's age window,
     including the age-0 / age-W atoms exactly when the window touches them.
     """
     win = horizon.claim_window(sale_time)

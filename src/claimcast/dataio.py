@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .claims import ClaimRecord, SalesRecord
+from .claims import ClaimsTable, SalesTable
 from .errors import LoadError
 
 __all__ = [
@@ -64,15 +64,15 @@ def _read_rows(path, required: Sequence[str]):
         yield from ((reader.line_num, row) for row in reader)
 
 
-def load_sales(path) -> Tuple[List[SalesRecord], List[RowIssue]]:
+def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
     """Parse a sales CSV with columns (vehicle_id, sale_date).
 
     Duplicate vehicle ids are fatal (both line numbers reported); other
     malformed rows are collected and become fatal only past a 1% share.
     """
-    records: List[SalesRecord] = []
+    days: List[int] = []
     issues: List[RowIssue] = []
-    seen: Dict[str, int] = {}
+    seen: Dict[str, int] = {}  # vehicle id -> line, in file order
     total = 0
     for line, row in _read_rows(path, ("vehicle_id", "sale_date")):
         total += 1
@@ -92,19 +92,21 @@ def load_sales(path) -> Tuple[List[SalesRecord], List[RowIssue]]:
                 issues,
             )
         seen[vid] = line
-        records.append(SalesRecord(vid, day))
+        days.append(day)
     _check_bad_share(path, total, issues)
-    return records, issues
+    return SalesTable(list(seen), days), issues
 
 
-def load_claims(path) -> Tuple[List[ClaimRecord], List[RowIssue]]:
+def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
 
     Duplicate claim ids are fatal (both line numbers reported); other
     malformed rows, non-finite amounts included, are collected and become
     fatal only past a 1% share.
     """
-    records: List[ClaimRecord] = []
+    vids: List[str] = []
+    days: List[int] = []
+    amounts: List[float] = []
     issues: List[RowIssue] = []
     seen: Dict[str, int] = {}
     total = 0
@@ -141,9 +143,11 @@ def load_claims(path) -> Tuple[List[ClaimRecord], List[RowIssue]]:
                 issues,
             )
         seen[cid] = line
-        records.append(ClaimRecord(vid, day, amount))
+        vids.append(vid)
+        days.append(day)
+        amounts.append(amount)
     _check_bad_share(path, total, issues)
-    return records, issues
+    return ClaimsTable(vids, days, amounts), issues
 
 
 def _check_bad_share(path, total: int, issues: List[RowIssue]) -> None:
@@ -158,19 +162,21 @@ def _check_bad_share(path, total: int, issues: List[RowIssue]) -> None:
 
 
 def anchor_day_zero(
-    sales: Sequence[SalesRecord], claims: Sequence[ClaimRecord]
-) -> Tuple[List[SalesRecord], List[ClaimRecord], int]:
+    sales: SalesTable, claims: ClaimsTable
+) -> Tuple[SalesTable, ClaimsTable, int]:
     """Shift raw dates so day 0 is the day after the last observed sale.
 
     Observed sales then occupy [-span, -1] and the forecast windows
     [0, T], [T, 2T] start immediately after the data ends.
     """
-    if not sales:
+    if len(sales) == 0:
         raise LoadError("cannot anchor an empty sales table")
-    anchor = max(s.day for s in sales) + 1
-    sales_out = [SalesRecord(s.vehicle_id, s.day - anchor) for s in sales]
-    claims_out = [ClaimRecord(c.vehicle_id, c.day - anchor, c.amount) for c in claims]
-    return sales_out, claims_out, anchor
+    anchor = int(sales.day.max()) + 1
+    return (
+        SalesTable(sales.vehicle_id, sales.day - anchor),
+        ClaimsTable(claims.vehicle_id, claims.day - anchor, claims.amount),
+        anchor,
+    )
 
 
 def write_series(path, x_name: str, x: Iterable, y_name: str, y: Iterable) -> None:

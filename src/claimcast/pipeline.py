@@ -15,13 +15,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import claims as claims_mod
 from . import dataio
-from .claims import ClaimRecord, SalesRecord
+from .claims import ClaimsTable, EmpiricalMeanMeasure, JoinedClaims, SalesTable
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .engine import (
     LimitParams,
@@ -87,6 +87,10 @@ class RunConfig:
             raise DomainError(f"unsupported rebate kind {self.rebate_kind!r}")
         if any(k not in (0, 1) for k in self.periods):
             raise DomainError("periods must be drawn from {0, 1}")
+
+    def items_sold(self, observed: int) -> int:
+        """The scale n: the observed sales count or the explicit figure."""
+        return observed if self.n_policy == "observed_total" else int(self.n_explicit)
 
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -221,38 +225,35 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _daily_counts(sales: Sequence[SalesRecord]) -> Tuple[np.ndarray, int]:
-    days = np.array([s.day for s in sales])
-    first = int(days.min())
-    counts = np.bincount(days - first, minlength=int(days.max()) - first + 1)
-    return counts.astype(float), first
+def _daily_counts(sales: SalesTable) -> Tuple[np.ndarray, int]:
+    """Sales per day from the first sale day on, and that first day."""
+    first = int(sales.day.min())
+    return np.bincount(sales.day - first).astype(float), first
+
+
+def _fit_claims(
+    sales: SalesTable, claims: ClaimsTable, warranty: int, n: int
+) -> Tuple[ClaimsTable, JoinedClaims, EmpiricalMeanMeasure, MeanClaimsMeasure]:
+    """Aggregate same-day claims, join them onto the n sold items, bin the
+    ages and fit the mean claims measure."""
+    aggregated = claims_mod.aggregate_daily_claims(claims)
+    joined = claims_mod.join_claims(sales, aggregated, warranty)
+    emp = claims_mod.empirical_mean_measure(joined.age, n, warranty)
+    return aggregated, joined, emp, claims_mod.fit_mean_measure(emp)
 
 
 def realized_window_totals(
-    sales: Sequence[SalesRecord],
-    aggregated_claims: Sequence[ClaimRecord],
-    horizon: TimeHorizon,
+    sales: SalesTable, joined: JoinedClaims, horizon: TimeHorizon
 ) -> Tuple[int, float]:
     """Actual claim count and cost that landed in the forecast window."""
-    sold = {s.vehicle_id: s.day for s in sales}
-    o, t, w = horizon.offset, horizon.period, horizon.warranty
-    count = 0
-    cost = 0.0
-    for rec in aggregated_claims:
-        day0 = sold.get(rec.vehicle_id)
-        if day0 is None:
-            continue
-        age = min(max(rec.day - day0, 0), w)
-        if o <= day0 + age <= t + o:
-            count += 1
-            cost += rec.amount
-    return count, cost
+    hit = horizon.lands_in_window(sales.day[joined.item], joined.age)
+    return int(np.count_nonzero(hit)), float(np.sum(joined.amount[hit]))
 
 
 def run_pipeline(
     config: RunConfig,
-    sales: Sequence[SalesRecord],
-    claims: Sequence[ClaimRecord],
+    sales: SalesTable,
+    claims: ClaimsTable,
     out_dir: Optional[Path] = None,
 ) -> Report:
     """Full estimation: sales curve, fluctuation limit, mean measure, tail
@@ -262,19 +263,12 @@ def run_pipeline(
     measure (as in the study the defaults mirror); claims falling inside a
     forecast window additionally feed that window's sanity-check block.
     """
-    if not sales:
+    if len(sales) == 0:
         raise DomainError("no sales records")
     sales, claims, anchor = dataio.anchor_day_zero(sales, claims)
-    n = len(sales) if config.n_policy == "observed_total" else int(config.n_explicit)
+    n = config.items_sold(len(sales))
     rebate = config.rebate()
-
-    aggregated = claims_mod.aggregate_daily_claims(claims)
-    base_horizon = TimeHorizon(config.warranty, config.period, 0, n)
-    built = claims_mod.build_claims_measures(sales, aggregated, base_horizon)
-    emp = claims_mod.empirical_mean_measure(
-        built.measures.values(), n, config.warranty
-    )
-    fitted = claims_mod.fit_mean_measure(emp)
+    _, joined, emp, fitted = _fit_claims(sales, claims, config.warranty, n)
 
     counts, first_day = _daily_counts(sales)
     bass = fit_bass(counts, n, first_day)
@@ -283,7 +277,7 @@ def run_pipeline(
         resid, first_day, halfwidth=config.ma_window, stationary=config.stationary
     )
 
-    sizes = np.array([c.amount for c in aggregated if c.vehicle_id in built.measures])
+    sizes = joined.amount
     tail = None
     if config.policy == "free_replacement":
         override = config.regime_override == "finite_variance"
@@ -294,9 +288,7 @@ def run_pipeline(
     for k in sorted(set(config.periods)):
         offset = k * config.period
         horizon = TimeHorizon(config.warranty, config.period, offset, n)
-        grids = claims_mod.moment_grids(
-            built.measures.values(), fitted, rebate, horizon, n=n
-        )
+        grids = claims_mod.moment_grids(joined, fitted, rebate, horizon, n=n)
         floor_total += grids.floor_count
         c1, c2 = compute_rate_constants(grids, bass)
         limit = assemble_fluctuation(decomposition, horizon, config.poly_degree)
@@ -328,7 +320,7 @@ def run_pipeline(
             quantiles[kind] = dict(zip(QUANTILE_LEVELS, column.tolist()))
 
         sanity: Dict[str, float] = {}
-        actual_count, actual_cost = realized_window_totals(sales, aggregated, horizon)
+        actual_count, actual_cost = realized_window_totals(sales, joined, horizon)
         if actual_count > 0:
             count_cdf = approx_cdf(claims_count_approx(lp), actual_count)
             sanity["actual_count"] = float(actual_count)
@@ -353,7 +345,7 @@ def run_pipeline(
         tail_regime=tail.regime.value if tail else None,
         size_mean=tail.mean if tail else None,
         size_variance=tail.variance if tail else None,
-        rejected_claims=len(built.rejects),
+        rejected_claims=joined.quarantined,
         variance_floor_count=floor_total,
         periods=tuple(period_results),
     )

@@ -46,7 +46,6 @@ __all__ = [
     "LinearShare",
     "RenewalSales",
     "NhppSales",
-    "CoxSales",
     "PoissonClaims",
     "SingleLifetime",
     "LognormalSizes",
@@ -169,48 +168,7 @@ class NhppSales:
         return np.interp(epochs, nu, days)
 
 
-@dataclass(frozen=True)
-class CoxSales:
-    """Doubly stochastic Poisson sales.
-
-    The directing path is n*share plus sqrt(n) times a stationary AR(1)
-    perturbation, made non-decreasing by accumulating only the positive
-    part of its daily increments.  With ``sigma = 0`` no perturbation draws
-    are consumed, so the degenerate case reproduces an :class:`NhppSales`
-    realization draw-for-draw on the daily grid.
-    """
-
-    share: Callable[[np.ndarray], np.ndarray]
-    sigma: float = 0.0
-    decay: float = 0.98
-
-    def __post_init__(self):
-        if self.sigma < 0.0 or not (0.0 <= self.decay < 1.0):
-            raise DomainError("need sigma >= 0 and decay in [0, 1)")
-
-    def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
-        if self.sigma == 0.0:
-            # degenerate directing measure: identical to the plain Poisson
-            # sales path, draw for draw
-            return NhppSales(self.share, grid_step=1.0).sample(horizon, rng)
-        lo = -float(horizon.warranty)
-        hi = float(horizon.period + horizon.offset)
-        days = np.arange(lo, hi + 1.0)
-        n = horizon.scale
-        nu = np.asarray(self.share(days), dtype=float)
-        innov = rng.normal(0.0, self.sigma, size=len(days))
-        perturb = np.empty(len(days))
-        perturb[0] = innov[0] / np.sqrt(1.0 - self.decay**2)
-        for k in range(1, len(days)):
-            perturb[k] = self.decay * perturb[k - 1] + innov[k]
-        increments = np.maximum(n * np.diff(nu) + np.sqrt(n) * np.diff(perturb), 0.0)
-        path = np.concatenate([[0.0], np.cumsum(increments)])
-        count = rng.poisson(path[-1])
-        epochs = np.sort(rng.uniform(0.0, path[-1], size=count))
-        return np.interp(epochs, path, days)
-
-
-SalesSpec = Union[RenewalSales, NhppSales, CoxSales]
+SalesSpec = Union[RenewalSales, NhppSales]
 
 
 def simulate_sales(spec: SalesSpec, horizon: TimeHorizon, seed) -> np.ndarray:
@@ -252,12 +210,7 @@ class PoissonClaims:
         return ClaimsMeasure(tuple(pts))
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
-        wm = WeightedMeasure(self.mean_measure, rebate)
-        wm2 = WeightedMeasure(self.mean_measure, rebate.squared())
-        days = horizon.sale_days
-        mean = np.array([mean_window_claims(wm, int(x), horizon) for x in days])
-        var = np.array([mean_window_claims(wm2, int(x), horizon) for x in days])
-        return mean, var
+        return _window_moments(self.mean_measure, rebate, horizon)
 
 
 @dataclass(frozen=True)
@@ -284,15 +237,24 @@ class SingleLifetime:
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
         if self.mean_measure is None:
             raise DomainError("exact grids need the lifetime's mean measure")
-        wm = WeightedMeasure(self.mean_measure, rebate)
-        wm2 = WeightedMeasure(self.mean_measure, rebate.squared())
-        days = horizon.sale_days
-        mean = np.array([mean_window_claims(wm, int(x), horizon) for x in days])
-        second = np.array([mean_window_claims(wm2, int(x), horizon) for x in days])
+        mean, second = _window_moments(self.mean_measure, rebate, horizon)
         return mean, second - mean**2
 
 
 ClaimsSpec = Union[PoissonClaims, SingleLifetime]
+
+
+def _window_moments(
+    measure: MeanClaimsMeasure, rebate: RebateFunction, horizon: TimeHorizon
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-sale-day means of the r- and r^2-weighted window claims."""
+    days = horizon.sale_days
+    weighted = WeightedMeasure(measure, rebate)
+    squared = WeightedMeasure(measure, rebate.squared())
+    return (
+        mean_window_claims(weighted, days, horizon),
+        mean_window_claims(squared, days, horizon),
+    )
 
 
 def simulate_claims_measure(spec: ClaimsSpec, seed) -> ClaimsMeasure:
@@ -380,25 +342,21 @@ def realize_cost(
     """
     if len(sales) != len(measures):
         raise DomainError("need one claims measure per sale")
-    o, t, w = horizon.offset, horizon.period, horizon.warranty
     prorata = rebate.kind != "free_replacement"
-    count = 0
-    cost = 0.0
-    for s, m in zip(sales, measures):
-        pts = m.points[:1] if prorata else m.points
-        for c in pts:
-            if 0.0 <= c <= w and o <= s + c <= t + o:
-                count += 1
-                if prorata:
-                    cost += rebate.unit_price * float(rebate(c))
-    if not prorata:
-        if sizes is None or len(sizes) < count:
-            raise DomainError(
-                f"size stream exhausted: need {count}, have "
-                f"{0 if sizes is None else len(sizes)}"
-            )
-        cost = float(np.sum(np.asarray(sizes, dtype=float)[:count]))
-    return count, cost
+    points = [m.points[:1] if prorata else m.points for m in measures]
+    per_sale = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
+    ages = np.fromiter((c for pts in points for c in pts), dtype=float)
+    sale_of_claim = np.repeat(np.asarray(sales, dtype=float), per_sale)
+    hit = horizon.lands_in_window(sale_of_claim, ages)
+    count = int(np.count_nonzero(hit))
+    if prorata:
+        return count, float(np.sum(rebate.unit_price * rebate(ages[hit])))
+    if sizes is None or len(sizes) < count:
+        raise DomainError(
+            f"size stream exhausted: need {count}, have "
+            f"{0 if sizes is None else len(sizes)}"
+        )
+    return count, float(np.sum(np.asarray(sizes, dtype=float)[:count]))
 
 
 # --------------------------------------------------------------------------
@@ -471,11 +429,8 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
     horizon = study.horizon
     mean_grid, var_grid = study.claims.window_moment_grids(study.rebate, horizon)
     days = horizon.sale_days
-    if isinstance(study.sales, (RenewalSales, NhppSales)):
-        nu = study.sales.share_on(days, horizon)
-        cov = study.sales.fluctuation_cov(horizon)
-    else:
-        raise DomainError("exact limits implemented for renewal and nhpp sales")
+    nu = study.sales.share_on(days, horizon)
+    cov = study.sales.fluctuation_cov(horizon)
     dnu = np.diff(nu)
     c1 = float(np.sum(0.5 * (mean_grid[1:] + mean_grid[:-1]) * dnu))
     c2 = float(np.sum(0.5 * (var_grid[1:] + var_grid[:-1]) * dnu))

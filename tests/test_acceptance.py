@@ -12,6 +12,7 @@ import pytest
 from scipy import special
 
 from claimcast.claims import moment_grids
+from claimcast.cli import _UniformLifetime
 from claimcast.core import (
     ClaimsMeasure,
     MeanClaimsMeasure,
@@ -274,14 +275,6 @@ def test_criterion_06_monte_carlo_cost_and_count_limits():
         " sits at KS 0.038 from the limit and 2000 replications cannot"
         " reliably resolve that against 0.05 (see decisions ledger)"
     )
-
-
-class _UniformLifetime:
-    def __init__(self, top):
-        self.top = top
-
-    def __call__(self, u):
-        return self.top * u
 
 
 def test_criterion_07_monte_carlo_prorata_limit():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from claimcast.claims import (
-    ClaimRecord,
-    SalesRecord,
+    ClaimsTable,
+    JoinedClaims,
+    SalesTable,
     aggregate_daily_claims,
-    build_claims_measures,
     empirical_mean_measure,
     fit_mean_measure,
+    join_claims,
     moment_grids,
 )
 from claimcast.core import ClaimsMeasure, MeanClaimsMeasure, RebateFunction, TimeHorizon
@@ -18,89 +19,139 @@ HORIZON = TimeHorizon(W, T)
 FREE = RebateFunction.free_replacement(W)
 
 
+def claims_table(*rows):
+    """ClaimsTable from (vehicle_id, day, amount) rows."""
+    vids, days, amounts = zip(*rows) if rows else ((), (), ())
+    return ClaimsTable(list(vids), list(days), list(amounts))
+
+
+def sales_table(*rows):
+    """SalesTable from (vehicle_id, day) rows."""
+    vids, days = zip(*rows) if rows else ((), ())
+    return SalesTable(list(vids), list(days))
+
+
+def rows(table):
+    """A ClaimsTable's rows as (vehicle_id, day, amount) tuples."""
+    columns = (table.vehicle_id, table.day, table.amount)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def joined_from(measures):
+    """Per-item claim-age measures as JoinedClaims columns (item i = measures[i])."""
+    ages = [np.asarray(m.points, dtype=float) for m in measures]
+    item = np.repeat(np.arange(len(ages)), [len(a) for a in ages])
+    age = np.concatenate(ages) if ages else np.zeros(0)
+    return JoinedClaims(item, age, np.zeros(len(age)))
+
+
+def item_points(joined, item):
+    """The sorted ages of one item's joined claims."""
+    return tuple(joined.age[joined.item == item].tolist())
+
+
+class TestTables:
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(DomainError):
+            SalesTable(["A", "B"], [1])
+        with pytest.raises(DomainError):
+            ClaimsTable(["A"], [1, 2], [1.0])
+
+    def test_negative_amount_rejected(self):
+        with pytest.raises(DomainError):
+            claims_table(("A", 1, -1.0))
+
+
 class TestAggregateDailyClaims:
     def test_same_day_amounts_merge(self):
-        recs = [
-            ClaimRecord("V", -5, 10.0),
-            ClaimRecord("V", -5, 5.0),
-            ClaimRecord("V", -5, 2.0),
-        ]
-        assert aggregate_daily_claims(recs) == [ClaimRecord("V", -5, 17.0)]
+        recs = claims_table(("V", -5, 10.0), ("V", -5, 5.0), ("V", -5, 2.0))
+        assert rows(aggregate_daily_claims(recs)) == [("V", -5, 17.0)]
 
     def test_distinct_days_untouched(self):
-        recs = [ClaimRecord("V", -9, 10.0), ClaimRecord("V", -3, 5.0)]
-        assert aggregate_daily_claims(recs) == recs
+        recs = claims_table(("V", -9, 10.0), ("V", -3, 5.0))
+        assert rows(aggregate_daily_claims(recs)) == rows(recs)
 
     def test_empty(self):
-        assert aggregate_daily_claims([]) == []
+        assert rows(aggregate_daily_claims(claims_table())) == []
+
+    def test_sorted_by_vehicle_then_day(self):
+        recs = claims_table(("B", 3, 1.0), ("A", 7, 2.0), ("B", -1, 3.0), ("A", 7, 4.0))
+        assert rows(aggregate_daily_claims(recs)) == [
+            ("A", 7, 6.0),
+            ("B", -1, 3.0),
+            ("B", 3, 1.0),
+        ]
 
 
 class TestBuildClaimsMeasures:
+    """join_claims: per-item claim ages from the sales and claims tables."""
+
     def test_offsets_are_age_differences(self):
-        sales = [SalesRecord("A", -1000)]
-        claims = [ClaimRecord("A", -995, 1.0), ClaimRecord("A", -500, 1.0)]
-        built = build_claims_measures(sales, claims, HORIZON)
-        assert built.measures["A"].points == (5.0, 500.0)
-        assert built.rejects == ()
+        sales = sales_table(("A", -1000))
+        claims = claims_table(("A", -995, 1.0), ("A", -500, 1.0))
+        joined = join_claims(sales, claims, W)
+        assert item_points(joined, 0) == (5.0, 500.0)
+        assert joined.quarantined == 0
 
     def test_clamping_at_both_ends(self):
-        sales = [SalesRecord("A", -10), SalesRecord("B", -1100)]
-        claims = [ClaimRecord("A", -20, 1.0), ClaimRecord("B", 50, 1.0)]
-        built = build_claims_measures(sales, claims, HORIZON)
-        assert built.measures["A"].points == (0.0,)  # honored before the sale
-        assert built.measures["B"].points == (float(W),)  # past warranty
-        assert built.measures["A"].count_in(0, W) == 1
+        sales = sales_table(("A", -10), ("B", -1100))
+        claims = claims_table(("A", -20, 1.0), ("B", 50, 1.0))
+        joined = join_claims(sales, claims, W)
+        assert item_points(joined, 0) == (0.0,)  # honored before the sale
+        assert item_points(joined, 1) == (float(W),)  # past warranty
+        assert np.count_nonzero((joined.item == 0) & (joined.age <= W)) == 1
 
     def test_unknown_vehicle_quarantined(self):
-        sales = [SalesRecord("A", -10)]
-        claims = [ClaimRecord("GHOST", -5, 2.0), ClaimRecord("A", -5, 1.0)]
-        built = build_claims_measures(sales, claims, HORIZON)
-        assert len(built.rejects) == 1
-        assert built.rejects[0].vehicle_id == "GHOST"
+        sales = sales_table(("A", -10))
+        claims = claims_table(("GHOST", -5, 2.0), ("A", -5, 1.0))
+        joined = join_claims(sales, claims, W)
+        assert joined.quarantined == 1
+        assert joined.item.tolist() == [0] and joined.amount.tolist() == [1.0]
 
     def test_claim_free_items_get_empty_measures(self):
-        sales = [SalesRecord("A", -10), SalesRecord("B", -20)]
-        built = build_claims_measures(sales, [ClaimRecord("A", -5, 1.0)], HORIZON)
-        assert len(built.measures["B"]) == 0
-        assert built.n == 2
+        sales = sales_table(("A", -10), ("B", -20))
+        joined = join_claims(sales, claims_table(("A", -5, 1.0)), W)
+        assert len(item_points(joined, 1)) == 0
+        assert len(sales) == 2
 
     def test_claim_count_conserved(self):
         rng = np.random.default_rng(11)
-        sales = [SalesRecord(f"v{i}", int(d)) for i, d in
-                 enumerate(rng.integers(-W, 0, size=40))]
+        sales = sales_table(*[(f"v{i}", int(d)) for i, d in
+                              enumerate(rng.integers(-W, 0, size=40))])
         claims = []
         for _ in range(200):
             vid = f"v{rng.integers(0, 50)}"  # some ids unknown
-            claims.append(ClaimRecord(vid, int(rng.integers(-W, T)), 1.0))
-        built = build_claims_measures(sales, claims, HORIZON)
-        kept = sum(len(m) for m in built.measures.values())
-        assert kept + len(built.rejects) == len(claims)
-        known = {s.vehicle_id for s in sales}
-        assert kept == sum(1 for c in claims if c.vehicle_id in known)
+            claims.append((vid, int(rng.integers(-W, T)), 1.0))
+        joined = join_claims(sales, claims_table(*claims), W)
+        kept = len(joined.age)
+        assert kept + joined.quarantined == len(claims)
+        known = set(sales.vehicle_id.tolist())
+        assert kept == sum(1 for c in claims if c[0] in known)
+        assert np.all(np.diff(joined.item) >= 0)
+        for i, vid in enumerate(sales.vehicle_id.tolist()):
+            want = sorted(min(max(d - int(sales.day[i]), 0), W)
+                          for v, d, _ in claims if v == vid)
+            assert item_points(joined, i) == tuple(float(a) for a in want)
 
 
 class TestEmpiricalMeanMeasure:
     def test_all_empty(self):
-        emp = empirical_mean_measure([ClaimsMeasure()] * 3, 3, W)
+        emp = empirical_mean_measure(np.zeros(0), 3, W)
         assert np.all(emp.bins == 0.0)
 
     def test_hand_count(self):
-        emp = empirical_mean_measure(
-            [ClaimsMeasure((1,)), ClaimsMeasure((1, 1))], 2, W
-        )
+        emp = empirical_mean_measure(np.array([1.0, 1.0, 1.0]), 2, W)
         assert emp.bins[1] == pytest.approx(1.5)
         assert np.sum(emp.bins) == pytest.approx(1.5)
 
     def test_end_bins_capture_atoms(self):
-        emp = empirical_mean_measure(
-            [ClaimsMeasure((0, W)), ClaimsMeasure((0,))], 4, W
-        )
+        emp = empirical_mean_measure(np.array([0.0, W, 0.0]), 4, W)
         assert emp.bins[0] == pytest.approx(0.5)
         assert emp.bins[W] == pytest.approx(0.25)
 
     def test_zero_items_rejected(self):
         with pytest.raises(DomainError):
-            empirical_mean_measure([], 0, W)
+            empirical_mean_measure(np.zeros(0), 0, W)
 
 
 class TestFitMeanMeasure:
@@ -157,13 +208,17 @@ def grid_oracle(measure_list, rebate, horizon, n):
 class TestMomentGrids:
     def test_mean_vanishes_in_empty_window(self):
         fitted = MeanClaimsMeasure(0.0, 1e-3, atom0=0.0, atomW=0.1, warranty=W)
-        grids = moment_grids([], fitted, FREE, HORIZON, n=5)
+        grids = moment_grids(joined_from([]), fitted, FREE, HORIZON, n=5)
         assert grids.mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
 
     def test_two_item_toy_variance(self):
         # second moment (1/2)(1^2) = 0.5, mean 0.5, variance 0.25 at x = 0
         grids = moment_grids(
-            [ClaimsMeasure((5,)), ClaimsMeasure()], None, FREE, HORIZON, n=2
+            joined_from([ClaimsMeasure((5,)), ClaimsMeasure()]),
+            None,
+            FREE,
+            HORIZON,
+            n=2,
         )
         at0 = np.where(grids.days == 0)[0][0]
         assert grids.mean[at0] == pytest.approx(0.5)
@@ -177,7 +232,7 @@ class TestMomentGrids:
             for _ in range(30)
         ]
         rebate = RebateFunction.free_replacement(40)
-        grids = moment_grids(measures, None, rebate, h, n=30)
+        grids = moment_grids(joined_from(measures), None, rebate, h, n=30)
         mean_ref, second_ref = grid_oracle(measures, rebate, h, 30)
         assert np.allclose(grids.mean, mean_ref, atol=1e-12)
         assert np.allclose(grids.var, second_ref - mean_ref**2, atol=1e-10)
@@ -191,7 +246,7 @@ class TestMomentGrids:
             for _ in range(25)
         ]
         rebate = RebateFunction.linear(40)
-        grids = moment_grids(measures, None, rebate, h, n=25)
+        grids = moment_grids(joined_from(measures), None, rebate, h, n=25)
         mean_ref, second_ref = grid_oracle(measures, rebate, h, 25)
         assert np.allclose(grids.mean, mean_ref, atol=1e-12)
         assert np.allclose(grids.var, second_ref - mean_ref**2, atol=1e-10)
@@ -202,7 +257,7 @@ class TestMomentGrids:
             ClaimsMeasure(tuple(rng.uniform(0, W, size=rng.integers(0, 4))))
             for _ in range(40)
         ]
-        grids = moment_grids(measures, None, FREE, HORIZON, n=40)
+        grids = moment_grids(joined_from(measures), None, FREE, HORIZON, n=40)
         assert grids.floor_count == 0
         assert np.all(grids.var >= 0.0)
 
@@ -210,7 +265,11 @@ class TestMomentGrids:
         # fitted mean larger than any raw second moment forces flooring
         fitted = MeanClaimsMeasure(0.0, 5e-3, atom0=0.5, atomW=0.5, warranty=W)
         grids = moment_grids(
-            [ClaimsMeasure((3,)), ClaimsMeasure()], fitted, FREE, HORIZON, n=2
+            joined_from([ClaimsMeasure((3,)), ClaimsMeasure()]),
+            fitted,
+            FREE,
+            HORIZON,
+            n=2,
         )
         assert grids.floor_count > 0
         assert np.all(grids.var >= 0.0)

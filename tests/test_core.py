@@ -10,7 +10,6 @@ from claimcast.core import (
     TimeHorizon,
     WeightedMeasure,
     mean_window_claims,
-    window_claim_total,
 )
 from claimcast.errors import DomainError, ValidationError
 
@@ -37,6 +36,15 @@ def brute_force_window_total(points, x, r, w, t, offset=0):
     return total
 
 
+def window_claim_total(measure, sale_time, rebate, horizon):
+    """Rebate-weighted claims of one item that land in the window, through
+    the array form of ``claim_window``."""
+    pts = np.asarray(measure.points, dtype=float)
+    win = horizon.claim_window(np.full(len(pts), sale_time))
+    hit = (win.lo <= pts) & (pts <= win.hi)
+    return float(np.sum(rebate(pts[hit])))
+
+
 class TestTimeHorizon:
     def test_validates_clock(self):
         with pytest.raises(DomainError):
@@ -59,6 +67,36 @@ class TestTimeHorizon:
         with pytest.raises(DomainError):
             HORIZON.claim_window(-W - 1)
 
+    def test_array_of_sale_times(self):
+        xs = np.array([-W, T - W, -500.5, -1, 0, 0.25, T])
+        win = HORIZON.claim_window(xs)
+        for k, x in enumerate(xs):
+            assert tuple(part[k] for part in win) == HORIZON.claim_window(x)
+        with pytest.raises(DomainError):
+            HORIZON.claim_window(np.array([0.0, T + 1.0]))
+        with pytest.raises(DomainError):
+            HORIZON.claim_window(np.array([np.nan]))
+
+    @pytest.mark.parametrize("offset", [0, T])
+    def test_sale_day_range_inverts_claim_window(self, offset):
+        # for integer sale days x: start <= x <= end exactly when both ages
+        # of the pair lie in x's claim window
+        h = HORIZON.shifted(offset)
+        days = h.sale_days
+        win = h.claim_window(days)
+        rng = np.random.default_rng(41)
+        a_int = rng.integers(0, W + 1, size=300)
+        b_int = np.minimum(a_int + rng.integers(0, T + 3, size=300), W)
+        a_flt = rng.uniform(0, W, size=300)
+        b_flt = np.minimum(a_flt + rng.uniform(0, T + 3, size=300), W)
+        for a, b in ((a_int, b_int), (a_flt, b_flt)):
+            start, end = h.sale_day_range(a, b)
+            in_range = (start[:, None] <= days) & (days <= end[:, None])
+            a_in = (win.lo <= a[:, None]) & (a[:, None] <= win.hi)
+            b_in = (win.lo <= b[:, None]) & (b[:, None] <= win.hi)
+            assert np.array_equal(in_range, a_in & b_in)
+            assert in_range.any()
+
     def test_offset_shifts_windows(self):
         h2 = HORIZON.shifted(T)
         win = h2.claim_window(T)
@@ -72,7 +110,6 @@ class TestClaimsMeasure:
         m = ClaimsMeasure((5.0, 1.0, 3.0))
         assert m.points == (1.0, 3.0, 5.0)
         assert len(m) == 3
-        assert m.count_in(1.0, 3.0) == 2
         with pytest.raises(DomainError):
             ClaimsMeasure((-1.0,))
 
@@ -208,6 +245,40 @@ class TestWeightedMass:
         # which is O(slope/W) per day here
         for lo, hi in [(0, W), (3, 800), (100, 101)]:
             assert approx.mass(lo, hi) == pytest.approx(exact.mass(lo, hi), rel=1e-4)
+
+    def test_tabulated_is_trapezoid_on_daily_nodes(self):
+        m = car_mean_measure()
+        tab = RebateFunction.quadratic(W).squared()
+        assert tab.kind == "tabulated"
+        wm = WeightedMeasure(m, tab)
+        rng = np.random.default_rng(8)
+        lo = np.concatenate([[0.0, 3.0, 100.2, 5.5, 7.0], rng.uniform(0, W, 40)])
+        width = np.concatenate(
+            [[W, 0.0, 0.5, 3.5, 0.25], rng.uniform(0, 1, 40) * (W - lo[5:])]
+        )
+        hi = np.minimum(lo + width, W)
+        got = wm.mass(lo, hi)
+        for k in range(len(lo)):
+            inner = [float(d) for d in range(W + 1) if lo[k] < d < hi[k]]
+            nodes = [lo[k]] + inner + [hi[k]]
+            vals = [float(tab(y)) * float(m.density(y)) for y in nodes]
+            want = sum(
+                0.5 * (vals[i] + vals[i + 1]) * (nodes[i + 1] - nodes[i])
+                for i in range(len(nodes) - 1)
+            )
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert wm.mass(lo[k], hi[k]) == got[k]
+
+    @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
+    def test_array_bounds_match_scalar_calls(self, kind):
+        wm = WeightedMeasure(car_mean_measure(), RebateFunction(kind, W))
+        lo = np.array([0.0, 0.0, 10.0, W - T, 500.5])
+        hi = np.array([T, W, 10.0, W, 501.0])
+        left = np.array([True, False, True, False, True])
+        right = np.array([False, True, False, True, True])
+        got = wm.mass(lo, hi, left, right)
+        for k in range(len(lo)):
+            assert got[k] == wm.mass(lo[k], hi[k], bool(left[k]), bool(right[k]))
 
     def test_invalid_interval_rejected(self):
         wm = WeightedMeasure(car_mean_measure(), RebateFunction.free_replacement(W))

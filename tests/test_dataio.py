@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from claimcast.claims import ClaimRecord, SalesRecord
+from claimcast.claims import ClaimsTable, SalesTable
 from claimcast.dataio import (
     anchor_day_zero,
     load_claims,
@@ -17,6 +17,14 @@ def write(path, text):
     return path
 
 
+def rows(table):
+    """A table's rows as tuples of its columns."""
+    columns = [table.vehicle_id, table.day] + (
+        [table.amount] if isinstance(table, ClaimsTable) else []
+    )
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 class TestLoadSales:
     def test_well_formed(self, tmp_path):
         p = write(
@@ -24,11 +32,7 @@ class TestLoadSales:
             "vehicle_id,sale_date\nA,100\nB,101\nC,150\n",
         )
         records, issues = load_sales(p)
-        assert records == [
-            SalesRecord("A", 100),
-            SalesRecord("B", 101),
-            SalesRecord("C", 150),
-        ]
+        assert rows(records) == [("A", 100), ("B", 101), ("C", 150)]
         assert issues == []
 
     def test_iso_dates_become_ordinals(self, tmp_path):
@@ -37,7 +41,7 @@ class TestLoadSales:
             "vehicle_id,sale_date\nA,2001-01-01\nB,2001-01-31\n",
         )
         records, _ = load_sales(p)
-        assert records[1].day - records[0].day == 30
+        assert records.day[1] - records.day[0] == 30
 
     def test_duplicate_vehicle_fatal_with_line_numbers(self, tmp_path):
         p = write(
@@ -80,7 +84,7 @@ class TestLoadClaims:
             "vehicle_id,claim_date,claim_id,amount\nA,120,C1,10.5\nA,130,C2,2\n",
         )
         records, issues = load_claims(p)
-        assert records == [ClaimRecord("A", 120, 10.5), ClaimRecord("A", 130, 2.0)]
+        assert rows(records) == [("A", 120, 10.5), ("A", 130, 2.0)]
         assert issues == []
 
     def test_negative_amount_is_an_issue(self, tmp_path):
@@ -114,14 +118,14 @@ class TestLoadClaims:
 
 class TestAnchoring:
     def test_day_zero_after_last_sale(self):
-        sales = [SalesRecord("A", 100), SalesRecord("B", 400)]
-        claims = [ClaimRecord("A", 150, 1.0)]
+        sales = SalesTable(["A", "B"], [100, 400])
+        claims = ClaimsTable(["A"], [150], [1.0])
         s2, c2, anchor = anchor_day_zero(sales, claims)
         assert anchor == 401
-        assert [s.day for s in s2] == [-301, -1]
-        assert c2[0].day == -251
+        assert s2.day.tolist() == [-301, -1]
+        assert c2.day[0] == -251
         # observed sales occupy [-span, 0)
-        assert max(s.day for s in s2) == -1
+        assert max(s2.day) == -1
 
 
 class TestSeriesRoundTrip:

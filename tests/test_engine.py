@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from claimcast.claims import moment_grids
+from claimcast.claims import JoinedClaims, moment_grids
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import (
     CostApproximation,
@@ -25,6 +25,7 @@ from claimcast.stable import params_zero_one_case
 W, T, N = 1096, 91, 34807
 
 # published car-study inputs: fitted mean measure, Bass curve, size moments
+NO_CLAIMS = JoinedClaims([], [], [])
 CAR_MEASURE = MeanClaimsMeasure(
     slope=-0.8872e-6,
     intercept=0.1479e-2 - 0.8872e-6 / 2.0,
@@ -52,7 +53,7 @@ class TestComputeRateConstants:
         # the fitted measure and Bass coefficients are published to four
         # significant digits, which caps agreement at roughly 2e-4
         horizon = TimeHorizon(W, T, offset, N)
-        grids = moment_grids([], CAR_MEASURE, RebateFunction.free_replacement(W),
+        grids = moment_grids(NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W),
                              horizon, n=1)
         c1, _ = compute_rate_constants(grids, CAR_BASS)
         assert c1 == pytest.approx(want, abs=2e-4)
@@ -256,7 +257,7 @@ class TestCostApproxProrata:
                         contrib += float(rebate(age)) * mass
                 c1_ref += 0.5 * x_mid_weight * contrib
 
-        grids = moment_grids([], m, rebate, horizon, n=1)
+        grids = moment_grids(NO_CLAIMS, m, rebate, horizon, n=1)
         dnu = np.diff(nu)
         c1 = float(np.sum(0.5 * (grids.mean[1:] + grids.mean[:-1]) * dnu))
         assert c1 == pytest.approx(c1_ref, rel=1e-12)

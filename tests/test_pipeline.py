@@ -3,12 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from claimcast.claims import (
+    ClaimsTable,
+    SalesTable,
+    aggregate_daily_claims,
+    join_claims,
+)
+from claimcast.core import TimeHorizon
 from claimcast.dataio import load_claims, load_sales, read_series
 from claimcast.engine import approx_quantile
 from claimcast.errors import DomainError
 from claimcast.pipeline import (
     QUANTILE_LEVELS,
     RunConfig,
+    realized_window_totals,
     run_pipeline,
     synthesize_dataset,
 )
@@ -182,13 +190,11 @@ class TestRunPipeline:
 
     def test_empty_sales_rejected(self):
         with pytest.raises(DomainError):
-            run_pipeline(CONFIG, [], [])
+            run_pipeline(CONFIG, SalesTable([], []), ClaimsTable([], [], []))
 
     def test_heavy_tailed_sizes_produce_both_columns(self):
         # Pareto(1.5) claim amounts put the tail index inside (1, 2); the
         # report then carries the normal and stable columns side by side
-        from claimcast.claims import ClaimRecord, SalesRecord
-
         rng = np.random.default_rng(55)
         span, w = 240, 200
         sales = []
@@ -197,12 +203,14 @@ class TestRunPipeline:
         for i in range(3000):
             vid = f"H{i:05d}"
             day = int(rng.integers(1, span + 1))
-            sales.append(SalesRecord(vid, day))
+            sales.append((vid, day))
             for _ in range(int(rng.poisson(0.9))):
                 age = int(rng.integers(0, w + 1))
                 amount = float(20.0 * rng.uniform() ** (-1.0 / 1.5))
                 claim_id += 1
-                claims.append(ClaimRecord(vid, day + age, amount))
+                claims.append((vid, day + age, amount))
+        sales = SalesTable(*zip(*sales))
+        claims = ClaimsTable(*zip(*claims))
         config = RunConfig(
             warranty=200,
             period=30,
@@ -222,3 +230,64 @@ class TestRunPipeline:
         for column in res.quantiles.values():
             qs = [column[p] for p in QUANTILE_LEVELS]
             assert np.all(np.diff(qs) > 0)
+
+
+def brute_force_window_totals(sales, claims, horizon):
+    """Per-claim filter over merged same-day claims of known vehicles."""
+    sold = dict(zip(sales.vehicle_id.tolist(), sales.day.tolist()))
+    merged = {}
+    for vid, day, amount in zip(
+        claims.vehicle_id.tolist(), claims.day.tolist(), claims.amount.tolist()
+    ):
+        merged[(vid, day)] = merged.get((vid, day), 0.0) + amount
+    o, t, w = horizon.offset, horizon.period, horizon.warranty
+    count, cost = 0, 0.0
+    for (vid, day), amount in merged.items():
+        if vid not in sold:
+            continue
+        age = min(max(day - sold[vid], 0), w)
+        if o <= sold[vid] + age <= t + o:
+            count += 1
+            cost += amount
+    return count, cost
+
+
+class TestRealizedWindowTotals:
+    def test_hand_cases(self):
+        w, t = 200, 30
+        horizon = TimeHorizon(w, t)
+        sales = SalesTable(["A", "B", "C", "D"], [-10, -5, -190, -250])
+        claims = ClaimsTable(
+            ["A", "A", "A", "B", "C", "GHOST", "D"],
+            # A: two claims on day 3 merge, one dated before its sale;
+            # B: dated past W, clipped to age W (day 195, outside [0, 30]);
+            # C: dated past W, clipped to age W (day 10, inside);
+            # D: sold before -W, never in the window
+            [3, 3, -20, 400, 50, 5, 0],
+            [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+        )
+        joined = join_claims(sales, aggregate_daily_claims(claims), w)
+        # A at day 3 (3.0), A before the sale -> age 0, day -10 (out),
+        # C clipped to day 10 (16.0)
+        assert realized_window_totals(sales, joined, horizon) == (2, 19.0)
+        assert brute_force_window_totals(sales, claims, horizon) == (2, 19.0)
+
+    @pytest.mark.parametrize("offset", [0, 30])
+    def test_matches_brute_force(self, offset):
+        w, t = 200, 30
+        horizon = TimeHorizon(w, t, offset)
+        rng = np.random.default_rng(60 + offset)
+        sales = SalesTable(
+            [f"v{i}" for i in range(60)], rng.integers(-260, 0, size=60)
+        )
+        k = 400
+        vids = [f"v{i}" for i in rng.integers(0, 70, size=k)]  # some unknown
+        days = rng.integers(-300, 2 * t + 40, size=k)
+        days[:40] = days[40:80]  # same-day duplicates
+        vids[:40] = vids[40:80]
+        claims = ClaimsTable(vids, days, rng.uniform(0, 10, size=k))
+        joined = join_claims(sales, aggregate_daily_claims(claims), w)
+        count, cost = realized_window_totals(sales, joined, horizon)
+        want_count, want_cost = brute_force_window_totals(sales, claims, horizon)
+        assert count == want_count > 0
+        assert cost == pytest.approx(want_cost, rel=1e-12)
