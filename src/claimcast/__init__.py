@@ -7,7 +7,6 @@ ships a simulator that validates those approximations end to end.
 """
 
 from .core import (
-    ClaimsMeasure,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,

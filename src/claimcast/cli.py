@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +285,7 @@ def cmd_validate(args) -> int:
         print("degenerate study: every replication produced zero claims")
         return 0
     print(f"theorem {report.theorem}: {report.reps} replications, seed {report.seed}")
-    print(f"KS distance = {report.ks_distance:.4f}")
+    print(f"KS distance = {report.ks_distance:.4f} (95% DKW band {report.dkw_band:.4f})")
     print("  p      empirical      limit    coverage")
     for lvl, emp, lim, cov in zip(
         report.quantile_levels,
@@ -295,16 +295,8 @@ def cmd_validate(args) -> int:
     ):
         print(f"  {lvl:4.2f}  {emp:10.4f}  {lim:10.4f}    {cov:6.4f}")
     if args.json_out:
-        payload = {
-            "theorem": report.theorem,
-            "reps": report.reps,
-            "seed": report.seed,
-            "ks_distance": report.ks_distance,
-            "quantile_levels": list(report.quantile_levels),
-            "empirical_quantiles": list(report.empirical_quantiles),
-            "limit_quantiles": list(report.limit_quantiles),
-            "coverage": list(report.coverage),
-        }
+        payload = asdict(report)
+        del payload["degenerate"]
         dataio.write_json_report(payload, args.json_out)
     return 0
 

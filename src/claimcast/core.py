@@ -29,7 +29,6 @@ from .errors import DomainError, ValidationError
 __all__ = [
     "TimeHorizon",
     "ClaimWindow",
-    "ClaimsMeasure",
     "RebateFunction",
     "MeanClaimsMeasure",
     "WeightedMeasure",
@@ -126,27 +125,6 @@ class TimeHorizon:
         live = (x >= -w + o) & (x <= t + o)
         win = self.claim_window(np.where(live, x, o))
         return live & (win.lo <= age) & (age <= win.hi)
-
-
-@dataclass(frozen=True)
-class ClaimsMeasure:
-    """Finite point measure of one simulated item's claim-age offsets.
-
-    Stored as a sorted tuple; the empty tuple is the zero measure.  Only the
-    simulator keeps claims per item; estimation works on the columns of
-    :class:`claimcast.claims.JoinedClaims`.
-    """
-
-    points: tuple = ()
-
-    def __post_init__(self):
-        pts = tuple(sorted(float(p) for p in self.points))
-        if pts and pts[0] < 0.0:
-            raise DomainError("claim ages must be non-negative")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 _REBATE_KINDS = ("free_replacement", "linear", "quadratic", "tabulated")

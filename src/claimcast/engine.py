@@ -35,6 +35,7 @@ __all__ = [
     "LimitParams",
     "CostApproximation",
     "compute_rate_constants",
+    "rate_constants",
     "fluctuation_moments",
     "claims_count_approx",
     "cost_approx_normal",
@@ -67,20 +68,26 @@ class LimitParams:
             raise DomainError("rate and variance parameters must be non-negative")
 
 
+def rate_constants(
+    mean_grid: np.ndarray, var_grid: np.ndarray, nu: np.ndarray
+) -> Tuple[float, float]:
+    """Trapezoid quadrature (c1, c2) of daily moment grids against a share.
+
+    ``nu[k]`` is the sales share at the grid's day k.  Day t carries weight
+    nu(t) - nu(t-1) applied to the midpoint of the grid values at t-1 and
+    t; exact for grids constant in t.
+    """
+    dnu = np.diff(nu)
+    c1 = float(np.sum(0.5 * (mean_grid[1:] + mean_grid[:-1]) * dnu))
+    c2 = float(np.sum(0.5 * (var_grid[1:] + var_grid[:-1]) * dnu))
+    return c1, c2
+
+
 def compute_rate_constants(
     grids: MomentGrids, sales_curve: BassParams
 ) -> Tuple[float, float]:
-    """Trapezoid quadrature of the moment grids against the sales share.
-
-    Day t carries weight share(t) - share(t-1) applied to the midpoint of
-    the grid values at t-1 and t; exact for grids constant in t.
-    """
-    days = grids.days
-    nu = sales_curve.share(days)
-    dnu = np.diff(nu)
-    c1 = float(np.sum(0.5 * (grids.mean[1:] + grids.mean[:-1]) * dnu))
-    c2 = float(np.sum(0.5 * (grids.var[1:] + grids.var[:-1]) * dnu))
-    return c1, c2
+    """:func:`rate_constants` of the moment grids against the fitted Bass share."""
+    return rate_constants(grids.mean, grids.var, sales_curve.share(grids.days))
 
 
 def fluctuation_moments(

@@ -434,8 +434,8 @@ def synthesize_dataset(
 
     Sales follow a Bass-curve Poisson process over ``span`` days of raw
     dates 1..span; each car gets a Poisson claims measure (linear density
-    with end atoms) and lognormal claim amounts.  Returns the number of
-    sales and claim rows written.
+    with end atoms) and lognormal claim amounts, all cars' claims drawn in
+    one batch.  Returns the number of sales and claim rows written.
     """
     from .sales import BassParams
     from .sim import LognormalSizes, PoissonClaims, make_rng
@@ -453,33 +453,24 @@ def synthesize_dataset(
     )
     size_law = LognormalSizes(size_mu_log, size_sigma_log)
 
+    item, age = claims_law.sample(rng, n)
+    amounts = size_law.sample(rng, len(age))
+    vids = [f"V{i:06d}" for i in range(n)]
+
     out_sales = Path(out_sales)
     out_claims = Path(out_claims)
     out_sales.parent.mkdir(parents=True, exist_ok=True)
     out_claims.parent.mkdir(parents=True, exist_ok=True)
-    claim_rows = 0
+    claim_days = sale_days[item] + np.round(age).astype(np.int64)
     with out_sales.open("w", newline="") as sf, out_claims.open(
         "w", newline=""
     ) as cf:
         sw = csv.writer(sf)
         cw = csv.writer(cf)
         sw.writerow(["vehicle_id", "sale_date"])
+        sw.writerows(zip(vids, sale_days.tolist()))
         cw.writerow(["vehicle_id", "claim_date", "claim_id", "amount"])
-        for i in range(n):
-            vid = f"V{i:06d}"
-            sw.writerow([vid, int(sale_days[i])])
-            measure = claims_law.sample(rng)
-            if not measure.points:
-                continue
-            amounts = size_law.sample(rng, len(measure.points))
-            for age, amount in zip(measure.points, amounts):
-                claim_rows += 1
-                cw.writerow(
-                    [
-                        vid,
-                        int(sale_days[i] + round(age)),
-                        f"C{claim_rows:07d}",
-                        f"{float(amount):.2f}",
-                    ]
-                )
-    return n, claim_rows
+        rows = zip(item.tolist(), claim_days.tolist(), amounts.tolist())
+        for k, (i, day, amount) in enumerate(rows, 1):
+            cw.writerow([vids[i], day, f"C{k:07d}", f"{amount:.2f}"])
+    return n, len(age)

@@ -4,7 +4,8 @@ Monte Carlo validation of the distributional approximations.
 Randomness policy: every stream is a Philox (counter-based) generator keyed
 through ``numpy.random.SeedSequence``, so identical seeds reproduce results
 bit-for-bit and replication r of a run seeded s draws from the independent
-stream keyed (s, r).
+stream keyed (s, r).  A replication draws its sale times, then the claims of
+all items as one batch of (item, age) columns, then one size per claim.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr
 
 from .core import (
-    ClaimsMeasure,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -30,6 +30,7 @@ from .engine import (
     LimitParams,
     approx_quantile,
     fluctuation_moments,
+    rate_constants,
 )
 from .errors import DomainError
 from .sales import GaussianLimit, window_increment_moments
@@ -53,7 +54,6 @@ __all__ = [
     "EmpiricalSizes",
     "make_rng",
     "simulate_sales",
-    "simulate_claims_measure",
     "realize_cost",
     "MonteCarloStudy",
     "ValidationReport",
@@ -194,20 +194,23 @@ class PoissonClaims:
 
     mean_measure: MeanClaimsMeasure
 
-    def sample(self, rng: np.random.Generator) -> ClaimsMeasure:
+    def sample(self, rng, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Claims of ``size`` items as ``(item, age)`` columns sorted by
+        (item, age): one Poisson draw of proposal counts for all items,
+        thinning over the concatenated proposals, one Poisson draw per atom."""
         m = self.mean_measure
         w = float(m.warranty)
-        peak = float(max(m.density(0.0), m.density(w)))
-        pts: List[float] = []
-        if peak > 0.0:
-            proposals = int(rng.poisson(peak * w))
-            if proposals:
-                u = rng.uniform(0.0, w, size=proposals)
-                keep = rng.uniform(0.0, peak, size=proposals) < m.density(u)
-                pts.extend(u[keep].tolist())
-        pts.extend([0.0] * int(rng.poisson(m.atom0)))
-        pts.extend([w] * int(rng.poisson(m.atomW)))
-        return ClaimsMeasure(tuple(pts))
+        peak = max(0.0, float(m.density(0.0)), float(m.density(w)))
+        items = np.arange(size)
+        proposals = rng.poisson(peak * w, size)
+        u = rng.uniform(0.0, w, size=proposals.sum())
+        keep = rng.uniform(0.0, peak, size=len(u)) < m.density(u)
+        at0, at_w = rng.poisson(m.atom0, size), rng.poisson(m.atomW, size)
+        atom_item = np.repeat(np.tile(items, 2), np.concatenate([at0, at_w]))
+        item = np.concatenate([np.repeat(items, proposals)[keep], atom_item])
+        age = np.concatenate([u[keep], np.repeat([0.0, w], [at0.sum(), at_w.sum()])])
+        order = np.lexsort((age, item))
+        return item[order], age[order]
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
         return _window_moments(self.mean_measure, rebate, horizon)
@@ -218,21 +221,25 @@ class SingleLifetime:
     """At most one claim per item: the lifetime drawn by ``ppf`` produces a
     claim only when it ends within the warranty.
 
-    ``mean_measure`` describes the lifetime law restricted to [0, W]; it is
-    required for the exact theory grids but not for sampling.
+    ``ppf`` maps an array of uniforms to lifetimes.  ``mean_measure``
+    describes the lifetime law restricted to [0, W]; it is required for the
+    exact theory grids but not for sampling.
     """
 
-    ppf: Callable[[float], float]
+    ppf: Callable[[np.ndarray], np.ndarray]
     warranty: int
     mean_measure: Optional[MeanClaimsMeasure] = None
 
-    def sample(self, rng: np.random.Generator) -> ClaimsMeasure:
-        life = float(np.asarray(self.ppf(rng.uniform())))
-        if life < 0.0:
+    def sample(self, rng, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Claims of ``size`` items as ``(item, age)`` columns: one uniform
+        per item, in item order, mapped through ``ppf``; lifetimes past W
+        produce no claim."""
+        u = rng.uniform(size=size)
+        life = np.broadcast_to(np.asarray(self.ppf(u), dtype=float), u.shape)
+        if np.any(life < 0.0):
             raise DomainError("lifetimes must be non-negative")
-        if life > self.warranty:
-            return ClaimsMeasure()
-        return ClaimsMeasure((life,))
+        claimed = life <= self.warranty
+        return np.flatnonzero(claimed), life[claimed]
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
         if self.mean_measure is None:
@@ -255,11 +262,6 @@ def _window_moments(
         mean_window_claims(weighted, days, horizon),
         mean_window_claims(squared, days, horizon),
     )
-
-
-def simulate_claims_measure(spec: ClaimsSpec, seed) -> ClaimsMeasure:
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    return spec.sample(rng)
 
 
 @dataclass(frozen=True)
@@ -329,28 +331,37 @@ SizeSpec = Union[LognormalSizes, ParetoSizes, EmpiricalSizes]
 
 def realize_cost(
     sales: np.ndarray,
-    measures: Sequence[ClaimsMeasure],
+    item: np.ndarray,
+    age: np.ndarray,
     sizes: Optional[np.ndarray],
     rebate: RebateFunction,
     horizon: TimeHorizon,
 ) -> Tuple[int, float]:
     """Exact claim count and cost of one realized scenario.
 
-    Under free replacement every claim landing in the window consumes the
-    next entry of the ``sizes`` stream; under a rebate schedule only each
-    item's first claim can pay, at ``unit_price * r(age)``.
+    Claim k is raised by the item sold at ``sales[item[k]]`` at age
+    ``age[k]``; the columns must be sorted by (item, age).  Under free
+    replacement every claim landing in the window consumes the next entry
+    of the ``sizes`` stream; under a rebate schedule only each item's first
+    claim can pay, at ``unit_price * r(age)``.
     """
-    if len(sales) != len(measures):
-        raise DomainError("need one claims measure per sale")
+    sales = np.asarray(sales, dtype=float)
+    item = np.asarray(item, dtype=np.int64)
+    age = np.asarray(age, dtype=float)
+    if item.shape != age.shape or item.ndim != 1:
+        raise DomainError("need one item index per claim age")
+    if len(item) and (item[0] < 0 or item[-1] >= len(sales)):
+        raise DomainError("claim item index outside the sales")
+    step = np.diff(item, prepend=-1)  # > 0 exactly at each item's first claim
+    if np.any((step < 0) | ((step == 0) & (np.diff(age, prepend=0.0) < 0))):
+        raise DomainError("claims must be sorted by (item, age)")
     prorata = rebate.kind != "free_replacement"
-    points = [m.points[:1] if prorata else m.points for m in measures]
-    per_sale = np.fromiter(map(len, points), dtype=np.int64, count=len(points))
-    ages = np.fromiter((c for pts in points for c in pts), dtype=float)
-    sale_of_claim = np.repeat(np.asarray(sales, dtype=float), per_sale)
-    hit = horizon.lands_in_window(sale_of_claim, ages)
+    if prorata:
+        item, age = item[step > 0], age[step > 0]
+    hit = horizon.lands_in_window(sales[item], age)
     count = int(np.count_nonzero(hit))
     if prorata:
-        return count, float(np.sum(rebate.unit_price * rebate(ages[hit])))
+        return count, float(np.sum(rebate.unit_price * rebate(age[hit])))
     if sizes is None or len(sizes) < count:
         raise DomainError(
             f"size stream exhausted: need {count}, have "
@@ -430,13 +441,13 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
     mean_grid, var_grid = study.claims.window_moment_grids(study.rebate, horizon)
     days = horizon.sale_days
     nu = study.sales.share_on(days, horizon)
+    c1, c2 = rate_constants(mean_grid, var_grid, nu)
+    # the covariance spans days [-W, T + offset], wider than the sale days
+    # [-W + offset, T + offset] when offset > 0; the zero mean path follows it
     cov = study.sales.fluctuation_cov(horizon)
-    dnu = np.diff(nu)
-    c1 = float(np.sum(0.5 * (mean_grid[1:] + mean_grid[:-1]) * dnu))
-    c2 = float(np.sum(0.5 * (var_grid[1:] + var_grid[:-1]) * dnu))
     limit = GaussianLimit(
         first_day=-horizon.warranty,
-        mean=np.zeros(len(days)),
+        mean=np.zeros(len(cov)),
         cov=cov - cov[0, 0],
     )
     chi_mean, chi_cov = window_increment_moments(limit, horizon)
@@ -523,13 +534,12 @@ def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Tuple[int, f
     """One end-to-end realization from the replication's own Philox stream."""
     rng = make_rng(seed, rep)
     sales = study.sales.sample(study.horizon, rng)
-    measures = [study.claims.sample(rng) for _ in range(len(sales))]
-    need = sum(len(m) for m in measures)
+    item, age = study.claims.sample(rng, len(sales))
     if study.sizes is not None:
-        sizes = study.sizes.sample(rng, need)
+        sizes = study.sizes.sample(rng, len(age))
     else:
-        sizes = np.zeros(need)  # count-only study: the cost is ignored
-    return realize_cost(sales, measures, sizes, study.rebate, study.horizon)
+        sizes = np.zeros(len(age))  # count-only study: the cost is ignored
+    return realize_cost(sales, item, age, sizes, study.rebate, study.horizon)
 
 
 def _run_chunk(args):
@@ -539,12 +549,20 @@ def _run_chunk(args):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Comparison of the simulated law against the theorem's limit."""
+    """Comparison of the simulated law against the theorem's limit.
+
+    ``dkw_band`` is the 95% Dvoretzky-Kiefer-Wolfowitz half-width
+    1.36/sqrt(reps): the KS distance of ``reps`` draws from their own
+    continuous law stays below it with probability at least 0.95, so a KS
+    excess smaller than the band is not resolvable at this replication
+    count.
+    """
 
     theorem: str
     reps: int
     seed: int
     ks_distance: float
+    dkw_band: float
     quantile_levels: tuple
     empirical_quantiles: tuple
     limit_quantiles: tuple
@@ -597,6 +615,7 @@ def monte_carlo_validate(
     """
     if reps < 100:
         raise DomainError("need at least 100 replications")
+    dkw_band = float(1.36 / np.sqrt(reps))
     rep_ids = list(range(reps))
     if workers > 1:
         chunks = [c for c in np.array_split(rep_ids, workers * 4) if len(c)]
@@ -618,6 +637,7 @@ def monte_carlo_validate(
             reps=reps,
             seed=seed,
             ks_distance=float("nan"),
+            dkw_band=dkw_band,
             quantile_levels=_REPORT_LEVELS,
             empirical_quantiles=tuple([0.0] * len(_REPORT_LEVELS)),
             limit_quantiles=nan_row,
@@ -637,6 +657,7 @@ def monte_carlo_validate(
         reps=reps,
         seed=seed,
         ks_distance=ks,
+        dkw_band=dkw_band,
         quantile_levels=_REPORT_LEVELS,
         empirical_quantiles=emp_q,
         limit_quantiles=limit_q,

@@ -14,7 +14,6 @@ from scipy import special
 from claimcast.claims import moment_grids
 from claimcast.cli import _UniformLifetime
 from claimcast.core import (
-    ClaimsMeasure,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -347,18 +346,19 @@ def test_criterion_09_realization_oracle_equivalence():
     for trial in range(1000):
         k = int(rng.integers(0, 11))
         sales = rng.uniform(-W, T, size=k)
-        measures = [
-            ClaimsMeasure(tuple(rng.uniform(0, W, size=rng.integers(0, 4))))
-            for _ in range(k)
+        per_item = [
+            sorted(rng.uniform(0, W, size=rng.integers(0, 4))) for _ in range(k)
         ]
         sizes = rng.lognormal(2.0, 1.0, size=3 * k + 4)
         rebate = rebates[trial % 2]
-        count, cost = realize_cost(sales, measures, sizes, rebate, horizon)
+        item = np.repeat(np.arange(k), [len(pts) for pts in per_item])
+        age = np.array([c for pts in per_item for c in pts], dtype=float)
+        count, cost = realize_cost(sales, item, age, sizes, rebate, horizon)
 
         # independent enumerator over every (sale, claim) pair
         want_count, want_cost, cursor = 0, 0.0, 0
         for j in range(k):
-            pts = measures[j].points
+            pts = per_item[j]
             if rebate.kind != "free_replacement":
                 pts = pts[:1]
             for c in pts:

@@ -11,7 +11,7 @@ from claimcast.claims import (
     join_claims,
     moment_grids,
 )
-from claimcast.core import ClaimsMeasure, MeanClaimsMeasure, RebateFunction, TimeHorizon
+from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.errors import DomainError, ValidationError
 
 W, T = 1096, 91
@@ -37,9 +37,9 @@ def rows(table):
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def joined_from(measures):
-    """Per-item claim-age measures as JoinedClaims columns (item i = measures[i])."""
-    ages = [np.asarray(m.points, dtype=float) for m in measures]
+def joined_from(per_item):
+    """Per-item claim ages as JoinedClaims columns (item i = per_item[i])."""
+    ages = [np.sort(np.asarray(pts, dtype=float)) for pts in per_item]
     item = np.repeat(np.arange(len(ages)), [len(a) for a in ages])
     age = np.concatenate(ages) if ages else np.zeros(0)
     return JoinedClaims(item, age, np.zeros(len(age)))
@@ -189,17 +189,15 @@ class TestFitMeanMeasure:
             fit_mean_measure(EmpiricalMeanMeasure(bins, 10, W))
 
 
-def grid_oracle(measure_list, rebate, horizon, n):
+def grid_oracle(per_item, rebate, horizon, n):
     """Literal per-day evaluation of the defining sums (slow, independent)."""
     days = horizon.sale_days
     first = np.zeros(len(days))
     second = np.zeros(len(days))
     for k, x in enumerate(days):
         win = horizon.claim_window(int(x))
-        for m in measure_list:
-            tot = sum(
-                float(rebate(p)) for p in m.points if win.lo <= p <= win.hi
-            )
+        for pts in per_item:
+            tot = sum(float(rebate(p)) for p in pts if win.lo <= p <= win.hi)
             first[k] += tot
             second[k] += tot * tot
     return first / n, second / n
@@ -214,7 +212,7 @@ class TestMomentGrids:
     def test_two_item_toy_variance(self):
         # second moment (1/2)(1^2) = 0.5, mean 0.5, variance 0.25 at x = 0
         grids = moment_grids(
-            joined_from([ClaimsMeasure((5,)), ClaimsMeasure()]),
+            joined_from([(5,), ()]),
             None,
             FREE,
             HORIZON,
@@ -227,10 +225,7 @@ class TestMomentGrids:
     def test_matches_defining_sums_free_replacement(self):
         rng = np.random.default_rng(23)
         h = TimeHorizon(40, 12)
-        measures = [
-            ClaimsMeasure(tuple(rng.uniform(0, 40, size=rng.integers(0, 5))))
-            for _ in range(30)
-        ]
+        measures = [rng.uniform(0, 40, size=rng.integers(0, 5)) for _ in range(30)]
         rebate = RebateFunction.free_replacement(40)
         grids = moment_grids(joined_from(measures), None, rebate, h, n=30)
         mean_ref, second_ref = grid_oracle(measures, rebate, h, 30)
@@ -241,10 +236,7 @@ class TestMomentGrids:
     def test_matches_defining_sums_prorata_with_offset(self):
         rng = np.random.default_rng(29)
         h = TimeHorizon(40, 12, offset=12)
-        measures = [
-            ClaimsMeasure(tuple(rng.uniform(0, 40, size=rng.integers(0, 4))))
-            for _ in range(25)
-        ]
+        measures = [rng.uniform(0, 40, size=rng.integers(0, 4)) for _ in range(25)]
         rebate = RebateFunction.linear(40)
         grids = moment_grids(joined_from(measures), None, rebate, h, n=25)
         mean_ref, second_ref = grid_oracle(measures, rebate, h, 25)
@@ -253,10 +245,7 @@ class TestMomentGrids:
 
     def test_empirical_variance_never_floored(self):
         rng = np.random.default_rng(31)
-        measures = [
-            ClaimsMeasure(tuple(rng.uniform(0, W, size=rng.integers(0, 4))))
-            for _ in range(40)
-        ]
+        measures = [rng.uniform(0, W, size=rng.integers(0, 4)) for _ in range(40)]
         grids = moment_grids(joined_from(measures), None, FREE, HORIZON, n=40)
         assert grids.floor_count == 0
         assert np.all(grids.var >= 0.0)
@@ -265,7 +254,7 @@ class TestMomentGrids:
         # fitted mean larger than any raw second moment forces flooring
         fitted = MeanClaimsMeasure(0.0, 5e-3, atom0=0.5, atomW=0.5, warranty=W)
         grids = moment_grids(
-            joined_from([ClaimsMeasure((3,)), ClaimsMeasure()]),
+            joined_from([(3,), ()]),
             fitted,
             FREE,
             HORIZON,

@@ -84,7 +84,7 @@ class TestSubcommands:
         assert payload["provenance"]["config"]
         assert (out_dir / "size_qq.csv").exists()
 
-    def test_validate_small_run(self, capsys):
+    def test_validate_small_run(self, tmp_path, capsys):
         rc = main(
             [
                 "validate",
@@ -107,11 +107,16 @@ class TestSubcommands:
                 "0.1",
                 "--atomW",
                 "0.04",
+                "--json-out",
+                str(tmp_path / "validate.json"),
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "KS distance" in out
+        assert "95% DKW band 0.1242" in out  # 1.36 / sqrt(120)
+        payload = json.loads((tmp_path / "validate.json").read_text())
+        assert payload["dkw_band"] == pytest.approx(1.36 / 120**0.5, rel=1e-15)
 
 
 class TestExitCodes:

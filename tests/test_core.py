@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcast.core import (
-    ClaimsMeasure,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -36,10 +35,10 @@ def brute_force_window_total(points, x, r, w, t, offset=0):
     return total
 
 
-def window_claim_total(measure, sale_time, rebate, horizon):
+def window_claim_total(points, sale_time, rebate, horizon):
     """Rebate-weighted claims of one item that land in the window, through
     the array form of ``claim_window``."""
-    pts = np.asarray(measure.points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     win = horizon.claim_window(np.full(len(pts), sale_time))
     hit = (win.lo <= pts) & (pts <= win.hi)
     return float(np.sum(rebate(pts[hit])))
@@ -105,33 +104,19 @@ class TestTimeHorizon:
         assert h2.sale_days[-1] == 2 * T
 
 
-class TestClaimsMeasure:
-    def test_points_sorted_and_validated(self):
-        m = ClaimsMeasure((5.0, 1.0, 3.0))
-        assert m.points == (1.0, 3.0, 5.0)
-        assert len(m) == 3
-        with pytest.raises(DomainError):
-            ClaimsMeasure((-1.0,))
-
-
 class TestWindowClaimTotal:
     def test_empty_measure_is_zero(self):
         for x in (-W, T - W, -500, 0, T):
-            assert window_claim_total(
-                ClaimsMeasure(), x, RebateFunction.free_replacement(W), HORIZON
-            ) == 0.0
+            free = RebateFunction.free_replacement(W)
+            assert window_claim_total((), x, free, HORIZON) == 0.0
 
     def test_single_claim_counted(self):
         # claim at age 5 for a sale on day 0 lands inside [0, 91]
-        out = window_claim_total(
-            ClaimsMeasure((5,)), 0, RebateFunction.free_replacement(W), HORIZON
-        )
+        out = window_claim_total((5,), 0, RebateFunction.free_replacement(W), HORIZON)
         assert out == 1.0
 
     def test_linear_rebate_halves_midlife_claim(self):
-        out = window_claim_total(
-            ClaimsMeasure((W / 2,)), -W / 2, RebateFunction.linear(W), HORIZON
-        )
+        out = window_claim_total((W / 2,), -W / 2, RebateFunction.linear(W), HORIZON)
         assert out == pytest.approx(0.5)
 
     def test_bounded_by_total_mass(self):
@@ -139,9 +124,8 @@ class TestWindowClaimTotal:
         r = RebateFunction.linear(W)
         for _ in range(50):
             pts = tuple(rng.uniform(0, W, size=rng.integers(0, 6)))
-            m = ClaimsMeasure(pts)
             x = rng.uniform(-W, T)
-            assert window_claim_total(m, x, r, HORIZON) <= len(m) + 1e-12
+            assert window_claim_total(pts, x, r, HORIZON) <= len(pts) + 1e-12
 
     @given(
         points=st.lists(st.floats(0.0, W), max_size=8),
@@ -151,7 +135,7 @@ class TestWindowClaimTotal:
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_filter(self, points, x, kind):
         r = RebateFunction(kind, W)
-        got = window_claim_total(ClaimsMeasure(tuple(points)), x, r, HORIZON)
+        got = window_claim_total(points, x, r, HORIZON)
         want = brute_force_window_total(points, x, r, W, T)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -163,7 +147,7 @@ class TestWindowClaimTotal:
     def test_matches_brute_force_with_offset(self, points, x):
         h = HORIZON.shifted(T)
         r = RebateFunction.free_replacement(W)
-        got = window_claim_total(ClaimsMeasure(tuple(points)), x, r, h)
+        got = window_claim_total(points, x, r, h)
         want = brute_force_window_total(points, x, r, W, T, offset=T)
         assert got == pytest.approx(want, abs=1e-9)
 

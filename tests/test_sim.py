@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from claimcast.core import ClaimsMeasure, MeanClaimsMeasure, RebateFunction, TimeHorizon
+from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.errors import DomainError
 from claimcast.sim import (
     LinearShare,
@@ -16,7 +16,6 @@ from claimcast.sim import (
     monte_carlo_validate,
     realize_cost,
     reference_approximation,
-    simulate_claims_measure,
     simulate_sales,
     theoretical_limit,
 )
@@ -82,45 +81,86 @@ class TestSimulateSales:
         )
 
 
+def columns(per_item):
+    """(item, age) columns sorted by (item, age) from per-item claim ages."""
+    ages = [sorted(float(c) for c in pts) for pts in per_item]
+    item = np.repeat(np.arange(len(ages)), [len(a) for a in ages])
+    return item, np.array([c for a in ages for c in a], dtype=float)
+
+
 class TestSimulateClaimsMeasure:
     def test_zero_intensity_always_empty(self):
         spec = PoissonClaims(MeanClaimsMeasure(0.0, 0.0, warranty=W))
         for seed in range(20):
-            assert len(simulate_claims_measure(spec, seed)) == 0
+            item, age = spec.sample(make_rng(seed), 50)
+            assert len(item) == len(age) == 0
 
     def test_constant_density_mean_mass(self):
         c = 2.0 / W
         spec = PoissonClaims(MeanClaimsMeasure(0.0, c, warranty=W))
-        rng = make_rng(99)
-        totals = [len(spec.sample(rng)) for _ in range(100_000)]
+        item, _ = spec.sample(make_rng(99), 100_000)
+        totals = np.bincount(item, minlength=100_000)
         assert np.mean(totals) == pytest.approx(c * W, rel=0.01)
 
     def test_atoms_sampled_at_edges(self):
         spec = PoissonClaims(
             MeanClaimsMeasure(0.0, 0.0, atom0=0.5, atomW=0.25, warranty=W)
         )
-        rng = make_rng(7)
-        zero_mass = 0
-        edge_mass = 0
         reps = 20_000
-        for _ in range(reps):
-            m = spec.sample(rng)
-            zero_mass += m.points.count(0.0)
-            edge_mass += m.points.count(float(W))
-        assert zero_mass / reps == pytest.approx(0.5, rel=0.05)
-        assert edge_mass / reps == pytest.approx(0.25, rel=0.05)
+        _, age = spec.sample(make_rng(7), reps)
+        assert np.all((age == 0.0) | (age == float(W)))
+        assert np.count_nonzero(age == 0.0) / reps == pytest.approx(0.5, rel=0.05)
+        assert np.count_nonzero(age == W) / reps == pytest.approx(0.25, rel=0.05)
+
+    def test_sorted_by_item_then_age_with_exact_atoms(self):
+        measure = paper_shaped_measure(W)
+        item, age = PoissonClaims(measure).sample(make_rng(3), 5000)
+        assert item.dtype.kind == "i" and age.dtype == float
+        step = np.diff(item)
+        assert np.all(step >= 0)
+        assert np.all(np.diff(age)[step == 0] >= 0)
+        assert np.all((0 <= item) & (item < 5000))
+        assert np.all((0.0 <= age) & (age <= W))
+        # both atoms carry mass, so both edges are hit exactly
+        assert np.any(age == 0.0) and np.any(age == float(W))
+
+    def test_count_mean_and_variance_equal_total_mass(self):
+        # a Poisson measure's per-item count is Poisson(total_mass)
+        measure = paper_shaped_measure(W)
+        size = 200_000
+        item, _ = PoissonClaims(measure).sample(make_rng(17), size)
+        counts = np.bincount(item, minlength=size)
+        mass = measure.total_mass
+        se_mean = np.sqrt(mass / size)
+        assert abs(np.mean(counts) - mass) <= 4.0 * se_mean
+        assert np.var(counts, ddof=1) == pytest.approx(mass, rel=0.02)
 
     def test_degenerate_lifetime(self):
         spec = SingleLifetime(ppf=lambda u: W / 2.0, warranty=W)
         for seed in range(5):
-            assert simulate_claims_measure(spec, seed).points == (W / 2.0,)
+            item, age = spec.sample(make_rng(seed), 3)
+            assert item.tolist() == [0, 1, 2]
+            assert age.tolist() == [W / 2.0] * 3
 
     def test_lifetime_beyond_warranty_drops_claim(self):
         spec = SingleLifetime(ppf=lambda u: W + 1.0, warranty=W)
-        assert len(simulate_claims_measure(spec, 3)) == 0
+        item, age = spec.sample(make_rng(3), 4)
+        assert len(item) == len(age) == 0
+        spec = SingleLifetime(ppf=lambda u: float(W), warranty=W)  # ends at W
+        assert spec.sample(make_rng(3), 2)[1].tolist() == [W, W]
+        spec = SingleLifetime(ppf=lambda u: u * 2 * W, warranty=W)
+        u = make_rng(8).uniform(size=1000)
+        item, age = spec.sample(make_rng(8), 1000)
+        assert item.tolist() == np.flatnonzero(u * 2 * W <= W).tolist()
+        assert np.array_equal(age, u[item] * 2 * W)
+
+    def test_negative_lifetime_rejected(self):
+        spec = SingleLifetime(ppf=lambda u: u - 0.5, warranty=W)
+        with pytest.raises(DomainError):
+            spec.sample(make_rng(1), 100)
 
 
-def oracle_realize(sales, measures, sizes, rebate, horizon):
+def oracle_realize(sales, per_item, sizes, rebate, horizon):
     """Independent enumerator over every (sale, claim) pair."""
     o, t, w = horizon.offset, horizon.period, horizon.warranty
     prorata = rebate.kind != "free_replacement"
@@ -128,7 +168,7 @@ def oracle_realize(sales, measures, sizes, rebate, horizon):
     cost = 0.0
     next_size = 0
     for j in range(len(sales)):
-        pts = list(measures[j].points)
+        pts = sorted(per_item[j])
         if prorata:
             pts = pts[:1]
         for c in pts:
@@ -146,18 +186,34 @@ def oracle_realize(sales, measures, sizes, rebate, horizon):
 
 class TestRealizeCost:
     def test_no_sales(self):
-        assert realize_cost(np.array([]), [], np.array([]), FREE, HORIZON) == (0, 0.0)
+        got = realize_cost(np.array([]), *columns([]), np.array([]), FREE, HORIZON)
+        assert got == (0, 0.0)
 
     def test_single_claim(self):
         h = TimeHorizon(1096, 91, 0, 1)
         count, cost = realize_cost(
             np.array([0.0]),
-            [ClaimsMeasure((5.0,))],
+            *columns([(5.0,)]),
             np.array([10.0]),
             RebateFunction.free_replacement(1096),
             h,
         )
         assert (count, cost) == (1, 10.0)
+
+    def test_prorata_pays_only_each_items_first_claim(self):
+        rebate = RebateFunction.linear(W, unit_price=10.0)
+        # item 0 has three in-window claims, item 1 one, item 2 none in
+        # warranty; only the first (youngest) claim of an item can pay
+        sales = np.array([0.0, -10.0, 5.0])
+        item, age = columns([(20.0, 5.0, 30.0), (15.0,), ()])
+        count, cost = realize_cost(sales, item, age, None, rebate, HORIZON)
+        assert count == 2
+        assert cost == pytest.approx(10.0 * (1 - 5.0 / W) + 10.0 * (1 - 15.0 / W))
+        # the first claim missing the window leaves the item unpaid
+        count, cost = realize_cost(
+            np.array([-W + 1.0]), *columns([(2.0, W - 1.0)]), None, rebate, HORIZON
+        )
+        assert (count, cost) == (0, 0.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(2024)
@@ -165,14 +221,11 @@ class TestRealizeCost:
         for trial in range(1000):
             k = int(rng.integers(0, 11))
             sales = rng.uniform(-W, T, size=k)
-            measures = [
-                ClaimsMeasure(tuple(rng.uniform(0, W, size=rng.integers(0, 4))))
-                for _ in range(k)
-            ]
+            per_item = [rng.uniform(0, W, size=rng.integers(0, 4)) for _ in range(k)]
             sizes = rng.lognormal(1.0, 1.0, size=3 * k + 5)
             rebate = rebates[trial % 2]
-            got = realize_cost(sales, measures, sizes, rebate, HORIZON)
-            want = oracle_realize(sales, measures, sizes, rebate, HORIZON)
+            got = realize_cost(sales, *columns(per_item), sizes, rebate, HORIZON)
+            want = oracle_realize(sales, per_item, sizes, rebate, HORIZON)
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], abs=1e-9)
 
@@ -180,7 +233,7 @@ class TestRealizeCost:
         with pytest.raises(DomainError):
             realize_cost(
                 np.array([0.0]),
-                [ClaimsMeasure((1.0, 2.0))],
+                *columns([(1.0, 2.0)]),
                 np.array([5.0]),
                 FREE,
                 HORIZON,
@@ -188,7 +241,17 @@ class TestRealizeCost:
 
     def test_mismatched_lengths(self):
         with pytest.raises(DomainError):
-            realize_cost(np.array([0.0]), [], None, FREE, HORIZON)
+            realize_cost(np.array([0.0]), np.array([0]), np.array([]), None, FREE, HORIZON)
+        with pytest.raises(DomainError):  # item index past the sales
+            realize_cost(np.array([0.0]), *columns([(), (1.0,)]), None, FREE, HORIZON)
+
+    def test_unsorted_columns_rejected(self):
+        for item, age in (([1, 0], [1.0, 1.0]), ([0, 0], [2.0, 1.0])):
+            with pytest.raises(DomainError):
+                realize_cost(
+                    np.zeros(2), np.array(item), np.array(age), np.ones(2),
+                    FREE, HORIZON,
+                )
 
 
 def paper_shaped_measure(warranty):
@@ -252,7 +315,46 @@ class TestTheoreticalLimit:
         assert 0.0 < lp.claims_var < lp.claims_mean
 
 
+    @pytest.mark.parametrize(
+        "sales",
+        [NhppSales(LinearShare(W, W + 2 * T)), RenewalSales(mean=3.0, var=4.0)],
+        ids=["nhpp", "renewal"],
+    )
+    def test_second_window_matches_first(self, sales):
+        # both sales laws have stationary increments, so shifting the
+        # window by T leaves every limit parameter unchanged
+        base = dict(
+            sales=sales,
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=RebateFunction.linear(W, unit_price=2.0),
+            theorem="prorata",
+        )
+        first = theoretical_limit(MonteCarloStudy(horizon=HORIZON, **base))
+        second = theoretical_limit(
+            MonteCarloStudy(horizon=HORIZON.shifted(T), **base)
+        )
+        assert second.horizon.offset == T
+        for name in ("claims_mean", "claims_var", "fluct_mean", "fluct_var"):
+            want = getattr(first, name)
+            assert getattr(second, name) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert first.fluct_var > 0.0
+
+
 class TestMonteCarloValidate:
+    def test_count_study_on_second_window(self):
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(W, W + 2 * T)),
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=FREE,
+            horizon=TimeHorizon(W, T, T, 300),
+            theorem="count",
+        )
+        report = monte_carlo_validate(study, reps=100, seed=3)
+        assert not report.degenerate
+        assert np.isfinite(report.ks_distance)
+        assert report.ks_distance < 0.2
+
+
     def test_zero_intensity_reports_degenerate(self):
         study = MonteCarloStudy(
             sales=NhppSales(LinearShare(W, W + T)),
@@ -263,6 +365,7 @@ class TestMonteCarloValidate:
         )
         report = monte_carlo_validate(study, reps=100, seed=1)
         assert report.degenerate
+        assert report.dkw_band == 1.36 / 10.0
 
     def test_deterministic_and_worker_invariant(self):
         study = MonteCarloStudy(
@@ -276,6 +379,7 @@ class TestMonteCarloValidate:
         r2 = monte_carlo_validate(study, reps=120, seed=42)
         r3 = monte_carlo_validate(study, reps=120, seed=42, workers=2)
         assert r1 == r2 == r3
+        assert r1.dkw_band == 1.36 / np.sqrt(120)
 
     def test_minimum_reps_enforced(self):
         study = MonteCarloStudy(
