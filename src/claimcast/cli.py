@@ -70,8 +70,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="force the finite-variance limit regardless of the tail index",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -90,8 +88,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         "stationary": args.stationary,
         "regime_override": args.regime_override,
         "seed": args.seed,
-        "reps": args.reps,
-        "workers": args.workers,
     }
     if args.n_explicit is not None:
         merged["n_policy"] = "explicit"

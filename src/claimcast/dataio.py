@@ -28,7 +28,6 @@ __all__ = [
     "load_claims",
     "anchor_day_zero",
     "write_series",
-    "read_series",
     "write_json_report",
 ]
 
@@ -188,15 +187,6 @@ def write_series(path, x_name: str, x: Iterable, y_name: str, y: Iterable) -> No
         writer.writerow([x_name, y_name])
         for a, b in zip(x, y):
             writer.writerow([repr(float(a)), repr(float(b))])
-
-
-def read_series(path) -> Tuple[np.ndarray, np.ndarray]:
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        rows = [(float(a), float(b)) for a, b in reader]
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1]
 
 
 def write_json_report(payload: dict, path) -> None:

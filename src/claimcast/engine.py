@@ -242,17 +242,21 @@ def cost_approx_prorata(lp: LimitParams, unit_price: float) -> CostApproximation
     )
 
 
-def approx_cdf(approx: CostApproximation, x: float) -> float:
-    """CDF of the approximating law at x."""
+def approx_cdf(approx: CostApproximation, x):
+    """CDF of the approximating law at x; an array of points gives an array,
+    from one stable CDF call."""
+    points = np.asarray(x, dtype=float)
     if approx.kind == "normal":
-        return float(ndtr((x - approx.location) / approx.scale))
-    z = (x - approx.location) / approx.scale - approx.shift
-    return float(stable_cdf(approx.stable, z))
+        cdf = ndtr((points - approx.location) / approx.scale)
+    else:
+        z = (points - approx.location) / approx.scale - approx.shift
+        cdf = stable_cdf(approx.stable, z)
+    return float(cdf) if points.ndim == 0 else cdf
 
 
 def approx_quantile(approx: CostApproximation, p):
     """Quantile of the approximating law at level p in (0, 1); an array of
-    levels gives an array, from one batched stable inversion."""
+    levels gives an array, from one stable quantile call."""
     levels = np.asarray(p, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("quantile level must lie in (0, 1)")

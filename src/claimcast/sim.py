@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     MeanClaimsMeasure,
@@ -28,6 +27,7 @@ from .core import (
 from .engine import (
     CostApproximation,
     LimitParams,
+    approx_cdf,
     approx_quantile,
     fluctuation_moments,
     rate_constants,
@@ -53,7 +53,6 @@ __all__ = [
     "ParetoSizes",
     "EmpiricalSizes",
     "make_rng",
-    "simulate_sales",
     "realize_cost",
     "MonteCarloStudy",
     "ValidationReport",
@@ -169,12 +168,6 @@ class NhppSales:
 
 
 SalesSpec = Union[RenewalSales, NhppSales]
-
-
-def simulate_sales(spec: SalesSpec, horizon: TimeHorizon, seed) -> np.ndarray:
-    """Sale times in [-W, T+offset] for one replication, seeded exactly."""
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    return spec.sample(horizon, rng)
 
 
 # --------------------------------------------------------------------------
@@ -581,24 +574,14 @@ _REPORT_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 
 
 def _ks_against(approx: CostApproximation, sample: np.ndarray) -> float:
-    """KS distance between the sample and the limit law.
-
-    The normal case takes the exact supremum over the sample points; the
-    stable case compares on a 401-point quantile grid of the limit, whose
-    probability spacing (1/400) bounds the grid error well below the
-    tolerances used downstream.
-    """
-    x = np.sort(sample)
-    n = len(x)
-    if approx.kind == "normal":
-        cdf = ndtr((x - approx.location) / approx.scale)
-        upper = np.arange(1, n + 1) / n
-        lower = np.arange(0, n) / n
-        return float(np.max(np.maximum(cdf - lower, upper - cdf)))
-    ps = np.linspace(0.0025, 0.9975, 401)
-    grid = approx_quantile(approx, ps)
-    emp = np.searchsorted(x, grid, side="right") / n
-    return float(np.max(np.abs(emp - ps)))
+    """Exact KS distance between the sample and the limit law: the supremum
+    over the sorted sample points of the gap between the limit CDF and the
+    empirical CDF on either side of each point."""
+    cdf = approx_cdf(approx, np.sort(sample))
+    n = len(cdf)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(np.max(np.maximum(cdf - lower, upper - cdf)))
 
 
 def monte_carlo_validate(

@@ -14,22 +14,18 @@ vectorized evaluation, and only segments where the two rules disagree are
 bisected.  The summed |GL32 - GL16| is the error estimate: above 1e-8 the
 CDF raises ``NumericalError`` rather than return the value.
 
-Quantiles invert the CDF with ``brentq``.  A scalar level is bracketed by
-geometric expansion; an array of levels tabulates the CDF once between
-its extreme levels' quantiles and polishes each level between neighbouring
-table nodes.
+Quantiles invert the CDF with ``brentq``, one level at a time: each level
+is bracketed by geometric expansion around the location, and an array of
+levels maps that over its entries.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gamma as gamma_fn
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
@@ -143,34 +139,19 @@ def params_zero_one_case(alpha: float, c1: float) -> StableParams:
     )
 
 
-@lru_cache(maxsize=1)
-def _sine_compensation_integral() -> float:
-    """integral_0^inf (sin z - z 1{z <= 1}) z^-2 dz, to < 1e-10 absolute.
-
-    Split at z = 1; the smooth head uses adaptive quadrature and the
-    oscillatory tail the Fourier-weighted scheme for sin(z) * z^-2.
-    """
-    head, head_err = quad(
-        lambda z: (np.sin(z) - z) / z**2, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13
-    )
-    tail, tail_err = quad(
-        lambda z: z**-2.0, 1.0, np.inf, weight="sin", wvar=1.0, epsabs=1e-12
-    )
-    if head_err + tail_err > 1e-10:
-        raise NumericalError("sine compensation integral did not reach 1e-10")
-    return head + tail
-
-
 def params_eq_one_case(c1: float) -> StableParams:
     """Limit-law parameters at alpha = 1: sigma = c1 pi / 2, beta = 1, and
     mu = c1 * integral_0^inf (sin z - z 1{z <= 1}) z^-2 dz."""
     if c1 <= 0.0:
         raise DomainError("c1 must be positive")
+    # integral_0^inf (sin z - z 1{z <= 1}) z^-2 dz = 1 - gamma (Euler's
+    # constant); Samorodnitsky & Taqqu, Stable Non-Gaussian Random
+    # Processes (1994)
     return StableParams(
         alpha=1.0,
         beta=1.0,
         sigma=c1 * np.pi / 2.0,
-        mu=c1 * _sine_compensation_integral(),
+        mu=c1 * (1.0 - np.euler_gamma),
     )
 
 
@@ -355,19 +336,17 @@ def _support_edges(params: StableParams):
 def stable_quantile(params: StableParams, p):
     """Quantile at level p (scalar or array) with |cdf(q) - p| <= 1e-8.
 
-    A scalar level is bracketed around mu by geometric expansion and found
-    by ``brentq``.  An array of levels solves its two extreme levels that
-    way, tabulates the CDF on nodes between their quantiles (evenly spaced
-    in asinh((x - mu) / sigma)), and polishes every other level by
-    ``brentq`` between the neighbouring table nodes that bracket it.
+    Each level is bracketed around mu by geometric expansion and found by
+    ``brentq``; an array of levels gives an array of its shape, one
+    inversion per entry.
     """
     levels = np.asarray(p, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("quantile level must lie in (0, 1)")
     if levels.ndim == 0:
         return _quantile_scalar(params, float(levels))
-    unique, inverse = np.unique(levels, return_inverse=True)
-    return _quantiles_sorted(params, unique)[inverse].reshape(levels.shape)
+    out = [_quantile_scalar(params, float(v)) for v in levels.ravel()]
+    return np.array(out).reshape(levels.shape)
 
 
 def _quantile_scalar(params: StableParams, p: float) -> float:
@@ -394,41 +373,10 @@ def _quantile_scalar(params: StableParams, p: float) -> float:
             f"could not bracket the {p:.4g}-quantile (f({lo:.3g})={cdf_lo - p:.3g}, "
             f"f({hi:.3g})={cdf_hi - p:.3g})"
         )
-    return _polish(params, p, (lo, cdf_lo), (hi, cdf_hi))
-
-
-def _polish(params: StableParams, p: float, lo, hi) -> float:
-    """brentq for cdf(x) = p on a bracket given as (x, cdf(x)) pairs."""
-    known = dict((lo, hi))
+    known = {lo: cdf_lo, hi: cdf_hi}  # brentq starts from the bracket ends
 
     def f(x):
         return (known[x] if x in known else _cdf_scalar(params, x)) - p
 
     xtol = _QUANTILE_XTOL * max(1.0, params.sigma)
-    return float(brentq(f, lo[0], hi[0], xtol=xtol, rtol=8.9e-16))
-
-
-def _quantiles_sorted(params: StableParams, ps: np.ndarray) -> np.ndarray:
-    """Quantiles of sorted distinct levels from one CDF table."""
-    out = np.empty(len(ps))
-    if len(ps) == 0:
-        return out
-    out[0] = _quantile_scalar(params, float(ps[0]))
-    if len(ps) == 1:
-        return out
-    out[-1] = _quantile_scalar(params, float(ps[-1]))
-    # about one table node per four levels, no fewer than eight
-    u = np.arcsinh((out[[0, -1]] - params.mu) / params.sigma)
-    nodes = params.mu + params.sigma * np.sinh(np.linspace(*u, max(8, len(ps) // 4)))
-    nodes[[0, -1]] = out[[0, -1]]
-    nodes = nodes.tolist()
-    table = [_cdf_scalar(params, x) for x in nodes]
-    for k in range(1, len(ps) - 1):
-        p = float(ps[k])
-        j = bisect_right(table, p) - 1
-        if 0 <= j < len(nodes) - 1 and table[j] <= p <= table[j + 1]:
-            lo, hi = (nodes[j], table[j]), (nodes[j + 1], table[j + 1])
-            out[k] = _polish(params, p, lo, hi)
-        else:  # p beyond the table ends (within their CDF error)
-            out[k] = _quantile_scalar(params, p)
-    return out
+    return float(brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16))

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from claimcast.claims import ClaimsTable, SalesTable
-from claimcast.dataio import (
-    anchor_day_zero,
-    load_claims,
-    load_sales,
-    read_series,
-    write_series,
-)
+from claimcast.dataio import anchor_day_zero, load_claims, load_sales, write_series
 from claimcast.errors import LoadError
+from series_csv import read_series
 
 
 def write(path, text):

@@ -290,6 +290,20 @@ class TestEvaluate:
                 q = approx_quantile(approx, float(p))
                 assert approx_cdf(approx, q) == pytest.approx(p, abs=1e-6)
 
+    def test_cdf_on_arrays_matches_scalar_calls(self):
+        lp = car_limit_params(0)
+        for approx in (
+            cost_approx_normal(lp, E_SIZE, V_SIZE),
+            cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, N ** (1 / 1.52)),
+        ):
+            q = approx_quantile(approx, 0.5)
+            x = q + approx.scale * np.array([[-3.0, 0.0], [0.25, 4.0], [4.0, -1e-3]])
+            got = approx_cdf(approx, x)
+            assert isinstance(approx_cdf(approx, q), float)
+            assert got.shape == x.shape
+            want = np.array([approx_cdf(approx, float(v)) for v in x.ravel()])
+            assert np.array_equal(got.ravel(), want)
+
     def test_quantiles_monotone(self):
         lp = car_limit_params(0)
         for approx in (

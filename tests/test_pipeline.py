@@ -10,7 +10,7 @@ from claimcast.claims import (
     join_claims,
 )
 from claimcast.core import TimeHorizon
-from claimcast.dataio import load_claims, load_sales, read_series
+from claimcast.dataio import load_claims, load_sales
 from claimcast.engine import approx_quantile
 from claimcast.errors import DomainError
 from claimcast.pipeline import (
@@ -20,6 +20,7 @@ from claimcast.pipeline import (
     run_pipeline,
     synthesize_dataset,
 )
+from series_csv import read_series
 
 CONFIG = RunConfig(
     warranty=200,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
+from claimcast.engine import CostApproximation, approx_quantile
 from claimcast.errors import DomainError
 from claimcast.sim import (
     LinearShare,
@@ -12,13 +13,14 @@ from claimcast.sim import (
     PoissonClaims,
     RenewalSales,
     SingleLifetime,
+    _ks_against,
     make_rng,
     monte_carlo_validate,
     realize_cost,
     reference_approximation,
-    simulate_sales,
     theoretical_limit,
 )
+from claimcast.stable import params_mean_case, stable_cdf
 
 W, T = 200, 40
 HORIZON = TimeHorizon(W, T, 0, 300)
@@ -29,7 +31,7 @@ class TestSimulateSales:
     def test_deterministic_gaps_are_equally_spaced(self):
         h = TimeHorizon(W, T, 0, 1)
         spec = RenewalSales(mean=10.0, var=0.0)
-        s = simulate_sales(spec, h, 7)
+        s = spec.sample(h, make_rng(7))
         gaps = np.diff(s)
         assert np.allclose(gaps, 10.0)
         assert s[0] == pytest.approx(-W + 10.0)
@@ -40,7 +42,7 @@ class TestSimulateSales:
             RenewalSales(mean=3.0, var=4.0),
             NhppSales(LinearShare(W, W + T)),
         ):
-            s = simulate_sales(spec, HORIZON, 11)
+            s = spec.sample(HORIZON, make_rng(11))
             assert np.all(s >= -W - 1e-9)
             assert np.all(s <= T + 1e-9)
 
@@ -53,7 +55,7 @@ class TestSimulateSales:
         mean_count = n * float(share(np.array(0.0)))
         hits = 0
         for seed in range(200):
-            s = simulate_sales(spec, HORIZON, seed)
+            s = spec.sample(HORIZON, make_rng(seed))
             count = int(np.sum(s <= 0.0))
             if abs(count - mean_count) <= 3.0 * np.sqrt(mean_count):
                 hits += 1
@@ -68,7 +70,7 @@ class TestSimulateSales:
         lo, hi = -150.0, -30.0
         counts = np.empty(reps)
         for r in range(reps):
-            s = simulate_sales(spec, h, make_rng(31, r))
+            s = spec.sample(h, make_rng(31, r))
             counts[r] = np.sum((s > lo) & (s <= hi))
         want = h.scale * float(share(np.array(hi)) - share(np.array(lo)))
         se = np.std(counts, ddof=1) / np.sqrt(reps)
@@ -77,7 +79,7 @@ class TestSimulateSales:
     def test_reproducible(self):
         spec = RenewalSales(mean=2.0, var=1.0)
         assert np.array_equal(
-            simulate_sales(spec, HORIZON, 5), simulate_sales(spec, HORIZON, 5)
+            spec.sample(HORIZON, make_rng(5)), spec.sample(HORIZON, make_rng(5))
         )
 
 
@@ -475,6 +477,31 @@ class TestMonteCarloValidate:
         )
         assert stable.kind == "stable"
         assert stable.stable.alpha == 1.5
+
+
+class TestKsAgainst:
+    def test_stable_law_exact_supremum(self):
+        approx = CostApproximation(
+            kind="stable", location=1.0, scale=2.0, stable=params_mean_case(1.5)
+        )
+        sample = 1.0 + 2.0 * make_rng(8).standard_t(2.0, size=50)
+        got = _ks_against(approx, sample)
+        # brute force: the limit CDF against the empirical CDF just below
+        # and at every sample point
+        x = np.sort(sample)
+        n = len(x)
+        want = 0.0
+        for v in x:
+            cdf = stable_cdf(approx.stable, (v - 1.0) / 2.0)
+            below, at = np.sum(x < v) / n, np.sum(x <= v) / n
+            want = max(want, abs(cdf - below), abs(cdf - at))
+        assert got == pytest.approx(want, abs=1e-15)
+        # a 401-level quantile grid only samples the supremum from below
+        # (up to the 1e-8 quantile tolerance)
+        ps = np.linspace(0.0025, 0.9975, 401)
+        grid = approx_quantile(approx, ps)
+        grid_ks = np.max(np.abs(np.searchsorted(x, grid, side="right") / n - ps))
+        assert got >= grid_ks - 1e-8
 
 
 class TestSizeLaws:

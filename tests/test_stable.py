@@ -315,6 +315,8 @@ class TestBatchedQuantiles:
             (params_zero_one_case(0.6, 0.3), np.linspace(0.01, 0.99, 50)),
             (params_eq_one_case(0.5), np.linspace(0.01, 0.99, 50)),
             (StableParams(1.9, -0.5, 2.0, 3.0), np.linspace(0.01, 0.99, 50)),
+            # unsorted, with repeats
+            (params_mean_case(1.2), np.array([0.9, 0.1, 0.5, 0.9, 0.01, 0.5, 0.99])),
         ],
     )
     def test_array_matches_scalar_calls(self, params, levels):
