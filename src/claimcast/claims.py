@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -215,8 +214,6 @@ class MomentGrids:
     mean: np.ndarray
     var: np.ndarray
     floor_count: int
-    horizon: TimeHorizon
-    rebate: RebateFunction
 
     def __post_init__(self):
         if np.any(self.mean < 0.0) or np.any(self.var < 0.0):
@@ -241,17 +238,15 @@ def _accumulate_over_days(
 
 def moment_grids(
     claims: JoinedClaims,
-    fitted: Optional[MeanClaimsMeasure],
+    fitted: MeanClaimsMeasure,
     rebate: RebateFunction,
     horizon: TimeHorizon,
     n: int,
 ) -> MomentGrids:
     """Mean/variance grids of per-item window claims over sale days.
 
-    The mean grid integrates the fitted measure over each day's window
-    (if ``fitted`` is None it is tallied from the raw claims instead,
-    which makes the variance non-negative by construction).  The second
-    moment is always the raw per-item average of the squared weighted
+    The mean grid integrates the fitted measure over each day's window.
+    The second moment is the raw per-item average of the squared weighted
     window totals: every ordered pair (i, j) of one item's claims adds
     r(c_i) r(c_j) on the sale days whose window holds both ages, so the
     whole grid costs one pass over the claim pairs.
@@ -274,12 +269,7 @@ def moment_grids(
     second = _accumulate_over_days(start, end, wts[left] * wts[right], horizon) / n
 
     days = horizon.sale_days
-    if fitted is not None:
-        mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
-    else:
-        start, end = horizon.sale_day_range(age, age)
-        mean = _accumulate_over_days(start, end, wts, horizon) / n
-
+    mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
     var = second - mean**2
     floored = int(np.sum(var < 0.0))
     if floored:
@@ -293,6 +283,4 @@ def moment_grids(
         mean=mean,
         var=np.maximum(var, 0.0),
         floor_count=floored,
-        horizon=horizon,
-        rebate=rebate,
     )

@@ -6,8 +6,10 @@ inputs; ``simulate`` writes a synthetic dataset; ``validate`` runs the
 Monte Carlo check of a distributional limit.
 
 A JSON config file (``--config`` or the ``CLAIMCAST_CONFIG`` environment
-variable) overrides any command-line flags it names.  Exit codes: 0 on
-success, 2 for input/validation problems, 3 for numerical failures.
+variable) overrides any command-line flags it names; flags left out take
+their defaults from :class:`RunConfig` (``simulate``: from
+:func:`synthesize_dataset`).  Exit codes: 0 on success, 2 for
+input/validation problems, 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -34,29 +36,31 @@ CONFIG_ENV = "CLAIMCAST_CONFIG"
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
+def _periods(raw: str) -> tuple:
+    return tuple(int(k) for k in raw.split(",") if k != "")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """RunConfig flags; the parser suppresses absent ones, so their
+    defaults are RunConfig's."""
     parser.add_argument("--config", help="JSON config file; its entries override flags")
-    parser.add_argument("--warranty", type=int, default=1096, help="warranty days (W)")
-    parser.add_argument("--period", type=int, default=91, help="forecast days (T)")
+    parser.add_argument("--warranty", type=int, help="warranty days (W)")
+    parser.add_argument("--period", type=int, help="forecast days (T)")
     parser.add_argument(
         "--periods",
-        default="0,1",
+        type=_periods,
         help="comma-separated window indices (0 -> [0,T], 1 -> [T,2T])",
     )
+    parser.add_argument("--n-policy", choices=("observed_total", "explicit"))
     parser.add_argument(
-        "--n-policy", choices=("observed_total", "explicit"), default="observed_total"
+        "--n", dest="n_explicit", type=int, help="items sold; selects the explicit policy"
     )
-    parser.add_argument("--n", dest="n_explicit", type=int, default=None)
-    parser.add_argument(
-        "--policy", choices=("free_replacement", "prorata"), default="free_replacement"
-    )
-    parser.add_argument(
-        "--rebate-kind", choices=("linear", "quadratic"), default="linear"
-    )
-    parser.add_argument("--unit-price", type=float, default=1.0)
-    parser.add_argument("--qq-k", type=int, default=5000)
-    parser.add_argument("--ma-window", type=int, default=15)
-    parser.add_argument("--poly-degree", type=int, default=3)
+    parser.add_argument("--policy", choices=("free_replacement", "prorata"))
+    parser.add_argument("--rebate-kind", choices=("linear", "quadratic"))
+    parser.add_argument("--unit-price", type=float)
+    parser.add_argument("--qq-k", type=int)
+    parser.add_argument("--ma-window", type=int)
+    parser.add_argument("--poly-degree", type=int)
     parser.add_argument(
         "--stationary",
         action="store_true",
@@ -66,32 +70,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--regime",
         dest="regime_override",
         choices=("finite_variance",),
-        default=None,
         help="force the finite-variance limit regardless of the tail index",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged = {
-        "warranty": args.warranty,
-        "period": args.period,
-        "periods": tuple(int(k) for k in str(args.periods).split(",") if k != ""),
-        "n_policy": args.n_policy,
-        "n_explicit": args.n_explicit,
-        "policy": args.policy,
-        "rebate_kind": args.rebate_kind,
-        "unit_price": args.unit_price,
-        "qq_k": args.qq_k,
-        "ma_window": args.ma_window,
-        "poly_degree": args.poly_degree,
-        "stationary": args.stationary,
-        "regime_override": args.regime_override,
-        "seed": args.seed,
-    }
-    if args.n_explicit is not None:
-        merged["n_policy"] = "explicit"
-    path = args.config or os.environ.get(CONFIG_ENV)
+    """The given flags, overridden by the config file's entries; a named
+    ``n_explicit`` selects the explicit n policy unless one is named."""
+    merged = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         try:
             overrides = json.loads(Path(path).read_text())
@@ -103,22 +91,27 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if "periods" in overrides:
             overrides["periods"] = tuple(overrides["periods"])
         merged.update(overrides)
+    if merged.get("n_explicit") is not None:
+        merged.setdefault("n_policy", "explicit")
     return RunConfig(**merged)
+
+
+def _print_row_issues(issues) -> None:
+    for issue in issues:
+        print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
 
 
 def _load_inputs(args):
     sales, sales_issues = dataio.load_sales(args.sales)
     claims, claim_issues = dataio.load_claims(args.claims)
-    for issue in sales_issues + claim_issues:
-        print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
+    _print_row_issues(sales_issues + claim_issues)
     return sales, claims
 
 
 def cmd_fit_sales(args) -> int:
     config = _build_config(args)
     sales, issues = dataio.load_sales(args.sales)
-    for issue in issues:
-        print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
+    _print_row_issues(issues)
     anchored, _, anchor = dataio.anchor_day_zero(sales, ClaimsTable([], [], []))
     counts, first = pipeline._daily_counts(anchored)
     n = config.items_sold(len(sales))
@@ -152,8 +145,7 @@ def cmd_fit_claims(args) -> int:
 def cmd_diagnose_tail(args) -> int:
     config = _build_config(args)
     claims, issues = dataio.load_claims(args.claims)
-    for issue in issues:
-        print(f"warning: line {issue.line}: {issue.message}", file=sys.stderr)
+    _print_row_issues(issues)
     aggregated = aggregate_daily_claims(claims)
     sizes = aggregated.amount
     if args.truncate_above is not None:
@@ -209,24 +201,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    given = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")
+    }
     out = Path(args.out_dir)
-    n_sales, n_claims = synthesize_dataset(
-        out / "sales.csv",
-        out / "claims.csv",
-        n=args.n_items,
-        warranty=args.warranty,
-        period=args.period,
-        span=args.span,
-        bass_p=args.bass_p,
-        bass_q=args.bass_q,
-        density_slope=args.density_slope,
-        density_intercept=args.density_intercept,
-        atom0=args.atom0,
-        atomW=args.atomW,
-        size_mu_log=args.size_mu_log,
-        size_sigma_log=args.size_sigma_log,
-        seed=args.seed,
-    )
+    n_sales, n_claims = synthesize_dataset(out / "sales.csv", out / "claims.csv", **given)
     print(f"wrote {n_sales} sales and {n_claims} claims under {out}")
     return 0
 
@@ -314,61 +293,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-sales", help="fit the Bass sales curve")
+    def command(name, help, func):
+        # flags without an explicit default stay out of the namespace, so
+        # RunConfig and synthesize_dataset state every default once
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("fit-sales", "fit the Bass sales curve", cmd_fit_sales)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--bin-width", type=int, default=1)
-    p.set_defaults(func=cmd_fit_sales)
 
-    p = sub.add_parser("fit-claims", help="fit the mean claims measure")
+    p = command("fit-claims", "fit the mean claims measure", cmd_fit_claims)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--claims", required=True)
-    p.set_defaults(func=cmd_fit_claims)
 
-    p = sub.add_parser("diagnose-tail", help="claim-size summary and tail index")
+    p = command("diagnose-tail", "claim-size summary and tail index", cmd_diagnose_tail)
     _add_config_flags(p)
     p.add_argument("--claims", required=True)
     p.add_argument("--truncate-above", type=float, default=None)
-    p.set_defaults(func=cmd_diagnose_tail)
 
-    p = sub.add_parser("estimate", help="estimate all limit parameters")
+    p = command("estimate", "estimate all limit parameters", cmd_estimate)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--claims", required=True)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("quantiles", help="print cost quantile tables")
+    p = command("quantiles", "print cost quantile tables", cmd_quantiles)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--claims", required=True)
-    p.set_defaults(func=cmd_quantiles)
 
-    p = sub.add_parser("report", help="full report plus plot-data files")
+    p = command("report", "full report plus plot-data files", cmd_report)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--claims", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("simulate", help="write a synthetic sales/claims dataset")
+    p = command("simulate", "write a synthetic sales/claims dataset", cmd_simulate)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-items", type=int, default=2000)
-    p.add_argument("--warranty", type=int, default=200)
-    p.add_argument("--period", type=int, default=30)
-    p.add_argument("--span", type=int, default=240)
-    p.add_argument("--bass-p", type=float, default=2e-3)
-    p.add_argument("--bass-q", type=float, default=2.5e-2)
-    p.add_argument("--density-slope", type=float, default=-0.5e-5)
-    p.add_argument("--density-intercept", type=float, default=5e-3)
-    p.add_argument("--atom0", type=float, default=0.1)
-    p.add_argument("--atomW", type=float, default=0.04)
-    p.add_argument("--size-mu-log", type=float, default=3.0)
-    p.add_argument("--size-sigma-log", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--n-items", dest="n", metavar="N_ITEMS", type=int)
+    for flag in ("--warranty", "--period", "--span", "--seed"):
+        p.add_argument(flag, type=int)
+    for flag in ("--bass-p", "--bass-q", "--density-slope", "--density-intercept",
+                 "--atom0", "--atomW", "--size-mu-log", "--size-sigma-log"):
+        p.add_argument(flag, type=float)
 
-    p = sub.add_parser("validate", help="Monte Carlo check of a limit theorem")
+    p = command("validate", "Monte Carlo check of a limit theorem", cmd_validate)
     p.add_argument(
         "--theorem",
         choices=("count", "normal", "stable_1_2", "stable_0_1", "prorata"),
@@ -389,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pareto-alpha", type=float, default=1.5)
     p.add_argument("--unit-price", type=float, default=1.0)
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Shared vocabulary: clocks, claim-age measures, rebate schedules.
+"""Shared vocabulary: clocks, claim-age measures, polynomial rebate schedules.
 
 Conventions used throughout the package:
 
@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -76,9 +76,6 @@ class TimeHorizon:
         """Integer grid of sale days that can produce claims in the window."""
         return np.arange(-self.warranty + self.offset, self.period + self.offset + 1)
 
-    def shifted(self, offset: int) -> "TimeHorizon":
-        return TimeHorizon(self.warranty, self.period, offset, self.scale)
-
     def claim_window(self, sale_time) -> ClaimWindow:
         """Age windows of sales at ``sale_time`` (a scalar or an array).
 
@@ -127,7 +124,12 @@ class TimeHorizon:
         return live & (win.lo <= age) & (age <= win.hi)
 
 
-_REBATE_KINDS = ("free_replacement", "linear", "quadratic", "tabulated")
+# r(t) = p(t / W): power-basis coefficients of p, exact in the unit variable
+_REBATE_SHAPES = {
+    "free_replacement": (1.0,),
+    "linear": (1.0, -1.0),
+    "quadratic": (1.0, -2.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -135,34 +137,19 @@ class RebateFunction:
     """Rebate schedule r(t) on [0, W]: non-increasing, r(0) = 1, 0 <= r <= 1.
 
     ``unit_price`` is the item price c_b refunded pro rata; it is not used
-    by the free-replacement policy.  Polynomial kinds integrate against the
-    mean claims measure in closed form; a tabulated schedule (one value per
-    integer day) falls back to trapezoid quadrature.
+    by the free-replacement policy.  Every kind is a polynomial, so r and
+    its powers integrate against the mean claims measure in closed form.
     """
 
     kind: str
     warranty: int
     unit_price: float = 1.0
-    table: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in _REBATE_KINDS:
+        if self.kind not in _REBATE_SHAPES:
             raise DomainError(f"unknown rebate kind {self.kind!r}")
         if self.unit_price <= 0.0:
             raise DomainError("unit price must be positive")
-        if self.kind == "tabulated":
-            if self.table is None or len(self.table) != self.warranty + 1:
-                raise ValidationError("tabulated rebate needs one value per day 0..W")
-            vals = np.asarray(self.table, dtype=float)
-            if abs(vals[0] - 1.0) > 1e-12:
-                raise ValidationError("rebate must satisfy r(0) = 1")
-            if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-                raise ValidationError("rebate values must lie in [0, 1]")
-            if np.any(np.diff(vals) > 1e-12):
-                raise ValidationError("rebate must be non-increasing")
-            object.__setattr__(self, "table", tuple(float(v) for v in vals))
-        elif self.table is not None:
-            raise ValidationError("only tabulated rebates carry a table")
 
     @classmethod
     def free_replacement(cls, warranty: int) -> "RebateFunction":
@@ -178,43 +165,22 @@ class RebateFunction:
         """r(t) = (1 - t/W)^2."""
         return cls("quadratic", warranty, unit_price)
 
-    @classmethod
-    def tabulated(
-        cls, values: Sequence[float], unit_price: float = 1.0
-    ) -> "RebateFunction":
-        values = tuple(float(v) for v in values)
-        return cls("tabulated", len(values) - 1, unit_price, values)
+    def poly_coef(self, power: int = 1) -> np.ndarray:
+        """Power-basis coefficients of r^power in t.
 
-    @property
-    def poly_coef(self) -> Optional[np.ndarray]:
-        """Power-basis coefficients of r, or None for tabulated schedules."""
-        w = float(self.warranty)
-        if self.kind == "free_replacement":
-            return np.array([1.0])
-        if self.kind == "linear":
-            return np.array([1.0, -1.0 / w])
-        if self.kind == "quadratic":
-            return np.array([1.0, -2.0 / w, 1.0 / w**2])
-        return None
+        The power is taken on the integer coefficients in t/W and scaled
+        once, so the square of ``linear`` has exactly the coefficients of
+        ``quadratic``.
+        """
+        shape = npoly.polypow(_REBATE_SHAPES[self.kind], power)
+        return shape / float(self.warranty) ** np.arange(len(shape))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-9) or np.any(t > self.warranty + 1e-9):
             raise DomainError("rebate evaluated outside [0, W]")
-        if self.kind == "tabulated":
-            out = np.interp(t, np.arange(self.warranty + 1), np.asarray(self.table))
-        else:
-            out = npoly.polyval(t, self.poly_coef)
+        out = npoly.polyval(t, self.poly_coef())
         return float(out) if out.ndim == 0 else out
-
-    def squared(self) -> "RebateFunction":
-        """The schedule r^2, used for single-claim variance integrals."""
-        if self.kind == "free_replacement":
-            return self
-        if self.kind == "linear":
-            return RebateFunction("quadratic", self.warranty, self.unit_price)
-        days = np.arange(self.warranty + 1)
-        return RebateFunction.tabulated(np.asarray(self(days)) ** 2, self.unit_price)
 
 
 @dataclass(frozen=True)
@@ -246,30 +212,6 @@ class MeanClaimsMeasure:
     def density(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
 
-    def density_interval(self, lo: float, hi: float) -> float:
-        """Integral of the density over [lo, hi]."""
-        return self.slope * (hi**2 - lo**2) / 2.0 + self.intercept * (hi - lo)
-
-    def mass(
-        self,
-        lo: float,
-        hi: float,
-        include_left_atom: bool = False,
-        include_right_atom: bool = False,
-    ) -> float:
-        if not (0.0 <= lo <= hi <= self.warranty):
-            raise DomainError(f"interval [{lo}, {hi}] not inside [0, {self.warranty}]")
-        out = self.density_interval(lo, hi)
-        if include_left_atom and lo <= 0.0:
-            out += self.atom0
-        if include_right_atom and hi >= self.warranty:
-            out += self.atomW
-        return out
-
-    @property
-    def total_mass(self) -> float:
-        return self.mass(0.0, float(self.warranty), True, True)
-
     def bin_masses(self) -> np.ndarray:
         """Daily masses m((i-1, i]) for i = 0..W, with bin 0 = m({0}).
 
@@ -287,62 +229,41 @@ class MeanClaimsMeasure:
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """The measure r(y) m(dy): mean measure reweighted by a rebate schedule."""
+    """The measure r(y)^power m(dy): mean measure reweighted by a rebate
+    schedule (``power`` 2 gives the single-claim variance weights)."""
 
     base: MeanClaimsMeasure
     weight: RebateFunction
+    power: int = 1
 
     def __post_init__(self):
         if self.base.warranty != self.weight.warranty:
             raise ValidationError("measure and rebate must share the warranty length")
 
     def mass(self, lo, hi, include_left_atom=False, include_right_atom=False):
-        """Integral of r(y) over [lo, hi] against the density, plus flagged atoms.
-
-        Element-wise over arrays of bounds and flags (a float for scalars).
-        Exact for polynomial rebates; trapezoid on the nodes ``lo``, the
-        integer days inside, and ``hi`` otherwise.
-        """
+        """Integral of r^power over [lo, hi] against the density, plus flagged
+        atoms; exact, element-wise over arrays of bounds and flags (a float
+        for scalars)."""
         w = self.base.warranty
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= w)):
             raise DomainError(f"interval [{lo}, {hi}] not inside [0, {w}]")
-        coef = self.weight.poly_coef
-        if coef is not None:
-            dens = np.array([self.base.intercept, self.base.slope])
-            anti = npoly.polyint(npoly.polymul(coef, dens))
-            out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-        else:
-            def f(y):
-                return self.weight(y) * self.base.density(y)
-
-            grid = np.arange(w + 1.0)
-            g = f(grid)
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]))])
-            # first and last integer node inside [lo, hi], or hi when none
-            k0 = np.minimum(np.ceil(lo), hi)
-            k1 = np.maximum(np.floor(hi), k0)
-            out = (
-                0.5 * (k0 - lo) * (f(lo) + f(k0))
-                + (np.interp(k1, grid, cum) - np.interp(k0, grid, cum))
-                + 0.5 * (hi - k1) * (f(k1) + f(hi))
-            )
+        coef = self.weight.poly_coef(self.power)
+        dens = np.array([self.base.intercept, self.base.slope])
+        anti = npoly.polyint(npoly.polymul(coef, dens))
+        out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
         out = out + np.where(
             np.asarray(include_left_atom) & (lo <= 0.0),
-            self.base.atom0 * float(self.weight(0.0)),
+            self.base.atom0 * npoly.polyval(0.0, coef),
             0.0,
         )
         out = out + np.where(
             np.asarray(include_right_atom) & (hi >= w),
-            self.base.atomW * float(self.weight(float(w))),
+            self.base.atomW * npoly.polyval(float(w), coef),
             0.0,
         )
         return float(out) if out.ndim == 0 else out
-
-    @property
-    def total_mass(self) -> float:
-        return self.mass(0.0, float(self.base.warranty), True, True)
 
 
 def mean_window_claims(weighted: WeightedMeasure, sale_time, horizon: TimeHorizon):

@@ -100,8 +100,8 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
 
     Duplicate claim ids are fatal (both line numbers reported); other
-    malformed rows, non-finite amounts included, are collected and become
-    fatal only past a 1% share.
+    malformed rows, blank claim ids and non-finite amounts included, are
+    collected and become fatal only past a 1% share.
     """
     vids: List[str] = []
     days: List[int] = []
@@ -116,6 +116,10 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
         vid = (row.get("vehicle_id") or "").strip()
         if not vid:
             issues.append(RowIssue(line, "empty vehicle_id"))
+            continue
+        cid = (row.get("claim_id") or "").strip()
+        if not cid:
+            issues.append(RowIssue(line, "empty claim_id"))
             continue
         try:
             day = _parse_day(row.get("claim_date") or "")
@@ -135,7 +139,6 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
         if amount < 0.0:
             issues.append(RowIssue(line, f"negative amount {amount}"))
             continue
-        cid = (row.get("claim_id") or "").strip()
         if cid in seen:
             raise LoadError(
                 f"{path}: duplicate claim id {cid!r} (lines {seen[cid]} and {line})",

@@ -77,6 +77,8 @@ class RunConfig:
             raise DomainError(f"unknown n policy {self.n_policy!r}")
         if self.n_policy == "explicit" and not self.n_explicit:
             raise DomainError("explicit n policy needs n_explicit")
+        if self.n_policy == "observed_total" and self.n_explicit is not None:
+            raise DomainError("n_explicit needs the explicit n policy")
         if self.policy not in ("free_replacement", "prorata"):
             raise DomainError(f"unknown policy {self.policy!r}")
         if self.policy == "prorata" and self.rebate_kind not in (

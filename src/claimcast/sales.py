@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 SCALE_FLOOR = 1e-8
+BASS_START = (1e-4, 1e-2)  # (p, p + q) where the least-squares search starts
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,6 @@ def fit_bass(
     n: int,
     first_day: int,
     bin_width: int = 1,
-    x0: Tuple[float, float] = (1e-4, 1e-2),
 ) -> BassParams:
     """Least-squares Bass fit to observed sale-count increments.
 
@@ -138,7 +138,7 @@ def fit_bass(
 
     result = least_squares(
         resid,
-        x0=np.log(x0),
+        x0=np.log(BASS_START),
         method="lm",
         ftol=1e-10,
         xtol=1e-12,

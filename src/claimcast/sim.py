@@ -51,7 +51,6 @@ __all__ = [
     "SingleLifetime",
     "LognormalSizes",
     "ParetoSizes",
-    "EmpiricalSizes",
     "make_rng",
     "realize_cost",
     "MonteCarloStudy",
@@ -140,12 +139,11 @@ class NhppSales:
     """Non-homogeneous Poisson sales: unit-rate Poisson time-changed by n*share.
 
     ``share`` must be non-decreasing on [-W, T+offset]; its inverse is taken
-    piecewise-linearly on ``grid_step``-day nodes, exact when the share
-    itself is piecewise linear on that grid.
+    piecewise-linearly on the integer days, exact when the share itself is
+    piecewise linear between them.
     """
 
     share: Callable[[np.ndarray], np.ndarray]
-    grid_step: float = 1.0
 
     def share_on(self, days, horizon: TimeHorizon) -> np.ndarray:
         return np.asarray(self.share(np.asarray(days, dtype=float)), dtype=float)
@@ -156,10 +154,9 @@ class NhppSales:
         return np.minimum.outer(nu, nu)
 
     def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
-        lo = -float(horizon.warranty)
-        hi = float(horizon.period + horizon.offset)
-        steps = int(np.ceil((hi - lo) / self.grid_step))
-        days = np.linspace(lo, hi, steps + 1)
+        days = np.arange(
+            -horizon.warranty, horizon.period + horizon.offset + 1, dtype=float
+        )
         nu = np.asarray(self.share(days), dtype=float)
         total = horizon.scale * (nu[-1] - nu[0])
         count = rng.poisson(total)
@@ -250,7 +247,7 @@ def _window_moments(
     """Per-sale-day means of the r- and r^2-weighted window claims."""
     days = horizon.sale_days
     weighted = WeightedMeasure(measure, rebate)
-    squared = WeightedMeasure(measure, rebate.squared())
+    squared = WeightedMeasure(measure, rebate, power=2)
     return (
         mean_window_claims(weighted, days, horizon),
         mean_window_claims(squared, days, horizon),
@@ -296,26 +293,7 @@ class ParetoSizes:
         return self.xm * self.alpha / (self.alpha - 1.0)
 
 
-@dataclass(frozen=True)
-class EmpiricalSizes:
-    """Bootstrap resampling of an observed size sample."""
-
-    data: tuple
-
-    def sample(self, rng, size):
-        arr = np.asarray(self.data, dtype=float)
-        return arr[rng.integers(0, len(arr), size=size)]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.data))
-
-    @property
-    def var(self) -> float:
-        return float(np.var(self.data, ddof=1))
-
-
-SizeSpec = Union[LognormalSizes, ParetoSizes, EmpiricalSizes]
+SizeSpec = Union[LognormalSizes, ParetoSizes]
 
 
 # --------------------------------------------------------------------------
@@ -561,13 +539,6 @@ class ValidationReport:
     limit_quantiles: tuple
     coverage: tuple
     degenerate: bool
-
-    @property
-    def quantile_rel_errors(self) -> tuple:
-        out = []
-        for e, q in zip(self.empirical_quantiles, self.limit_quantiles):
-            out.append((e - q) / abs(q) if q != 0.0 else float("inf"))
-        return tuple(out)
 
 
 _REPORT_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)

@@ -136,19 +136,13 @@ class Scalers:
     e_n: Optional[float] = None
 
 
-def tail_scalers(
-    alpha_hat: float,
-    n: int,
-    regime: Regime,
-    sizes=None,
-) -> Scalers:
+def tail_scalers(alpha_hat: float, n: int, regime: Regime) -> Scalers:
     """Pareto plug-in estimates of the stable normalizing sequences.
 
-    For 1 < alpha < 2 only b(n) is needed: either the empirical
-    (1 - 1/n)-quantile of the sizes when a sample is supplied, or the
-    Pareto form n^(1/alpha).  For alpha <= 1 the Pareto plug-ins give
-    b(n) = n^(1/alpha) with e(n) = alpha/(1-alpha) (n^((1-alpha)/alpha) - 1),
-    degenerating to b(n) = n, e(n) = log n at alpha = 1.
+    For 1 < alpha < 2 only b(n) = n^(1/alpha) is needed.  For alpha <= 1
+    the Pareto plug-ins give b(n) = n^(1/alpha) with
+    e(n) = alpha/(1-alpha) (n^((1-alpha)/alpha) - 1), degenerating to
+    b(n) = n, e(n) = log n at alpha = 1.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -157,9 +151,6 @@ def tail_scalers(
     if regime is Regime.STABLE_EQ_1:
         return Scalers(b_n=float(n), e_n=float(np.log(n)))
     if regime is Regime.STABLE_1_2:
-        if sizes is not None:
-            x = np.asarray(sizes, dtype=float)
-            return Scalers(b_n=float(np.quantile(x, 1.0 - 1.0 / n)))
         return Scalers(b_n=float(n ** (1.0 / alpha_hat)))
     # 0 < alpha < 1
     if not (0.0 < alpha_hat < 1.0):

@@ -189,6 +189,12 @@ class TestFitMeanMeasure:
             fit_mean_measure(EmpiricalMeanMeasure(bins, 10, W))
 
 
+def zero_measure(warranty):
+    """A fitted measure with no mass: the grids' variance is then the raw
+    pair-expansion second moment alone."""
+    return MeanClaimsMeasure(0.0, 0.0, warranty=warranty)
+
+
 def grid_oracle(per_item, rebate, horizon, n):
     """Literal per-day evaluation of the defining sums (slow, independent)."""
     days = horizon.sale_days
@@ -210,10 +216,11 @@ class TestMomentGrids:
         assert grids.mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
 
     def test_two_item_toy_variance(self):
-        # second moment (1/2)(1^2) = 0.5, mean 0.5, variance 0.25 at x = 0
+        # second moment (1/2)(1^2) = 0.5; the fitted atom at age 0 puts the
+        # mean at 0.5 for x = 0, so the variance there is 0.25
         grids = moment_grids(
             joined_from([(5,), ()]),
-            None,
+            MeanClaimsMeasure(0.0, 0.0, atom0=0.5, warranty=W),
             FREE,
             HORIZON,
             n=2,
@@ -227,10 +234,10 @@ class TestMomentGrids:
         h = TimeHorizon(40, 12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 5)) for _ in range(30)]
         rebate = RebateFunction.free_replacement(40)
-        grids = moment_grids(joined_from(measures), None, rebate, h, n=30)
-        mean_ref, second_ref = grid_oracle(measures, rebate, h, 30)
-        assert np.allclose(grids.mean, mean_ref, atol=1e-12)
-        assert np.allclose(grids.var, second_ref - mean_ref**2, atol=1e-10)
+        grids = moment_grids(joined_from(measures), zero_measure(40), rebate, h, n=30)
+        _, second_ref = grid_oracle(measures, rebate, h, 30)
+        assert np.all(grids.mean == 0.0)
+        assert np.allclose(grids.var, second_ref, atol=1e-10)
         assert grids.floor_count == 0
 
     def test_matches_defining_sums_prorata_with_offset(self):
@@ -238,17 +245,10 @@ class TestMomentGrids:
         h = TimeHorizon(40, 12, offset=12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 4)) for _ in range(25)]
         rebate = RebateFunction.linear(40)
-        grids = moment_grids(joined_from(measures), None, rebate, h, n=25)
-        mean_ref, second_ref = grid_oracle(measures, rebate, h, 25)
-        assert np.allclose(grids.mean, mean_ref, atol=1e-12)
-        assert np.allclose(grids.var, second_ref - mean_ref**2, atol=1e-10)
-
-    def test_empirical_variance_never_floored(self):
-        rng = np.random.default_rng(31)
-        measures = [rng.uniform(0, W, size=rng.integers(0, 4)) for _ in range(40)]
-        grids = moment_grids(joined_from(measures), None, FREE, HORIZON, n=40)
-        assert grids.floor_count == 0
-        assert np.all(grids.var >= 0.0)
+        grids = moment_grids(joined_from(measures), zero_measure(40), rebate, h, n=25)
+        _, second_ref = grid_oracle(measures, rebate, h, 25)
+        assert np.all(grids.mean == 0.0)
+        assert np.allclose(grids.var, second_ref, atol=1e-10)
 
     def test_fitted_mean_flooring_counted(self):
         # fitted mean larger than any raw second moment forces flooring

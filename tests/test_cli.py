@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from claimcast.cli import main
+from claimcast.cli import _build_config, build_parser, main
+from claimcast.pipeline import RunConfig, synthesize_dataset
 
 COMMON = ["--warranty", "200", "--period", "30", "--qq-k", "300", "--ma-window", "10",
           "--poly-degree", "2"]
@@ -205,3 +206,60 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"perriod": 25}))
         rc = main(["quantiles", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
         assert rc == 2
+
+
+class TestDefaults:
+    """Absent flags fall through to RunConfig and synthesize_dataset."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-sales", "--sales", "s.csv"],
+            ["fit-claims", "--sales", "s.csv", "--claims", "c.csv"],
+            ["diagnose-tail", "--claims", "c.csv"],
+            ["estimate", "--sales", "s.csv", "--claims", "c.csv"],
+            ["quantiles", "--sales", "s.csv", "--claims", "c.csv"],
+            ["report", "--sales", "s.csv", "--claims", "c.csv", "--out-dir", "out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_required_flags_only_build_the_default_config(self, argv, monkeypatch):
+        monkeypatch.delenv("CLAIMCAST_CONFIG", raising=False)
+        assert _build_config(build_parser().parse_args(argv)) == RunConfig()
+
+    def test_simulate_writes_the_default_dataset(self, tmp_path):
+        assert main(["simulate", "--out-dir", str(tmp_path / "cli")]) == 0
+        synthesize_dataset(tmp_path / "lib" / "sales.csv", tmp_path / "lib" / "claims.csv")
+        for name in ("sales.csv", "claims.csv"):
+            cli_bytes = (tmp_path / "cli" / name).read_bytes()
+            assert cli_bytes == (tmp_path / "lib" / name).read_bytes()
+
+
+class TestExplicitN:
+    def test_config_n_explicit_selects_the_explicit_policy(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_explicit": 40000}))
+        rc = main(["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 0
+        assert "n = 40000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"n_policy": "observed_total", "n_explicit": 40000}, []),
+            ({}, ["--n-policy", "observed_total", "--n", "40000"]),
+        ],
+        ids=["config", "flags"],
+    )
+    def test_observed_total_with_n_explicit_rejected(
+        self, dataset_dir, tmp_path, capsys, config, flags
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(
+            ["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON, *flags]
+        )
+        assert rc == 2
+        assert "n_explicit needs the explicit n policy" in capsys.readouterr().err

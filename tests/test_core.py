@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from claimcast.core import (
     MeanClaimsMeasure,
@@ -80,7 +83,7 @@ class TestTimeHorizon:
     def test_sale_day_range_inverts_claim_window(self, offset):
         # for integer sale days x: start <= x <= end exactly when both ages
         # of the pair lie in x's claim window
-        h = HORIZON.shifted(offset)
+        h = replace(HORIZON, offset=offset)
         days = h.sale_days
         win = h.claim_window(days)
         rng = np.random.default_rng(41)
@@ -97,7 +100,7 @@ class TestTimeHorizon:
             assert in_range.any()
 
     def test_offset_shifts_windows(self):
-        h2 = HORIZON.shifted(T)
+        h2 = replace(HORIZON, offset=T)
         win = h2.claim_window(T)
         assert win == (0.0, float(T), True, False)
         assert h2.sale_days[0] == -W + T
@@ -145,7 +148,7 @@ class TestWindowClaimTotal:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force_with_offset(self, points, x):
-        h = HORIZON.shifted(T)
+        h = replace(HORIZON, offset=T)
         r = RebateFunction.free_replacement(W)
         got = window_claim_total(points, x, r, h)
         want = brute_force_window_total(points, x, r, W, T, offset=T)
@@ -158,22 +161,23 @@ class TestRebateFunction:
         assert np.allclose(RebateFunction.free_replacement(W)(days), [1, 1, 1])
         assert np.allclose(RebateFunction.linear(W)(days), [1, 0.5, 0.0])
         assert np.allclose(RebateFunction.quadratic(W)(days), [1, 0.25, 0.0])
-        tab = RebateFunction.tabulated(np.linspace(1.0, 0.0, W + 1))
-        assert np.allclose(tab(days), [1, 0.5, 0.0])
 
-    def test_tabulated_validation(self):
-        with pytest.raises(ValidationError):
-            RebateFunction.tabulated([0.9, 0.5, 0.1])  # r(0) != 1
-        with pytest.raises(ValidationError):
-            RebateFunction.tabulated([1.0, 0.5, 0.7])  # increasing
+    def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             RebateFunction("discount", W)
+        with pytest.raises(DomainError):
+            RebateFunction("tabulated", W)
 
     def test_squared(self):
-        lin = RebateFunction.linear(W)
-        sq = lin.squared()
         days = np.arange(0, W + 1, 7)
-        assert np.allclose(sq(days), np.asarray(lin(days)) ** 2)
+        for kind in ("free_replacement", "linear", "quadratic"):
+            r = RebateFunction(kind, W)
+            sq = npoly.polyval(days, r.poly_coef(2))
+            assert np.allclose(sq, np.asarray(r(days)) ** 2, rtol=1e-12, atol=1e-15)
+        # the square of linear carries exactly the quadratic kind's coefficients
+        assert np.array_equal(
+            RebateFunction.linear(W).poly_coef(2), RebateFunction.quadratic(W).poly_coef()
+        )
 
 
 def car_mean_measure():
@@ -196,7 +200,6 @@ class TestMeanClaimsMeasure:
             bins.append(m.slope * i + m.intercept - m.slope / 2.0)
         bins[W] += m.atomW
         assert np.allclose(m.bin_masses(), bins)
-        assert m.total_mass == pytest.approx(sum(bins), rel=1e-12)
 
 
 class TestWeightedMass:
@@ -219,39 +222,27 @@ class TestWeightedMass:
         wm = WeightedMeasure(m, RebateFunction.linear(W))
         assert wm.mass(0, W) == pytest.approx(c * W / 2.0, rel=1e-12)
 
-    def test_tabulated_matches_polynomial_on_grid_intervals(self):
-        m = car_mean_measure()
-        lin = RebateFunction.linear(W)
-        tab = RebateFunction.tabulated(np.asarray(lin(np.arange(W + 1))))
-        exact = WeightedMeasure(m, lin)
-        approx = WeightedMeasure(m, tab)
-        # tabulated quadrature is trapezoid: exact only up to curvature of r*density,
-        # which is O(slope/W) per day here
-        for lo, hi in [(0, W), (3, 800), (100, 101)]:
-            assert approx.mass(lo, hi) == pytest.approx(exact.mass(lo, hi), rel=1e-4)
-
-    def test_tabulated_is_trapezoid_on_daily_nodes(self):
-        m = car_mean_measure()
-        tab = RebateFunction.quadratic(W).squared()
-        assert tab.kind == "tabulated"
-        wm = WeightedMeasure(m, tab)
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_squared_weight_is_exact(self, kind):
+        # r^2 m(dy) against 64-point Gauss-Legendre per interval, which is
+        # exact for the degree <= 5 integrand; atoms weighted by r(0)^2, r(W)^2
+        m = MeanClaimsMeasure(2e-7, 1e-3, atom0=0.25, atomW=0.5, warranty=W)
+        r = RebateFunction(kind, W)
+        wm = WeightedMeasure(m, r, power=2)
         rng = np.random.default_rng(8)
-        lo = np.concatenate([[0.0, 3.0, 100.2, 5.5, 7.0], rng.uniform(0, W, 40)])
-        width = np.concatenate(
-            [[W, 0.0, 0.5, 3.5, 0.25], rng.uniform(0, 1, 40) * (W - lo[5:])]
-        )
-        hi = np.minimum(lo + width, W)
-        got = wm.mass(lo, hi)
+        lo = np.concatenate([[0.0, 3.0, 100.2, W - T], rng.uniform(0, W, 40)])
+        hi = np.minimum(lo + np.concatenate([[W, 0.0, 0.5, T], rng.uniform(0, W, 40)]), W)
+        left = lo == 0.0
+        right = hi == W
+        got = wm.mass(lo, hi, left, right)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
         for k in range(len(lo)):
-            inner = [float(d) for d in range(W + 1) if lo[k] < d < hi[k]]
-            nodes = [lo[k]] + inner + [hi[k]]
-            vals = [float(tab(y)) * float(m.density(y)) for y in nodes]
-            want = sum(
-                0.5 * (vals[i] + vals[i + 1]) * (nodes[i + 1] - nodes[i])
-                for i in range(len(nodes) - 1)
-            )
+            y = 0.5 * (hi[k] - lo[k]) * nodes + 0.5 * (hi[k] + lo[k])
+            f = np.asarray(r(y)) ** 2 * m.density(y)
+            want = 0.5 * (hi[k] - lo[k]) * float(weights @ f)
+            want += left[k] * m.atom0 + right[k] * m.atomW * float(r(float(W))) ** 2
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
-            assert wm.mass(lo[k], hi[k]) == got[k]
+            assert wm.mass(lo[k], hi[k], bool(left[k]), bool(right[k])) == got[k]
 
     @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
     def test_array_bounds_match_scalar_calls(self, kind):

@@ -110,6 +110,26 @@ class TestLoadClaims:
         with pytest.raises(LoadError, match=r"claim id 'C1' \(lines 2 and 4\)"):
             load_claims(p)
 
+    @pytest.mark.parametrize("blank_lines", [[5], [5, 9]])
+    def test_blank_claim_id_is_an_issue(self, tmp_path, blank_lines):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(200)]
+        for line in blank_lines:
+            rows[line - 1] = f"V,{line},  ,1.0"
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        records, issues = load_claims(p)
+        assert len(records) == 200 - len(blank_lines)
+        assert [i.line for i in issues] == blank_lines
+        assert all(i.message == "empty claim_id" for i in issues)
+
+    def test_blank_claim_ids_are_not_duplicates(self, tmp_path):
+        p = write(
+            tmp_path / "c.csv",
+            "vehicle_id,claim_date,claim_id,amount\nA,120,,10.5\nB,130,,2\n",
+        )
+        with pytest.raises(LoadError, match="2 of 2 rows malformed"):
+            load_claims(p)
+
 
 class TestAnchoring:
     def test_day_zero_after_last_sale(self):

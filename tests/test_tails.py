@@ -132,11 +132,6 @@ class TestTailScalers:
         assert s.b_n == pytest.approx(34807 ** (1 / 1.52))
         assert s.e_n is None
 
-    def test_empirical_quantile_method(self):
-        sizes = np.arange(1.0, 101.0)
-        s = tail_scalers(1.5, 100, Regime.STABLE_1_2, sizes=sizes)
-        assert s.b_n == pytest.approx(np.quantile(sizes, 0.99))
-
     def test_alpha_one_plugins(self):
         n = int(round(np.e))
         s = tail_scalers(1.0, n, Regime.STABLE_EQ_1)
