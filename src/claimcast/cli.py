@@ -18,8 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +34,23 @@ from .tails import diagnose
 
 CONFIG_ENV = "CLAIMCAST_CONFIG"
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = get_type_hints(RunConfig)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a config file's JSON value fits a RunConfig field's type:
+    bools only where a bool is meant, ints also for floats, lists for
+    tuples, and null for the optional fields."""
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint in (int, str):
+        return isinstance(value, hint)
+    inner = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_fits(v, inner) for v in value)
+    return value is None or _json_fits(value, inner)  # Optional[inner]
 
 
 def _periods(raw: str) -> tuple:
@@ -78,16 +95,19 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """The given flags, overridden by the config file's entries; a named
     ``n_explicit`` selects the explicit n policy unless one is named."""
-    merged = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    merged = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES}
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         try:
             overrides = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise LoadError(f"cannot read config {path}: {exc}") from exc
-        unknown = set(overrides) - _CONFIG_FIELDS
+        unknown = set(overrides) - set(_CONFIG_TYPES)
         if unknown:
             raise LoadError(f"unknown config keys in {path}: {sorted(unknown)}")
+        for key, value in overrides.items():
+            if not _json_fits(value, _CONFIG_TYPES[key]):
+                raise LoadError(f"config key {key!r} in {path}: wrong type {value!r}")
         if "periods" in overrides:
             overrides["periods"] = tuple(overrides["periods"])
         merged.update(overrides)

@@ -125,13 +125,12 @@ def fluctuation_moments(
 @dataclass(frozen=True)
 class CostApproximation:
     """A tagged location/scale family: normal, or an affine image of a
-    stable law with an optional extra location term in stable units."""
+    stable law."""
 
     kind: str
     location: float
     scale: float
     stable: Optional[StableParams] = None
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("normal", "stable"):
@@ -195,33 +194,30 @@ def cost_approx_stable_infinite_mean(
     lp: LimitParams, alpha: float, b_n: float, e_n: float
 ) -> CostApproximation:
     """Heavy-tail cost limit for 0 < alpha <= 1:
-    n c1^(1/alpha) e(n) plus b(n) times the stable law at intensity c1
-    (shifted by c1 log c1 when alpha = 1).
+    n c1^(1/alpha) e(n) plus b(n) times the stable law at intensity c1.
 
-    The location term follows the published form.  For alpha strictly
-    below 1 the simulator's validation shows that pairing this centering
-    with the intensity-c1 stable law mis-centers by
-    (c1^(1/alpha) - c1) alpha/(1 - alpha) in standardized units; its
-    Monte Carlo check therefore centers at n c1 e(n) instead (the two
-    agree at alpha = 1).
+    At alpha = 1 the location is n c1 log n and the intensity-c1 law needs
+    no further shift: its Levy measure c1 x^-2 dx is compensated on
+    (0, 1], which is exactly the limit of (S - n c1 log n) / n.  For alpha
+    strictly below 1 the location deliberately keeps the published form;
+    the simulator's validation shows that pairing it with the
+    intensity-c1 stable law mis-centers by
+    (c1^(1/alpha) - c1) alpha/(1 - alpha) in standardized units, so its
+    Monte Carlo check centers at n c1 e(n) instead (the two agree at
+    alpha = 1).
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError("this approximation needs 0 < alpha <= 1")
     if b_n <= 0.0:
         raise DomainError("b(n) must be positive")
     c1 = lp.claims_mean
-    if alpha == 1.0:
-        stable = params_eq_one_case(c1)
-        shift = c1 * np.log(c1)
-    else:
-        stable = params_zero_one_case(alpha, c1)
-        shift = 0.0
     return CostApproximation(
         kind="stable",
         location=lp.horizon.scale * c1 ** (1.0 / alpha) * e_n,
         scale=b_n,
-        stable=stable,
-        shift=float(shift),
+        stable=params_eq_one_case(c1)
+        if alpha == 1.0
+        else params_zero_one_case(alpha, c1),
     )
 
 
@@ -249,8 +245,7 @@ def approx_cdf(approx: CostApproximation, x):
     if approx.kind == "normal":
         cdf = ndtr((points - approx.location) / approx.scale)
     else:
-        z = (points - approx.location) / approx.scale - approx.shift
-        cdf = stable_cdf(approx.stable, z)
+        cdf = stable_cdf(approx.stable, (points - approx.location) / approx.scale)
     return float(cdf) if points.ndim == 0 else cdf
 
 
@@ -263,8 +258,7 @@ def approx_quantile(approx: CostApproximation, p):
     if approx.kind == "normal":
         q = approx.location + approx.scale * ndtri(levels)
     else:
-        z = stable_quantile(approx.stable, levels)
-        q = approx.location + approx.scale * (z + approx.shift)
+        q = approx.location + approx.scale * stable_quantile(approx.stable, levels)
     return float(q) if levels.ndim == 0 else q
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -29,16 +29,16 @@ from .engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
+    claims_count_approx,
+    cost_approx_normal,
+    cost_approx_prorata,
+    cost_approx_stable_finite_mean,
+    cost_approx_stable_infinite_mean,
     fluctuation_moments,
     rate_constants,
 )
 from .errors import DomainError
 from .sales import GaussianLimit, window_increment_moments
-from .stable import (
-    params_eq_one_case,
-    params_mean_case,
-    params_zero_one_case,
-)
 from .tails import Regime, tail_scalers
 
 logger = logging.getLogger(__name__)
@@ -352,7 +352,8 @@ _THEOREMS = ("count", "normal", "stable_1_2", "stable_0_1", "prorata")
 class MonteCarloStudy:
     """Full pipeline specification for one validation experiment.
 
-    ``theorem`` picks the standardization and reference law:
+    ``theorem`` picks the engine approximation the check scores and the
+    standardization that carries it onto the limit's scale:
 
     * ``"count"``      - claim count against its normal limit
     * ``"normal"``     - cost against the finite-variance normal limit
@@ -360,7 +361,7 @@ class MonteCarloStudy:
     * ``"stable_0_1"`` - cost against the alpha <= 1 stable limit
       (sizes must be Pareto so the normalizing sequences are exact; the
       cost is centered at n c1 e(n), the centering consistent with the
-      limit law at intensity c1 - see ``_standardize``)
+      limit law at intensity c1 - see ``_limit_law``)
     * ``"prorata"``    - rebate cost against its normal limit
     """
 
@@ -377,10 +378,14 @@ class MonteCarloStudy:
         if self.theorem in ("normal", "stable_1_2", "stable_0_1"):
             if self.sizes is None:
                 raise DomainError("cost validation needs a size law")
-            if self.theorem.startswith("stable") and not isinstance(
-                self.sizes, ParetoSizes
-            ):
+        if self.theorem.startswith("stable"):
+            if not isinstance(self.sizes, ParetoSizes):
                 raise DomainError("stable validation needs Pareto sizes")
+            alpha = self.sizes.alpha
+            if self.theorem == "stable_1_2" and not 1.0 < alpha < 2.0:
+                raise DomainError("stable_1_2 validation needs 1 < alpha < 2")
+            if self.theorem == "stable_0_1" and alpha > 1.0:
+                raise DomainError("stable_0_1 validation needs 0 < alpha <= 1")
 
     def mean_measure(self) -> MeanClaimsMeasure:
         if isinstance(self.claims, PoissonClaims):
@@ -388,17 +393,6 @@ class MonteCarloStudy:
         if self.claims.mean_measure is None:
             raise DomainError("exact limits need the lifetime's mean measure")
         return self.claims.mean_measure
-
-    def scalers(self) -> Tuple[float, float, Optional[float]]:
-        """Exact (alpha, b(n), e(n)) for Pareto sizes."""
-        alpha = self.sizes.alpha
-        n = self.horizon.scale
-        if alpha > 1.0:
-            sc = tail_scalers(alpha, n, Regime.STABLE_1_2)
-            return alpha, sc.b_n * self.sizes.xm, None
-        regime = Regime.STABLE_EQ_1 if alpha == 1.0 else Regime.STABLE_0_1
-        sc = tail_scalers(alpha, n, regime)
-        return alpha, sc.b_n * self.sizes.xm, sc.e_n * self.sizes.xm
 
 
 def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
@@ -434,71 +428,50 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
     )
 
 
-def reference_approximation(
-    study: MonteCarloStudy, lp: Optional[LimitParams] = None
-) -> CostApproximation:
-    """The limit law of the standardized statistic, straight from the theorems."""
-    lp = theoretical_limit(study) if lp is None else lp
-    c1, c2 = lp.claims_mean, lp.claims_var
-    mu_t, s2_t = lp.fluct_mean, lp.fluct_var
-    if study.theorem in ("count", "prorata"):
-        return CostApproximation(
-            kind="normal", location=mu_t, scale=float(np.sqrt(c2 + s2_t))
-        )
-    if study.theorem == "normal":
-        e, v = study.sizes.mean, study.sizes.var
-        return CostApproximation(
-            kind="normal",
-            location=e * mu_t / np.sqrt(v),
-            scale=float(np.sqrt(c1 + e**2 / v * (c2 + s2_t))),
-        )
-    alpha, _, _ = study.scalers()
-    if study.theorem == "stable_1_2":
-        return CostApproximation(
-            kind="stable",
-            location=0.0,
-            scale=c1 ** (1.0 / alpha),
-            stable=params_mean_case(alpha),
-        )
-    if alpha == 1.0:
-        return CostApproximation(
-            kind="stable",
-            location=0.0,
-            scale=1.0,
-            stable=params_eq_one_case(c1),
-            shift=float(c1 * np.log(c1)),
-        )
-    return CostApproximation(
-        kind="stable",
-        location=0.0,
-        scale=1.0,
-        stable=params_zero_one_case(alpha, c1),
-    )
-
-
-def _standardize(
-    study: MonteCarloStudy, lp: LimitParams, counts: np.ndarray, costs: np.ndarray
-) -> np.ndarray:
-    """Map raw realizations onto the scale the theorem's limit lives on."""
+def _limit_law(
+    study: MonteCarloStudy, lp: LimitParams
+) -> Tuple[float, float, CostApproximation]:
+    """The engine's approximation of the theorem's raw statistic, with the
+    (center, norm) that carry it onto the limit's scale."""
     n = study.horizon.scale
     c1 = lp.claims_mean
     if study.theorem == "count":
-        return (counts - n * c1) / np.sqrt(n)
-    if study.theorem == "normal":
-        e, v = study.sizes.mean, study.sizes.var
-        return (costs - n * c1 * e) / np.sqrt(n * v)
+        return n * c1, np.sqrt(n), claims_count_approx(lp)
     if study.theorem == "prorata":
         cb = study.rebate.unit_price
-        return (costs - n * cb * c1) / (cb * np.sqrt(n))
-    alpha, b_n, e_n = study.scalers()
+        return n * cb * c1, cb * np.sqrt(n), cost_approx_prorata(lp, cb)
+    sizes = study.sizes
+    if study.theorem == "normal":
+        e, v = sizes.mean, sizes.var
+        return n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
+    alpha = sizes.alpha
     if study.theorem == "stable_1_2":
-        return (costs - n * c1 * study.sizes.mean) / b_n
+        b_n = tail_scalers(alpha, n, Regime.STABLE_1_2).b_n * sizes.xm
+        e = sizes.mean
+        return n * c1 * e, b_n, cost_approx_stable_finite_mean(lp, e, alpha, b_n)
+    regime = Regime.STABLE_EQ_1 if alpha == 1.0 else Regime.STABLE_0_1
+    sc = tail_scalers(alpha, n, regime)
+    b_n, e_n = sc.b_n * sizes.xm, sc.e_n * sizes.xm
+    approx = cost_approx_stable_infinite_mean(lp, alpha, b_n, e_n)
     # centering n c1 e(n): the unique choice under which the standardized
-    # cost converges to the stable law at intensity c1 (the c1^(1/alpha)
-    # variant mis-centers by (c1^(1/alpha) - c1) alpha/(1-alpha) for
-    # alpha < 1; both coincide at alpha = 1, where the c1 log c1 shift in
-    # the limit absorbs the remaining drift)
-    return (costs - n * c1 * e_n) / b_n
+    # cost converges to the stable law at intensity c1.  The engine keeps
+    # the published n c1^(1/alpha) e(n), which mis-centers by
+    # (c1^(1/alpha) - c1) alpha/(1-alpha) for alpha < 1; the two coincide
+    # at alpha = 1.
+    center = n * c1 * e_n
+    return center, b_n, replace(approx, location=center)
+
+
+def reference_approximation(
+    study: MonteCarloStudy, lp: Optional[LimitParams] = None
+) -> CostApproximation:
+    """The limit law of the standardized statistic: the engine's
+    approximation under x -> (x - center) / norm."""
+    lp = theoretical_limit(study) if lp is None else lp
+    center, norm, approx = _limit_law(study, lp)
+    return replace(
+        approx, location=(approx.location - center) / norm, scale=approx.scale / norm
+    )
 
 
 def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Tuple[int, float]:
@@ -600,7 +573,8 @@ def monte_carlo_validate(
         )
 
     lp = theoretical_limit(study)
-    z = _standardize(study, lp, counts, costs)
+    center, norm, _ = _limit_law(study, lp)
+    z = ((counts if study.theorem == "count" else costs) - center) / norm
     approx = reference_approximation(study, lp)
     ks = _ks_against(approx, z)
     limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())

@@ -165,7 +165,43 @@ class TestExitCodes:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--theorem", "stable_0_1"],  # the default --pareto-alpha 1.5
+            ["--theorem", "stable_1_2", "--pareto-alpha", "0.7"],
+        ],
+        ids=["stable_0_1", "stable_1_2"],
+    )
+    def test_pareto_alpha_outside_the_theorem_is_validation_error(self, flags, capsys):
+        rc = main(["validate", *flags, "--reps", "100"])
+        assert rc == 2
+        assert "needs" in capsys.readouterr().err
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "entry",
+        [{"periods": 5}, {"warranty": "200"}, {"qq_k": 300.5}, {"stationary": "no"}],
+        ids=lambda entry: next(iter(entry)),
+    )
+    def test_wrongly_typed_entry_rejected(self, dataset_dir, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main(["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 2
+        assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    def test_ints_for_floats_and_nulls_for_optionals_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        entries = {"unit_price": 2, "n_explicit": None, "regime_override": None,
+                   "periods": [0], "stationary": True}
+        cfg.write_text(json.dumps(entries))
+        argv = ["estimate", "--sales", "s.csv", "--claims", "c.csv", "--config", str(cfg)]
+        assert _build_config(build_parser().parse_args(argv)) == RunConfig(
+            unit_price=2.0, periods=(0,), stationary=True
+        )
+
     def test_file_overrides_flags(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"period": 25}))

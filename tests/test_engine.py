@@ -21,6 +21,7 @@ from claimcast.engine import (
 from claimcast.errors import DomainError
 from claimcast.sales import BassParams
 from claimcast.stable import params_zero_one_case
+from claimcast.tails import Regime, tail_scalers
 
 W, T, N = 1096, 91, 34807
 
@@ -192,10 +193,20 @@ class TestCostApproxStableFiniteMean:
 
 
 class TestCostApproxStableInfiniteMean:
-    def test_alpha_one_shift_vanishes_at_unit_intensity(self):
-        lp = LimitParams(1.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 5))
-        approx = cost_approx_stable_infinite_mean(lp, 1.0, 2.0, 3.0)
-        assert approx.shift == 0.0  # 1 * log 1
+    def test_alpha_one_is_intensity_law_at_log_centering(self):
+        # the limit of (S - n c1 log n) / n is the intensity-c1 law itself
+        n, c1 = 400, 2.5
+        lp = LimitParams(c1, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, n))
+        sc = tail_scalers(1.0, n, Regime.STABLE_EQ_1)
+        approx = cost_approx_stable_infinite_mean(lp, 1.0, sc.b_n, sc.e_n)
+        from claimcast.stable import params_eq_one_case, stable_quantile
+
+        assert approx.stable == params_eq_one_case(c1)
+        assert approx.location == pytest.approx(n * c1 * np.log(n), rel=1e-15)
+        assert approx.scale == sc.b_n == n
+        for p in (0.2, 0.5, 0.8):
+            want = approx.location + n * stable_quantile(approx.stable, p)
+            assert approx_quantile(approx, p) == pytest.approx(want, rel=1e-12)
 
     def test_half_alpha_quantiles_match_raw_stable(self):
         lp = LimitParams(1.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 1))

@@ -22,7 +22,12 @@ from claimcast.sim import (
     reference_approximation,
     theoretical_limit,
 )
-from claimcast.stable import params_mean_case, stable_cdf
+from claimcast.stable import (
+    params_eq_one_case,
+    params_mean_case,
+    params_zero_one_case,
+    stable_cdf,
+)
 
 W, T = 200, 40
 HORIZON = TimeHorizon(W, T, 0, 300)
@@ -439,6 +444,25 @@ class TestMonteCarloValidate:
         assert report.ks_distance <= 0.07
 
     @pytest.mark.slow
+    def test_unit_alpha_cost_limit(self):
+        # alpha = 1: (S - n c1 log n) / n tends to the intensity-c1 law
+        # itself, with no further c1 log c1 shift
+        w, t = 1096, 91
+        measure = MeanClaimsMeasure(
+            -0.8872e-6, 0.1479e-2 - 0.8872e-6 / 2.0, 0.1330, 0.0420, w
+        )
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(w, w + t)),
+            claims=PoissonClaims(measure),
+            rebate=RebateFunction.free_replacement(w),
+            horizon=TimeHorizon(w, t, 0, 500),
+            theorem="stable_0_1",
+            sizes=ParetoSizes(alpha=1.0),
+        )
+        report = monte_carlo_validate(study, reps=600, seed=1096, workers=2)
+        assert report.ks_distance <= 0.07
+
+    @pytest.mark.slow
     def test_count_limit_smoke(self):
         study = MonteCarloStudy(
             sales=NhppSales(LinearShare(W, W + T)),
@@ -449,6 +473,22 @@ class TestMonteCarloValidate:
         )
         report = monte_carlo_validate(study, reps=400, seed=5)
         assert report.ks_distance < 0.12
+
+    @pytest.mark.parametrize(
+        "theorem, alpha",
+        [("stable_1_2", 0.7), ("stable_1_2", 1.0), ("stable_1_2", 2.0),
+         ("stable_0_1", 1.5)],
+    )
+    def test_stable_study_checks_the_tail_index(self, theorem, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            MonteCarloStudy(
+                sales=NhppSales(LinearShare(W, W + T)),
+                claims=PoissonClaims(paper_shaped_measure(W)),
+                rebate=FREE,
+                horizon=HORIZON,
+                theorem=theorem,
+                sizes=ParetoSizes(alpha=alpha),
+            )
 
     def test_stable_study_requires_pareto(self):
         with pytest.raises(DomainError):
@@ -461,24 +501,58 @@ class TestMonteCarloValidate:
                 sizes=LognormalSizes(),
             )
 
-    def test_reference_approximation_kinds(self):
-        base = dict(
+    @pytest.mark.parametrize(
+        "theorem, sizes, rebate",
+        [
+            ("count", None, FREE),
+            ("normal", LognormalSizes(0.3, 0.6), FREE),
+            ("prorata", None, RebateFunction.linear(W, unit_price=3.0)),
+            ("stable_1_2", ParetoSizes(alpha=1.5, xm=2.0), FREE),
+            ("stable_0_1", ParetoSizes(alpha=0.7, xm=2.0), FREE),
+            ("stable_0_1", ParetoSizes(alpha=1.0, xm=2.0), FREE),
+        ],
+        ids=["count", "normal", "prorata", "stable_1_2", "stable_0_1-0.7",
+             "stable_0_1-1.0"],
+    )
+    def test_reference_approximation_closed_forms(self, theorem, sizes, rebate):
+        # the standardized limit law of each theorem in closed form; a
+        # nonzero fluctuation mean exercises the normal laws' locations
+        study = MonteCarloStudy(
             sales=NhppSales(LinearShare(W, W + T)),
             claims=PoissonClaims(paper_shaped_measure(W)),
-            rebate=FREE,
+            rebate=rebate,
             horizon=HORIZON,
+            theorem=theorem,
+            sizes=sizes,
         )
-        normal = reference_approximation(
-            MonteCarloStudy(theorem="normal", sizes=LognormalSizes(), **base)
-        )
-        assert normal.kind == "normal"
-        stable = reference_approximation(
-            MonteCarloStudy(
-                theorem="stable_1_2", sizes=ParetoSizes(alpha=1.5), **base
-            )
-        )
-        assert stable.kind == "stable"
-        assert stable.stable.alpha == 1.5
+        lp = replace(theoretical_limit(study), fluct_mean=0.3)
+        c1, c2, mu, s2 = lp.claims_mean, lp.claims_var, lp.fluct_mean, lp.fluct_var
+        stable = None
+        if theorem in ("count", "prorata"):
+            location, scale = mu, np.sqrt(c2 + s2)
+        elif theorem == "normal":
+            e, v = sizes.mean, sizes.var
+            location, scale = e * mu / np.sqrt(v), np.sqrt(c1 + e**2 / v * (c2 + s2))
+        elif theorem == "stable_1_2":
+            location, scale = 0.0, c1 ** (1.0 / sizes.alpha)
+            stable = params_mean_case(sizes.alpha)
+        elif sizes.alpha < 1.0:
+            location, scale = 0.0, 1.0
+            stable = params_zero_one_case(sizes.alpha, c1)
+        else:  # alpha = 1: the intensity-c1 law, no c1 log c1 shift
+            location, scale = 0.0, 1.0
+            stable = params_eq_one_case(c1)
+        got = reference_approximation(study, lp)
+        close = dict(rel=1e-12, abs=1e-12)
+        assert got.kind == ("normal" if stable is None else "stable")
+        assert got.location == pytest.approx(location, **close)
+        assert got.scale == pytest.approx(scale, **close)
+        if stable is None:
+            assert got.stable is None
+        else:
+            for name in ("alpha", "beta", "sigma", "mu"):
+                want = getattr(stable, name)
+                assert getattr(got.stable, name) == pytest.approx(want, **close)
 
 
 class TestKsAgainst:
