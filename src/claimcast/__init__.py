@@ -30,14 +30,11 @@ from .engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
-    claims_count_approx,
-    compute_rate_constants,
     cost_approx_normal,
-    cost_approx_prorata,
-    cost_approx_stable_finite_mean,
-    cost_approx_stable_infinite_mean,
+    cost_approx_stable,
     extremeness,
     fluctuation_moments,
+    rate_constants,
 )
 from .errors import (
     ClaimcastError,

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", "write a synthetic sales/claims dataset", cmd_simulate)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-items", dest="n", metavar="N_ITEMS", type=int)
-    for flag in ("--warranty", "--period", "--span", "--seed"):
+    for flag in ("--warranty", "--span", "--seed"):
         p.add_argument(flag, type=int)
     for flag in ("--bass-p", "--bass-q", "--density-slope", "--density-intercept",
                  "--atom0", "--atomW", "--size-mu-log", "--size-sigma-log"):

@@ -1,10 +1,11 @@
 """Limit parameters and the distributional cost approximations.
 
 ``LimitParams`` collects the four quadrature outputs (mean/variance claim
-rates and the sales-fluctuation mean/variance); the ``cost_approx_*``
-constructors turn them into evaluable normal or stable approximations of
-the total cost over the forecast window, and ``claims_count_approx`` does
-the same for the claim count.
+rates and the sales-fluctuation mean/variance); ``cost_approx_normal`` and
+``cost_approx_stable`` turn them into evaluable normal or stable
+approximations of the total cost over the forecast window.  The claim
+count and the pro-rata cost are the normal law at a fixed claim size (1
+and the unit price), and the tail index alone picks the stable law.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .claims import MomentGrids
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .errors import DomainError, NumericalError
-from .sales import BassParams
 from .stable import (
     StableParams,
     params_eq_one_case,
@@ -28,20 +27,17 @@ from .stable import (
     stable_cdf,
     stable_quantile,
 )
+from .tails import tail_scalers
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "LimitParams",
     "CostApproximation",
-    "compute_rate_constants",
     "rate_constants",
     "fluctuation_moments",
-    "claims_count_approx",
     "cost_approx_normal",
-    "cost_approx_stable_finite_mean",
-    "cost_approx_stable_infinite_mean",
-    "cost_approx_prorata",
+    "cost_approx_stable",
     "approx_cdf",
     "approx_quantile",
     "extremeness",
@@ -81,13 +77,6 @@ def rate_constants(
     c1 = float(np.sum(0.5 * (mean_grid[1:] + mean_grid[:-1]) * dnu))
     c2 = float(np.sum(0.5 * (var_grid[1:] + var_grid[:-1]) * dnu))
     return c1, c2
-
-
-def compute_rate_constants(
-    grids: MomentGrids, sales_curve: BassParams
-) -> Tuple[float, float]:
-    """:func:`rate_constants` of the moment grids against the fitted Bass share."""
-    return rate_constants(grids.mean, grids.var, sales_curve.share(grids.days))
 
 
 def fluctuation_moments(
@@ -141,27 +130,18 @@ class CostApproximation:
             raise DomainError("stable parameters exactly when kind is 'stable'")
 
 
-def claims_count_approx(lp: LimitParams) -> CostApproximation:
-    """Normal approximation of the window claim count:
-    mean n c1 + sqrt(n) mu, variance n (c2 + sigma^2)."""
-    n = lp.horizon.scale
-    var = n * (lp.claims_var + lp.fluct_var)
-    if var <= 0.0:
-        raise DomainError("degenerate count approximation (zero variance)")
-    return CostApproximation(
-        kind="normal",
-        location=n * lp.claims_mean + np.sqrt(n) * lp.fluct_mean,
-        scale=float(np.sqrt(var)),
-    )
-
-
 def cost_approx_normal(
-    lp: LimitParams, mean_size: float, var_size: float
+    lp: LimitParams, mean_size: float = 1.0, var_size: float = 0.0
 ) -> CostApproximation:
     """Finite-variance cost limit:
-    mean n c1 E + sqrt(n) E mu, variance n (V c1 + E^2 (c2 + sigma^2))."""
-    if var_size <= 0.0:
-        raise DomainError("size variance must be positive")
+    mean n c1 E + sqrt(n) E mu, variance n (V c1 + E^2 (c2 + sigma^2)).
+
+    The defaults E = 1, V = 0 give the claim count; a pro-rata cost is the
+    count at fixed size E = c_b, since the rebate weights are already
+    inside c1 and c2.
+    """
+    if var_size < 0.0:
+        raise DomainError("size variance must be non-negative")
     n = lp.horizon.scale
     e, v = mean_size, var_size
     location = n * lp.claims_mean * e + np.sqrt(n) * e * lp.fluct_mean
@@ -173,28 +153,19 @@ def cost_approx_normal(
     )
 
 
-def cost_approx_stable_finite_mean(
-    lp: LimitParams, mean_size: float, alpha: float, b_n: float
+def cost_approx_stable(
+    lp: LimitParams,
+    alpha: float,
+    mean_size: Optional[float] = None,
+    size_scale: float = 1.0,
 ) -> CostApproximation:
-    """Heavy-tail cost limit for 1 < alpha < 2:
-    n c1 E plus b(n) c1^(1/alpha) times the standard skewed stable law."""
-    if not (1.0 < alpha < 2.0):
-        raise DomainError("this approximation needs 1 < alpha < 2")
-    if b_n <= 0.0:
-        raise DomainError("b(n) must be positive")
-    return CostApproximation(
-        kind="stable",
-        location=lp.horizon.scale * lp.claims_mean * mean_size,
-        scale=b_n * lp.claims_mean ** (1.0 / alpha),
-        stable=params_mean_case(alpha),
-    )
+    """Heavy-tail cost limit for sizes with tail index 0 < alpha < 2.
 
-
-def cost_approx_stable_infinite_mean(
-    lp: LimitParams, alpha: float, b_n: float, e_n: float
-) -> CostApproximation:
-    """Heavy-tail cost limit for 0 < alpha <= 1:
-    n c1^(1/alpha) e(n) plus b(n) times the stable law at intensity c1.
+    b(n) and e(n) are the Pareto plug-ins of :func:`tail_scalers` times
+    ``size_scale`` (the Pareto xm).  For 1 < alpha < 2 the cost is
+    n c1 E plus b(n) c1^(1/alpha) times the standard skewed stable law;
+    for alpha <= 1 it is n c1^(1/alpha) e(n) plus b(n) times the stable law
+    at intensity c1.
 
     At alpha = 1 the location is n c1 log n and the intensity-c1 law needs
     no further shift: its Levy measure c1 x^-2 dx is compensated on
@@ -206,35 +177,28 @@ def cost_approx_stable_infinite_mean(
     Monte Carlo check centers at n c1 e(n) instead (the two agree at
     alpha = 1).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("this approximation needs 0 < alpha <= 1")
-    if b_n <= 0.0:
-        raise DomainError("b(n) must be positive")
+    if size_scale <= 0.0:
+        raise DomainError("size scale must be positive")
+    n = lp.horizon.scale
+    sc = tail_scalers(alpha, n)
+    b_n = sc.b_n * size_scale
     c1 = lp.claims_mean
+    if alpha > 1.0:
+        if mean_size is None:
+            raise DomainError("1 < alpha < 2 needs the mean claim size")
+        return CostApproximation(
+            kind="stable",
+            location=n * c1 * mean_size,
+            scale=b_n * c1 ** (1.0 / alpha),
+            stable=params_mean_case(alpha),
+        )
     return CostApproximation(
         kind="stable",
-        location=lp.horizon.scale * c1 ** (1.0 / alpha) * e_n,
+        location=n * c1 ** (1.0 / alpha) * (sc.e_n * size_scale),
         scale=b_n,
         stable=params_eq_one_case(c1)
         if alpha == 1.0
         else params_zero_one_case(alpha, c1),
-    )
-
-
-def cost_approx_prorata(lp: LimitParams, unit_price: float) -> CostApproximation:
-    """Rebate-policy cost limit:
-    mean n c_b c1 + c_b sqrt(n) mu, variance c_b^2 n (c2 + sigma^2)."""
-    if unit_price <= 0.0:
-        raise DomainError("unit price must be positive")
-    n = lp.horizon.scale
-    cb = unit_price
-    var = cb**2 * n * (lp.claims_var + lp.fluct_var)
-    if var <= 0.0:
-        raise DomainError("degenerate cost approximation (zero variance)")
-    return CostApproximation(
-        kind="normal",
-        location=n * cb * lp.claims_mean + cb * np.sqrt(n) * lp.fluct_mean,
-        scale=float(np.sqrt(var)),
     )
 
 

@@ -27,14 +27,11 @@ from .engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
-    claims_count_approx,
-    compute_rate_constants,
     cost_approx_normal,
-    cost_approx_prorata,
-    cost_approx_stable_finite_mean,
-    cost_approx_stable_infinite_mean,
+    cost_approx_stable,
     extremeness,
     fluctuation_moments,
+    rate_constants,
 )
 from .errors import DomainError
 from .sales import (
@@ -44,7 +41,7 @@ from .sales import (
     fit_bass,
     window_increment_moments,
 )
-from .tails import Regime, diagnose, tail_scalers
+from .tails import Regime, diagnose
 
 QUANTILE_LEVELS = (0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
 
@@ -292,7 +289,7 @@ def run_pipeline(
         horizon = TimeHorizon(config.warranty, config.period, offset, n)
         grids = claims_mod.moment_grids(joined, fitted, rebate, horizon, n=n)
         floor_total += grids.floor_count
-        c1, c2 = compute_rate_constants(grids, bass)
+        c1, c2 = rate_constants(grids.mean, grids.var, bass.share(grids.days))
         limit = assemble_fluctuation(decomposition, horizon, config.poly_degree)
         chi_mean, chi_cov = window_increment_moments(limit, horizon)
         mu_t, sig2_t = fluctuation_moments(chi_mean, chi_cov, fitted, rebate)
@@ -301,22 +298,13 @@ def run_pipeline(
         quantiles: Dict[str, Dict[float, float]] = {}
         approxes = {}
         if config.policy == "prorata":
-            approxes["prorata"] = cost_approx_prorata(lp, config.unit_price)
+            approxes["prorata"] = cost_approx_normal(lp, config.unit_price)
         else:
-            wants_normal = tail.regime in (Regime.FINITE_VARIANCE, Regime.STABLE_1_2)
-            if wants_normal:
+            if tail.regime in (Regime.FINITE_VARIANCE, Regime.STABLE_1_2):
                 approxes["normal"] = cost_approx_normal(lp, tail.mean, tail.variance)
-            if tail.regime is Regime.STABLE_1_2:
-                sc = tail_scalers(tail.alpha_hat, n, tail.regime)
-                approxes["stable"] = cost_approx_stable_finite_mean(
-                    lp, tail.mean, tail.alpha_hat, sc.b_n
-                )
-            elif tail.regime in (Regime.STABLE_0_1, Regime.STABLE_EQ_1):
+            if tail.regime is not Regime.FINITE_VARIANCE:
                 alpha = 1.0 if tail.regime is Regime.STABLE_EQ_1 else tail.alpha_hat
-                sc = tail_scalers(alpha, n, tail.regime)
-                approxes["stable"] = cost_approx_stable_infinite_mean(
-                    lp, alpha, sc.b_n, sc.e_n
-                )
+                approxes["stable"] = cost_approx_stable(lp, alpha, tail.mean)
         for kind, approx in approxes.items():
             column = approx_quantile(approx, np.array(QUANTILE_LEVELS))
             quantiles[kind] = dict(zip(QUANTILE_LEVELS, column.tolist()))
@@ -324,7 +312,7 @@ def run_pipeline(
         sanity: Dict[str, float] = {}
         actual_count, actual_cost = realized_window_totals(sales, joined, horizon)
         if actual_count > 0:
-            count_cdf = approx_cdf(claims_count_approx(lp), actual_count)
+            count_cdf = approx_cdf(cost_approx_normal(lp), actual_count)
             sanity["actual_count"] = float(actual_count)
             sanity["count_cdf"] = count_cdf
             sanity["count_extremeness"] = extremeness(count_cdf)
@@ -420,7 +408,6 @@ def synthesize_dataset(
     out_claims,
     n: int = 2000,
     warranty: int = 200,
-    period: int = 30,
     span: int = 240,
     bass_p: float = 2e-3,
     bass_q: float = 2.5e-2,

@@ -29,17 +29,14 @@ from .engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
-    claims_count_approx,
     cost_approx_normal,
-    cost_approx_prorata,
-    cost_approx_stable_finite_mean,
-    cost_approx_stable_infinite_mean,
+    cost_approx_stable,
     fluctuation_moments,
     rate_constants,
 )
 from .errors import DomainError
 from .sales import GaussianLimit, window_increment_moments
-from .tails import Regime, tail_scalers
+from .tails import tail_scalers
 
 logger = logging.getLogger(__name__)
 
@@ -357,11 +354,13 @@ class MonteCarloStudy:
 
     * ``"count"``      - claim count against its normal limit
     * ``"normal"``     - cost against the finite-variance normal limit
+      (sizes must be lognormal, whose variance is known in closed form)
     * ``"stable_1_2"`` - cost against the 1 < alpha < 2 stable limit
     * ``"stable_0_1"`` - cost against the alpha <= 1 stable limit
-      (sizes must be Pareto so the normalizing sequences are exact; the
-      cost is centered at n c1 e(n), the centering consistent with the
-      limit law at intensity c1 - see ``_limit_law``)
+      (both stable theorems need Pareto sizes so the normalizing
+      sequences are exact; this one centers the cost at n c1 e(n), the
+      centering consistent with the limit law at intensity c1 - see
+      ``_limit_law``)
     * ``"prorata"``    - rebate cost against its normal limit
     """
 
@@ -375,9 +374,10 @@ class MonteCarloStudy:
     def __post_init__(self):
         if self.theorem not in _THEOREMS:
             raise DomainError(f"unknown theorem tag {self.theorem!r}")
-        if self.theorem in ("normal", "stable_1_2", "stable_0_1"):
-            if self.sizes is None:
-                raise DomainError("cost validation needs a size law")
+        if self.theorem == "normal":
+            # standardized by sqrt(n V): a fixed size (V = 0) has no normal limit
+            if not isinstance(self.sizes, LognormalSizes) or self.sizes.var <= 0.0:
+                raise DomainError("normal validation needs lognormal sizes with V > 0")
         if self.theorem.startswith("stable"):
             if not isinstance(self.sizes, ParetoSizes):
                 raise DomainError("stable validation needs Pareto sizes")
@@ -436,23 +436,22 @@ def _limit_law(
     n = study.horizon.scale
     c1 = lp.claims_mean
     if study.theorem == "count":
-        return n * c1, np.sqrt(n), claims_count_approx(lp)
+        return n * c1, np.sqrt(n), cost_approx_normal(lp)
     if study.theorem == "prorata":
         cb = study.rebate.unit_price
-        return n * cb * c1, cb * np.sqrt(n), cost_approx_prorata(lp, cb)
+        return n * cb * c1, cb * np.sqrt(n), cost_approx_normal(lp, cb)
     sizes = study.sizes
     if study.theorem == "normal":
         e, v = sizes.mean, sizes.var
         return n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
-    alpha = sizes.alpha
+    alpha, xm = sizes.alpha, sizes.xm
+    sc = tail_scalers(alpha, n)
+    b_n = sc.b_n * xm
     if study.theorem == "stable_1_2":
-        b_n = tail_scalers(alpha, n, Regime.STABLE_1_2).b_n * sizes.xm
         e = sizes.mean
-        return n * c1 * e, b_n, cost_approx_stable_finite_mean(lp, e, alpha, b_n)
-    regime = Regime.STABLE_EQ_1 if alpha == 1.0 else Regime.STABLE_0_1
-    sc = tail_scalers(alpha, n, regime)
-    b_n, e_n = sc.b_n * sizes.xm, sc.e_n * sizes.xm
-    approx = cost_approx_stable_infinite_mean(lp, alpha, b_n, e_n)
+        return n * c1 * e, b_n, cost_approx_stable(lp, alpha, e, xm)
+    e_n = sc.e_n * xm
+    approx = cost_approx_stable(lp, alpha, size_scale=xm)
     # centering n c1 e(n): the unique choice under which the standardized
     # cost converges to the stable law at intensity c1.  The engine keeps
     # the published n c1^(1/alpha) e(n), which mis-centers by

@@ -136,26 +136,23 @@ class Scalers:
     e_n: Optional[float] = None
 
 
-def tail_scalers(alpha_hat: float, n: int, regime: Regime) -> Scalers:
+def tail_scalers(alpha_hat: float, n: int) -> Scalers:
     """Pareto plug-in estimates of the stable normalizing sequences.
 
-    For 1 < alpha < 2 only b(n) = n^(1/alpha) is needed.  For alpha <= 1
+    For 1 < alpha < 2 only b(n) = n^(1/alpha) is needed.  For alpha < 1
     the Pareto plug-ins give b(n) = n^(1/alpha) with
     e(n) = alpha/(1-alpha) (n^((1-alpha)/alpha) - 1), degenerating to
     b(n) = n, e(n) = log n at alpha = 1.
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if regime is Regime.FINITE_VARIANCE:
-        raise DomainError("the finite-variance limit has no stable scalers")
-    if regime is Regime.STABLE_EQ_1:
+    if not (0.0 < alpha_hat < 2.0):
+        raise DomainError("stable scalers need 0 < alpha < 2")
+    if alpha_hat == 1.0:
         return Scalers(b_n=float(n), e_n=float(np.log(n)))
-    if regime is Regime.STABLE_1_2:
-        return Scalers(b_n=float(n ** (1.0 / alpha_hat)))
-    # 0 < alpha < 1
-    if not (0.0 < alpha_hat < 1.0):
-        raise DomainError("this regime needs 0 < alpha < 1")
     b = float(n ** (1.0 / alpha_hat))
+    if alpha_hat > 1.0:
+        return Scalers(b_n=b)
     e = alpha_hat / (1.0 - alpha_hat) * (n ** ((1.0 - alpha_hat) / alpha_hat) - 1.0)
     return Scalers(b_n=b, e_n=float(e))
 

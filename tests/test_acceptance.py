@@ -22,11 +22,10 @@ from claimcast.engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
-    claims_count_approx,
-    compute_rate_constants,
     cost_approx_normal,
-    cost_approx_stable_finite_mean,
+    cost_approx_stable,
     extremeness,
+    rate_constants,
 )
 from claimcast.sales import BassParams, fit_bass
 from claimcast.sim import (
@@ -129,12 +128,9 @@ def test_criterion_01_normal_quantile_regression():
 
 def test_criterion_02_stable_quantile_regression():
     t0 = time.perf_counter()
-    b_n = N ** (1.0 / ALPHA_HAT)
     worst = 0.0
     for offset, column in STABLE_COLUMN.items():
-        approx = cost_approx_stable_finite_mean(
-            LIMITS[offset], E_SIZE, ALPHA_HAT, b_n
-        )
+        approx = cost_approx_stable(LIMITS[offset], ALPHA_HAT, E_SIZE)
         for p, want in column.items():
             got = approx_quantile(approx, p)
             worst = max(worst, abs(got - want) / want)
@@ -163,10 +159,9 @@ def test_criterion_04_sanity_check_arithmetic():
     table5.append(("normal cdf [0,T]", approx_cdf(a_norm0, 148_180.60), 0.9981))
     a_norm1 = cost_approx_normal(LIMITS[T], E_SIZE, V_SIZE)
     table5.append(("normal cdf [T,2T]", approx_cdf(a_norm1, 98_992.90), 0.5649))
-    b_n = N ** (1.0 / ALPHA_HAT)
-    a_st0 = cost_approx_stable_finite_mean(LIMITS[0], E_SIZE, ALPHA_HAT, b_n)
+    a_st0 = cost_approx_stable(LIMITS[0], ALPHA_HAT, E_SIZE)
     table5.append(("stable cdf [0,T]", approx_cdf(a_st0, 148_180.60), 0.9998))
-    a_st1 = cost_approx_stable_finite_mean(LIMITS[T], E_SIZE, ALPHA_HAT, b_n)
+    a_st1 = cost_approx_stable(LIMITS[T], ALPHA_HAT, E_SIZE)
     table5.append(("stable cdf [T,2T]", approx_cdf(a_st1, 98_992.90), 0.9983))
     for name, got, want in table5:
         checks.append((name, got, want, 2e-3))
@@ -388,7 +383,8 @@ def test_criterion_10_trapezoid_exactness_on_constants():
         mean = np.full(W + T + 1, kappa)
         var = np.full(W + T + 1, 0.5 * kappa)
 
-    c1, c2 = compute_rate_constants(FlatGrids(), curve)
+    grids = FlatGrids()
+    c1, c2 = rate_constants(grids.mean, grids.var, curve.share(grids.days))
     span = curve.share(T) - curve.share(-W)
     err = max(abs(c1 - kappa * span), abs(c2 - 0.5 * kappa * span))
     ok = err <= 1e-12

@@ -21,8 +21,6 @@ def dataset_dir(tmp_path_factory):
             "1200",
             "--warranty",
             "200",
-            "--period",
-            "30",
             "--span",
             "240",
             "--seed",
@@ -269,6 +267,13 @@ class TestDefaults:
         for name in ("sales.csv", "claims.csv"):
             cli_bytes = (tmp_path / "cli" / name).read_bytes()
             assert cli_bytes == (tmp_path / "lib" / name).read_bytes()
+
+    def test_simulate_has_no_forecast_period(self, tmp_path):
+        # the dataset spans sale and claim days only; T belongs to RunConfig
+        with pytest.raises(SystemExit):
+            main(["simulate", "--out-dir", str(tmp_path), "--period", "5"])
+        with pytest.raises(TypeError):
+            synthesize_dataset(tmp_path / "s.csv", tmp_path / "c.csv", period=30)
 
 
 class TestExplicitN:

@@ -9,19 +9,20 @@ from claimcast.engine import (
     LimitParams,
     approx_cdf,
     approx_quantile,
-    claims_count_approx,
-    compute_rate_constants,
     cost_approx_normal,
-    cost_approx_prorata,
-    cost_approx_stable_finite_mean,
-    cost_approx_stable_infinite_mean,
+    cost_approx_stable,
     extremeness,
     fluctuation_moments,
+    rate_constants,
 )
 from claimcast.errors import DomainError
 from claimcast.sales import BassParams
-from claimcast.stable import params_zero_one_case
-from claimcast.tails import Regime, tail_scalers
+from claimcast.stable import (
+    params_eq_one_case,
+    params_mean_case,
+    params_zero_one_case,
+)
+from claimcast.tails import tail_scalers
 
 W, T, N = 1096, 91, 34807
 
@@ -56,7 +57,7 @@ class TestComputeRateConstants:
         horizon = TimeHorizon(W, T, offset, N)
         grids = moment_grids(NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W),
                              horizon, n=1)
-        c1, _ = compute_rate_constants(grids, CAR_BASS)
+        c1, _ = rate_constants(grids.mean, grids.var, CAR_BASS.share(grids.days))
         assert c1 == pytest.approx(want, abs=2e-4)
 
     def test_constant_grid_is_exact(self):
@@ -71,7 +72,8 @@ class TestComputeRateConstants:
             var = np.full(241, 2.0 * kappa)
 
         bass = BassParams(p=1e-3, q=2e-2, n=50, origin=-201)
-        c1, c2 = compute_rate_constants(FlatGrids(), bass)
+        grids = FlatGrids()
+        c1, c2 = rate_constants(grids.mean, grids.var, bass.share(grids.days))
         span = bass.share(40) - bass.share(-200)
         assert c1 == pytest.approx(kappa * span, rel=1e-12)
         assert c2 == pytest.approx(2.0 * kappa * span, rel=1e-12)
@@ -130,21 +132,21 @@ class TestClaimsCountApprox:
         # the paper reports 0.5381 and 0.0029; with its parameters rounded
         # to 4 decimals the first is reproducible only to ~3e-3
         # (d(CDF)/d(c1) ~ n * pdf/sd ~ 58 at the observed count)
-        approx = claims_count_approx(car_limit_params(0))
+        approx = cost_approx_normal(car_limit_params(0))
         assert approx_cdf(approx, 2352) == pytest.approx(0.5381, abs=3.5e-3)
-        approx2 = claims_count_approx(car_limit_params(T))
+        approx2 = cost_approx_normal(car_limit_params(T))
         assert approx_cdf(approx2, 1516) == pytest.approx(0.0029, abs=3e-4)
 
     def test_moments(self):
         lp = car_limit_params(0)
-        approx = claims_count_approx(lp)
+        approx = cost_approx_normal(lp)
         assert approx.location == pytest.approx(N * 0.0614 + np.sqrt(N) * 1.0210)
         assert approx.scale == pytest.approx(np.sqrt(N * (0.0887 + 1.5568)))
 
     def test_degenerate_variance_rejected(self):
         lp = LimitParams(0.1, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, N))
         with pytest.raises(DomainError):
-            claims_count_approx(lp)
+            cost_approx_normal(lp)
 
 
 class TestCostApproxNormal:
@@ -160,15 +162,18 @@ class TestCostApproxNormal:
         assert approx.scale == pytest.approx(np.sqrt(100 * 4.0 * 0.3))
 
     def test_nonpositive_size_variance_rejected(self):
+        # V = 0 is a fixed claim size (the count, the pro-rata cost); only
+        # a negative variance is outside the domain
         with pytest.raises(DomainError):
-            cost_approx_normal(car_limit_params(0), E_SIZE, 0.0)
+            cost_approx_normal(car_limit_params(0), E_SIZE, -1.0)
 
 
 class TestCostApproxStableFiniteMean:
     def test_identity_scaling(self):
         lp = LimitParams(1.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 7))
-        approx = cost_approx_stable_finite_mean(lp, 0.0, 1.52, 1.0)
-        from claimcast.stable import params_mean_case, stable_quantile
+        # size_scale 7^(-1/alpha) turns the plug-in b(7) = 7^(1/alpha) into 1
+        approx = cost_approx_stable(lp, 1.52, 0.0, size_scale=7 ** (-1 / 1.52))
+        from claimcast.stable import stable_quantile
 
         for p in (0.3, 0.5, 0.9):
             assert approx_quantile(approx, p) == pytest.approx(
@@ -177,8 +182,9 @@ class TestCostApproxStableFiniteMean:
 
     def test_rescaling_b_n_scales_centered_quantiles(self):
         lp = car_limit_params(0)
-        base = cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, 1000.0)
-        scaled = cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, 3000.0)
+        plug_in = N ** (1 / 1.52)
+        base = cost_approx_stable(lp, 1.52, E_SIZE, size_scale=1000.0 / plug_in)
+        scaled = cost_approx_stable(lp, 1.52, E_SIZE, size_scale=3000.0 / plug_in)
         center = lp.horizon.scale * lp.claims_mean * E_SIZE
         for p in (0.25, 0.5, 0.95):
             assert scaled.location == base.location
@@ -189,7 +195,7 @@ class TestCostApproxStableFiniteMean:
     def test_alpha_domain(self):
         lp = car_limit_params(0)
         with pytest.raises(DomainError):
-            cost_approx_stable_finite_mean(lp, E_SIZE, 2.2, 100.0)
+            cost_approx_stable(lp, 2.2, E_SIZE)
 
 
 class TestCostApproxStableInfiniteMean:
@@ -197,9 +203,9 @@ class TestCostApproxStableInfiniteMean:
         # the limit of (S - n c1 log n) / n is the intensity-c1 law itself
         n, c1 = 400, 2.5
         lp = LimitParams(c1, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, n))
-        sc = tail_scalers(1.0, n, Regime.STABLE_EQ_1)
-        approx = cost_approx_stable_infinite_mean(lp, 1.0, sc.b_n, sc.e_n)
-        from claimcast.stable import params_eq_one_case, stable_quantile
+        sc = tail_scalers(1.0, n)
+        approx = cost_approx_stable(lp, 1.0)
+        from claimcast.stable import stable_quantile
 
         assert approx.stable == params_eq_one_case(c1)
         assert approx.location == pytest.approx(n * c1 * np.log(n), rel=1e-15)
@@ -210,27 +216,58 @@ class TestCostApproxStableInfiniteMean:
 
     def test_half_alpha_quantiles_match_raw_stable(self):
         lp = LimitParams(1.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 1))
-        approx = cost_approx_stable_infinite_mean(lp, 0.5, 1.0, 1.0)
+        approx = cost_approx_stable(lp, 0.5)
         from claimcast.stable import stable_quantile
 
         want_params = params_zero_one_case(0.5, 1.0)
-        assert approx.location == pytest.approx(1.0)  # n c1^2 e_n = 1
+        assert approx.location == 0.0  # e(1) = 0
+        assert approx.scale == 1.0  # b(1) = 1
         for p in (0.2, 0.5, 0.8):
             assert approx_quantile(approx, p) == pytest.approx(
-                1.0 + stable_quantile(want_params, p), abs=1e-9
+                stable_quantile(want_params, p), abs=1e-9
             )
 
     def test_location_arithmetic(self):
         lp = LimitParams(4.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 100))
-        approx = cost_approx_stable_infinite_mean(lp, 0.5, 1.0, 99.0)
+        approx = cost_approx_stable(lp, 0.5)  # e(100) = 99 at alpha = 1/2
         assert approx.location == pytest.approx(100 * 16.0 * 99.0)
+
+
+class TestCostApproxStable:
+    @pytest.mark.parametrize(
+        "alpha,want",
+        [
+            (1.52, lambda c1: params_mean_case(1.52)),
+            (1.0, params_eq_one_case),
+            (0.5, lambda c1: params_zero_one_case(0.5, c1)),
+        ],
+        ids=["mean_case", "eq_one_case", "zero_one_case"],
+    )
+    def test_tail_index_picks_the_parameter_map(self, alpha, want):
+        lp = car_limit_params(0)
+        approx = cost_approx_stable(lp, alpha, E_SIZE)
+        assert approx.stable == want(lp.claims_mean)
+        assert approx.scale > 0.0
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -0.5])
+    def test_alpha_outside_open_interval_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            cost_approx_stable(car_limit_params(0), alpha, E_SIZE)
+
+    def test_finite_mean_case_needs_mean_size(self):
+        with pytest.raises(DomainError):
+            cost_approx_stable(car_limit_params(0), 1.52)
+
+    def test_nonpositive_size_scale_rejected(self):
+        with pytest.raises(DomainError):
+            cost_approx_stable(car_limit_params(0), 0.7, size_scale=0.0)
 
 
 class TestCostApproxProrata:
     def test_unit_price_scales_everything(self):
         lp = car_limit_params(0)
-        a1 = cost_approx_prorata(lp, 1.0)
-        a2 = cost_approx_prorata(lp, 2.0)
+        a1 = cost_approx_normal(lp, 1.0)
+        a2 = cost_approx_normal(lp, 2.0)
         for p in (0.1, 0.5, 0.9):
             assert approx_quantile(a2, p) == pytest.approx(
                 2.0 * approx_quantile(a1, p), rel=1e-12
@@ -239,8 +276,8 @@ class TestCostApproxProrata:
     def test_unit_rebate_matches_scaled_count_approx(self):
         lp = car_limit_params(0)
         cb = 3.7
-        count = claims_count_approx(lp)
-        cost = cost_approx_prorata(lp, cb)
+        count = cost_approx_normal(lp)
+        cost = cost_approx_normal(lp, cb)
         for p in (0.25, 0.5, 0.75):
             assert approx_quantile(cost, p) == pytest.approx(
                 cb * approx_quantile(count, p), rel=1e-12
@@ -284,10 +321,9 @@ class TestEvaluate:
         assert approx_cdf(a1, 98_992.90) == pytest.approx(0.5649, abs=3.5e-3)
 
     def test_table5_stable_cdf_values(self):
-        b_n = N ** (1.0 / 1.52)
-        a0 = cost_approx_stable_finite_mean(car_limit_params(0), E_SIZE, 1.52, b_n)
+        a0 = cost_approx_stable(car_limit_params(0), 1.52, E_SIZE)
         assert approx_cdf(a0, 148_180.60) == pytest.approx(0.9998, abs=5e-4)
-        a1 = cost_approx_stable_finite_mean(car_limit_params(T), E_SIZE, 1.52, b_n)
+        a1 = cost_approx_stable(car_limit_params(T), 1.52, E_SIZE)
         assert approx_cdf(a1, 98_992.90) == pytest.approx(0.9983, abs=5e-4)
 
     def test_round_trip_both_kinds(self):
@@ -295,7 +331,7 @@ class TestEvaluate:
         levels = np.r_[0.01, np.arange(0.05, 0.96, 0.1), 0.99]
         for approx in (
             cost_approx_normal(lp, E_SIZE, V_SIZE),
-            cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, N ** (1 / 1.52)),
+            cost_approx_stable(lp, 1.52, E_SIZE),
         ):
             for p in levels:
                 q = approx_quantile(approx, float(p))
@@ -305,7 +341,7 @@ class TestEvaluate:
         lp = car_limit_params(0)
         for approx in (
             cost_approx_normal(lp, E_SIZE, V_SIZE),
-            cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, N ** (1 / 1.52)),
+            cost_approx_stable(lp, 1.52, E_SIZE),
         ):
             q = approx_quantile(approx, 0.5)
             x = q + approx.scale * np.array([[-3.0, 0.0], [0.25, 4.0], [4.0, -1e-3]])
@@ -318,8 +354,8 @@ class TestEvaluate:
     def test_quantiles_monotone(self):
         lp = car_limit_params(0)
         for approx in (
-            claims_count_approx(lp),
-            cost_approx_stable_infinite_mean(lp, 0.7, 50.0, 10.0),
+            cost_approx_normal(lp),
+            cost_approx_stable(lp, 0.7, size_scale=50.0 / N ** (1 / 0.7)),
         ):
             qs = [approx_quantile(approx, p) for p in np.linspace(0.05, 0.95, 12)]
             assert np.all(np.diff(qs) > 0.0)
@@ -329,7 +365,7 @@ class TestEvaluate:
         levels = np.array([0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99])
         for approx in (
             cost_approx_normal(lp, E_SIZE, V_SIZE),
-            cost_approx_stable_finite_mean(lp, E_SIZE, 1.52, N ** (1 / 1.52)),
+            cost_approx_stable(lp, 1.52, E_SIZE),
         ):
             got = approx_quantile(approx, levels)
             want = [approx_quantile(approx, float(p)) for p in levels]
@@ -337,7 +373,7 @@ class TestEvaluate:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_quantile_level_domain(self):
-        approx = claims_count_approx(car_limit_params(0))
+        approx = cost_approx_normal(car_limit_params(0))
         with pytest.raises(DomainError):
             approx_quantile(approx, 1.0)
         with pytest.raises(DomainError):

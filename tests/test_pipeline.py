@@ -41,7 +41,6 @@ def dataset(tmp_path_factory):
         root / "claims.csv",
         n=1500,
         warranty=200,
-        period=30,
         span=240,
         seed=11,
     )
@@ -83,11 +82,7 @@ class TestRunPipeline:
         # quantiles at the stated levels
         sales, claims = dataset
         report = run_pipeline(CONFIG, sales, claims)
-        from claimcast.engine import (
-            cost_approx_normal,
-            cost_approx_stable_finite_mean,
-        )
-        from claimcast.tails import Regime, tail_scalers
+        from claimcast.engine import cost_approx_normal, cost_approx_stable
 
         res = report.periods[0]
         if "normal" in res.quantiles:
@@ -97,9 +92,8 @@ class TestRunPipeline:
             for p, q in res.quantiles["normal"].items():
                 assert q == pytest.approx(approx_quantile(approx, p), rel=1e-12)
         if "stable" in res.quantiles:
-            sc = tail_scalers(report.tail_alpha, report.n, Regime.STABLE_1_2)
-            approx = cost_approx_stable_finite_mean(
-                res.limits, report.size_mean, report.tail_alpha, sc.b_n
+            approx = cost_approx_stable(
+                res.limits, report.tail_alpha, report.size_mean
             )
             for p, q in res.quantiles["stable"].items():
                 assert q == pytest.approx(approx_quantile(approx, p), rel=1e-9)

@@ -490,6 +490,24 @@ class TestMonteCarloValidate:
                 sizes=ParetoSizes(alpha=alpha),
             )
 
+    @pytest.mark.parametrize(
+        "sizes", [ParetoSizes(alpha=3.0), LognormalSizes(0.0, 0.0), None],
+        ids=["pareto", "fixed_size", "none"],
+    )
+    def test_normal_study_requires_lognormal_sizes(self, sizes):
+        # the cost is standardized by sqrt(n V), so the size law must state a
+        # positive variance; the study fails at construction, before any
+        # replication is simulated
+        with pytest.raises(DomainError, match="lognormal"):
+            MonteCarloStudy(
+                sales=NhppSales(LinearShare(W, W + T)),
+                claims=PoissonClaims(paper_shaped_measure(W)),
+                rebate=FREE,
+                horizon=HORIZON,
+                theorem="normal",
+                sizes=sizes,
+            )
+
     def test_stable_study_requires_pareto(self):
         with pytest.raises(DomainError):
             MonteCarloStudy(

@@ -128,24 +128,29 @@ class TestSelectRegime:
 
 class TestTailScalers:
     def test_pareto_b_for_mid_regime(self):
-        s = tail_scalers(1.52, 34807, Regime.STABLE_1_2)
+        s = tail_scalers(1.52, 34807)
         assert s.b_n == pytest.approx(34807 ** (1 / 1.52))
         assert s.e_n is None
 
     def test_alpha_one_plugins(self):
         n = int(round(np.e))
-        s = tail_scalers(1.0, n, Regime.STABLE_EQ_1)
+        s = tail_scalers(1.0, n)
         assert s.b_n == n
         assert s.e_n == pytest.approx(np.log(n))
 
     def test_low_alpha_closed_form(self):
-        s = tail_scalers(0.5, 100, Regime.STABLE_0_1)
+        s = tail_scalers(0.5, 100)
         assert s.b_n == pytest.approx(100.0**2)
         assert s.e_n == pytest.approx(99.0)
 
     def test_finite_variance_has_no_scalers(self):
         with pytest.raises(DomainError):
-            tail_scalers(2.4, 100, Regime.FINITE_VARIANCE)
+            tail_scalers(2.4, 100)
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -0.5])
+    def test_alpha_outside_open_interval_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            tail_scalers(alpha, 100)
 
 
 class TestDiagnose:
