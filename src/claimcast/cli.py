@@ -1,22 +1,21 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: ``fit-sales``, ``fit-claims``,
-``diagnose-tail``, ``estimate``, ``quantiles``, ``report`` run on CSV
-inputs; ``simulate`` writes a synthetic dataset; ``validate`` runs the
-Monte Carlo check of a distributional limit.
+Subcommands mirror the pipeline stages: ``fit-sales``, ``fit-claims`` and
+``diagnose-tail`` run single stages on CSV inputs; ``report`` runs the whole
+estimation, prints the forecast and, given ``--out-dir``, writes the report
+files and plot data; ``simulate`` writes a synthetic dataset; ``validate``
+runs the Monte Carlo check of a distributional limit.
 
-A JSON config file (``--config`` or the ``CLAIMCAST_CONFIG`` environment
-variable) overrides any command-line flags it names; flags left out take
-their defaults from :class:`RunConfig` (``simulate``: from
-:func:`synthesize_dataset`).  Exit codes: 0 on success, 2 for
-input/validation problems, 3 for numerical failures.
+A JSON config file named by ``--config`` overrides any command-line flags
+it names; flags left out take their defaults from :class:`RunConfig`
+(``simulate``: from :func:`synthesize_dataset`).  Exit codes: 0 on
+success, 2 for input/validation problems, 3 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,8 +30,6 @@ from .errors import DomainError, FitError, LoadError, NumericalError, Validation
 from .pipeline import RunConfig, run_pipeline, synthesize_dataset
 from .sales import compute_residuals, fit_bass
 from .tails import diagnose
-
-CONFIG_ENV = "CLAIMCAST_CONFIG"
 
 _CONFIG_TYPES = get_type_hints(RunConfig)
 
@@ -96,7 +93,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     """The given flags, overridden by the config file's entries; a named
     ``n_explicit`` selects the explicit n policy unless one is named."""
     merged = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES}
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+    path = getattr(args, "config", None)
     if path:
         try:
             overrides = json.loads(Path(path).read_text())
@@ -170,53 +167,28 @@ def cmd_diagnose_tail(args) -> int:
     sizes = aggregated.amount
     if args.truncate_above is not None:
         sizes = sizes[sizes < args.truncate_above]
-    k = min(config.qq_k, len(sizes))
     result = diagnose(
-        sizes, k, finite_variance_override=config.regime_override == "finite_variance"
+        sizes,
+        config.qq_k,
+        finite_variance_override=config.regime_override == "finite_variance",
     )
     print(f"claims: {len(sizes)} (aggregated per vehicle and day)")
     print(f"mean = {result.mean:.2f}  variance = {result.variance:.2f}")
     q25, q50, q75 = result.quartiles
     print(f"quartiles = {q25:.2f} / {q50:.2f} / {q75:.2f}")
-    print(f"tail index (k={k}) = {result.alpha_hat:.2f}")
+    print(f"tail index (k={result.k}) = {result.alpha_hat:.2f}")
     print(f"regime = {result.regime.value}")
     return 0
 
 
-def _run_report(args) -> pipeline.Report:
+def cmd_report(args) -> int:
     config = _build_config(args)
     sales, claims = _load_inputs(args)
-    out_dir = Path(args.out_dir) if getattr(args, "out_dir", None) else None
-    return run_pipeline(config, sales, claims, out_dir=out_dir)
-
-
-def cmd_estimate(args) -> int:
-    report = _run_report(args)
-    print(f"n = {report.n}")
-    print(f"sales curve p = {report.bass_p:.6e}, q = {report.bass_q:.6e}")
-    if report.tail_alpha is not None:
-        print(f"tail index = {report.tail_alpha:.3f} ({report.tail_regime})")
-    for res in report.periods:
-        t = res.limits.horizon.period
-        print(
-            f"period [{res.offset}, {res.offset + t}]: "
-            f"c1={res.limits.claims_mean:.4f} c2={res.limits.claims_var:.4f} "
-            f"fluct_mean={res.limits.fluct_mean:.4f} "
-            f"fluct_var={res.limits.fluct_var:.4f}"
-        )
-    return 0
-
-
-def cmd_quantiles(args) -> int:
-    report = _run_report(args)
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    report = run_pipeline(config, sales, claims, out_dir=out_dir)
     print(report.to_text(), end="")
-    return 0
-
-
-def cmd_report(args) -> int:
-    report = _run_report(args)
-    print(report.to_text(), end="")
-    print(f"\nartifacts written to {args.out_dir}", file=sys.stderr)
+    if out_dir is not None:
+        print(f"\nartifacts written to {args.out_dir}", file=sys.stderr)
     return 0
 
 
@@ -335,21 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", required=True)
     p.add_argument("--truncate-above", type=float, default=None)
 
-    p = command("estimate", "estimate all limit parameters", cmd_estimate)
+    p = command("report", "forecast report, plus plot data with --out-dir", cmd_report)
     _add_config_flags(p)
     p.add_argument("--sales", required=True)
     p.add_argument("--claims", required=True)
-
-    p = command("quantiles", "print cost quantile tables", cmd_quantiles)
-    _add_config_flags(p)
-    p.add_argument("--sales", required=True)
-    p.add_argument("--claims", required=True)
-
-    p = command("report", "full report plus plot-data files", cmd_report)
-    _add_config_flags(p)
-    p.add_argument("--sales", required=True)
-    p.add_argument("--claims", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", default=None, help="directory for report and plot files")
 
     p = command("simulate", "write a synthetic sales/claims dataset", cmd_simulate)
     p.add_argument("--out-dir", required=True)

@@ -203,9 +203,8 @@ class MeanClaimsMeasure:
         d0 = self.intercept
         dw = self.slope * self.warranty + self.intercept
         if min(d0, dw) < -1e-15:
-            lo, hi = (0, self.warranty) if d0 < 0 else (self.warranty, 0)
             raise ValidationError(
-                f"density negative near x={lo if d0 < 0 else hi} "
+                f"density negative near x={0 if d0 < 0 else 'W'} "
                 f"(values {d0:.3e} at 0, {dw:.3e} at W)"
             )
 

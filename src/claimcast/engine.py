@@ -113,21 +113,16 @@ def fluctuation_moments(
 
 @dataclass(frozen=True)
 class CostApproximation:
-    """A tagged location/scale family: normal, or an affine image of a
-    stable law."""
+    """A location/scale family: normal when ``stable`` is None, otherwise
+    an affine image of that stable law."""
 
-    kind: str
     location: float
     scale: float
     stable: Optional[StableParams] = None
 
     def __post_init__(self):
-        if self.kind not in ("normal", "stable"):
-            raise DomainError(f"unknown approximation kind {self.kind!r}")
         if self.scale <= 0.0:
             raise DomainError("scale must be positive")
-        if (self.kind == "stable") != (self.stable is not None):
-            raise DomainError("stable parameters exactly when kind is 'stable'")
 
 
 def cost_approx_normal(
@@ -148,9 +143,7 @@ def cost_approx_normal(
     var = n * (v * lp.claims_mean + e**2 * (lp.claims_var + lp.fluct_var))
     if var <= 0.0:
         raise DomainError("degenerate cost approximation (zero variance)")
-    return CostApproximation(
-        kind="normal", location=float(location), scale=float(np.sqrt(var))
-    )
+    return CostApproximation(location=float(location), scale=float(np.sqrt(var)))
 
 
 def cost_approx_stable(
@@ -187,13 +180,11 @@ def cost_approx_stable(
         if mean_size is None:
             raise DomainError("1 < alpha < 2 needs the mean claim size")
         return CostApproximation(
-            kind="stable",
             location=n * c1 * mean_size,
             scale=b_n * c1 ** (1.0 / alpha),
             stable=params_mean_case(alpha),
         )
     return CostApproximation(
-        kind="stable",
         location=n * c1 ** (1.0 / alpha) * (sc.e_n * size_scale),
         scale=b_n,
         stable=params_eq_one_case(c1)
@@ -206,7 +197,7 @@ def approx_cdf(approx: CostApproximation, x):
     """CDF of the approximating law at x; an array of points gives an array,
     from one stable CDF call."""
     points = np.asarray(x, dtype=float)
-    if approx.kind == "normal":
+    if approx.stable is None:
         cdf = ndtr((points - approx.location) / approx.scale)
     else:
         cdf = stable_cdf(approx.stable, (points - approx.location) / approx.scale)
@@ -219,7 +210,7 @@ def approx_quantile(approx: CostApproximation, p):
     levels = np.asarray(p, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("quantile level must lie in (0, 1)")
-    if approx.kind == "normal":
+    if approx.stable is None:
         q = approx.location + approx.scale * ndtri(levels)
     else:
         q = approx.location + approx.scale * stable_quantile(approx.stable, levels)

@@ -41,7 +41,7 @@ from .sales import (
     fit_bass,
     window_increment_moments,
 )
-from .tails import Regime, diagnose
+from .tails import Regime, diagnose, qq_plot_data
 
 QUANTILE_LEVELS = (0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
 
@@ -86,6 +86,8 @@ class RunConfig:
             raise DomainError(f"unsupported rebate kind {self.rebate_kind!r}")
         if any(k not in (0, 1) for k in self.periods):
             raise DomainError("periods must be drawn from {0, 1}")
+        if self.regime_override not in (None, "finite_variance"):
+            raise DomainError(f"unknown regime override {self.regime_override!r}")
 
     def items_sold(self, observed: int) -> int:
         """The scale n: the observed sales count or the explicit figure."""
@@ -312,11 +314,14 @@ def run_pipeline(
         sanity: Dict[str, float] = {}
         actual_count, actual_cost = realized_window_totals(sales, joined, horizon)
         if actual_count > 0:
-            count_cdf = approx_cdf(cost_approx_normal(lp), actual_count)
             sanity["actual_count"] = float(actual_count)
-            sanity["count_cdf"] = count_cdf
-            sanity["count_extremeness"] = extremeness(count_cdf)
             sanity["actual_cost"] = actual_cost
+            # under pro-rata the moment grids are rebate-weighted, so lp
+            # is the law of the summed rebates, not of the claim count
+            if config.policy == "free_replacement":
+                count_cdf = approx_cdf(cost_approx_normal(lp), actual_count)
+                sanity["count_cdf"] = count_cdf
+                sanity["count_extremeness"] = extremeness(count_cdf)
             for kind, approx in approxes.items():
                 cost_cdf = approx_cdf(approx, actual_cost)
                 sanity[f"cost_cdf_{kind}"] = cost_cdf
@@ -384,16 +389,14 @@ def _emit_artifacts(
         "std_resid",
         decomposition.std_resid,
     )
-    if tail is not None and len(sizes) >= 2:
+    if tail is not None:
         hist, edges = np.histogram(sizes, bins=min(200, max(10, len(sizes) // 50)),
                                    density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
         dataio.write_series(
             out_dir / "size_density.csv", "size", centers, "density", hist
         )
-        from .tails import qq_plot_data
-
-        pts = qq_plot_data(sizes, min(tail.k, len(sizes)))
+        pts = qq_plot_data(sizes, tail.k)
         dataio.write_series(
             out_dir / "size_qq.csv",
             "exp_quantile",

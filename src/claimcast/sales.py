@@ -78,16 +78,6 @@ class BassParams:
                 out = 1.0 - (1.0 + r) / (np.exp(rate * tau) + r)
         return float(out) if out.ndim == 0 else out
 
-    def density(self, t) -> np.ndarray:
-        """Daily adoption density share'(t)."""
-        tau = np.asarray(t, dtype=float) - self.origin
-        rate = self.p + self.q
-        e = np.exp(-rate * np.maximum(tau, 0.0))
-        out = np.where(
-            tau < 0.0, 0.0, (rate**2 / self.p) * e / (1.0 + (self.q / self.p) * e) ** 2
-        )
-        return float(out) if out.ndim == 0 else out
-
 
 def _binned(counts: np.ndarray, width: int) -> np.ndarray:
     m = (len(counts) // width) * width
@@ -193,11 +183,9 @@ class ResidualDecomposition:
     """
 
     days: np.ndarray
-    resid: np.ndarray
     trend: np.ndarray
     scale: np.ndarray
     std_resid: np.ndarray
-    halfwidth: int
     mean: float
     var: float
     acf: np.ndarray
@@ -251,11 +239,9 @@ def decompose_residuals(
         std = (resid - trend) / scale
     return ResidualDecomposition(
         days=days,
-        resid=resid,
         trend=trend,
         scale=scale,
         std_resid=std,
-        halfwidth=halfwidth,
         mean=float(np.mean(std)),
         var=float(np.var(std, ddof=1)),
         acf=sample_acf(std, len(std) - 1),

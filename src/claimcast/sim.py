@@ -10,6 +10,7 @@ all items as one batch of (item, age) columns, then one size per claim.
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -485,11 +486,6 @@ def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Tuple[int, f
     return realize_cost(sales, item, age, sizes, study.rebate, study.horizon)
 
 
-def _run_chunk(args):
-    study, seed, reps = args
-    return [run_replication(study, seed, r) for r in reps]
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Comparison of the simulated law against the theorem's limit.
@@ -542,16 +538,14 @@ def monte_carlo_validate(
     if reps < 100:
         raise DomainError("need at least 100 replications")
     dkw_band = float(1.36 / np.sqrt(reps))
-    rep_ids = list(range(reps))
     if workers > 1:
-        chunks = [c for c in np.array_split(rep_ids, workers * 4) if len(c)]
-        args = [(study, seed, [int(r) for r in chunk]) for chunk in chunks]
-        results: List[Tuple[int, float]] = []
+        replicate = functools.partial(run_replication, study, seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, args):
-                results.extend(part)
+            results = list(
+                pool.map(replicate, range(reps), chunksize=-(-reps // workers))
+            )
     else:
-        results = [run_replication(study, seed, r) for r in rep_ids]
+        results = [run_replication(study, seed, r) for r in range(reps)]
     counts = np.array([r[0] for r in results], dtype=float)
     costs = np.array([r[1] for r in results], dtype=float)
 

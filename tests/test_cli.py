@@ -60,17 +60,22 @@ class TestSubcommands:
         assert "regime" in out
 
     def test_estimate(self, dataset_dir, capsys):
-        rc = main(["estimate", *data_args(dataset_dir), *COMMON])
+        # report without --out-dir prints the c1 and fluctuation estimates
+        rc = main(["report", *data_args(dataset_dir), *COMMON])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "c1=" in out and "fluct_var=" in out
+        assert "c1=" in out and "fluct var=" in out
 
-    def test_quantiles(self, dataset_dir, capsys):
-        rc = main(["quantiles", *data_args(dataset_dir), *COMMON])
+    def test_quantiles(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        # report without --out-dir prints the quantiles and writes nothing
+        monkeypatch.chdir(tmp_path)
+        rc = main(["report", *data_args(dataset_dir), *COMMON])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "0.99" in out
-        assert "period [0, 30]" in out
+        captured = capsys.readouterr()
+        assert "0.99" in captured.out
+        assert "period [0, 30]" in captured.out
+        assert "artifacts" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_writes_artifacts(self, dataset_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -129,7 +134,7 @@ class TestExitCodes:
     def test_numerical_failure_is_exit_3(self, dataset_dir, capsys):
         rc = main(
             [
-                "estimate",
+                "report",
                 *data_args(dataset_dir),
                 "--warranty",
                 "200",
@@ -162,6 +167,12 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_qq_k_above_claim_count_is_validation_error(self, dataset_dir, capsys):
+        # the tail index is never taken from fewer order statistics than asked
+        claims = str(dataset_dir / "claims.csv")
+        rc = main(["diagnose-tail", "--claims", claims, "--qq-k", "100000"])
+        assert rc == 2
+        assert "need 2 <= k <= sample size" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -186,16 +197,23 @@ class TestConfigFile:
     def test_wrongly_typed_entry_rejected(self, dataset_dir, tmp_path, capsys, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
-        rc = main(["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
         assert rc == 2
         assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    def test_unknown_regime_override_rejected(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"regime_override": "stable_0_1"}))
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 2
+        assert "unknown regime override 'stable_0_1'" in capsys.readouterr().err
 
     def test_ints_for_floats_and_nulls_for_optionals_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         entries = {"unit_price": 2, "n_explicit": None, "regime_override": None,
                    "periods": [0], "stationary": True}
         cfg.write_text(json.dumps(entries))
-        argv = ["estimate", "--sales", "s.csv", "--claims", "c.csv", "--config", str(cfg)]
+        argv = ["report", "--sales", "s.csv", "--claims", "c.csv", "--config", str(cfg)]
         assert _build_config(build_parser().parse_args(argv)) == RunConfig(
             unit_price=2.0, periods=(0,), stationary=True
         )
@@ -205,7 +223,7 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"period": 25}))
         rc = main(
             [
-                "quantiles",
+                "report",
                 *data_args(dataset_dir),
                 "--config",
                 str(cfg),
@@ -225,20 +243,10 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "period [0, 25]" in out  # config file wins over --period 30
 
-    def test_env_var_supplies_default_config(self, dataset_dir, monkeypatch, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"period": 20, "periods": [0]}))
-        monkeypatch.setenv("CLAIMCAST_CONFIG", str(cfg))
-        rc = main(["quantiles", *data_args(dataset_dir), *COMMON])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "period [0, 20]" in out
-        assert "period [20, 40]" not in out
-
     def test_unknown_config_keys_rejected(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"perriod": 25}))
-        rc = main(["quantiles", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
         assert rc == 2
 
 
@@ -251,14 +259,11 @@ class TestDefaults:
             ["fit-sales", "--sales", "s.csv"],
             ["fit-claims", "--sales", "s.csv", "--claims", "c.csv"],
             ["diagnose-tail", "--claims", "c.csv"],
-            ["estimate", "--sales", "s.csv", "--claims", "c.csv"],
-            ["quantiles", "--sales", "s.csv", "--claims", "c.csv"],
-            ["report", "--sales", "s.csv", "--claims", "c.csv", "--out-dir", "out"],
+            ["report", "--sales", "s.csv", "--claims", "c.csv"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_required_flags_only_build_the_default_config(self, argv, monkeypatch):
-        monkeypatch.delenv("CLAIMCAST_CONFIG", raising=False)
+    def test_required_flags_only_build_the_default_config(self, argv):
         assert _build_config(build_parser().parse_args(argv)) == RunConfig()
 
     def test_simulate_writes_the_default_dataset(self, tmp_path):
@@ -282,9 +287,9 @@ class TestExplicitN:
     ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_explicit": 40000}))
-        rc = main(["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
         assert rc == 0
-        assert "n = 40000\n" in capsys.readouterr().out
+        assert "items sold (n): 40000;" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "config, flags",
@@ -300,7 +305,7 @@ class TestExplicitN:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         rc = main(
-            ["estimate", *data_args(dataset_dir), "--config", str(cfg), *COMMON, *flags]
+            ["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON, *flags]
         )
         assert rc == 2
         assert "n_explicit needs the explicit n policy" in capsys.readouterr().err

@@ -189,7 +189,8 @@ def car_mean_measure():
 
 class TestMeanClaimsMeasure:
     def test_negative_density_rejected(self):
-        with pytest.raises(ValidationError):
+        # positive at 0, negative at W: the message names the W end
+        with pytest.raises(ValidationError, match="near x=W "):
             MeanClaimsMeasure(slope=-1e-3, intercept=1e-4, warranty=W)
 
     def test_bin_masses_sum_to_total(self):

@@ -57,6 +57,8 @@ class TestRunConfig:
             RunConfig(policy="warranty-of-the-month")
         with pytest.raises(DomainError):
             RunConfig(periods=(0, 3))
+        with pytest.raises(DomainError):
+            RunConfig(regime_override="stable_0_1")
 
     def test_digest_stable_and_sensitive(self):
         assert RunConfig().digest() == RunConfig().digest()
@@ -155,6 +157,28 @@ class TestRunPipeline:
         res = report.periods[0]
         assert set(res.quantiles) == {"prorata"}
         assert report.tail_alpha is None
+
+    def test_prorata_sanity_omits_the_count_law(self, dataset):
+        # the r-weighted moments give the law of the summed rebates, which
+        # says nothing about the claim count
+        sales, claims = dataset
+        config = RunConfig(
+            warranty=200,
+            period=30,
+            periods=(0,),
+            policy="prorata",
+            unit_price=250.0,
+            qq_k=400,
+            ma_window=10,
+            poly_degree=2,
+        )
+        sanity = run_pipeline(config, sales, claims).periods[0].sanity
+        assert set(sanity) == {
+            "actual_count",
+            "actual_cost",
+            "cost_cdf_prorata",
+            "cost_extremeness_prorata",
+        }
 
     def test_regime_override_forces_normal_only(self, dataset):
         sales, claims = dataset

@@ -49,12 +49,6 @@ class TestBassCurve:
         lo, hi = min(t1, t2), max(t1, t2)
         assert 0.0 <= b.share(lo) <= b.share(hi) <= 1.0
 
-    def test_density_matches_share_increments(self):
-        b = car_bass()
-        days = np.arange(-1000, 100)
-        inc = b.share(days + 0.5) - b.share(days - 0.5)
-        assert np.allclose(b.density(days), inc, rtol=5e-4)
-
 
 class TestFitBass:
     def test_recovers_noiseless_curve(self):
@@ -149,11 +143,9 @@ def make_decomposition(days, std, trend=None, scale=None, acf=None, var=None):
         acf_arr[0] = 1.0
     return ResidualDecomposition(
         days=np.asarray(days),
-        resid=std * scale + trend,
         trend=trend,
         scale=scale,
         std_resid=std,
-        halfwidth=1,
         mean=float(np.mean(std)),
         var=float(np.var(std, ddof=1)) if var is None else var,
         acf=acf_arr,
@@ -169,11 +161,9 @@ class TestAssembleFluctuation:
         dec = make_decomposition(days, np.zeros(60), var=1.0)
         dec = ResidualDecomposition(
             days=days,
-            resid=np.zeros(60),
             trend=np.zeros(60),
             scale=np.ones(60),
             std_resid=np.zeros(60),
-            halfwidth=1,
             mean=0.0,
             var=1.0,
             acf=np.r_[1.0, np.zeros(59)],
@@ -205,11 +195,9 @@ class TestAssembleFluctuation:
         trend = 0.01 * np.ones(60)
         dec = ResidualDecomposition(
             days=days,
-            resid=trend.copy(),
             trend=trend,
             scale=np.ones(60),
             std_resid=np.zeros(60),
-            halfwidth=1,
             mean=0.0,
             var=1.0,
             acf=np.r_[1.0, np.zeros(59)],

@@ -562,7 +562,6 @@ class TestMonteCarloValidate:
             stable = params_eq_one_case(c1)
         got = reference_approximation(study, lp)
         close = dict(rel=1e-12, abs=1e-12)
-        assert got.kind == ("normal" if stable is None else "stable")
         assert got.location == pytest.approx(location, **close)
         assert got.scale == pytest.approx(scale, **close)
         if stable is None:
@@ -575,9 +574,7 @@ class TestMonteCarloValidate:
 
 class TestKsAgainst:
     def test_stable_law_exact_supremum(self):
-        approx = CostApproximation(
-            kind="stable", location=1.0, scale=2.0, stable=params_mean_case(1.5)
-        )
+        approx = CostApproximation(location=1.0, scale=2.0, stable=params_mean_case(1.5))
         sample = 1.0 + 2.0 * make_rng(8).standard_t(2.0, size=50)
         got = _ks_against(approx, sample)
         # brute force: the limit CDF against the empirical CDF just below
