@@ -47,13 +47,12 @@ from .errors import (
 from .pipeline import Report, RunConfig, run_pipeline, synthesize_dataset
 from .sales import (
     BassParams,
-    GaussianLimit,
+    FluctuationIncrements,
     ResidualDecomposition,
     assemble_fluctuation,
     compute_residuals,
     decompose_residuals,
     fit_bass,
-    window_increment_moments,
 )
 from .stable import (
     StableParams,

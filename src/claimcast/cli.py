@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,11 @@ from .pipeline import RunConfig, run_pipeline, synthesize_dataset
 from .sales import compute_residuals, fit_bass
 from .tails import diagnose
 
-_CONFIG_TYPES = get_type_hints(RunConfig)
+_CONFIG_TYPES = {  # the fields, without the tuples of allowed values
+    name: hint
+    for name, hint in get_type_hints(RunConfig).items()
+    if get_origin(hint) is not ClassVar
+}
 
 
 def _json_fits(value, hint) -> bool:
@@ -65,12 +69,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         type=_periods,
         help="comma-separated window indices (0 -> [0,T], 1 -> [T,2T])",
     )
-    parser.add_argument("--n-policy", choices=("observed_total", "explicit"))
+    parser.add_argument("--n-policy", choices=RunConfig.N_POLICIES)
     parser.add_argument(
         "--n", dest="n_explicit", type=int, help="items sold; selects the explicit policy"
     )
-    parser.add_argument("--policy", choices=("free_replacement", "prorata"))
-    parser.add_argument("--rebate-kind", choices=("linear", "quadratic"))
+    parser.add_argument("--policy", choices=RunConfig.POLICIES)
+    parser.add_argument("--rebate-kind", choices=RunConfig.REBATE_KINDS)
     parser.add_argument("--unit-price", type=float)
     parser.add_argument("--qq-k", type=int)
     parser.add_argument("--ma-window", type=int)
@@ -83,7 +87,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--regime",
         dest="regime_override",
-        choices=("finite_variance",),
+        choices=RunConfig.REGIME_OVERRIDES,
         help="force the finite-variance limit regardless of the tail index",
     )
     parser.add_argument("--seed", type=int)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -28,6 +28,9 @@ from .stable import (
     stable_quantile,
 )
 from .tails import tail_scalers
+
+if TYPE_CHECKING:
+    from .sales import FluctuationIncrements
 
 logger = logging.getLogger(__name__)
 
@@ -80,29 +83,50 @@ def rate_constants(
 
 
 def fluctuation_moments(
-    chi_mean: np.ndarray,
-    chi_cov: np.ndarray,
+    increments: FluctuationIncrements,
     mean_measure: MeanClaimsMeasure,
     rebate: RebateFunction,
+    horizon: TimeHorizon,
 ) -> Tuple[float, float]:
     """Mean and variance of the fluctuation integral against r(u) m(du).
 
-    The density part integrates by the trapezoid rule on the daily grid and
-    the atoms enter as exact point masses weighted by r(0), r(W).  A
-    variance below -1e-8 indicates a broken covariance grid and raises;
-    small negatives from rounding are floored at zero.
+    Age u sees the daily increments on days (offset - u, T + offset - u].
+    The density part of r(u) m(du) integrates by the trapezoid rule on
+    ages 0..W and the atoms enter as exact point masses weighted by r(0),
+    r(W).  Summed over the windows that hold day k, these age weights give
+    the day's exposure a_k, so the mean is a . E[increment] and the
+    variance the quadratic form of a in the increment covariance:
+    acf[0] c[0] + 2 sum_{l>=1} acf[l] c[l] with c the autocorrelation of
+    y = a * scale.  No day-by-day grid is built.  A
+    variance below -1e-8 indicates an increment covariance that is not
+    positive semidefinite and raises; small negatives from rounding are
+    floored at zero.
     """
-    w = mean_measure.warranty
-    if chi_mean.shape != (w + 1,) or chi_cov.shape != (w + 1, w + 1):
-        raise DomainError("moment grids must cover ages 0..W")
+    w, t = horizon.warranty, horizon.period
+    if mean_measure.warranty != w:
+        raise DomainError("mean measure and horizon differ in warranty length")
     u = np.arange(w + 1, dtype=float)
     trap = np.ones(w + 1)
     trap[0] = trap[-1] = 0.5
     weights = trap * np.asarray(rebate(u)) * mean_measure.density(u)
     weights[0] += mean_measure.atom0 * float(rebate(0.0))
     weights[w] += mean_measure.atomW * float(rebate(float(w)))
-    mu = float(weights @ chi_mean)
-    var = float(weights @ chi_cov @ weights)
+
+    days = len(increments.mean)
+    if days != w + t + horizon.offset:
+        raise DomainError("daily increments do not cover the forecast window")
+    # age u's window starts at entry offset + W - u (day offset - u + 1)
+    first = horizon.offset + w - np.arange(w + 1)
+    steps = np.zeros(days + 1)
+    steps[first] += weights
+    steps[first + t] -= weights
+    exposure = np.cumsum(steps[:-1])
+
+    mu = float(exposure @ increments.mean)
+    y = exposure * increments.scale
+    c = np.correlate(y, y, "full")[days - 1 :]
+    acf = increments.acf
+    var = float(acf[0] * c[0] + 2.0 * (acf[1:] @ c[1:]))
     if var < -1e-8:
         raise NumericalError(f"fluctuation variance {var:.3e} violates PSD")
     if var < 0.0:
@@ -157,18 +181,20 @@ def cost_approx_stable(
     b(n) and e(n) are the Pareto plug-ins of :func:`tail_scalers` times
     ``size_scale`` (the Pareto xm).  For 1 < alpha < 2 the cost is
     n c1 E plus b(n) c1^(1/alpha) times the standard skewed stable law;
-    for alpha <= 1 it is n c1^(1/alpha) e(n) plus b(n) times the stable law
-    at intensity c1.
+    for alpha <= 1 it is n c1 e(n) plus b(n) times the stable law at
+    intensity c1.
 
-    At alpha = 1 the location is n c1 log n and the intensity-c1 law needs
-    no further shift: its Levy measure c1 x^-2 dx is compensated on
-    (0, 1], which is exactly the limit of (S - n c1 log n) / n.  For alpha
-    strictly below 1 the location deliberately keeps the published form;
-    the simulator's validation shows that pairing it with the
-    intensity-c1 stable law mis-centers by
-    (c1^(1/alpha) - c1) alpha/(1 - alpha) in standardized units, so its
-    Monte Carlo check centers at n c1 e(n) instead (the two agree at
-    alpha = 1).
+    For alpha strictly below 1 this departs from the published location
+    n c1^(1/alpha) e(n).  The window cost is a compound sum with claim
+    intensity n c1, so its truncated mean, and the centering under which
+    (S - center) / b(n) tends to the intensity-c1 stable law, is
+    n c1 e(n) (Samorodnitsky and Taqqu, Stable Non-Gaussian Random
+    Processes, 1994).  The published form mis-centers by
+    (c1^(1/alpha) - c1) alpha/(1 - alpha) in units of b(n); the two agree
+    at alpha = 1, where the location is n c1 log n and the intensity-c1
+    law needs no further shift: its Levy measure c1 x^-2 dx is
+    compensated on (0, 1], which is exactly the limit of
+    (S - n c1 log n) / n.
     """
     if size_scale <= 0.0:
         raise DomainError("size scale must be positive")
@@ -185,7 +211,7 @@ def cost_approx_stable(
             stable=params_mean_case(alpha),
         )
     return CostApproximation(
-        location=n * c1 ** (1.0 / alpha) * (sc.e_n * size_scale),
+        location=n * c1 * (sc.e_n * size_scale),
         scale=b_n,
         stable=params_eq_one_case(c1)
         if alpha == 1.0

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .sales import (
     compute_residuals,
     decompose_residuals,
     fit_bass,
-    window_increment_moments,
 )
 from .tails import Regime, diagnose, qq_plot_data
 
@@ -50,14 +49,23 @@ __all__ = ["RunConfig", "Report", "run_pipeline", "synthesize_dataset"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline knobs; defaults follow the car-study setup."""
+    """Pipeline knobs; defaults follow the car-study setup.
+
+    The class-level tuples list the values each choice field accepts
+    (``regime_override`` also accepts None); the CLI offers the same.
+    """
+
+    N_POLICIES: ClassVar[Tuple[str, ...]] = ("observed_total", "explicit")
+    POLICIES: ClassVar[Tuple[str, ...]] = ("free_replacement", "prorata")
+    REBATE_KINDS: ClassVar[Tuple[str, ...]] = ("linear", "quadratic")
+    REGIME_OVERRIDES: ClassVar[Tuple[str, ...]] = ("finite_variance",)
 
     warranty: int = 1096
     period: int = 91
     periods: Tuple[int, ...] = (0, 1)  # window k covers [kT, (k+1)T]
     n_policy: str = "observed_total"
     n_explicit: Optional[int] = None
-    policy: str = "free_replacement"  # or "prorata"
+    policy: str = "free_replacement"
     rebate_kind: str = "linear"  # pro-rata schedule shape
     unit_price: float = 1.0
     qq_k: int = 5000
@@ -70,23 +78,19 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_policy not in ("observed_total", "explicit"):
+        if self.n_policy not in self.N_POLICIES:
             raise DomainError(f"unknown n policy {self.n_policy!r}")
         if self.n_policy == "explicit" and not self.n_explicit:
             raise DomainError("explicit n policy needs n_explicit")
         if self.n_policy == "observed_total" and self.n_explicit is not None:
             raise DomainError("n_explicit needs the explicit n policy")
-        if self.policy not in ("free_replacement", "prorata"):
+        if self.policy not in self.POLICIES:
             raise DomainError(f"unknown policy {self.policy!r}")
-        if self.policy == "prorata" and self.rebate_kind not in (
-            "linear",
-            "quadratic",
-            "free_replacement",
-        ):
+        if self.rebate_kind not in self.REBATE_KINDS:
             raise DomainError(f"unsupported rebate kind {self.rebate_kind!r}")
         if any(k not in (0, 1) for k in self.periods):
             raise DomainError("periods must be drawn from {0, 1}")
-        if self.regime_override not in (None, "finite_variance"):
+        if self.regime_override not in (None, *self.REGIME_OVERRIDES):
             raise DomainError(f"unknown regime override {self.regime_override!r}")
 
     def items_sold(self, observed: int) -> int:
@@ -102,9 +106,7 @@ class RunConfig:
             return RebateFunction.free_replacement(self.warranty)
         if self.rebate_kind == "linear":
             return RebateFunction.linear(self.warranty, self.unit_price)
-        if self.rebate_kind == "quadratic":
-            return RebateFunction.quadratic(self.warranty, self.unit_price)
-        return RebateFunction("free_replacement", self.warranty, self.unit_price)
+        return RebateFunction.quadratic(self.warranty, self.unit_price)
 
 
 @dataclass(frozen=True)
@@ -292,9 +294,8 @@ def run_pipeline(
         grids = claims_mod.moment_grids(joined, fitted, rebate, horizon, n=n)
         floor_total += grids.floor_count
         c1, c2 = rate_constants(grids.mean, grids.var, bass.share(grids.days))
-        limit = assemble_fluctuation(decomposition, horizon, config.poly_degree)
-        chi_mean, chi_cov = window_increment_moments(limit, horizon)
-        mu_t, sig2_t = fluctuation_moments(chi_mean, chi_cov, fitted, rebate)
+        increments = assemble_fluctuation(decomposition, horizon, config.poly_degree)
+        mu_t, sig2_t = fluctuation_moments(increments, fitted, rebate, horizon)
         lp = LimitParams(c1, c2, mu_t, sig2_t, horizon)
 
         quantiles: Dict[str, Dict[float, float]] = {}

@@ -4,8 +4,12 @@ The deterministic sales share follows a Bass adoption curve fitted by
 nonlinear least squares on daily (or k-day) count increments.  Residuals
 against the fitted curve act as surrogates for the increments of the
 limiting Gaussian fluctuation process; a trend/scale decomposition plus the
-standardized residuals' mean, variance and autocorrelation reconstruct the
-limit's mean path and covariance, extrapolated through the forecast window.
+standardized residuals' mean, variance and autocorrelation describe the
+limit's daily increments, extrapolated through the forecast window.  The
+cost limit needs only the mean and variance of these increments summed
+against per-day exposure weights, a linear and a quadratic form that
+:func:`claimcast.engine.fluctuation_moments` evaluates directly, so no
+covariance grid over days is ever built.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -27,12 +30,11 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "BassParams",
     "ResidualDecomposition",
-    "GaussianLimit",
+    "FluctuationIncrements",
     "fit_bass",
     "compute_residuals",
     "decompose_residuals",
     "assemble_fluctuation",
-    "window_increment_moments",
 ]
 
 SCALE_FLOOR = 1e-8
@@ -192,6 +194,11 @@ class ResidualDecomposition:
     stationary: bool = False
 
     def __post_init__(self):
+        n = len(self.trend)
+        if self.scale.shape != (n,) or self.std_resid.shape != (n,):
+            raise DomainError("trend, scale and standardized residuals must align")
+        if not np.array_equal(self.days, self.days[0] + np.arange(n)):
+            raise DomainError("days must be consecutive, one per residual")
         if np.any(self.scale <= 0.0):
             raise DomainError("scale must be positive everywhere")
         if abs(self.acf[0] - 1.0) > 1e-9 or np.any(np.abs(self.acf) > 1.0 + 1e-9):
@@ -250,27 +257,25 @@ def decompose_residuals(
 
 
 @dataclass(frozen=True)
-class GaussianLimit:
-    """Mean path and covariance of the fluctuation limit on the daily grid.
+class FluctuationIncrements:
+    """Moments of the fluctuation limit's daily increments over one horizon.
 
-    ``mean[k]`` and ``cov[j, k]`` refer to day ``first_day + k``; the
-    process is anchored at zero on ``first_day``.
+    Entry k refers to the increment X(d) - X(d - 1) over day d = k - W + 1,
+    so the entries run over days -W+1 .. T+offset, with X anchored at zero
+    on day -W.  Increment k has mean ``mean[k]``; increments j and k have
+    covariance ``scale[j] * scale[k] * acf[|j - k|]``.
     """
 
-    first_day: int
     mean: np.ndarray
-    cov: np.ndarray
+    scale: np.ndarray
+    acf: np.ndarray
 
     def __post_init__(self):
-        if self.mean[0] != 0.0 or np.any(self.cov[0, :] != 0.0):
-            raise DomainError("fluctuation limit must be anchored at zero")
-        if self.cov.shape != (len(self.mean), len(self.mean)):
-            raise DomainError("covariance grid shape mismatch")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-10):
-            raise DomainError("covariance grid must be symmetric")
-
-    def index(self, day) -> np.ndarray:
-        return np.asarray(day, dtype=int) - self.first_day
+        shape = self.mean.shape
+        if len(shape) != 1 or self.scale.shape != shape or self.acf.shape != shape:
+            raise DomainError("increment mean, scale and autocorrelation must align")
+        if not np.all(self.scale >= 0.0):
+            raise DomainError("increment scale must be non-negative")
 
 
 def _extend(
@@ -280,7 +285,11 @@ def _extend(
     degree: int,
     log_domain: bool = False,
 ) -> np.ndarray:
-    """Observed values where available, polynomial fit values elsewhere."""
+    """Observed values where available, polynomial fit values elsewhere.
+
+    ``obs_days`` must be consecutive days, as :class:`ResidualDecomposition`
+    guarantees, so an observed day is looked up by its offset.
+    """
     if degree < 0:
         raise DomainError("polynomial degree must be >= 0")
     if degree >= len(obs_days):
@@ -296,8 +305,7 @@ def _extend(
     if log_domain:
         out = np.exp(out)
     inside = (target_days >= obs_days[0]) & (target_days <= obs_days[-1])
-    lookup = dict(zip(obs_days.tolist(), obs_values))
-    out[inside] = [lookup[int(d)] for d in target_days[inside]]
+    out[inside] = obs_values[target_days[inside] - obs_days[0]]
     return out
 
 
@@ -305,14 +313,14 @@ def assemble_fluctuation(
     dec: ResidualDecomposition,
     horizon: TimeHorizon,
     poly_degree: int = 3,
-) -> GaussianLimit:
-    """Cumulate the decomposition into the limit's mean path and covariance.
+) -> FluctuationIncrements:
+    """The limit's daily increments over days -W+1 .. T+offset.
 
     Daily increments have mean trend_t + l * scale_t and covariance
-    scale_t * scale_s * s^2 * c(|t-s|), with the autocorrelation cut off
-    beyond the warranty length (and beyond the observed lags).  Trend and
-    log-scale extend into the forecast window by polynomial fit; cumulative
-    sums anchored at day -W produce the mean path and covariance grid.
+    s^2 * scale_t * scale_s * c(|t-s|), with the autocorrelation cut off
+    beyond the warranty length (and beyond the observed lags); the record's
+    scale is s * scale_t.  Trend and log-scale extend into the forecast
+    window by polynomial fit.
     """
     w, t, off = horizon.warranty, horizon.period, horizon.offset
     inc_days = np.arange(-w + 1, t + off + 1)
@@ -325,39 +333,10 @@ def assemble_fluctuation(
         scale = np.maximum(scale, SCALE_FLOOR)
 
     max_lag = min(len(dec.acf) - 1, w)
-    acf_ext = np.zeros(len(inc_days))
-    acf_ext[: max_lag + 1] = dec.acf[: max_lag + 1]
-
-    lag = np.abs(inc_days[:, None] - inc_days[None, :])
-    incr_cov = dec.var * (scale[:, None] * scale[None, :]) * acf_ext[lag]
-
-    size = len(inc_days) + 1
-    mean = np.zeros(size)
-    mean[1:] = np.cumsum(trend + dec.mean * scale)
-    cov = np.zeros((size, size))
-    cov[1:, 1:] = incr_cov.cumsum(axis=0).cumsum(axis=1)
-    return GaussianLimit(first_day=-w, mean=mean, cov=cov)
-
-
-def window_increment_moments(
-    limit: GaussianLimit, horizon: TimeHorizon
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance grids of the process increment over each age's
-    exposure window.
-
-    An item of claim age u is exposed to the forecast window through sales
-    made during [offset - u, T + offset - u]; entry u of the mean grid is
-    mean(T + offset - u) - mean(offset - u) and the covariance combines the
-    four corresponding covariance evaluations.
-    """
-    w, t, off = horizon.warranty, horizon.period, horizon.offset
-    u = np.arange(w + 1)
-    hi = limit.index(t + off - u)
-    lo = limit.index(off - u)
-    if np.any(lo < 0) or np.any(hi >= len(limit.mean)):
-        raise DomainError("limit grids do not cover the forecast window")
-    mean = limit.mean[hi] - limit.mean[lo]
-    g = limit.cov
-    cross = g[np.ix_(hi, lo)]
-    cov = g[np.ix_(hi, hi)] + g[np.ix_(lo, lo)] - cross - cross.T
-    return mean, cov
+    acf = np.zeros(len(inc_days))
+    acf[: max_lag + 1] = dec.acf[: max_lag + 1]
+    return FluctuationIncrements(
+        mean=trend + dec.mean * scale,
+        scale=np.sqrt(dec.var) * scale,
+        acf=acf,
+    )

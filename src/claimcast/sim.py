@@ -36,7 +36,7 @@ from .engine import (
     rate_constants,
 )
 from .errors import DomainError
-from .sales import GaussianLimit, window_increment_moments
+from .sales import FluctuationIncrements
 from .tails import tail_scalers
 
 logger = logging.getLogger(__name__)
@@ -92,7 +92,7 @@ class RenewalSales:
     Gaps are gamma distributed (degenerate when var == 0).  The raw renewal
     epochs on [0, n (W + T + offset)] map onto the day clock via
     s = S/n - W, so the limiting share is nu(s) = (s + W) / mean and the
-    fluctuation covariance is Brownian with rate var / mean^3.
+    fluctuation is Brownian with rate var / mean^3.
     """
 
     mean: float
@@ -105,10 +105,10 @@ class RenewalSales:
     def share_on(self, days, horizon: TimeHorizon) -> np.ndarray:
         return (np.asarray(days, dtype=float) + horizon.warranty) / self.mean
 
-    def fluctuation_cov(self, horizon: TimeHorizon) -> np.ndarray:
-        d = np.arange(-horizon.warranty, horizon.period + horizon.offset + 1)
-        scale = self.var / self.mean**3
-        return scale * (np.minimum.outer(d, d) + float(horizon.warranty))
+    def increment_var(self, horizon: TimeHorizon) -> np.ndarray:
+        """Fluctuation variance of each day -W+1 .. T+offset: var / mean^3."""
+        days = horizon.warranty + horizon.period + horizon.offset
+        return np.full(days, self.var / self.mean**3)
 
     def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
         n = horizon.scale
@@ -146,10 +146,11 @@ class NhppSales:
     def share_on(self, days, horizon: TimeHorizon) -> np.ndarray:
         return np.asarray(self.share(np.asarray(days, dtype=float)), dtype=float)
 
-    def fluctuation_cov(self, horizon: TimeHorizon) -> np.ndarray:
+    def increment_var(self, horizon: TimeHorizon) -> np.ndarray:
+        """Fluctuation variance of each day -W+1 .. T+offset: the share's
+        increment over the day."""
         d = np.arange(-horizon.warranty, horizon.period + horizon.offset + 1)
-        nu = self.share_on(d, horizon)
-        return np.minimum.outer(nu, nu)
+        return np.diff(self.share_on(d, horizon))
 
     def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
         days = np.arange(
@@ -359,9 +360,7 @@ class MonteCarloStudy:
     * ``"stable_1_2"`` - cost against the 1 < alpha < 2 stable limit
     * ``"stable_0_1"`` - cost against the alpha <= 1 stable limit
       (both stable theorems need Pareto sizes so the normalizing
-      sequences are exact; this one centers the cost at n c1 e(n), the
-      centering consistent with the limit law at intensity c1 - see
-      ``_limit_law``)
+      sequences are exact)
     * ``"prorata"``    - rebate cost against its normal limit
     """
 
@@ -401,24 +400,23 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
 
     The claim grids integrate the known mean measure in closed form and
     the sales fluctuation limit is the exact one for the sales law
-    (Brownian-type covariance, zero mean path).
+    (independent increments of zero mean).
     """
     horizon = study.horizon
     mean_grid, var_grid = study.claims.window_moment_grids(study.rebate, horizon)
     days = horizon.sale_days
     nu = study.sales.share_on(days, horizon)
     c1, c2 = rate_constants(mean_grid, var_grid, nu)
-    # the covariance spans days [-W, T + offset], wider than the sale days
-    # [-W + offset, T + offset] when offset > 0; the zero mean path follows it
-    cov = study.sales.fluctuation_cov(horizon)
-    limit = GaussianLimit(
-        first_day=-horizon.warranty,
-        mean=np.zeros(len(cov)),
-        cov=cov - cov[0, 0],
+    # independent increments over days -W+1 .. T + offset, wider than the
+    # sale days when offset > 0
+    var = study.sales.increment_var(horizon)
+    increments = FluctuationIncrements(
+        mean=np.zeros(len(var)),
+        scale=np.sqrt(var),
+        acf=np.r_[1.0, np.zeros(len(var) - 1)],
     )
-    chi_mean, chi_cov = window_increment_moments(limit, horizon)
     mu_t, sig2_t = fluctuation_moments(
-        chi_mean, chi_cov, study.mean_measure(), study.rebate
+        increments, study.mean_measure(), study.rebate, horizon
     )
     return LimitParams(
         claims_mean=c1,
@@ -446,20 +444,12 @@ def _limit_law(
         e, v = sizes.mean, sizes.var
         return n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
     alpha, xm = sizes.alpha, sizes.xm
-    sc = tail_scalers(alpha, n)
-    b_n = sc.b_n * xm
     if study.theorem == "stable_1_2":
         e = sizes.mean
+        b_n = tail_scalers(alpha, n).b_n * xm
         return n * c1 * e, b_n, cost_approx_stable(lp, alpha, e, xm)
-    e_n = sc.e_n * xm
     approx = cost_approx_stable(lp, alpha, size_scale=xm)
-    # centering n c1 e(n): the unique choice under which the standardized
-    # cost converges to the stable law at intensity c1.  The engine keeps
-    # the published n c1^(1/alpha) e(n), which mis-centers by
-    # (c1^(1/alpha) - c1) alpha/(1-alpha) for alpha < 1; the two coincide
-    # at alpha = 1.
-    center = n * c1 * e_n
-    return center, b_n, replace(approx, location=center)
+    return approx.location, approx.scale, approx
 
 
 def reference_approximation(

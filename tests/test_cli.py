@@ -208,6 +208,15 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown regime override 'stable_0_1'" in capsys.readouterr().err
 
+    def test_free_replacement_rebate_kind_rejected(self, dataset_dir, tmp_path, capsys):
+        # the config file obeys the same rule as --rebate-kind
+        cfg = tmp_path / "cfg.json"
+        entries = {"policy": "prorata", "rebate_kind": "free_replacement"}
+        cfg.write_text(json.dumps(entries))
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 2
+        assert "unsupported rebate kind 'free_replacement'" in capsys.readouterr().err
+
     def test_ints_for_floats_and_nulls_for_optionals_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         entries = {"unit_price": 2, "n_explicit": None, "regime_override": None,

@@ -23,6 +23,7 @@ from claimcast.stable import (
     params_zero_one_case,
 )
 from claimcast.tails import tail_scalers
+from fluctuation_grid import daily_increments
 
 W, T, N = 1096, 91, 34807
 
@@ -82,49 +83,66 @@ class TestComputeRateConstants:
 class TestFluctuationMoments:
     def test_zero_mean_grid_gives_zero(self):
         m = MeanClaimsMeasure(0.0, 1e-3, atom0=0.2, atomW=0.1, warranty=50)
-        mean = np.zeros(51)
-        cov = np.eye(51)
-        mu, var = fluctuation_moments(mean, cov, m, RebateFunction.free_replacement(50))
+        h = TimeHorizon(50, 20)
+        mu, var = fluctuation_moments(
+            daily_increments(50, 20), m, RebateFunction.free_replacement(50), h
+        )
         assert mu == 0.0
         assert var > 0.0
 
     def test_single_atom_is_point_evaluation(self):
-        w = 50
+        # age 0 sees the increments on days 1..T, the last T entries
+        w, t = 50, 20
         m = MeanClaimsMeasure(0.0, 0.0, atom0=1.0, atomW=0.0, warranty=w)
-        mean = np.linspace(2.0, 3.0, w + 1)
-        cov = np.diag(np.linspace(4.0, 5.0, w + 1))
+        mean = np.linspace(2.0, 3.0, w + t)
+        scale = np.linspace(4.0, 5.0, w + t)
+        # increment variance 0.5 * scale^2, lag-1 correlation 0.25
+        inc = daily_increments(w, t, mean=mean, scale=np.sqrt(0.5) * scale, acf=[0.25])
         r = RebateFunction.linear(w)
-        mu, var = fluctuation_moments(mean, cov, m, r)
-        assert mu == pytest.approx(mean[0] * 1.0)  # r(0) = 1
-        assert var == pytest.approx(cov[0, 0])
+        mu, var = fluctuation_moments(inc, m, r, TimeHorizon(w, t))
+        assert mu == pytest.approx(mean[-t:].sum(), rel=1e-12)  # r(0) = 1
+        s = scale[-t:]
+        want = 0.5 * (s @ s + 2 * 0.25 * (s[1:] @ s[:-1]))
+        assert var == pytest.approx(want, rel=1e-12)
 
     def test_end_atom_weighted_by_rebate(self):
-        w = 50
+        w, t = 50, 20
         m = MeanClaimsMeasure(0.0, 0.0, atom0=0.0, atomW=2.0, warranty=w)
-        mean = np.full(w + 1, 3.0)
-        cov = np.zeros((w + 1, w + 1))
-        cov[w, w] = 7.0
+        inc = daily_increments(w, t, mean=np.full(w + t, 3.0), scale=7.0)
         r = RebateFunction.quadratic(w)  # r(W) = 0
-        mu, var = fluctuation_moments(mean, cov, m, r)
+        mu, var = fluctuation_moments(inc, m, r, TimeHorizon(w, t))
         assert mu == 0.0
         assert var == 0.0
 
     def test_psd_violation_raises(self):
         m = MeanClaimsMeasure(0.0, 0.0, atom0=1.0, warranty=10)
-        cov = -np.eye(11)
+        # T = 4 unit increments with lag-1 correlation -1: 4 - 2 * 3 < 0
+        inc = daily_increments(10, 4, acf=[-1.0])
         from claimcast.errors import NumericalError
 
         with pytest.raises(NumericalError):
-            fluctuation_moments(np.zeros(11), cov, m, RebateFunction.free_replacement(10))
+            fluctuation_moments(
+                inc, m, RebateFunction.free_replacement(10), TimeHorizon(10, 4)
+            )
 
-    def test_small_negative_variance_floored(self):
+    def test_small_negative_variance_floored(self, caplog):
         m = MeanClaimsMeasure(0.0, 0.0, atom0=1.0, warranty=10)
-        cov = np.zeros((11, 11))
-        cov[0, 0] = -1e-12
+        # 1e-12 * (2 + 2 * -1.5) = -1e-12 over a two-day window
+        inc = daily_increments(10, 2, scale=1e-6, acf=[-1.5])
         _, var = fluctuation_moments(
-            np.zeros(11), cov, m, RebateFunction.free_replacement(10)
+            inc, m, RebateFunction.free_replacement(10), TimeHorizon(10, 2)
         )
         assert var == 0.0
+        assert "flooring slightly negative fluctuation variance" in caplog.text
+
+    def test_window_coverage_checked(self):
+        m = MeanClaimsMeasure(0.0, 1e-3, warranty=50)
+        r = RebateFunction.free_replacement(50)
+        inc = daily_increments(50, 20)  # days -49..20: the first window only
+        with pytest.raises(DomainError, match="do not cover"):
+            fluctuation_moments(inc, m, r, TimeHorizon(50, 20, offset=20))
+        with pytest.raises(DomainError, match="warranty"):
+            fluctuation_moments(inc, m, r, TimeHorizon(60, 20))
 
 
 class TestClaimsCountApprox:
@@ -230,7 +248,8 @@ class TestCostApproxStableInfiniteMean:
     def test_location_arithmetic(self):
         lp = LimitParams(4.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, 100))
         approx = cost_approx_stable(lp, 0.5)  # e(100) = 99 at alpha = 1/2
-        assert approx.location == pytest.approx(100 * 16.0 * 99.0)
+        # n c1 e(n), not the published n c1^(1/alpha) e(n) = 100 * 16 * 99
+        assert approx.location == pytest.approx(100 * 4.0 * 99.0)
 
 
 class TestCostApproxStable:

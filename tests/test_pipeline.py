@@ -59,6 +59,9 @@ class TestRunConfig:
             RunConfig(periods=(0, 3))
         with pytest.raises(DomainError):
             RunConfig(regime_override="stable_0_1")
+        for policy in RunConfig.POLICIES:  # the rule --rebate-kind applies
+            with pytest.raises(DomainError):
+                RunConfig(policy=policy, rebate_kind="free_replacement")
 
     def test_digest_stable_and_sensitive(self):
         assert RunConfig().digest() == RunConfig().digest()

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcast.core import TimeHorizon
+from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
+from claimcast.engine import fluctuation_moments
 from claimcast.errors import DomainError, FitError
 from claimcast.sales import (
     BassParams,
-    GaussianLimit,
     ResidualDecomposition,
     assemble_fluctuation,
     centered_moving_average,
@@ -15,7 +17,12 @@ from claimcast.sales import (
     decompose_residuals,
     fit_bass,
     sample_acf,
-    window_increment_moments,
+)
+from fluctuation_grid import (
+    age_weights,
+    daily_increments,
+    increment_grids,
+    window_moments,
 )
 
 W, T = 1096, 91
@@ -124,6 +131,15 @@ class TestDecomposeResiduals:
         with pytest.raises(DomainError):
             decompose_residuals(np.ones(20), first_day=-20, halfwidth=15)
 
+    def test_days_must_be_consecutive(self):
+        dec = decompose_residuals(np.sin(np.arange(40.0)), first_day=-39, halfwidth=5)
+        gap = dec.days.copy()
+        gap[20:] += 1
+        with pytest.raises(DomainError, match="consecutive"):
+            replace(dec, days=gap)
+        with pytest.raises(DomainError, match="align"):
+            replace(dec, scale=dec.scale[:-1])
+
     def test_moving_average_edges_shrink(self):
         x = np.arange(10.0)
         ma = centered_moving_average(x, 2)
@@ -132,25 +148,7 @@ class TestDecomposeResiduals:
         assert ma[-1] == pytest.approx(np.mean(x[-3:]))
 
 
-def make_decomposition(days, std, trend=None, scale=None, acf=None, var=None):
-    """Hand-built decomposition for exact fluctuation-limit tests."""
-    std = np.asarray(std, dtype=float)
-    n = len(std)
-    trend = np.zeros(n) if trend is None else np.asarray(trend, dtype=float)
-    scale = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
-    acf_arr = np.zeros(n) if acf is None else np.asarray(acf, dtype=float)
-    if acf is None:
-        acf_arr[0] = 1.0
-    return ResidualDecomposition(
-        days=np.asarray(days),
-        trend=trend,
-        scale=scale,
-        std_resid=std,
-        mean=float(np.mean(std)),
-        var=float(np.var(std, ddof=1)) if var is None else var,
-        acf=acf_arr,
-        stationary=trend is None and scale is None,
-    )
+FREE_60 = RebateFunction.free_replacement(60)
 
 
 class TestAssembleFluctuation:
@@ -158,7 +156,6 @@ class TestAssembleFluctuation:
         h = TimeHorizon(60, 20)
         days = np.arange(-59, 1)
         # mean 0, var 1, acf = delta: increments iid standard
-        dec = make_decomposition(days, np.zeros(60), var=1.0)
         dec = ResidualDecomposition(
             days=days,
             trend=np.zeros(60),
@@ -169,11 +166,13 @@ class TestAssembleFluctuation:
             acf=np.r_[1.0, np.zeros(59)],
             stationary=True,
         )
-        limit = assemble_fluctuation(dec, h)
-        assert np.allclose(limit.mean, 0.0)
-        d = np.arange(-60, 21)
-        want = np.minimum.outer(d, d) + 60.0
-        assert np.allclose(limit.cov, want)
+        inc = assemble_fluctuation(dec, h)
+        want = daily_increments(60, 20)  # days -59 .. 20
+        for name in ("mean", "scale", "acf"):
+            assert np.array_equal(getattr(inc, name), getattr(want, name))
+        # Brownian: an atom at age 0 sees the process over [0, T]
+        at0 = MeanClaimsMeasure(0.0, 0.0, atom0=1.0, warranty=60)
+        assert fluctuation_moments(inc, at0, FREE_60, h) == (0.0, 20.0)
 
     def test_round_trip_increments(self):
         rng = np.random.default_rng(17)
@@ -181,13 +180,10 @@ class TestAssembleFluctuation:
         days = np.arange(-79, 1)
         r = rng.normal(0.1, 0.5, size=80) + 0.002 * days
         dec = decompose_residuals(r, first_day=-79, halfwidth=8)
-        limit = assemble_fluctuation(dec, h, poly_degree=2)
-        incr = np.diff(limit.mean)
-        obs = limit.index(days)
-        scale_obs = dec.scale
-        assert np.allclose(
-            incr[obs[0] - 1 : obs[-1]], dec.trend + dec.mean * scale_obs
-        )
+        inc = assemble_fluctuation(dec, h, poly_degree=2)
+        obs = days + h.warranty - 1  # entry k is day k - W + 1
+        assert np.array_equal(inc.mean[obs], dec.trend + dec.mean * dec.scale)
+        assert np.array_equal(inc.scale[obs], np.sqrt(dec.var) * dec.scale)
 
     def test_zero_mean_std_resid_leaves_trend_only(self):
         h = TimeHorizon(60, 20)
@@ -202,20 +198,18 @@ class TestAssembleFluctuation:
             var=1.0,
             acf=np.r_[1.0, np.zeros(59)],
         )
-        limit = assemble_fluctuation(dec, h, poly_degree=0)
-        assert np.allclose(np.diff(limit.mean), 0.01)
+        inc = assemble_fluctuation(dec, h, poly_degree=0)
+        assert np.allclose(inc.mean, 0.01)
 
     def test_scale_extension_stays_positive(self):
         rng = np.random.default_rng(19)
         h = TimeHorizon(90, 30)
-        days = np.arange(-89, 1)
         r = rng.normal(0, 0.02, size=90)
         dec = decompose_residuals(r, first_day=-89, halfwidth=10)
-        limit = assemble_fluctuation(dec, h, poly_degree=3)
-        # cumulative variances stay non-negative even where the log-scale
-        # polynomial extrapolates
-        assert np.all(np.diag(limit.cov) >= -1e-12)
-        assert np.all(np.isfinite(limit.cov))
+        inc = assemble_fluctuation(dec, h, poly_degree=3)
+        # the log-scale polynomial keeps the extrapolated scale positive
+        assert np.all(inc.scale > 0.0)
+        assert np.all(np.isfinite(inc.scale))
 
     def test_rank_deficient_polynomial_raises(self):
         h = TimeHorizon(60, 20)
@@ -227,49 +221,49 @@ class TestAssembleFluctuation:
 
 
 class TestWindowIncrementMoments:
+    # age u sees the increments on days (offset - u, T + offset - u]
+    MEASURE = MeanClaimsMeasure(-1e-5, 2e-3, atom0=0.3, atomW=0.1, warranty=60)
+
     def test_zero_mean_path(self):
         h = TimeHorizon(60, 20)
-        d = np.arange(-60, 21)
-        limit = GaussianLimit(-60, np.zeros(len(d)), np.zeros((len(d), len(d))))
-        mean, cov = window_increment_moments(limit, h)
-        assert np.allclose(mean, 0.0)
-        assert cov.shape == (61, 61)
+        inc = daily_increments(60, 20)
+        mu, var = fluctuation_moments(inc, self.MEASURE, FREE_60, h)
+        assert mu == 0.0
+        assert var > 0.0
 
     def test_brownian_cov_is_window_overlap(self):
-        # derived oracle: expanding the four-term formula with
-        # cov(s, t) = min(s, t) + W gives the overlap of [-u, T-u] and
-        # [-v, T-v], i.e. max(0, T - |u - v|)
+        # derived oracle: the windows of ages u and v overlap on
+        # max(0, T - |u - v|) days of iid unit increments
         w, t = 60, 20
         h = TimeHorizon(w, t)
-        d = np.arange(-w, t + 1)
-        cov_grid = np.minimum.outer(d, d) + float(w)
-        limit = GaussianLimit(-w, np.zeros(len(d)), cov_grid)
-        mean, cov = window_increment_moments(limit, h)
+        rebate = RebateFunction.linear(w)
+        _, var = fluctuation_moments(daily_increments(w, t), self.MEASURE, rebate, h)
         u = np.arange(w + 1)
-        want = np.maximum(0.0, t - np.abs(u[:, None] - u[None, :]))
-        assert np.allclose(cov, want)
-        assert np.allclose(mean, 0.0)
+        overlap = np.maximum(0.0, t - np.abs(u[:, None] - u[None, :]))
+        weights = age_weights(self.MEASURE, rebate)
+        assert var == pytest.approx(weights @ overlap @ weights, rel=1e-12)
 
     def test_linear_mean_path(self):
         w, t = 60, 20
         h = TimeHorizon(w, t)
-        d = np.arange(-w, t + 1)
-        limit = GaussianLimit(
-            -w, 0.5 * (d.astype(float) + w), np.zeros((len(d), len(d)))
+        mu, _ = fluctuation_moments(
+            daily_increments(w, t, mean=0.5), self.MEASURE, FREE_60, h
         )
-        mean, _ = window_increment_moments(limit, h)
-        assert np.allclose(mean, 0.5 * t)  # theta(T-u) - theta(-u) = T/2
+        weights = age_weights(self.MEASURE, FREE_60)
+        assert mu == pytest.approx(0.5 * t * weights.sum(), rel=1e-12)
 
     def test_offset_window_shifts_indices(self):
         w, t = 60, 20
         h = TimeHorizon(w, t, offset=t)
         d = np.arange(-w, 2 * t + 1)
         theta = (d.astype(float) + w) ** 2 / 100.0
-        limit = GaussianLimit(-w, theta - theta[0], np.zeros((len(d), len(d))))
-        mean, _ = window_increment_moments(limit, h)
+        inc = daily_increments(w, t, offset=t, mean=np.diff(theta))
+        rebate = RebateFunction.quadratic(w)
+        mu, _ = fluctuation_moments(inc, self.MEASURE, rebate, h)
         u = np.arange(w + 1)
-        want = limit.mean[limit.index(2 * t - u)] - limit.mean[limit.index(t - u)]
-        assert np.allclose(mean, want)
+        window = theta[2 * t - u + w] - theta[t - u + w]
+        weights = age_weights(self.MEASURE, rebate)
+        assert mu == pytest.approx(weights @ window, rel=1e-12)
 
     def test_diagonal_nonnegative_on_realistic_fit(self):
         rng = np.random.default_rng(23)
@@ -277,14 +271,23 @@ class TestWindowIncrementMoments:
         h = TimeHorizon(w, t)
         r = rng.normal(0.05, 0.3, size=w) * (1 + 0.3 * np.sin(np.arange(w) / 9))
         dec = decompose_residuals(r, first_day=-w + 1, halfwidth=7)
-        limit = assemble_fluctuation(dec, h)
-        mean, cov = window_increment_moments(limit, h)
-        assert np.all(np.diag(cov) >= -1e-10)
-        assert np.allclose(cov, cov.T)
+        inc = assemble_fluctuation(dec, h)
+        # the (W+1) x (W+1) covariance of the window increments, from the
+        # grid reference: the acf cut off at W must keep it PSD
+        mean, cov = increment_grids(inc)
+        _, chi_cov = window_moments(mean, cov, -w, h)
+        assert np.all(np.diag(chi_cov) >= -1e-10)
+        assert np.allclose(chi_cov, chi_cov.T)
         # positive semidefiniteness up to numerical tolerance on a subsample
-        sub = cov[::4, ::4]
+        sub = chi_cov[::4, ::4]
         eigs = np.linalg.eigvalsh(sub)
         assert eigs.min() >= -1e-8
+        # and the exposure-weight form reduces that same matrix
+        measure = MeanClaimsMeasure(-1e-5, 2e-3, atom0=0.3, atomW=0.1, warranty=w)
+        rebate = RebateFunction.linear(w)
+        weights = age_weights(measure, rebate)
+        _, var = fluctuation_moments(inc, measure, rebate, h)
+        assert var == pytest.approx(weights @ chi_cov @ weights, rel=1e-12)
 
 
 class TestSampleAcf:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
-from claimcast.engine import CostApproximation, approx_quantile
+from claimcast.engine import CostApproximation, approx_quantile, cost_approx_stable
 from claimcast.errors import DomainError
 from claimcast.sim import (
     LinearShare,
@@ -20,6 +20,7 @@ from claimcast.sim import (
     monte_carlo_validate,
     realize_cost,
     reference_approximation,
+    run_replication,
     theoretical_limit,
 )
 from claimcast.stable import (
@@ -427,7 +428,7 @@ class TestMonteCarloValidate:
     def test_infinite_mean_cost_limit(self):
         # alpha < 1: centering at n c1 e(n) pairs with the intensity-c1
         # stable law (the published c1^(1/alpha) centering drifts by
-        # (c1^(1/alpha) - c1) alpha/(1-alpha); see the simulator notes)
+        # (c1^(1/alpha) - c1) alpha/(1-alpha); see cost_approx_stable)
         w, t = 1096, 91
         measure = MeanClaimsMeasure(
             -0.8872e-6, 0.1479e-2 - 0.8872e-6 / 2.0, 0.1330, 0.0420, w
@@ -442,6 +443,27 @@ class TestMonteCarloValidate:
         )
         report = monte_carlo_validate(study, reps=600, seed=1096, workers=2)
         assert report.ks_distance <= 0.07
+
+    @pytest.mark.slow
+    def test_engine_infinite_mean_law_fits_raw_costs(self):
+        # the law a report publishes at alpha = 0.7, scored on the raw
+        # simulated costs as it stands: no recentering, no standardization
+        w, t = 1096, 91
+        measure = MeanClaimsMeasure(
+            -0.8872e-6, 0.1479e-2 - 0.8872e-6 / 2.0, 0.1330, 0.0420, w
+        )
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(w, w + t)),
+            claims=PoissonClaims(measure),
+            rebate=RebateFunction.free_replacement(w),
+            horizon=TimeHorizon(w, t, 0, 500),
+            theorem="stable_0_1",
+            sizes=ParetoSizes(alpha=0.7),
+        )
+        reps = 1000
+        costs = np.array([run_replication(study, 7, r)[1] for r in range(reps)])
+        approx = cost_approx_stable(theoretical_limit(study), 0.7)
+        assert _ks_against(approx, costs) < 1.36 / np.sqrt(reps)
 
     @pytest.mark.slow
     def test_unit_alpha_cost_limit(self):
