@@ -1,4 +1,6 @@
-"""Shared vocabulary: clocks, claim-age measures, polynomial rebate schedules.
+"""Shared vocabulary: clocks, claim-age measures, polynomial rebate schedules,
+and the fluctuation limit's daily increments (made by ``sales`` from data and
+by ``sim`` from a sales law, read by ``engine``).
 
 Conventions used throughout the package:
 
@@ -33,6 +35,7 @@ __all__ = [
     "MeanClaimsMeasure",
     "WeightedMeasure",
     "mean_window_claims",
+    "FluctuationIncrements",
 ]
 
 
@@ -274,3 +277,25 @@ def mean_window_claims(weighted: WeightedMeasure, sale_time, horizon: TimeHorizo
     """
     win = horizon.claim_window(sale_time)
     return weighted.mass(win.lo, win.hi, win.at_zero, win.at_warranty)
+
+
+@dataclass(frozen=True)
+class FluctuationIncrements:
+    """Moments of the fluctuation limit's daily increments over one horizon.
+
+    Entry k refers to the increment X(d) - X(d - 1) over day d = k - W + 1,
+    so the entries run over days -W+1 .. T+offset, with X anchored at zero
+    on day -W.  Increment k has mean ``mean[k]``; increments j and k have
+    covariance ``scale[j] * scale[k] * acf[|j - k|]``.
+    """
+
+    mean: np.ndarray
+    scale: np.ndarray
+    acf: np.ndarray
+
+    def __post_init__(self):
+        shape = self.mean.shape
+        if len(shape) != 1 or self.scale.shape != shape or self.acf.shape != shape:
+            raise DomainError("increment mean, scale and autocorrelation must align")
+        if not np.all(self.scale >= 0.0):
+            raise DomainError("increment scale must be non-negative")

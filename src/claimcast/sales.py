@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import least_squares
 
-from .core import TimeHorizon
+from .core import FluctuationIncrements, TimeHorizon
 from .errors import DomainError, FitError
 
 logger = logging.getLogger(__name__)
@@ -30,7 +30,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "BassParams",
     "ResidualDecomposition",
-    "FluctuationIncrements",
     "fit_bass",
     "compute_residuals",
     "decompose_residuals",
@@ -254,28 +253,6 @@ def decompose_residuals(
         acf=sample_acf(std, len(std) - 1),
         stationary=stationary,
     )
-
-
-@dataclass(frozen=True)
-class FluctuationIncrements:
-    """Moments of the fluctuation limit's daily increments over one horizon.
-
-    Entry k refers to the increment X(d) - X(d - 1) over day d = k - W + 1,
-    so the entries run over days -W+1 .. T+offset, with X anchored at zero
-    on day -W.  Increment k has mean ``mean[k]``; increments j and k have
-    covariance ``scale[j] * scale[k] * acf[|j - k|]``.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    acf: np.ndarray
-
-    def __post_init__(self):
-        shape = self.mean.shape
-        if len(shape) != 1 or self.scale.shape != shape or self.acf.shape != shape:
-            raise DomainError("increment mean, scale and autocorrelation must align")
-        if not np.all(self.scale >= 0.0):
-            raise DomainError("increment scale must be non-negative")
 
 
 def _extend(

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import functools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
+# numpy loads these on first use; importing them here keeps that out of the
+# first validation: make_rng uses numpy.random, np.quantile loads numpy.ma
+import numpy.ma  # noqa: F401
+import numpy.random
 
 from .core import (
+    FluctuationIncrements,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -36,7 +40,6 @@ from .engine import (
     rate_constants,
 )
 from .errors import DomainError
-from .sales import FluctuationIncrements
 from .tails import tail_scalers
 
 logger = logging.getLogger(__name__)
@@ -136,9 +139,9 @@ class RenewalSales:
 class NhppSales:
     """Non-homogeneous Poisson sales: unit-rate Poisson time-changed by n*share.
 
-    ``share`` must be non-decreasing on [-W, T+offset]; its inverse is taken
-    piecewise-linearly on the integer days, exact when the share itself is
-    piecewise linear between them.
+    ``share`` must be non-decreasing on the integer days -W .. T+offset
+    (``DomainError`` otherwise); its inverse is taken piecewise-linearly on
+    those days, exact when the share itself is piecewise linear between them.
     """
 
     share: Callable[[np.ndarray], np.ndarray]
@@ -146,17 +149,23 @@ class NhppSales:
     def share_on(self, days, horizon: TimeHorizon) -> np.ndarray:
         return np.asarray(self.share(np.asarray(days, dtype=float)), dtype=float)
 
-    def increment_var(self, horizon: TimeHorizon) -> np.ndarray:
-        """Fluctuation variance of each day -W+1 .. T+offset: the share's
-        increment over the day."""
-        d = np.arange(-horizon.warranty, horizon.period + horizon.offset + 1)
-        return np.diff(self.share_on(d, horizon))
-
-    def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
+    def _daily_share(self, horizon: TimeHorizon) -> Tuple[np.ndarray, np.ndarray]:
+        """Days -W .. T+offset and the share on them, checked non-decreasing."""
         days = np.arange(
             -horizon.warranty, horizon.period + horizon.offset + 1, dtype=float
         )
-        nu = np.asarray(self.share(days), dtype=float)
+        nu = self.share_on(days, horizon)
+        if not np.all(np.diff(nu) >= 0.0):
+            raise DomainError("NHPP sales share must be non-decreasing")
+        return days, nu
+
+    def increment_var(self, horizon: TimeHorizon) -> np.ndarray:
+        """Fluctuation variance of each day -W+1 .. T+offset: the share's
+        increment over the day."""
+        return np.diff(self._daily_share(horizon)[1])
+
+    def sample(self, horizon: TimeHorizon, rng: np.random.Generator) -> np.ndarray:
+        days, nu = self._daily_share(horizon)
         total = horizon.scale * (nu[-1] - nu[0])
         count = rng.poisson(total)
         epochs = np.sort(rng.uniform(nu[0], nu[-1], size=count))
@@ -529,6 +538,8 @@ def monte_carlo_validate(
         raise DomainError("need at least 100 replications")
     dkw_band = float(1.36 / np.sqrt(reps))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         replicate = functools.partial(run_replication, study, seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(

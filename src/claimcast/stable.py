@@ -14,9 +14,10 @@ vectorized evaluation, and only segments where the two rules disagree are
 bisected.  The summed |GL32 - GL16| is the error estimate: above 1e-8 the
 CDF raises ``NumericalError`` rather than return the value.
 
-Quantiles invert the CDF with ``brentq``, one level at a time: each level
-is bracketed by geometric expansion around the location, and an array of
-levels maps that over its entries.
+Quantiles invert the CDF by Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4), one level at a time: each
+level is bracketed by geometric expansion around the location, and an
+array of levels maps that over its entries.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import gamma as gamma_fn
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
 
@@ -46,7 +46,7 @@ ALPHA_ONE_GUARD = 1e-4
 _CDF_ERROR_BUDGET = 1e-8  # summed |GL32 - GL16| allowed per CDF value
 _QUAD_ABS_TOL = 1e-11  # per segment: |GL32 - GL16| above this bisects it
 _MAX_BISECTIONS = 40
-_QUANTILE_XTOL = 1e-13  # brentq xtol in units of max(1, sigma)
+_QUANTILE_XTOL = 1e-13  # root-finder xtol in units of max(1, sigma)
 
 # Scan grid, as fractions of the integration interval: 127 interior points
 # plus the decades 1e-9 ... 1e-3 from either end, where the representations'
@@ -337,7 +337,7 @@ def stable_quantile(params: StableParams, p):
     """Quantile at level p (scalar or array) with |cdf(q) - p| <= 1e-8.
 
     Each level is bracketed around mu by geometric expansion and found by
-    ``brentq``; an array of levels gives an array of its shape, one
+    Brent's method; an array of levels gives an array of its shape, one
     inversion per entry.
     """
     levels = np.asarray(p, dtype=float)
@@ -373,10 +373,59 @@ def _quantile_scalar(params: StableParams, p: float) -> float:
             f"could not bracket the {p:.4g}-quantile (f({lo:.3g})={cdf_lo - p:.3g}, "
             f"f({hi:.3g})={cdf_hi - p:.3g})"
         )
-    known = {lo: cdf_lo, hi: cdf_hi}  # brentq starts from the bracket ends
+    known = {lo: cdf_lo, hi: cdf_hi}  # _brentq starts from the bracket ends
 
     def f(x):
         return (known[x] if x in known else _cdf_scalar(params, x)) - p
 
     xtol = _QUANTILE_XTOL * max(1.0, params.sigma)
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16))
+    return float(_brentq(f, lo, hi, xtol))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
+    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c``, so it takes the same
+    steps: inverse quadratic or secant steps while they shrink the bracket
+    fast enough, bisection otherwise, until the bracket's half-width is
+    below (xtol + rtol |x|) / 2.  Raises ``NumericalError`` when f does not
+    change sign on [xa, xb] or ``maxiter`` steps do not converge.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(f"no sign change on [{xa:.6g}, {xb:.6g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre)
+                stry /= dblk * dpre * (fblk - fpre)
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(f"Brent's method did not converge in {maxiter} steps")

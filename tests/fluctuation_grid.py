@@ -11,8 +11,7 @@ lives in the tests only.
 
 import numpy as np
 
-from claimcast.core import MeanClaimsMeasure, RebateFunction
-from claimcast.sales import FluctuationIncrements
+from claimcast.core import FluctuationIncrements, MeanClaimsMeasure, RebateFunction
 
 
 def daily_increments(w, t, offset=0, mean=0.0, scale=1.0, acf=()):

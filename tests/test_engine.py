@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from claimcast.claims import JoinedClaims, moment_grids
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
@@ -397,6 +397,36 @@ class TestEvaluate:
             approx_quantile(approx, 1.0)
         with pytest.raises(DomainError):
             approx_quantile(approx, np.array([0.5, 0.0]))
+
+
+class TestNormalLawAgainstScipy:
+    """The normal CDF and quantile against scipy's ndtr and ndtri."""
+
+    STD = CostApproximation(0.0, 1.0)
+
+    def test_cdf(self):
+        z = np.linspace(-9.0, 9.0, 20001)
+        got = approx_cdf(self.STD, z)
+        assert got.dtype == float
+        assert np.max(np.abs(got - ndtr(z))) <= 4e-16
+        for v in (-9.0, -1.5, 0.0, 0.3, 8.5):
+            got = approx_cdf(self.STD, v)
+            assert isinstance(got, float)
+            assert abs(got - ndtr(v)) <= 4e-16
+
+    def test_quantile(self):
+        p = np.r_[
+            np.logspace(-300.0, -1.0, 300),
+            np.linspace(0.001, 0.999, 999),
+            1.0 - np.logspace(-16.0, -1.0, 50),
+        ]
+        got, want = approx_quantile(self.STD, p), ndtri(p)
+        assert got.dtype == float
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        for v in (1e-300, 0.025, 0.5, 0.9, 1.0 - 1e-12):
+            got = approx_quantile(self.STD, v)
+            assert isinstance(got, float)
+            assert abs(got - ndtri(v)) <= 2e-15 * abs(ndtri(v))
 
 
 class TestExtremeness:

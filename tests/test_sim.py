@@ -84,6 +84,16 @@ class TestSimulateSales:
         se = np.std(counts, ddof=1) / np.sqrt(reps)
         assert abs(np.mean(counts) - want) <= 3.0 * se
 
+    def test_nhpp_rejects_a_decreasing_share(self):
+        # the share rises to 1 at day 0 and falls after it; inverting it
+        # would put every sale before day -21
+        spec = NhppSales(lambda d: np.cos(d / 30.0))
+        h = TimeHorizon(60, 20, 0, 100)
+        with pytest.raises(DomainError, match="non-decreasing"):
+            spec.sample(h, make_rng(3))
+        with pytest.raises(DomainError, match="non-decreasing"):
+            spec.increment_var(h)
+
     def test_reproducible(self):
         spec = RenewalSales(mean=2.0, var=1.0)
         assert np.array_equal(

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import claimcast.stable as stable_mod
 from claimcast.errors import DomainError, NumericalError
 from claimcast.sim import make_rng
 from claimcast.stable import (
     StableParams,
+    _brentq,
     params_eq_one_case,
     params_mean_case,
     params_zero_one_case,
@@ -337,3 +342,64 @@ class TestBatchedQuantiles:
     def test_level_domain(self):
         with pytest.raises(DomainError):
             stable_quantile(params_mean_case(1.52), np.array([0.2, 1.0]))
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol=8.9e-16, maxiter=100):
+    return brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+def _grid_law(alpha):
+    if alpha < 1.0:
+        return params_zero_one_case(alpha, 0.8)
+    if alpha == 1.0:
+        return params_eq_one_case(0.8)
+    return params_mean_case(alpha)
+
+
+class TestBrentRootFinder:
+    """The Brent port against scipy's ``brentq`` as the oracle."""
+
+    LEVELS = np.array(
+        [0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999]
+    )
+
+    @pytest.mark.parametrize(
+        "alpha", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.3, 1.5, 1.7, 1.95]
+    )
+    def test_quantiles_bit_identical_to_scipy(self, alpha, monkeypatch):
+        params = _grid_law(alpha)
+        ours = stable_quantile(params, self.LEVELS)
+        monkeypatch.setattr(stable_mod, "_brentq", _scipy_brentq)
+        assert np.array_equal(ours, stable_quantile(params, self.LEVELS))
+
+    @pytest.mark.parametrize(
+        "f,lo,hi",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 100.0, -10.0, 10.0),
+            (lambda x: math.atan(x - 0.3), -4.0, 50.0),
+        ],
+    )
+    def test_same_steps_as_scipy(self, f, lo, hi):
+        steps = ([], [])
+
+        def recorder(seen):
+            return lambda x: seen.append(x) or f(x)
+
+        ours = _brentq(recorder(steps[0]), lo, hi, 1e-13)
+        want = _scipy_brentq(recorder(steps[1]), lo, hi, 1e-13)
+        assert ours == want
+        assert steps[0] == steps[1]
+
+    def test_root_at_a_bracket_end(self):
+        assert _brentq(lambda x: x - 2.0, 2.0, 3.0, 1e-13) == 2.0
+        assert _brentq(lambda x: x - 3.0, 2.0, 3.0, 1e-13) == 3.0
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NumericalError, match="no sign change"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-13)
+
+    def test_iteration_budget_raises(self):
+        with pytest.raises(NumericalError, match="did not converge"):
+            _brentq(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-13, maxiter=3)
