@@ -87,15 +87,14 @@ def aggregate_daily_claims(claims: ClaimsTable) -> ClaimsTable:
     A car returning with p claims on one date is treated as a single claim
     whose size is the sum of the p amounts (added in input order).  Output
     is sorted by (vehicle_id, day) for a deterministic downstream order.
+    Vehicle ids and days are each ranked once, so the merge runs on one
+    int64 key, vehicle rank * distinct days + day rank, that sorts the same.
     """
-    keys = np.empty(
-        len(claims), dtype=[("vehicle_id", claims.vehicle_id.dtype), ("day", np.int64)]
-    )
-    keys["vehicle_id"] = claims.vehicle_id
-    keys["day"] = claims.day
-    merged, inverse = np.unique(keys, return_inverse=True)
-    amount = np.bincount(inverse.ravel(), weights=claims.amount, minlength=len(merged))
-    return ClaimsTable(merged["vehicle_id"], merged["day"], amount)
+    vids, vid_rank = np.unique(claims.vehicle_id, return_inverse=True)
+    days, day_rank = np.unique(claims.day, return_inverse=True)
+    merged, inverse = np.unique(vid_rank * len(days) + day_rank, return_inverse=True)
+    amount = np.bincount(inverse, weights=claims.amount, minlength=len(merged))
+    return ClaimsTable(vids[merged // len(days)], days[merged % len(days)], amount)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,16 @@
 """CSV ingestion and plot-data/report emission.
 
 Input files carry raw dates, either integer day numbers or ISO-8601
-calendar dates (auto-detected per file).  Loading validates rows and
-collects malformed ones with their line numbers; anchoring onto the
+calendar dates (auto-detected per value).  The loaders read a file with
+``csv.reader`` in chunks of ``CHUNK_ROWS`` rows and turn each chunk into
+numpy columns at once: amounts are cast as a column, day numbers too when
+all of a chunk's are plain ASCII integers; only a column holding values
+such a cast rejects (ISO dates, signs, padding, bad values) is parsed value
+by value.  Ids are stripped as Python strings, and only the accepted ones
+become an array, so an id column is as wide as its longest accepted id.  A
+row is rejected by the first check it fails, in a fixed order per file, and
+reported as a :class:`RowIssue` with its line number; rejected rows are
+fatal only past a 1% share, a repeated id always.  Anchoring onto the
 forecast clock (day 0 = the day after the last observed sale) happens in
 the pipeline so sales and claims share one anchor.
 """
@@ -11,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import compress
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,108 +56,251 @@ def _parse_day(raw: str) -> int:
         return date.fromisoformat(raw).toordinal()
 
 
-def _read_rows(path, required: Sequence[str]):
+CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
+_READ_ERRORS = (csv.Error, OSError, UnicodeError)  # raised mid-file by a read
+
+
+def _read_chunks(path, required: Sequence[str]):
+    """Yield the data rows of ``path`` as (line numbers, raw columns) chunks.
+
+    Each chunk holds up to ``CHUNK_ROWS`` rows: an int64 array of each row's
+    ``reader.line_num`` (its last physical line) and, per required column, a
+    tuple of the raw field strings.  Blank lines are skipped, a repeated
+    header name reads its last column and a field missing from a short row
+    is ``None``, all as ``csv.DictReader`` would have it.
+    """
     path = Path(path)
     try:
         handle = path.open(newline="")
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, None) or []
         missing = [c for c in required if c not in header]
         if missing:
             raise LoadError(f"{path}: missing columns {missing} in header {header}")
-        yield from ((reader.line_num, row) for row in reader)
+        where = {name: i for i, name in enumerate(header)}
+        index = [where[c] for c in required]
+        width = max(index) + 1
+
+        def chunk(rows, lines):
+            if min(map(len, rows)) < width:
+                rows = [r + [None] * (width - len(r)) for r in rows]
+            columns = list(zip(*rows))
+            return np.array(lines, dtype=np.int64), [columns[i] for i in index]
+
+        rows, lines = [], []
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == CHUNK_ROWS:
+                        yield chunk(rows, lines)
+                        rows, lines = [], []
+        except _READ_ERRORS:
+            if rows:  # the rows read before a read error are still checked
+                yield chunk(rows, lines)
+            raise
+        if rows:
+            yield chunk(rows, lines)
+
+
+def _ids(raw: tuple) -> Tuple[List[str], np.ndarray]:
+    """Stripped ids of one raw column and the mask of the empty ones.
+
+    A missing field is the empty id.  The ids stay Python strings: only the
+    kept ones become an array (:func:`_kept`), so a long id in a rejected
+    row does not widen the column.
+    """
+    ids = [(v or "").strip() for v in raw]
+    if all(ids):
+        return ids, np.zeros(len(ids), dtype=bool)
+    return ids, np.fromiter(map(len, ids), np.int64, len(ids)) == 0
+
+
+def _kept(column, keep: np.ndarray) -> np.ndarray:
+    """The kept entries of one chunk's column, as an array."""
+    if isinstance(column, np.ndarray):
+        return column[keep]
+    ids = column if keep.all() else list(compress(column, keep))
+    if "\x00" in "".join(ids):
+        # numpy drops trailing NULs from str arrays, so such ids stay Python
+        # strings until the table is built (duplicates compare them exactly)
+        return np.array(ids, dtype=object)
+    return np.array(ids, dtype=str)
+
+
+def _days(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Day numbers of one raw column and the mask of the parseable ones.
+
+    A chunk of plain ASCII integers is cast at once; any other chunk, and
+    one that ``int`` refuses as too long, goes value by value through
+    :func:`_parse_day`.  Days past int64 stay Python ints, so the table,
+    like the row-wise loader, rejects them only after every row check.
+    """
+    ok = np.ones(len(raw), dtype=bool)
+    days = None
+    if all(raw) and (text := "".join(raw)).isascii() and text.isdigit():
+        try:
+            days = list(map(int, raw))
+        except ValueError:  # a value past int's digit limit
+            pass
+    if days is None:
+        days = []
+        for k, value in enumerate(raw):
+            try:
+                days.append(_parse_day(value or ""))
+            except ValueError:
+                days.append(0)
+                ok[k] = False
+    try:
+        return np.array(days, dtype=np.int64), ok
+    except OverflowError:
+        return np.array(days, dtype=object), ok
+
+
+def _amounts(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Amounts of one raw column and the mask of the parseable ones."""
+    ok = np.ones(len(raw), dtype=bool)
+    try:
+        return np.array(list(map(float, raw)), dtype=float), ok
+    except (TypeError, ValueError):
+        pass
+    amounts = np.empty(len(raw))
+    for k, value in enumerate(raw):
+        try:
+            amounts[k] = float(value or "")
+        except ValueError:
+            amounts[k] = np.nan
+            ok[k] = False
+    return amounts, ok
+
+
+def _load(path, required: Sequence[str], check, key: int, duplicate: str):
+    """The accepted rows of ``path`` as columns, and its row issues.
+
+    ``check`` maps one chunk's raw columns to its parsed columns (ids as
+    lists, the rest as arrays) and the (row, message) pairs of its rejected
+    rows.  Column ``key`` must be unique among accepted rows: a repeat
+    raises ``duplicate`` (a message prefix) naming both lines, with the
+    issues on earlier lines.  As in a row-at-a-time read, a repeat takes
+    precedence over the 1% budget and over a read error further down the
+    file.
+    """
+    parts: List[List[np.ndarray]] = []
+    issues: List[RowIssue] = []
+    total = 0
+    try:
+        for lines, raw in _read_chunks(path, required):
+            columns, rejected = check(*raw)
+            keep = np.ones(len(lines), dtype=bool)
+            for k, message in rejected:
+                keep[k] = False
+                issues.append(RowIssue(int(lines[k]), message))
+            parts.append([lines[keep]] + [_kept(c, keep) for c in columns])
+            total += len(lines)
+    except _READ_ERRORS:
+        _check_unique(path, parts, key, duplicate, issues)
+        raise
+    _check_unique(path, parts, key, duplicate, issues)
+    _check_bad_share(path, total, issues)
+    return [np.concatenate(c) for c in list(zip(*parts))[1:]], issues
+
+
+def _check_unique(path, parts, key: int, duplicate: str, issues) -> None:
+    """Raise the ``LoadError`` for the earliest repeated id, if any."""
+    if not parts:
+        return
+    lines = np.concatenate([part[0] for part in parts])
+    ids = np.concatenate([part[1 + key] for part in parts])
+    unique, first = np.unique(ids, return_index=True)
+    if len(unique) == len(ids):
+        return
+    again = np.ones(len(ids), dtype=bool)
+    again[first] = False
+    k = int(np.argmax(again))  # the earliest repeat in file order
+    earlier = int(lines[first[np.searchsorted(unique, ids[k])]])
+    raise LoadError(
+        f"{path}: {duplicate} {str(ids[k])!r} (lines {earlier} and {int(lines[k])})",
+        [issue for issue in issues if issue.line < lines[k]],
+    )
+
+
+def _sales_rows(vehicle_id, sale_date):
+    """One chunk's checks: sale_date, then vehicle_id."""
+    vid, no_vid = _ids(vehicle_id)
+    day, day_ok = _days(sale_date)
+    rejected = []
+    for k in np.flatnonzero(~day_ok | no_vid):
+        if not day_ok[k]:
+            rejected.append((k, f"unparseable sale_date {sale_date[k]!r}"))
+        else:
+            rejected.append((k, "empty vehicle_id"))
+    return (vid, day), rejected
+
+
+def _claim_rows(vehicle_id, claim_date, claim_id, amount):
+    """One chunk's checks: vehicle_id, claim_id, claim_date, then amount."""
+    vid, no_vid = _ids(vehicle_id)
+    cid, no_cid = _ids(claim_id)
+    day, day_ok = _days(claim_date)
+    value, value_ok = _amounts(amount)
+    finite = np.isfinite(value)
+    rejected = []
+    bad = no_vid | no_cid | ~day_ok | ~value_ok | ~finite | (value < 0.0)
+    for k in np.flatnonzero(bad):
+        if no_vid[k]:
+            message = "empty vehicle_id"
+        elif no_cid[k]:
+            message = "empty claim_id"
+        elif not day_ok[k]:
+            message = f"unparseable claim_date {claim_date[k]!r}"
+        elif not value_ok[k]:
+            message = f"unparseable amount {amount[k]!r}"
+        elif not finite[k]:
+            message = f"non-finite amount {float(value[k])}"
+        else:
+            message = f"negative amount {float(value[k])}"
+        rejected.append((k, message))
+    return (vid, day, value, cid), rejected
 
 
 def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
     """Parse a sales CSV with columns (vehicle_id, sale_date).
 
-    Duplicate vehicle ids are fatal (both line numbers reported); other
-    malformed rows are collected and become fatal only past a 1% share.
+    A row is rejected for an unparseable sale_date, else for an empty
+    vehicle_id.  Duplicate vehicle ids are fatal (both line numbers
+    reported); rejected rows are collected and become fatal only past a
+    1% share.
     """
-    days: List[int] = []
-    issues: List[RowIssue] = []
-    seen: Dict[str, int] = {}  # vehicle id -> line, in file order
-    total = 0
-    for line, row in _read_rows(path, ("vehicle_id", "sale_date")):
-        total += 1
-        vid = (row.get("vehicle_id") or "").strip()
-        try:
-            day = _parse_day(row.get("sale_date") or "")
-        except ValueError:
-            issues.append(RowIssue(line, f"unparseable sale_date {row.get('sale_date')!r}"))
-            continue
-        if not vid:
-            issues.append(RowIssue(line, "empty vehicle_id"))
-            continue
-        if vid in seen:
-            raise LoadError(
-                f"{path}: duplicate sales rows for vehicle {vid!r} "
-                f"(lines {seen[vid]} and {line})",
-                issues,
-            )
-        seen[vid] = line
-        days.append(day)
-    _check_bad_share(path, total, issues)
-    return SalesTable(list(seen), days), issues
+    (vid, day), issues = _load(
+        path,
+        ("vehicle_id", "sale_date"),
+        _sales_rows,
+        0,
+        "duplicate sales rows for vehicle",
+    )
+    return SalesTable(vid, day), issues
 
 
 def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
 
-    Duplicate claim ids are fatal (both line numbers reported); other
-    malformed rows, blank claim ids and non-finite amounts included, are
-    collected and become fatal only past a 1% share.
+    A row is rejected for the first of: empty vehicle_id, empty claim_id,
+    unparseable claim_date, unparseable amount, non-finite amount, negative
+    amount.  Duplicate claim ids are fatal (both line numbers reported);
+    rejected rows are collected and become fatal only past a 1% share.
     """
-    vids: List[str] = []
-    days: List[int] = []
-    amounts: List[float] = []
-    issues: List[RowIssue] = []
-    seen: Dict[str, int] = {}
-    total = 0
-    for line, row in _read_rows(
-        path, ("vehicle_id", "claim_date", "claim_id", "amount")
-    ):
-        total += 1
-        vid = (row.get("vehicle_id") or "").strip()
-        if not vid:
-            issues.append(RowIssue(line, "empty vehicle_id"))
-            continue
-        cid = (row.get("claim_id") or "").strip()
-        if not cid:
-            issues.append(RowIssue(line, "empty claim_id"))
-            continue
-        try:
-            day = _parse_day(row.get("claim_date") or "")
-        except ValueError:
-            issues.append(
-                RowIssue(line, f"unparseable claim_date {row.get('claim_date')!r}")
-            )
-            continue
-        try:
-            amount = float(row.get("amount") or "")
-        except ValueError:
-            issues.append(RowIssue(line, f"unparseable amount {row.get('amount')!r}"))
-            continue
-        if not math.isfinite(amount):
-            issues.append(RowIssue(line, f"non-finite amount {amount}"))
-            continue
-        if amount < 0.0:
-            issues.append(RowIssue(line, f"negative amount {amount}"))
-            continue
-        if cid in seen:
-            raise LoadError(
-                f"{path}: duplicate claim id {cid!r} (lines {seen[cid]} and {line})",
-                issues,
-            )
-        seen[cid] = line
-        vids.append(vid)
-        days.append(day)
-        amounts.append(amount)
-    _check_bad_share(path, total, issues)
-    return ClaimsTable(vids, days, amounts), issues
+    (vid, day, amount, _), issues = _load(
+        path,
+        ("vehicle_id", "claim_date", "claim_id", "amount"),
+        _claim_rows,
+        3,
+        "duplicate claim id",
+    )
+    return ClaimsTable(vid, day, amount), issues
 
 
 def _check_bad_share(path, total: int, issues: List[RowIssue]) -> None:
@@ -181,15 +332,16 @@ def anchor_day_zero(
     )
 
 
-def write_series(path, x_name: str, x: Iterable, y_name: str, y: Iterable) -> None:
+def write_series(path, x_name: str, x: np.ndarray, y_name: str, y: np.ndarray) -> None:
     """Two-column CSV with full-precision floats (round-trips exactly)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    x = np.asarray(x, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([x_name, y_name])
-        for a, b in zip(x, y):
-            writer.writerow([repr(float(a)), repr(float(b))])
+        csv.writer(handle).writerow([x_name, y_name])
+        # a float's repr never needs quoting; "\r\n" is csv.writer's line end
+        handle.write("".join([f"{a!r},{b!r}\r\n" for a, b in zip(x, y)]))
 
 
 def write_json_report(payload: dict, path) -> None:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import structured_merge
 from claimcast.claims import (
     ClaimsTable,
     JoinedClaims,
@@ -81,6 +84,42 @@ class TestAggregateDailyClaims:
             ("B", -1, 3.0),
             ("B", 3, 1.0),
         ]
+
+
+def same_merge(claims):
+    """aggregate_daily_claims and its structured-array oracle agree bit for bit."""
+    got = aggregate_daily_claims(claims)
+    want = structured_merge.aggregate_daily_claims(claims)
+    assert got.vehicle_id.tolist() == want.vehicle_id.tolist()
+    assert got.vehicle_id.dtype == want.vehicle_id.dtype
+    assert got.day.tolist() == want.day.tolist()
+    assert got.amount.tobytes() == want.amount.tobytes()
+
+
+class TestAggregateAgainstStructuredMerge:
+    def test_interleaved_non_ascii_negative_days(self):
+        same_merge(
+            claims_table(
+                ("Ü2", -3, 0.1), ("A", -1096, 0.2), ("Ü2", -3, 0.7),
+                ("车", 0, 1e-300), ("A", -1096, 0.30000000000000004), ("B", 5, 2.0),
+                ("Ü2", -4, 3.5), ("A", -1096, 1e16), ("车", 0, 1.0), ("B", -5, -0.0),
+                ("A", 7, 0.0),
+            )
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "AB", "É", "车", "V000001", "V000010"]),
+                st.integers(-1200, 40),
+                st.floats(0.0, 1e6, allow_subnormal=True),
+            ),
+            max_size=60,
+        )
+    )
+    def test_generated_tables(self, rows):
+        same_merge(claims_table(*rows))
 
 
 class TestBuildClaimsMeasures:
