@@ -27,6 +27,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+# loaded on import, so that a first load does not pay for it: np.unique
+# loads numpy.ma
+import numpy.ma  # noqa: F401
+
 from .claims import ClaimsTable, SalesTable
 from .errors import LoadError
 
@@ -108,57 +112,53 @@ def _read_chunks(path, required: Sequence[str]):
 
 
 def _ids(raw: tuple) -> Tuple[List[str], np.ndarray]:
-    """Stripped ids of one raw column and the mask of the empty ones.
+    """Stripped ids of one raw column and the mask of the unusable ones.
 
-    A missing field is the empty id.  The ids stay Python strings: only the
-    kept ones become an array (:func:`_kept`), so a long id in a rejected
-    row does not widen the column.
+    A missing field is the empty id.  An id holding a NUL is unusable too:
+    a numpy str array drops trailing NULs, so it could not be stored as
+    read.  The ids stay Python strings: only the kept ones become an array
+    (:func:`_kept`), so a long id in a rejected row does not widen the
+    column.
     """
     ids = [(v or "").strip() for v in raw]
-    if all(ids):
+    if all(ids) and "\x00" not in "".join(ids):
         return ids, np.zeros(len(ids), dtype=bool)
-    return ids, np.fromiter(map(len, ids), np.int64, len(ids)) == 0
+    return ids, np.array([not v or "\x00" in v for v in ids], dtype=bool)
+
+
+def _id_issue(name: str, value: str) -> str:
+    """The row issue of an id that :func:`_ids` marks unusable."""
+    return f"empty {name}" if not value else f"NUL character in {name}"
 
 
 def _kept(column, keep: np.ndarray) -> np.ndarray:
     """The kept entries of one chunk's column, as an array."""
     if isinstance(column, np.ndarray):
         return column[keep]
-    ids = column if keep.all() else list(compress(column, keep))
-    if "\x00" in "".join(ids):
-        # numpy drops trailing NULs from str arrays, so such ids stay Python
-        # strings until the table is built (duplicates compare them exactly)
-        return np.array(ids, dtype=object)
-    return np.array(ids, dtype=str)
+    return np.array(column if keep.all() else list(compress(column, keep)), dtype=str)
 
 
 def _days(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """Day numbers of one raw column and the mask of the parseable ones.
+    """Day numbers of one raw column and the mask of the usable ones.
 
     A chunk of plain ASCII integers is cast at once; any other chunk, and
-    one that ``int`` refuses as too long, goes value by value through
-    :func:`_parse_day`.  Days past int64 stay Python ints, so the table,
-    like the row-wise loader, rejects them only after every row check.
+    one that the cast refuses (a value past int's digit limit or past
+    int64), goes value by value through :func:`_parse_day`.  A day past
+    int64 is unusable like an unparseable one.
     """
     ok = np.ones(len(raw), dtype=bool)
-    days = None
     if all(raw) and (text := "".join(raw)).isascii() and text.isdigit():
         try:
-            days = list(map(int, raw))
-        except ValueError:  # a value past int's digit limit
+            return np.array(list(map(int, raw)), dtype=np.int64), ok
+        except (ValueError, OverflowError):
             pass
-    if days is None:
-        days = []
-        for k, value in enumerate(raw):
-            try:
-                days.append(_parse_day(value or ""))
-            except ValueError:
-                days.append(0)
-                ok[k] = False
-    try:
-        return np.array(days, dtype=np.int64), ok
-    except OverflowError:
-        return np.array(days, dtype=object), ok
+    days = np.zeros(len(raw), dtype=np.int64)
+    for k, value in enumerate(raw):
+        try:
+            days[k] = _parse_day(value or "")
+        except (ValueError, OverflowError):
+            ok[k] = False
+    return days, ok
 
 
 def _amounts(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
@@ -230,31 +230,31 @@ def _check_unique(path, parts, key: int, duplicate: str, issues) -> None:
 
 def _sales_rows(vehicle_id, sale_date):
     """One chunk's checks: sale_date, then vehicle_id."""
-    vid, no_vid = _ids(vehicle_id)
+    vid, bad_vid = _ids(vehicle_id)
     day, day_ok = _days(sale_date)
     rejected = []
-    for k in np.flatnonzero(~day_ok | no_vid):
+    for k in np.flatnonzero(~day_ok | bad_vid):
         if not day_ok[k]:
             rejected.append((k, f"unparseable sale_date {sale_date[k]!r}"))
         else:
-            rejected.append((k, "empty vehicle_id"))
+            rejected.append((k, _id_issue("vehicle_id", vid[k])))
     return (vid, day), rejected
 
 
 def _claim_rows(vehicle_id, claim_date, claim_id, amount):
     """One chunk's checks: vehicle_id, claim_id, claim_date, then amount."""
-    vid, no_vid = _ids(vehicle_id)
-    cid, no_cid = _ids(claim_id)
+    vid, bad_vid = _ids(vehicle_id)
+    cid, bad_cid = _ids(claim_id)
     day, day_ok = _days(claim_date)
     value, value_ok = _amounts(amount)
     finite = np.isfinite(value)
     rejected = []
-    bad = no_vid | no_cid | ~day_ok | ~value_ok | ~finite | (value < 0.0)
+    bad = bad_vid | bad_cid | ~day_ok | ~value_ok | ~finite | (value < 0.0)
     for k in np.flatnonzero(bad):
-        if no_vid[k]:
-            message = "empty vehicle_id"
-        elif no_cid[k]:
-            message = "empty claim_id"
+        if bad_vid[k]:
+            message = _id_issue("vehicle_id", vid[k])
+        elif bad_cid[k]:
+            message = _id_issue("claim_id", cid[k])
         elif not day_ok[k]:
             message = f"unparseable claim_date {claim_date[k]!r}"
         elif not value_ok[k]:
@@ -270,10 +270,10 @@ def _claim_rows(vehicle_id, claim_date, claim_id, amount):
 def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
     """Parse a sales CSV with columns (vehicle_id, sale_date).
 
-    A row is rejected for an unparseable sale_date, else for an empty
-    vehicle_id.  Duplicate vehicle ids are fatal (both line numbers
-    reported); rejected rows are collected and become fatal only past a
-    1% share.
+    A row is rejected for an unparseable sale_date (or one past int64),
+    else for an empty vehicle_id or one holding a NUL.  Duplicate vehicle
+    ids are fatal (both line numbers reported); rejected rows are collected
+    and become fatal only past a 1% share.
     """
     (vid, day), issues = _load(
         path,
@@ -288,8 +288,9 @@ def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
 def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
 
-    A row is rejected for the first of: empty vehicle_id, empty claim_id,
-    unparseable claim_date, unparseable amount, non-finite amount, negative
+    A row is rejected for the first of: empty vehicle_id (or one holding
+    a NUL), empty claim_id (or one holding a NUL), unparseable claim_date
+    (or one past int64), unparseable amount, non-finite amount, negative
     amount.  Duplicate claim ids are fatal (both line numbers reported);
     rejected rows are collected and become fatal only past a 1% share.
     """

@@ -131,6 +131,12 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bin_width_leaving_one_bin_is_validation_error(self, dataset_dir, capsys):
+        sales = dataset_dir / "sales.csv"
+        rc = main(["fit-sales", "--sales", str(sales), *COMMON, "--bin-width", "200"])
+        assert rc == 2
+        assert "error: need at least 2 bins of 200 days to fit" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_3(self, dataset_dir, capsys):
         rc = main(
             [

@@ -90,6 +90,26 @@ class TestLoadSales:
         assert [i.line for i in issues] == [151]
         assert issues[0].message.startswith("unparseable sale_date '7777")
 
+    @pytest.mark.parametrize("day", ["9223372036854775808", "-99999999999999999999"])
+    def test_day_past_int64_is_an_issue(self, tmp_path, day):
+        rows = ["vehicle_id,sale_date"] + [f"V{i},{100 + i}" for i in range(200)]
+        rows.insert(120, f"VX,{day}")
+        p = write(tmp_path / "s.csv", "\n".join(rows) + "\n")
+        sales, issues = load_sales(p)
+        assert len(sales) == 200
+        assert issues == [RowIssue(121, f"unparseable sale_date {day!r}")]
+
+    def test_id_holding_a_nul_is_an_issue(self, tmp_path):
+        rows = ["vehicle_id,sale_date"] + [f"V{i},{100 + i}" for i in range(200)]
+        rows[50:50] = ["N\x00,7", "N,8", " \x00 ,9"]
+        p = write(tmp_path / "s.csv", "\n".join(rows) + "\n")
+        sales, issues = load_sales(p)
+        assert issues == [
+            RowIssue(51, "NUL character in vehicle_id"),
+            RowIssue(53, "NUL character in vehicle_id"),
+        ]
+        assert len(sales) == 201 and "N" in sales.vehicle_id.tolist()
+
     def test_long_id_in_a_rejected_row_does_not_widen_the_column(self, tmp_path):
         rows = ["vehicle_id,sale_date"] + [f"V{i:03d},{100 + i}" for i in range(200)]
         rows.insert(180, "W" * 100_000 + ",never")
@@ -224,6 +244,29 @@ class TestLoadClaims:
         assert len(claims) == 200
         assert claims.vehicle_id.dtype == np.dtype("<U1")
         assert peak < 5e6  # a claim id column 100k characters wide: 80 MB
+
+    def test_day_past_int64_is_an_issue(self, tmp_path):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(200)]
+        rows[7] = "V,99999999999999999999,C6,1.0"
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        records, issues = load_claims(p)
+        assert len(records) == 199
+        assert issues == [RowIssue(8, "unparseable claim_date '99999999999999999999'")]
+
+    def test_ids_holding_a_nul_are_issues(self, tmp_path):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(200)]
+        rows[7] = "V\x00,106,C6,1.0"
+        rows[9] = "V,108,C7\x00,1.0"
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        records, issues = load_claims(p)
+        assert len(records) == 198
+        assert set(records.vehicle_id.tolist()) == {"V"}
+        assert issues == [
+            RowIssue(8, "NUL character in vehicle_id"),
+            RowIssue(10, "NUL character in claim_id"),
+        ]
 
     @pytest.mark.parametrize("blank_lines", [[5], [5, 9]])
     def test_blank_claim_id_is_an_issue(self, tmp_path, blank_lines):
@@ -360,6 +403,21 @@ def csv_files(draw, columns):
     return header, rows, draw(st.sampled_from(["\n", "\r\n"]))
 
 
+def beyond_oracle(value):
+    """An id holding a NUL or a day past int64.
+
+    The oracle stores such an id truncated at the NUL and fails on such a
+    day with ``OverflowError``; the loaders make each a row issue, which
+    the ``TestLoadSales`` and ``TestLoadClaims`` cases check.
+    """
+    if "\x00" in value:
+        return True
+    try:
+        return not -(2**63) <= dataio._parse_day(value) < 2**63
+    except ValueError:
+        return False
+
+
 def outcome(load, path):
     """A loader's result as comparable values: its columns and issues, or its error."""
     try:
@@ -407,7 +465,10 @@ class TestAgainstRowwiseLoaders:
                 writer.writerow(header)
                 writer.writerows(rows)
             with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
-                assert outcome(load, path) == outcome(oracle, path)
+                if any(map(beyond_oracle, (v for row in rows for v in row))):
+                    assert outcome(load, path)[0] not in ("OverflowError", "ValueError")
+                else:
+                    assert outcome(load, path) == outcome(oracle, path)
 
         check()
 

@@ -1,14 +1,19 @@
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _minpack, least_squares
 
+from claimcast import sales as sales_mod
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import fluctuation_moments
 from claimcast.errors import DomainError, FitError
 from claimcast.sales import (
+    BASS_START,
     BassParams,
     ResidualDecomposition,
     assemble_fluctuation,
@@ -82,6 +87,211 @@ class TestFitBass:
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
             fit_bass(np.r_[np.ones(40), -1.0], 100, first_day=-41)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        counts = np.ones(40)
+        counts[17] = bad
+        with pytest.raises(DomainError, match="finite"):
+            fit_bass(counts, 100, first_day=-40)
+
+    @pytest.mark.parametrize("days, width", [(40, 30), (59, 30), (30, 16)])
+    def test_fewer_than_two_bins_rejected(self, days, width):
+        with pytest.raises(DomainError, match="at least 2 bins"):
+            fit_bass(np.ones(days), 100, first_day=-days, bin_width=width)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _fit_with_port(counts, n, first_day, bin_width):
+    """fit_bass's outcome, the residual function it built and the port's run."""
+    run = {}
+    port = sales_mod._lmder
+
+    def recording(fun, x0, **tolerances):
+        points = []
+
+        def logged(u):
+            points.append(_bits(u))
+            return fun(u)
+
+        run.update(fun=fun, points=points, result=port(logged, x0, **tolerances))
+        return run["result"]
+
+    with mock.patch.object(sales_mod, "_lmder", recording):
+        try:
+            outcome = fit_bass(counts, n, first_day, bin_width)
+        except (FitError, DomainError) as exc:
+            outcome = exc
+    return outcome, run
+
+
+def _least_squares(fun):
+    """scipy's fit of ``fun`` as fit_bass made it, with MINPACK's own output.
+
+    Returns the result, lmder's info, nfev and residuals, and the points
+    evaluated up to lmder's return (least_squares then evaluates its final
+    Jacobian, which the port does not).
+    """
+    points, raw = [], {}
+    lmder = _minpack._lmder
+
+    def logged(u):
+        points.append(_bits(u))
+        return fun(u)
+
+    def returning(*args):
+        raw["out"], raw["points"] = lmder(*args), len(points)
+        return raw["out"]
+
+    with mock.patch.object(_minpack, "_lmder", returning):
+        result = least_squares(
+            logged,
+            x0=np.log(BASS_START),
+            method="lm",
+            ftol=1e-10,
+            xtol=1e-12,
+            gtol=1e-12,
+            max_nfev=800,
+        )
+    _, out, info = raw["out"]
+    return result, info, out["nfev"], out["fvec"], points[: raw["points"]]
+
+
+def _scipy_outcome(result, n, origin):
+    """What fit_bass returned or raised when it called least_squares."""
+    b, c = np.exp(result.x)
+    if not result.success:
+        return FitError(
+            f"Bass fit did not converge: {result.message}",
+            best_params=(float(b), float(c)),
+            residual_norm=float(np.sqrt(2.0 * result.cost)),
+        )
+    try:
+        return BassParams(p=float(b), q=float(c - b), n=n, origin=origin)
+    except DomainError as exc:
+        return exc
+
+
+def _spike(days, at, height, width):
+    counts = np.zeros(days)
+    counts[at] = height
+    return counts, height, -days, width
+
+
+@st.composite
+def count_series(draw):
+    """(counts, n, first day, bin width) of a Bass-shaped, flat Poisson,
+    decreasing or single-spike sales series."""
+    width = draw(st.sampled_from([1, 2, 7, 30]))
+    days = draw(st.integers(max(30, 2 * width), 1200))
+    kind = draw(st.sampled_from(["bass", "flat", "decreasing", "spike"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bass":
+        curve = BassParams(
+            p=10.0 ** draw(st.floats(-5.0, -2.0)),
+            q=10.0 ** draw(st.floats(-4.0, -1.5)),
+            n=draw(st.integers(100, 50_000)),
+            origin=-days - 1,
+        )
+        t = np.arange(-days, 0)
+        counts = rng.poisson(curve.n * (curve.share(t) - curve.share(t - 1)))
+    elif kind == "flat":
+        counts = rng.poisson(draw(st.floats(0.1, 50.0)), days)
+    elif kind == "decreasing":
+        counts = rng.poisson(np.linspace(draw(st.floats(5.0, 80.0)), 0.0, days))
+    else:
+        return _spike(days, draw(st.integers(0, days - 1)), draw(st.integers(1, 5000)), width)
+    counts = counts.astype(float)
+    return counts, max(int(counts.sum()), 1), -days, width
+
+
+class TestLevenbergMarquardtPort:
+    """The MINPACK port in fit_bass against scipy's least_squares as the oracle."""
+
+    @settings(
+        derandomize=True,
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(count_series())
+    # single spikes in the partial bin that is dropped, so every bin is 0:
+    # the step bound falls to 0 and lmpar divides 0 by 0
+    @example(_spike(66, 65, 4270, 30))
+    @example(_spike(109, 98, 503, 30))
+    @example(_spike(345, 331, 65, 30))
+    @example(_spike(100, 50, 50, 1))  # runs out of max_nfev
+    def test_bit_identical_to_least_squares(self, series):
+        counts, n, first_day, width = series
+        outcome, run = _fit_with_port(counts, n, first_day, width)
+        result, info, nfev, fvec, points = _least_squares(run["fun"])
+        x, port_fvec, port_info, port_nfev = run["result"]
+        assert _bits(x) == _bits(result.x)
+        assert (port_info, port_nfev) == (info, nfev)
+        assert _bits(port_fvec) == _bits(fvec)
+        assert run["points"] == points
+        expected = _scipy_outcome(result, n, first_day - 1)
+        assert type(outcome) is type(expected)
+        if isinstance(outcome, BassParams):
+            assert outcome == expected
+        else:
+            assert str(outcome) == str(expected)
+            assert getattr(outcome, "best_params", None) == getattr(
+                expected, "best_params", None
+            )
+            assert getattr(outcome, "residual_norm", None) == getattr(
+                expected, "residual_norm", None
+            )
+
+    def test_fit_error_when_evaluations_run_out(self):
+        counts, n, first_day, width = _spike(100, 50, 50, 1)
+        outcome, run = _fit_with_port(counts, n, first_day, width)
+        result = _least_squares(run["fun"])[0]
+        assert result.status == 0 and run["result"][3] == 800
+        assert isinstance(outcome, FitError)
+        assert str(outcome) == (
+            "Bass fit did not converge: "
+            "The maximum number of function evaluations is exceeded."
+        )
+        b, c = np.exp(result.x)
+        assert outcome.best_params == (float(b), float(c))
+        assert outcome.residual_norm == float(np.sqrt(2.0 * result.cost))
+
+
+class TestLmderHelpers:
+    def test_enorm_neither_overflows_nor_underflows(self):
+        for scale in (1e-200, 1e-30, 1.0, 1e30, 1e200):
+            x = np.array([3.0, 4.0, 0.0, 12.0]) * scale
+            assert sales_mod._enorm(x) == pytest.approx(13.0 * scale, rel=1e-15)
+            assert sales_mod._enorm(list(x)) == sales_mod._enorm(x)
+
+    def test_enorm_sums_in_order(self):
+        x = np.random.default_rng(3).normal(size=997)
+        total = 0.0
+        for v in x:
+            total += v * v
+        assert sales_mod._enorm(x) == math.sqrt(total)
+
+    def test_dot_sums_in_order(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 501))
+        total = 0.0
+        for u, v in zip(a, b):
+            total += u * v
+        assert sales_mod._dot(a, b) == total
+        assert math.copysign(1.0, sales_mod._dot(np.array([-0.0]), np.array([1.0]))) == 1.0
+
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [(1.0, 0.0, math.inf), (-1.0, 0.0, -math.inf), (1.0, -0.0, -math.inf),
+         (0.0, 0.0, math.nan), (math.nan, 0.0, math.nan), (6.0, 3.0, 2.0)],
+    )
+    def test_division_follows_ieee(self, a, b, want):
+        got = sales_mod._q(a, b)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestResiduals:
