@@ -102,7 +102,8 @@ def fit_bass(
     increments of n * share(t); optimization runs over (log p, log(p+q))
     so both stay positive.  A trailing partial bin is ignored, and at least
     two full bins are needed.  Raises ``FitError`` when 800 residual
-    evaluations do not converge.
+    evaluations do not converge, or when the fit converges where p or
+    p + q is not positive once rounded.
     """
     counts = np.asarray(counts, dtype=float)
     if len(counts) < 30:
@@ -122,16 +123,20 @@ def fit_bass(
     def model(u):
         # share built from (log b, log c) = (log p, log(p + q)) directly so
         # the search may pass through c <= b without tripping parameter
-        # validation; exponents are clipped to keep every iterate finite
+        # validation; exponents are clipped to keep every iterate finite,
+        # except past log(p + q) > 709, where c overflows and -c * tau is
+        # NaN at tau = 0: such a trial point is rejected, so its overflow
+        # and invalid-value warnings are silenced
         log_b, log_c = u
-        c = np.exp(log_c)
-        k = np.expm1(min(log_c - log_b, 700.0))  # c/b - 1, capped below inf
-        tau = np.maximum(edges - origin, 0.0)
-        e = np.exp(np.maximum(-c * tau, -700.0))
-        # 1 + k e >= 1 - e >= 0 with equality only at tau = 0 where the
-        # numerator also vanishes; the floor keeps that ratio a clean 0
-        denom = np.maximum(1.0 + k * e, 1e-300)
-        share = (1.0 - e) / denom
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.exp(log_c)
+            k = np.expm1(min(log_c - log_b, 700.0))  # c/b - 1, capped below inf
+            tau = np.maximum(edges - origin, 0.0)
+            e = np.exp(np.maximum(-c * tau, -700.0))
+            # 1 + k e >= 1 - e >= 0 with equality only at tau = 0 where the
+            # numerator also vanishes; the floor keeps that ratio a clean 0
+            denom = np.maximum(1.0 + k * e, 1e-300)
+            share = (1.0 - e) / denom
         return n * np.diff(share)
 
     def resid(u):
@@ -140,16 +145,27 @@ def fit_bass(
     x, fvec, info, _ = _lmder(
         resid, np.log(BASS_START), ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=800
     )
-    if info > 4:  # 5: out of evaluations (6-8 need a tolerance below eps)
+    with np.errstate(over="ignore"):
         b, c = np.exp(x)
+    best = {
+        "best_params": (float(b), float(c)),
+        "residual_norm": float(np.sqrt(np.dot(fvec, fvec))),
+    }
+    if info > 4:  # 5: out of evaluations (6-8 need a tolerance below eps)
         raise FitError(
             "Bass fit did not converge: "
             "The maximum number of function evaluations is exceeded.",
-            best_params=(float(b), float(c)),
-            residual_norm=float(np.sqrt(np.dot(fvec, fvec))),
+            **best,
         )
-    b, c = np.exp(x)
-    return BassParams(p=float(b), q=float(c - b), n=n, origin=origin)
+    p, q = float(b), float(c - b)
+    if not (p > 0.0 and p + q > 0.0):
+        # a fit that failed, not bad input: when b dwarfs c, p + q =
+        # b + (c - b) rounds to 0
+        raise FitError(
+            f"Bass fit degenerate: p = {p:.6g} and q = {q:.6g} leave p + q = {p + q:.6g}",
+            **best,
+        )
+    return BassParams(p=p, q=q, n=n, origin=origin)
 
 
 def compute_residuals(

@@ -7,27 +7,34 @@ representation, which is stated in the S0 convention; the S0/S1 location
 shift ``mu0 = mu1 + beta sigma tan(pi alpha / 2)`` (log form at alpha = 1)
 is applied first and covered by tests.
 
-The CDF integral is cut where its exponent crosses fixed levels, placed by
-linear interpolation on a scan grid that is refined where the exponent is
-steep.  Every segment gets 16- and 32-point Gauss-Legendre rules in one
-vectorized evaluation, and only segments where the two rules disagree are
-bisected.  The summed |GL32 - GL16| is the error estimate: above 1e-8 the
-CDF raises ``NumericalError`` rather than return the value.
+The CDF integrals go through the batched kernel of ``claimcast._quadrature``:
+each is cut where its exponent crosses fixed levels, placed by linear
+interpolation on a scan grid that is refined where the exponent is steep.
+Every segment gets 16- and 32-point Gauss-Legendre rules in one vectorized
+evaluation, and only segments where the two rules disagree are bisected.
+The summed |GL32 - GL16| is the error estimate: above 1e-8 the CDF raises
+``NumericalError`` rather than return the value.  One call integrates all
+its points together, both sides of zeta included, in fixed-size chunks;
+each point's value is bit for bit what it gets alone.
 
 Quantiles invert the CDF by Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 4), one level at a time: each
-level is bracketed by geometric expansion around the location, and an
-array of levels maps that over its entries.
+Minimization without Derivatives*, 1973, ch. 4): each level is bracketed
+by geometric expansion around the location and then searched by a port of
+scipy's ``brentq``.  The searches of all levels run in lockstep, as
+generators, so that each round evaluates the CDF at every live level's
+next point in one batched call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as gamma_fn
 from typing import ClassVar
 
 import numpy as np
 
+from . import _quadrature
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -44,50 +51,7 @@ __all__ = [
 ALPHA_ONE_GUARD = 1e-4
 
 _CDF_ERROR_BUDGET = 1e-8  # summed |GL32 - GL16| allowed per CDF value
-_QUAD_ABS_TOL = 1e-11  # per segment: |GL32 - GL16| above this bisects it
-_MAX_BISECTIONS = 40
 _QUANTILE_XTOL = 1e-13  # root-finder xtol in units of max(1, sigma)
-
-# Scan grid, as fractions of the integration interval: 127 interior points
-# plus the decades 1e-9 ... 1e-3 from either end, where the representations'
-# log singularities squeeze far-tail transitions.
-_ENDS = 10.0 ** -np.arange(9.0, 2.0, -1.0)
-_SCAN = np.concatenate((_ENDS, np.linspace(0.0, 1.0, 129)[1:-1], 1.0 - _ENDS[::-1]))
-# A scan cell is split in eight while the exponent s changes across it by
-# more than _MAX_SCAN_STEP inside _BAND, where exp(-e^s) is neither 0 nor 1.
-_MAX_SCAN_STEP = 8.0
-_BAND = (-36.0, 4.0)
-_SUBDIVIDE = np.arange(1.0, 8.0) / 8.0
-_MAX_SCAN_REFINEMENTS = 16
-# exponent levels where the domain is cut
-_LEVELS = np.array(
-    [-30.0, -20.0, -12.0, -8.0, -5.0, -3.0, -2.0, -1.0, 0.0,
-     1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0]
-)
-
-
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on the Legendre recurrence, which settles to rounding
-    in a few steps from the asymptotic guesses.  (``numpy``'s ``leggauss``
-    solves an eigenproblem instead, whose first call sets up LAPACK and
-    costs about 1 MB of resident memory in every process importing this.)
-    """
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones(n), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x[::-1], (2.0 / ((1.0 - x * x) * dp * dp))[::-1]
-
-
-# Gauss-Legendre rules on [-1, 1]: the 16 nodes, then the 32, in one row
-_GL16_NODES, _GL16_WEIGHTS = _gauss_legendre(16)
-_GL32_NODES, _GL32_WEIGHTS = _gauss_legendre(32)
-_GL_NODES = np.concatenate((_GL16_NODES, _GL32_NODES))
 
 
 @dataclass(frozen=True)
@@ -161,161 +125,133 @@ def _s1_to_s0_location(alpha: float, beta: float, sigma: float, mu: float) -> fl
     return mu + beta * sigma * np.tan(np.pi * alpha / 2.0)
 
 
-def _exponent(log_g: float, log_v, theta: np.ndarray) -> np.ndarray:
-    """s = log_g + log_v(theta), with NaN (outside the domain) read as +inf."""
-    s = log_g + np.asarray(log_v(theta), dtype=float)
-    return np.where(np.isnan(s), np.inf, s)
+@lru_cache(maxsize=16)
+def _alpha_one_integrand(beta: float) -> _quadrature.Integrand:
+    """The alpha = 1 integrand, for beta > 0."""
+
+    def log_v(theta):
+        # log(2 / pi) + log(shifted) - log cos(theta) + shifted tan(theta) /
+        # beta with shifted = pi / 2 + beta theta, in place to keep few
+        # arrays alive
+        shifted = beta * theta
+        shifted += np.pi / 2.0
+        v = np.log(shifted)
+        v += np.log(2.0 / np.pi)
+        w = np.cos(theta)
+        v -= np.log(w, out=w)
+        w = np.tan(theta, out=w)
+        w *= shifted
+        w /= beta
+        v += w
+        return v
+
+    return _quadrature.integrand(log_v, -np.pi / 2.0, np.pi / 2.0)
 
 
-def _level_cuts(log_g: float, log_v, lo: float, hi: float):
-    """Segment edges: lo, hi and where s crosses each of ``_LEVELS``.
+@lru_cache(maxsize=16)
+def _s0_integrand(alpha: float, beta: float) -> _quadrature.Integrand:
+    """The integrand for x > zeta of the standardized S0 law, alpha != 1."""
+    theta0 = np.arctan(beta * np.tan(np.pi * alpha / 2.0)) / alpha
+    expo = alpha / (alpha - 1.0)
+    cos_a_t0 = np.cos(alpha * theta0)
 
-    Each crossing is placed by linear interpolation of s between the scan
-    points around it.  Scan cells where s is steep inside ``_BAND`` are
-    subdivided first, so that the interpolated cuts land close to the true
-    crossings.  Returns None when the integrand is 0 on the whole scan.
-    """
-    grid = lo + (hi - lo) * _SCAN
-    s = _exponent(log_g, log_v, grid)
-    if np.all(s > 36.0):  # exp(-e^36) == 0 at double precision
-        return None
-    for _ in range(_MAX_SCAN_REFINEMENTS):
-        s0, s1 = s[:-1], s[1:]
-        steep = (
-            (np.abs(s1 - s0) > _MAX_SCAN_STEP)
-            & (np.maximum(s0, s1) > _BAND[0])
-            & (np.minimum(s0, s1) < _BAND[1])
-            & (np.diff(grid) > 1e-13 * (hi - lo))
-        )
-        if not steep.any():
-            break
-        i = np.nonzero(steep)[0]
-        extra = (grid[i, None] + (grid[i + 1] - grid[i])[:, None] * _SUBDIVIDE).ravel()
-        grid = np.concatenate((grid, extra))
-        s = np.concatenate((s, _exponent(log_g, log_v, extra)))
-        order = np.argsort(grid, kind="stable")
-        grid, s = grid[order], s[order]
-    d = s - _LEVELS[:, None]
-    finite = np.isfinite(s)
-    level, i = np.nonzero((d[:, :-1] * d[:, 1:] < 0.0) & finite[:-1] & finite[1:])
-    d0, d1 = d[level, i], d[level, i + 1]
-    cuts = grid[i] + (grid[i + 1] - grid[i]) * (d0 / (d0 - d1))
-    return np.unique(np.concatenate(([lo, hi], cuts)))
+    def log_v(theta):
+        # log(cos_a_t0) / (alpha - 1) + expo (log cos(theta) - log sin(alpha
+        # (theta0 + theta))) + log cos(alpha theta0 + (alpha - 1) theta)
+        # - log cos(theta), in place to keep few arrays alive
+        log_cos = np.log(np.cos(theta))
+        v = theta0 + theta
+        v *= alpha
+        np.log(np.sin(v, out=v), out=v)
+        np.subtract(log_cos, v, out=v)
+        v *= expo
+        v += np.log(cos_a_t0) / (alpha - 1.0)
+        u = (alpha - 1.0) * theta
+        u += alpha * theta0
+        v += np.log(np.cos(u, out=u), out=u)
+        v -= log_cos
+        return v
+
+    return _quadrature.integrand(log_v, -theta0, np.pi / 2.0)
 
 
-def _exp_neg_exp_integral(log_g: float, log_v, lo: float, hi: float) -> float:
-    """integral over (lo, hi) of exp(-exp(log_g + log_v(theta))).
-
-    The integrand is a smoothed step: ~1 where the exponent s = log_g +
-    log_v is very negative and ~0 where it is large, with s monotone in
-    theta for the representations used here.  The domain is cut where s
-    crosses each of ``_LEVELS`` (see ``_level_cuts``).  Every segment then
-    gets the 16- and 32-point Gauss-Legendre rules in one vectorized
-    evaluation; segments where the two disagree by more than
-    ``_QUAD_ABS_TOL`` are bisected and evaluated again, the rest keep the
-    32-point value.  The summed |GL32 - GL16| of the kept segments is the
-    error estimate checked against ``_CDF_ERROR_BUDGET``.
-    """
-    if hi - lo <= 0.0:
-        return 0.0
-    total = 0.0
-    total_err = 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cuts = _level_cuts(log_g, log_v, lo, hi)
-        if cuts is None:
-            return 0.0
-        a, b = cuts[:-1], cuts[1:]
-        for depth in range(_MAX_BISECTIONS + 1):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            s = _exponent(log_g, log_v, mid[:, None] + half[:, None] * _GL_NODES)
-            f = np.exp(-np.exp(s))
-            coarse = half * (f[:, : _GL16_NODES.size] @ _GL16_WEIGHTS)
-            fine = half * (f[:, _GL16_NODES.size :] @ _GL32_WEIGHTS)
-            err = np.abs(fine - coarse)
-            keep = err <= _QUAD_ABS_TOL
-            if depth == _MAX_BISECTIONS:
-                keep[:] = True  # the budget check below judges what is left
-            total += float(np.sum(fine[keep]))
-            total_err += float(np.sum(err[keep]))
-            if keep.all():
-                break
-            a, mid, b = a[~keep], mid[~keep], b[~keep]
-            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    if total_err > _CDF_ERROR_BUDGET:
-        raise NumericalError(
-            f"stable CDF quadrature error estimate {total_err:.2e} exceeds "
-            f"{_CDF_ERROR_BUDGET:.0e} (log_g={log_g:.3g}, interval "
-            f"[{lo:.3g}, {hi:.3g}])"
-        )
-    return total
+def _integrals(terms) -> list:
+    """``_quadrature.integrals`` of ``terms``, each within ``_CDF_ERROR_BUDGET``."""
+    values, errors = _quadrature.integrals(terms)
+    for (f, log_g), err in zip(terms, errors):
+        over = np.flatnonzero(err > _CDF_ERROR_BUDGET)
+        if over.size:
+            k = over[0]
+            raise NumericalError(
+                f"stable CDF quadrature error estimate {err[k]:.2e} exceeds "
+                f"{_CDF_ERROR_BUDGET:.0e} (log_g={log_g[k]:.3g}, interval "
+                f"[{f.lo:.3g}, {f.hi:.3g}])"
+            )
+    return values
 
 
-def _cdf_std_alpha_one(x: float, beta: float) -> float:
+def _cdf_alpha_one(x: np.ndarray, beta: float) -> np.ndarray:
     """Standardized CDF at alpha = 1 (S0 and S1 coincide up to the log shift
     already applied by the caller)."""
     if beta == 0.0:
         return 0.5 + np.arctan(x) / np.pi
     if beta < 0.0:
-        return 1.0 - _cdf_std_alpha_one(-x, -beta)
+        return 1.0 - _cdf_alpha_one(-x, -beta)
     log_g = -np.pi * x / (2.0 * beta)
-
-    def log_v(theta):
-        theta = np.asarray(theta, dtype=float)
-        half_pi = np.pi / 2.0
-        return (
-            np.log(2.0 / np.pi)
-            + np.log(half_pi + beta * theta)
-            - np.log(np.cos(theta))
-            + (half_pi + beta * theta) * np.tan(theta) / beta
-        )
-
-    val = _exp_neg_exp_integral(log_g, log_v, -np.pi / 2.0, np.pi / 2.0)
-    return min(max(val / np.pi, 0.0), 1.0)
+    (integral,) = _integrals([(_alpha_one_integrand(beta), log_g)])
+    return np.minimum(np.maximum(integral / np.pi, 0.0), 1.0)
 
 
-def _cdf_std_s0(x: float, alpha: float, beta: float) -> float:
-    """CDF of the standardized (sigma = 1, location 0) S0 law."""
+def _cdf_right_of_zeta(alpha: float, groups) -> list:
+    """CDF of the standardized S0 law (alpha != 1) for each (beta, x) of
+    ``groups``, all x right of that law's zeta, from one kernel call."""
+    expo = alpha / (alpha - 1.0)
+    terms = []
+    for beta, x in groups:
+        zeta = -beta * np.tan(np.pi * alpha / 2.0)
+        terms.append((_s0_integrand(alpha, beta), expo * np.log(x - zeta)))
+    cdfs = []
+    for (f, _), integral in zip(terms, _integrals(terms)):
+        theta0 = -f.lo
+        head = (np.pi / 2.0 - theta0) / np.pi if alpha < 1.0 else 1.0
+        val = head + np.sign(1.0 - alpha) * integral / np.pi
+        cdfs.append(np.minimum(np.maximum(val, 0.0), 1.0))
+    return cdfs
+
+
+def _cdf_std_s0(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """CDF of the standardized (sigma = 1, location 0) S0 law at every x.
+
+    Points left of zeta read the mirrored law, F(x) = 1 - F(-x; alpha,
+    -beta), so both sides go through one call of the quadrature kernel.
+    """
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-        return _cdf_std_alpha_one(x, beta)
+        return _cdf_alpha_one(x, beta)
     zeta = -beta * np.tan(np.pi * alpha / 2.0)
     theta0 = np.arctan(beta * np.tan(np.pi * alpha / 2.0)) / alpha
-    if x == zeta:
-        return (np.pi / 2.0 - theta0) / np.pi
-    if x < zeta:
-        return 1.0 - _cdf_std_s0(-x, alpha, -beta)
-
-    expo = alpha / (alpha - 1.0)
-    log_g = expo * np.log(x - zeta)
-    cos_a_t0 = np.cos(alpha * theta0)
-
-    def log_v(theta):
-        theta = np.asarray(theta, dtype=float)
-        return (
-            np.log(cos_a_t0) / (alpha - 1.0)
-            + expo * (np.log(np.cos(theta)) - np.log(np.sin(alpha * (theta0 + theta))))
-            + np.log(np.cos(alpha * theta0 + (alpha - 1.0) * theta))
-            - np.log(np.cos(theta))
-        )
-
-    integral = _exp_neg_exp_integral(log_g, log_v, -theta0, np.pi / 2.0)
-    head = (np.pi / 2.0 - theta0) / np.pi if alpha < 1.0 else 1.0
-    val = head + np.sign(1.0 - alpha) * integral / np.pi
-    return min(max(val, 0.0), 1.0)
+    left, at = x < zeta, x == zeta
+    right = ~(left | at)  # NaN included, as on the right-hand branch
+    out = np.empty(x.shape)
+    out[at] = (np.pi / 2.0 - theta0) / np.pi
+    out[right], mirrored = _cdf_right_of_zeta(alpha, [(beta, x[right]), (-beta, -x[left])])
+    out[left] = 1.0 - mirrored
+    return out
 
 
-def _cdf_scalar(params: StableParams, x: float) -> float:
+def _cdf(params: StableParams, x: np.ndarray) -> np.ndarray:
+    """The CDF at every entry of a 1-D array: the kernel behind both entry points."""
     mu0 = _s1_to_s0_location(params.alpha, params.beta, params.sigma, params.mu)
     return _cdf_std_s0((x - mu0) / params.sigma, params.alpha, params.beta)
 
 
 def stable_cdf(params: StableParams, x):
-    """CDF of the S1 stable law at x (scalar or array), to 1e-8 absolute."""
-    if np.ndim(x) == 0:
-        return _cdf_scalar(params, float(x))
-    return np.array([_cdf_scalar(params, float(v)) for v in np.ravel(x)]).reshape(
-        np.shape(x)
-    )
+    """CDF of the S1 stable law at x (scalar or array), to 1e-8 absolute.
+
+    All points are integrated together; a scalar is a batch of one.
+    """
+    points = np.asarray(x, dtype=float)
+    cdf = _cdf(params, points.ravel())
+    return float(cdf[0]) if points.ndim == 0 else cdf.reshape(points.shape)
 
 
 def _support_edges(params: StableParams):
@@ -336,54 +272,79 @@ def _support_edges(params: StableParams):
 def stable_quantile(params: StableParams, p):
     """Quantile at level p (scalar or array) with |cdf(q) - p| <= 1e-8.
 
-    Each level is bracketed around mu by geometric expansion and found by
-    Brent's method; an array of levels gives an array of its shape, one
-    inversion per entry.
+    Each distinct level is bracketed around mu by geometric expansion and
+    found by Brent's method.  The searches run in lockstep: each round
+    evaluates the CDF at every live search's next point in one kernel call,
+    and a point already evaluated in this call is not evaluated again.
     """
     levels = np.asarray(p, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError("quantile level must lie in (0, 1)")
-    if levels.ndim == 0:
-        return _quantile_scalar(params, float(levels))
-    out = [_quantile_scalar(params, float(v)) for v in levels.ravel()]
-    return np.array(out).reshape(levels.shape)
+    distinct, inverse = np.unique(levels.ravel(), return_inverse=True)
+    targets = distinct.tolist()
+    searches = [_quantile_search(params, target) for target in targets]
+    wanted = {k: next(search) for k, search in enumerate(searches)}
+    cdf, roots = {}, np.empty(len(targets))
+    while wanted:
+        xs = np.array(sorted(set(wanted.values())))
+        cdf.update(zip(xs.tolist(), _cdf(params, xs).tolist()))
+        for k, x in list(wanted.items()):
+            try:
+                while x in cdf:
+                    x = searches[k].send(cdf[x] - targets[k])
+                wanted[k] = x
+            except StopIteration as done:
+                roots[k] = done.value
+                del wanted[k]
+    q = roots[inverse]
+    return float(q[0]) if levels.ndim == 0 else q.reshape(levels.shape)
 
 
-def _quantile_scalar(params: StableParams, p: float) -> float:
+def _quantile_search(params: StableParams, p: float):
+    """The p-quantile search as a generator: yields each point where it
+    needs f = cdf - p, takes f there sent back, and returns the quantile."""
     lo_edge, hi_edge = _support_edges(params)
     center = params.mu
-    span = 4.0 * params.sigma
-    lo = max(center - span, lo_edge + 1e-12 * params.sigma)
-    hi = min(center + span, hi_edge - 1e-12 * params.sigma)
-    cdf_lo, cdf_hi = _cdf_scalar(params, lo), _cdf_scalar(params, hi)
+    lo = max(center - 4.0 * params.sigma, lo_edge + 1e-12 * params.sigma)
+    hi = min(center + 4.0 * params.sigma, hi_edge - 1e-12 * params.sigma)
+    f_lo = yield lo
+    f_hi = yield hi
     for _ in range(80):
-        if cdf_lo <= p:
+        if f_lo <= 0.0:
             break
         lo = max(center - 4.0 * (center - lo), lo_edge + 1e-12 * params.sigma)
-        cdf_lo = _cdf_scalar(params, lo)
+        f_lo = yield lo
         if lo == lo_edge:
             break
     for _ in range(80):
-        if cdf_hi >= p:
+        if f_hi >= 0.0:
             break
         hi = min(center + 4.0 * (hi - center), hi_edge - 1e-12 * params.sigma)
-        cdf_hi = _cdf_scalar(params, hi)
-    if not (cdf_lo <= p <= cdf_hi):
+        f_hi = yield hi
+    if not (f_lo <= 0.0 <= f_hi):
         raise NumericalError(
-            f"could not bracket the {p:.4g}-quantile (f({lo:.3g})={cdf_lo - p:.3g}, "
-            f"f({hi:.3g})={cdf_hi - p:.3g})"
+            f"could not bracket the {p:.4g}-quantile "
+            f"(f({lo:.3g})={f_lo:.3g}, f({hi:.3g})={f_hi:.3g})"
         )
-    known = {lo: cdf_lo, hi: cdf_hi}  # _brentq starts from the bracket ends
-
-    def f(x):
-        return (known[x] if x in known else _cdf_scalar(params, x)) - p
-
-    xtol = _QUANTILE_XTOL * max(1.0, params.sigma)
-    return float(_brentq(f, lo, hi, xtol))
+    # Brent starts from the bracket ends, whose f the caller already has
+    root = yield from _brent_steps(lo, hi, _QUANTILE_XTOL * max(1.0, params.sigma))
+    return float(root)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
-    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+    """Root of f on [xa, xb]: ``_brent_steps`` with f evaluated at each step."""
+    steps = _brent_steps(xa, xb, xtol, rtol, maxiter)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def _brent_steps(xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
+    """Brent's method on [xa, xb] as a generator: yields each point where it
+    needs f, takes f's value there sent back, and returns the root.
 
     A line-for-line port of scipy's ``brentq.c``, so it takes the same
     steps: inverse quadratic or secant steps while they shrink the bracket
@@ -392,7 +353,8 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
     change sign on [xa, xb] or ``maxiter`` steps do not converge.
     """
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = yield xpre
+    fcur = yield xcur
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -427,5 +389,5 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     raise NumericalError(f"Brent's method did not converge in {maxiter} steps")

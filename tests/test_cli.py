@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from claimcast.cli import _build_config, build_parser, main
@@ -136,6 +137,19 @@ class TestExitCodes:
         rc = main(["fit-sales", "--sales", str(sales), *COMMON, "--bin-width", "200"])
         assert rc == 2
         assert "error: need at least 2 bins of 200 days to fit" in capsys.readouterr().err
+
+    def test_degenerate_bass_fit_is_numerical_failure(self, tmp_path, capsys):
+        from test_sales import DEGENERATE_SERIES
+
+        days = np.repeat(np.arange(DEGENERATE_SERIES.size), DEGENERATE_SERIES.astype(int))
+        sales = tmp_path / "sales.csv"
+        sales.write_text(
+            "vehicle_id,sale_date\n"
+            + "".join(f"V{i:06d},{day}\n" for i, day in enumerate(days))
+        )
+        rc = main(["fit-sales", "--sales", str(sales), *COMMON, "--bin-width", "30"])
+        assert rc == 3
+        assert "numerical failure: Bass fit degenerate" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_3(self, dataset_dir, capsys):
         rc = main(

@@ -161,18 +161,34 @@ def _least_squares(fun):
 
 
 def _scipy_outcome(result, n, origin):
-    """What fit_bass returned or raised when it called least_squares."""
-    b, c = np.exp(result.x)
+    """What fit_bass should return or raise given least_squares' result: a
+    non-converged or degenerate fit is a ``FitError``."""
+    with np.errstate(over="ignore"):
+        b, c = np.exp(result.x)
+    best = {
+        "best_params": (float(b), float(c)),
+        "residual_norm": float(np.sqrt(2.0 * result.cost)),
+    }
     if not result.success:
+        return FitError(f"Bass fit did not converge: {result.message}", **best)
+    p, q = float(b), float(c - b)
+    if not (p > 0.0 and p + q > 0.0):
         return FitError(
-            f"Bass fit did not converge: {result.message}",
-            best_params=(float(b), float(c)),
-            residual_norm=float(np.sqrt(2.0 * result.cost)),
+            f"Bass fit degenerate: p = {p:.6g} and q = {q:.6g} leave p + q = {p + q:.6g}",
+            **best,
         )
-    try:
-        return BassParams(p=float(b), q=float(c - b), n=n, origin=origin)
-    except DomainError as exc:
-        return exc
+    return BassParams(p=p, q=q, n=n, origin=origin)
+
+
+# a 71-day decreasing Poisson series: at bin width 30, MINPACK stops on gtol
+# where b = e^x0 is about 1e27 and c = e^x1 about 7e9, so that p + q =
+# b + (c - b) rounds to 0
+DEGENERATE_SERIES = np.array(
+    [18, 15, 10, 11, 14, 12, 12, 12, 11, 12, 7, 9, 13, 12, 16, 16, 15, 13, 11, 5,
+     12, 11, 6, 15, 5, 6, 4, 8, 9, 11, 10, 4, 9, 13, 10, 6, 8, 7, 9, 4, 9, 3, 4, 8,
+     3, 6, 4, 3, 2, 5, 5, 5, 2, 3, 2, 7, 5, 4, 5, 1, 5, 4, 1, 3, 2, 1, 1, 1, 0, 2, 0],
+    dtype=float,
+)
 
 
 def _spike(days, at, height, width):
@@ -224,6 +240,7 @@ class TestLevenbergMarquardtPort:
     @example(_spike(109, 98, 503, 30))
     @example(_spike(345, 331, 65, 30))
     @example(_spike(100, 50, 50, 1))  # runs out of max_nfev
+    @example((DEGENERATE_SERIES, int(DEGENERATE_SERIES.sum()), 1, 30))
     def test_bit_identical_to_least_squares(self, series):
         counts, n, first_day, width = series
         outcome, run = _fit_with_port(counts, n, first_day, width)
@@ -245,6 +262,18 @@ class TestLevenbergMarquardtPort:
             assert getattr(outcome, "residual_norm", None) == getattr(
                 expected, "residual_norm", None
             )
+
+    def test_degenerate_converged_fit_is_a_fit_error(self):
+        counts = DEGENERATE_SERIES
+        outcome, run = _fit_with_port(counts, int(counts.sum()), 1, 30)
+        x, fvec, info, _ = run["result"]
+        assert info <= 4  # converged
+        assert isinstance(outcome, FitError)
+        assert str(outcome).startswith("Bass fit degenerate: ")
+        b, c = np.exp(x)
+        assert outcome.best_params == (float(b), float(c))
+        assert float(b) + float(c - b) == 0.0  # c is lost in rounding
+        assert outcome.residual_norm == float(np.sqrt(np.dot(fvec, fvec)))
 
     def test_fit_error_when_evaluations_run_out(self):
         counts, n, first_day, width = _spike(100, 50, 50, 1)

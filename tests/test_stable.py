@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import claimcast.stable as stable_mod
+from claimcast import _quadrature
 from claimcast.errors import DomainError, NumericalError
 from claimcast.sim import make_rng
 from claimcast.stable import (
@@ -297,19 +301,82 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_gauss_legendre_rule(self, n):
-        from claimcast.stable import _gauss_legendre
-
-        nodes, weights = _gauss_legendre(n)
+        nodes, weights = _quadrature.gauss_legendre(n)
         want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(nodes - want_nodes)) < 1e-14
         assert np.max(np.abs(weights - want_weights)) < 1e-14
 
     def test_error_budget_enforced(self, monkeypatch):
-        import claimcast.stable as stable_mod
-
         monkeypatch.setattr(stable_mod, "_CDF_ERROR_BUDGET", 0.0)
         with pytest.raises(NumericalError, match="error estimate"):
             stable_cdf(params_mean_case(1.5), 1.0)
+        with pytest.raises(NumericalError, match="error estimate"):
+            stable_cdf(params_mean_case(1.5), np.array([-3.0, 1.0, 40.0]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def cdf_batches(draw):
+    """(law, points) with points on both sides of zeta, at zeta, past a
+    support edge and repeated, in batches around the chunk size."""
+    guard = stable_mod.ALPHA_ONE_GUARD
+    alpha = draw(st.one_of(st.floats(0.05, 1.95), st.floats(1.0 - 0.9 * guard, 1.0 + 0.9 * guard)))
+    beta = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    params = StableParams(alpha, beta, draw(st.floats(0.1, 10.0)), draw(st.floats(-5.0, 5.0)))
+    mu0 = stable_mod._s1_to_s0_location(alpha, beta, params.sigma, params.mu)
+    zeta = 0.0 if abs(alpha - 1.0) < guard else -beta * np.tan(np.pi * alpha / 2.0)
+    marked = [
+        float(mu0 + params.sigma * zeta),  # at zeta (exactly so for beta = 0)
+        params.mu,  # the support edge of a totally skewed law with alpha < 1
+        params.mu - params.sigma,  # beyond it
+        params.mu + params.sigma,
+    ]
+    spread = params.sigma * 10.0 ** draw(st.floats(-3.0, 6.0))
+    point = st.one_of(
+        st.sampled_from(marked),
+        st.floats(params.mu - spread, params.mu + spread),
+    )
+    chunk = _quadrature.CHUNK
+    size = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]))
+    xs = draw(st.lists(point, min_size=size, max_size=size))
+    if xs:
+        xs[-1] = xs[0]  # a repeat
+    return params, np.array(xs, dtype=float)
+
+
+class TestBatchedCdf:
+    @settings(
+        derandomize=True,
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cdf_batches())
+    @example((StableParams(0.5, 0.0, 1.0, 0.0), np.zeros(3)))  # at zeta
+    @example((StableParams(0.6, 1.0, 1.0, 2.0), np.array([2.0, 1.0, -1e9, 2.5])))
+    @example((StableParams(0.6, -1.0, 1.0, 2.0), np.array([2.0, 3.0, 1e9, 1.5])))
+    def test_array_bit_identical_to_scalar_calls(self, batch):
+        params, xs = batch
+        got = stable_cdf(params, xs)
+        assert got.shape == xs.shape
+        assert _bits(got) == _bits([stable_cdf(params, float(x)) for x in xs])
+
+    def test_memory_bounded_by_the_chunk(self):
+        params = params_mean_case(1.5)
+        xs = make_rng(7, 0).standard_cauchy(1000) * 10.0
+        stable_cdf(params, xs[:2])  # per-law set-up outside the measurement
+        tracemalloc.start()
+        try:
+            stable_cdf(params, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one point alone peaks near 0.09 MB; all 1000 at once would take
+        # about 20 MB
+        assert peak < 1_000_000
 
 
 class TestBatchedQuantiles:
@@ -343,6 +410,27 @@ class TestBatchedQuantiles:
         with pytest.raises(DomainError):
             stable_quantile(params_mean_case(1.52), np.array([0.2, 1.0]))
 
+    def test_levels_searched_in_lockstep(self, monkeypatch):
+        params = params_mean_case(1.5)
+        levels = np.array([0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995])
+        calls = []
+        kernel = stable_mod._cdf
+
+        def counting(law, x):
+            calls.append(x.size)
+            return kernel(law, x)
+
+        monkeypatch.setattr(stable_mod, "_cdf", counting)
+        stable_quantile(params, levels)
+        together = len(calls)
+        alone = []
+        for p in levels:
+            calls.clear()
+            stable_quantile(params, p)
+            alone.append(len(calls))
+        # one kernel call per round for all levels, not one per level per step
+        assert together <= max(alone) < sum(alone)
+
 
 def _scipy_brentq(f, xa, xb, xtol, rtol=8.9e-16, maxiter=100):
     return brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
@@ -368,9 +456,23 @@ class TestBrentRootFinder:
     )
     def test_quantiles_bit_identical_to_scipy(self, alpha, monkeypatch):
         params = _grid_law(alpha)
+        brackets = []
+        steps = stable_mod._brent_steps
+
+        def recording(xa, xb, xtol, *args):
+            brackets.append((xa, xb, xtol))
+            return steps(xa, xb, xtol, *args)
+
+        monkeypatch.setattr(stable_mod, "_brent_steps", recording)
         ours = stable_quantile(params, self.LEVELS)
-        monkeypatch.setattr(stable_mod, "_brentq", _scipy_brentq)
-        assert np.array_equal(ours, stable_quantile(params, self.LEVELS))
+        together = sorted(brackets)
+        brackets.clear()
+        for p in self.LEVELS:
+            stable_quantile(params, float(p))
+        assert sorted(brackets) == together  # the lockstep run used these too
+        for q, p, (xa, xb, xtol) in zip(ours, self.LEVELS, brackets):
+            want = _scipy_brentq(lambda x, p=p: stable_cdf(params, x) - p, xa, xb, xtol)
+            assert _bits([q]) == _bits([want])
 
     @pytest.mark.parametrize(
         "f,lo,hi",
