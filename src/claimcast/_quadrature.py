@@ -55,10 +55,9 @@ def gauss_legendre(n: int):
     return x[::-1], (2.0 / ((1.0 - x * x) * dp * dp))[::-1]
 
 
-# Gauss-Legendre rules on [-1, 1]: the 16 nodes, then the 32, in one row
-_GL16_NODES, _GL16_WEIGHTS = gauss_legendre(16)
-_GL32_NODES, _GL32_WEIGHTS = gauss_legendre(32)
-_GL_NODES = np.concatenate((_GL16_NODES, _GL32_NODES))
+# Gauss-Legendre rules on [-1, 1]: the 16 nodes, then the 32, in one row,
+# and their weights in a row of the same layout
+_GL_NODES, _GL_WEIGHTS = map(np.concatenate, zip(gauss_legendre(16), gauss_legendre(32)))
 
 
 class Integrand(NamedTuple):
@@ -97,14 +96,6 @@ def _exponent(log_g: np.ndarray, theta: np.ndarray, which: np.ndarray, integrand
     s = parts[0] if len(parts) == 1 else np.concatenate(parts)
     s[np.isnan(s)] = np.inf
     return s
-
-
-def _runs(owner: np.ndarray):
-    """(owner, start, stop) of each run of equal entries in a sorted index."""
-    if owner.size == 0:
-        return []
-    starts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()]
-    return list(zip(owner[starts].tolist(), starts, [*starts[1:], owner.size]))
 
 
 def _segments(log_g: np.ndarray, which: np.ndarray, integrands, scans):
@@ -185,10 +176,10 @@ def integrals(terms):
     evaluated again, the rest keep the 32-point value.  A point's summed
     |GL32 - GL16| over its kept segments is its error estimate.
 
-    Each point's rules and sums are taken over its own rows, in the order
-    a point integrated alone has them, so a point's value does not depend
-    on the others in its chunk: ``numpy``'s pairwise sum and the BLAS
-    matrix-vector kernels both round differently over other row counts.
+    Every reduction runs over one point's rows in that point's own order:
+    each rule is a sum along one segment's row, and the kept segments are
+    added to their point's total one by one (``np.add.at``), so a point's
+    value is the same whatever else shares its chunk.
     """
     integrands = [f for f, _ in terms]
     sizes = [g.size for _, g in terms]
@@ -213,20 +204,15 @@ def integrals(terms):
                 f = _exponent(log_g[owner, None], nodes, which[owner], integrands)
                 del nodes  # one array fewer alive in the exponentials below
                 np.exp(np.negative(np.exp(f, out=f), out=f), out=f)  # exp(-exp(s))
-                coarse, fine = np.empty(a.size), np.empty(a.size)
-                for _, i, j in _runs(owner):
-                    coarse[i:j] = f[i:j, : _GL16_NODES.size] @ _GL16_WEIGHTS
-                    fine[i:j] = f[i:j, _GL16_NODES.size :] @ _GL32_WEIGHTS
-                coarse *= half
-                fine *= half
+                f *= _GL_WEIGHTS
+                coarse = f[:, :16].sum(axis=1) * half
+                fine = f[:, 16:].sum(axis=1) * half
                 err = np.abs(fine - coarse)
                 keep = err <= _QUAD_ABS_TOL
                 if depth == _MAX_BISECTIONS:
                     keep[:] = True  # the caller's error budget judges what is left
-                kept_fine, kept_err = fine[keep], err[keep]
-                for point, i, j in _runs(owner[keep]):
-                    total[point] += np.add.reduce(kept_fine[i:j])
-                    total_err[point] += np.add.reduce(kept_err[i:j])
+                np.add.at(total, owner[keep], fine[keep])
+                np.add.at(total_err, owner[keep], err[keep])
                 if keep.all():
                     break
                 fail = ~keep

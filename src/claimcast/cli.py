@@ -15,6 +15,7 @@ success, 2 for input/validation problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -332,16 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("count", "normal", "stable_1_2", "stable_0_1", "prorata"),
         default="normal",
     )
-    p.add_argument("--warranty", type=int, default=1096)
-    p.add_argument("--period", type=int, default=91)
+    p.add_argument("--warranty", type=int, default=RunConfig.warranty)
+    p.add_argument("--period", type=int, default=RunConfig.period)
     p.add_argument("--n-scale", type=int, default=500)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--density-slope", type=float, default=-0.8872e-6)
-    p.add_argument("--density-intercept", type=float, default=0.1479e-2)
-    p.add_argument("--atom0", type=float, default=0.1330)
-    p.add_argument("--atomW", type=float, default=0.0420)
+    # the car-study claims measure, as simulated datasets have it
+    dataset = inspect.signature(synthesize_dataset).parameters
+    for flag in ("--density-slope", "--density-intercept", "--atom0", "--atomW"):
+        default = dataset[flag[2:].replace("-", "_")].default
+        p.add_argument(flag, type=float, default=default)
     p.add_argument("--size-mu-log", type=float, default=0.0)
     p.add_argument("--size-sigma-log", type=float, default=0.5)
     p.add_argument("--pareto-alpha", type=float, default=1.5)

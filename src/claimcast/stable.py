@@ -21,8 +21,8 @@ Quantiles invert the CDF by Brent's method (R. P. Brent, *Algorithms for
 Minimization without Derivatives*, 1973, ch. 4): each level is bracketed
 by geometric expansion around the location and then searched by a port of
 scipy's ``brentq``.  The searches of all levels run in lockstep, as
-generators, so that each round evaluates the CDF at every live level's
-next point in one batched call.
+generators, so that each round evaluates the CDF once at the distinct
+points the live levels need next, in one batched call.
 """
 
 from __future__ import annotations
@@ -229,8 +229,7 @@ def _cdf_std_s0(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
         return _cdf_alpha_one(x, beta)
     zeta = -beta * np.tan(np.pi * alpha / 2.0)
     theta0 = np.arctan(beta * np.tan(np.pi * alpha / 2.0)) / alpha
-    left, at = x < zeta, x == zeta
-    right = ~(left | at)  # NaN included, as on the right-hand branch
+    left, at, right = x < zeta, x == zeta, x > zeta
     out = np.empty(x.shape)
     out[at] = (np.pi / 2.0 - theta0) / np.pi
     out[right], mirrored = _cdf_right_of_zeta(alpha, [(beta, x[right]), (-beta, -x[left])])
@@ -239,9 +238,12 @@ def _cdf_std_s0(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 
 def _cdf(params: StableParams, x: np.ndarray) -> np.ndarray:
-    """The CDF at every entry of a 1-D array: the kernel behind both entry points."""
+    """The CDF at every entry of a 1-D array, NaN at NaN: the kernel behind
+    both entry points."""
     mu0 = _s1_to_s0_location(params.alpha, params.beta, params.sigma, params.mu)
-    return _cdf_std_s0((x - mu0) / params.sigma, params.alpha, params.beta)
+    out, known = np.full(x.shape, np.nan), ~np.isnan(x)
+    out[known] = _cdf_std_s0((x[known] - mu0) / params.sigma, params.alpha, params.beta)
+    return out
 
 
 def stable_cdf(params: StableParams, x):
@@ -274,8 +276,8 @@ def stable_quantile(params: StableParams, p):
 
     Each distinct level is bracketed around mu by geometric expansion and
     found by Brent's method.  The searches run in lockstep: each round
-    evaluates the CDF at every live search's next point in one kernel call,
-    and a point already evaluated in this call is not evaluated again.
+    takes every live search's next point and evaluates the distinct ones
+    once, in one kernel call.
     """
     levels = np.asarray(p, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
@@ -284,15 +286,12 @@ def stable_quantile(params: StableParams, p):
     targets = distinct.tolist()
     searches = [_quantile_search(params, target) for target in targets]
     wanted = {k: next(search) for k, search in enumerate(searches)}
-    cdf, roots = {}, np.empty(len(targets))
+    roots = np.empty(len(targets))
     while wanted:
-        xs = np.array(sorted(set(wanted.values())))
-        cdf.update(zip(xs.tolist(), _cdf(params, xs).tolist()))
-        for k, x in list(wanted.items()):
+        xs, at = np.unique(list(wanted.values()), return_inverse=True)
+        for k, cdf in zip(list(wanted), _cdf(params, xs)[at].tolist()):
             try:
-                while x in cdf:
-                    x = searches[k].send(cdf[x] - targets[k])
-                wanted[k] = x
+                wanted[k] = searches[k].send(cdf - targets[k])
             except StopIteration as done:
                 roots[k] = done.value
                 del wanted[k]
@@ -326,25 +325,14 @@ def _quantile_search(params: StableParams, p: float):
             f"could not bracket the {p:.4g}-quantile "
             f"(f({lo:.3g})={f_lo:.3g}, f({hi:.3g})={f_hi:.3g})"
         )
-    # Brent starts from the bracket ends, whose f the caller already has
-    root = yield from _brent_steps(lo, hi, _QUANTILE_XTOL * max(1.0, params.sigma))
-    return float(root)
+    xtol = _QUANTILE_XTOL * max(1.0, params.sigma)
+    return float((yield from _brent_steps(lo, hi, f_lo, f_hi, xtol)))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
-    """Root of f on [xa, xb]: ``_brent_steps`` with f evaluated at each step."""
-    steps = _brent_steps(xa, xb, xtol, rtol, maxiter)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as done:
-        return done.value
-
-
-def _brent_steps(xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
-    """Brent's method on [xa, xb] as a generator: yields each point where it
-    needs f, takes f's value there sent back, and returns the root.
+def _brent_steps(xa, xb, fa, fb, xtol: float, rtol=8.9e-16, maxiter=100):
+    """Brent's method on [xa, xb], where f is fa and fb, as a generator:
+    yields each further point where it needs f, takes f's value there sent
+    back, and returns the root.
 
     A line-for-line port of scipy's ``brentq.c``, so it takes the same
     steps: inverse quadratic or secant steps while they shrink the bracket
@@ -352,9 +340,7 @@ def _brent_steps(xa: float, xb: float, xtol: float, rtol=8.9e-16, maxiter=100):
     below (xtol + rtol |x|) / 2.  Raises ``NumericalError`` when f does not
     change sign on [xa, xb] or ``maxiter`` steps do not converge.
     """
-    xpre, xcur = xa, xb
-    fpre = yield xpre
-    fcur = yield xcur
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

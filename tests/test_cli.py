@@ -9,6 +9,11 @@ from claimcast.pipeline import RunConfig, synthesize_dataset
 COMMON = ["--warranty", "200", "--period", "30", "--qq-k", "300", "--ma-window", "10",
           "--poly-degree", "2"]
 
+# the Bass curve and claims measure of a 200-day warranty study, which COMMON
+# assumes; simulate's defaults are the car study's
+SMALL_STUDY = ["--bass-p", "2e-3", "--bass-q", "2.5e-2", "--density-slope=-0.5e-5",
+               "--density-intercept", "5e-3", "--atom0", "0.1", "--atomW", "0.04"]
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -26,6 +31,7 @@ def dataset_dir(tmp_path_factory):
             "240",
             "--seed",
             "3",
+            *SMALL_STUDY,
         ]
     )
     assert rc == 0
@@ -301,6 +307,12 @@ class TestDefaults:
         for name in ("sales.csv", "claims.csv"):
             cli_bytes = (tmp_path / "cli" / name).read_bytes()
             assert cli_bytes == (tmp_path / "lib" / name).read_bytes()
+
+    def test_simulate_then_report_with_defaults(self, tmp_path, capsys):
+        # simulate's defaults make a dataset that report's defaults can read
+        assert main(["simulate", "--out-dir", str(tmp_path)]) == 0
+        assert main(["report", *data_args(tmp_path)]) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_simulate_has_no_forecast_period(self, tmp_path):
         # the dataset spans sale and claim days only; T belongs to RunConfig

@@ -38,7 +38,11 @@ REBATES = {
 @pytest.fixture(scope="module")
 def synthetic_residuals(tmp_path_factory):
     root = tmp_path_factory.mktemp("fluctuation")
-    pipeline.synthesize_dataset(root / "sales.csv", root / "claims.csv", seed=5)
+    pipeline.synthesize_dataset(
+        root / "sales.csv", root / "claims.csv", n=2000, warranty=W, span=240,
+        bass_p=2e-3, bass_q=2.5e-2, density_slope=-0.5e-5, density_intercept=5e-3,
+        atom0=0.1, atomW=0.04, seed=5,
+    )
     sales, _ = dataio.load_sales(root / "sales.csv")
     sales, _, _ = dataio.anchor_day_zero(sales, ClaimsTable([], [], []))
     counts, first = pipeline._daily_counts(sales)

@@ -42,6 +42,12 @@ def dataset(tmp_path_factory):
         n=1500,
         warranty=200,
         span=240,
+        bass_p=2e-3,
+        bass_q=2.5e-2,
+        density_slope=-0.5e-5,
+        density_intercept=5e-3,
+        atom0=0.1,
+        atomW=0.04,
         seed=11,
     )
     sales, _ = load_sales(root / "sales.csv")

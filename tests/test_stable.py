@@ -15,7 +15,7 @@ from claimcast.errors import DomainError, NumericalError
 from claimcast.sim import make_rng
 from claimcast.stable import (
     StableParams,
-    _brentq,
+    _brent_steps,
     params_eq_one_case,
     params_mean_case,
     params_zero_one_case,
@@ -179,6 +179,22 @@ class TestLevyClosedForm:
         p = StableParams(0.5, -1.0, 2.0, 3.0)
         assert stable_cdf(p, 3.0) > 1.0 - 1e-8
         assert stable_cdf(p, 50.0) == 1.0
+
+
+class TestNanPoints:
+    @pytest.mark.parametrize(
+        "params",
+        [params_mean_case(1.5), params_zero_one_case(0.6, 1.0), params_eq_one_case(0.5)],
+    )
+    def test_nan_gives_nan(self, params):
+        assert math.isnan(stable_cdf(params, math.nan))
+
+    def test_nan_among_other_points(self):
+        params = params_mean_case(1.5)
+        got = stable_cdf(params, np.array([np.nan, 0.0, np.inf, -np.inf]))
+        assert math.isnan(got[0])
+        assert got[1] == stable_cdf(params, 0.0)
+        assert got[2:].tolist() == [1.0, 0.0]
 
 
 class TestAgainstScipy:
@@ -432,6 +448,17 @@ class TestBatchedQuantiles:
         assert together <= max(alone) < sum(alone)
 
 
+def _brentq(f, xa, xb, xtol, rtol=8.9e-16, maxiter=100):
+    """Root of f on [xa, xb]: ``_brent_steps`` with f evaluated at each step."""
+    steps = _brent_steps(xa, xb, f(xa), f(xb), xtol, rtol, maxiter)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
 def _scipy_brentq(f, xa, xb, xtol, rtol=8.9e-16, maxiter=100):
     return brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
 
@@ -459,9 +486,9 @@ class TestBrentRootFinder:
         brackets = []
         steps = stable_mod._brent_steps
 
-        def recording(xa, xb, xtol, *args):
+        def recording(xa, xb, fa, fb, xtol, *args):
             brackets.append((xa, xb, xtol))
-            return steps(xa, xb, xtol, *args)
+            return steps(xa, xb, fa, fb, xtol, *args)
 
         monkeypatch.setattr(stable_mod, "_brent_steps", recording)
         ours = stable_quantile(params, self.LEVELS)
