@@ -7,7 +7,8 @@ each claim onto its item with the age clipped into [0, W]
 (:func:`join_claims`), tally the ages into daily bins, fit a linear density
 plus end atoms, and finally tabulate the per-sale-day mean and variance of
 rebate-weighted window claims.  Which claims land in a window is decided by
-:class:`claimcast.core.TimeHorizon` alone.
+:class:`claimcast.core.TimeHorizon` alone, and the per-day sums go through
+:func:`claimcast.core.range_sums`, the one day-range kernel.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     TimeHorizon,
     WeightedMeasure,
     mean_window_claims,
+    range_sums,
 )
 from .errors import DomainError
 
@@ -32,7 +34,6 @@ __all__ = [
     "SalesTable",
     "ClaimsTable",
     "JoinedClaims",
-    "EmpiricalMeanMeasure",
     "MomentGrids",
     "aggregate_daily_claims",
     "join_claims",
@@ -142,41 +143,22 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     return JoinedClaims(item[rows], age[rows], claims.amount[known][rows], quarantined)
 
 
-@dataclass(frozen=True)
-class EmpiricalMeanMeasure:
-    """Daily-binned claim ages averaged over items: bin i holds the mean
-    number of claims per item aged in (i-1, i], with bin 0 those at age 0."""
-
-    bins: np.ndarray
-    n: int
-    warranty: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=float))
-        if self.n < 1:
-            raise DomainError("need at least one sold item")
-        if self.bins.shape != (self.warranty + 1,):
-            raise DomainError("expected one bin per day 0..W")
-        if np.any(self.bins < 0.0):
-            raise DomainError("bin masses must be non-negative")
-
-
-def empirical_mean_measure(ages, n: int, warranty: int) -> EmpiricalMeanMeasure:
+def empirical_mean_measure(ages, n: int, warranty: int) -> np.ndarray:
     """Average daily claim-age histogram over all n sold items.
 
     ``ages`` holds every claim's age in [0, W]; ``n`` counts every sold
-    item, claim-free ones included.  Age 0 falls in bin 0 and an age in
-    (i-1, i] in bin i.
+    item, claim-free ones included.  Bin i of the W + 1 bins holds the mean
+    number of claims per item aged in (i-1, i], with bin 0 those at age 0.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
     days = np.minimum(np.ceil(np.maximum(ages, 0.0)), warranty).astype(np.int64)
-    bins = np.bincount(days, minlength=warranty + 1) / n
-    return EmpiricalMeanMeasure(bins, n, warranty)
+    return np.bincount(days, minlength=warranty + 1) / n
 
 
-def fit_mean_measure(emp: EmpiricalMeanMeasure) -> MeanClaimsMeasure:
-    """Linear density plus end atoms fitted to the daily bins.
+def fit_mean_measure(bins) -> MeanClaimsMeasure:
+    """Linear density plus end atoms fitted to the daily bins 0..W of
+    :func:`empirical_mean_measure`; W is ``len(bins) - 1``.
 
     Interior bins satisfy m((i-1, i]) = a*i + (b - a/2) under the density
     a*x + b, so an ordinary least-squares line through bins 1..W-1 yields
@@ -184,16 +166,21 @@ def fit_mean_measure(emp: EmpiricalMeanMeasure) -> MeanClaimsMeasure:
     directly as the atom masses (the last bin's small density content is
     absorbed into the atom, matching how the bins are tallied).
     """
-    w = emp.warranty
+    bins = np.asarray(bins, dtype=float)
+    if bins.ndim != 1:
+        raise DomainError("expected one bin per day 0..W")
+    if np.any(bins < 0.0):
+        raise DomainError("bin masses must be non-negative")
+    w = len(bins) - 1
     if w < 3:
         raise DomainError("need at least two interior bins to fit")
     i = np.arange(1, w, dtype=float)
-    slope, intercept = np.polyfit(i, emp.bins[1:w], 1)
+    slope, intercept = np.polyfit(i, bins[1:w], 1)
     return MeanClaimsMeasure(
         slope=float(slope),
         intercept=float(intercept + slope / 2.0),
-        atom0=float(emp.bins[0]),
-        atomW=float(emp.bins[w]),
+        atom0=float(bins[0]),
+        atomW=float(bins[w]),
         warranty=w,
     )
 
@@ -217,22 +204,6 @@ class MomentGrids:
     def __post_init__(self):
         if np.any(self.mean < 0.0) or np.any(self.var < 0.0):
             raise DomainError("moment grids must be non-negative")
-
-
-def _accumulate_over_days(
-    start: np.ndarray, end: np.ndarray, weight: np.ndarray, horizon: TimeHorizon
-) -> np.ndarray:
-    """Sum of weights over the day grid via a difference array."""
-    days = horizon.sale_days
-    size = len(days)
-    first = days[0]
-    acc = np.zeros(size + 1)
-    keep = start <= end
-    lo = start[keep] - first
-    hi = end[keep] - first + 1
-    np.add.at(acc, lo, weight[keep])
-    np.add.at(acc, hi, -weight[keep])
-    return np.cumsum(acc)[:size]
 
 
 def moment_grids(
@@ -265,9 +236,8 @@ def moment_grids(
     start, end = horizon.sale_day_range(
         np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
     )
-    second = _accumulate_over_days(start, end, wts[left] * wts[right], horizon) / n
-
     days = horizon.sale_days
+    second = range_sums(start, end, wts[left] * wts[right], days[0], len(days)) / n
     mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
     var = second - mean**2
     floored = int(np.sum(var < 0.0))

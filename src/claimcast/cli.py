@@ -15,8 +15,10 @@ success, 2 for input/validation problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
+import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -226,11 +228,12 @@ def cmd_validate(args) -> int:
         args.density_slope, args.density_intercept, args.atom0, args.atomW, w
     )
     if args.theorem == "prorata":
+        # lifetimes uniform on [0, 2W]: u -> 2W u, a partial so that it pickles
         lifetime = MeanClaimsMeasure(0.0, 1.0 / (2.0 * w), warranty=w)
         study = MonteCarloStudy(
             sales=NhppSales(share),
             claims=SingleLifetime(
-                ppf=_UniformLifetime(2.0 * w), warranty=w, mean_measure=lifetime
+                ppf=functools.partial(operator.mul, 2.0 * w), mean_measure=lifetime
             ),
             rebate=RebateFunction.linear(w, unit_price=args.unit_price),
             horizon=horizon,
@@ -271,16 +274,6 @@ def cmd_validate(args) -> int:
         del payload["degenerate"]
         dataio.write_json_report(payload, args.json_out)
     return 0
-
-
-class _UniformLifetime:
-    """Picklable uniform-[0, top] lifetime quantile function."""
-
-    def __init__(self, top: float):
-        self.top = top
-
-    def __call__(self, u):
-        return self.top * u
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,15 +13,20 @@ Conventions used throughout the package:
 * The window rule is stated once, here: a claim of age ``c`` raised by an
   item sold on day ``x`` lands in the forecast window exactly when
   ``0 <= c <= W`` and ``o <= x + c <= T + o``.  :meth:`TimeHorizon.claim_window`
-  turns that into age bounds per sale time (over arrays of sale times),
-  :meth:`TimeHorizon.sale_day_range` is its inverse over integer sale days,
-  and :meth:`TimeHorizon.lands_in_window` answers the rule claim by claim.
+  turns that into a closed age interval ``[lo, hi]`` per sale time (over
+  arrays of sale times), :meth:`TimeHorizon.sale_day_range` is its inverse
+  over integer sale days, and :meth:`TimeHorizon.lands_in_window` answers
+  the rule claim by claim.  The interval is closed, so it holds the age-0
+  atom exactly when ``lo == 0`` and the age-W atom exactly when ``hi == W``;
+  :meth:`WeightedMeasure.mass` measures it with no further switch.
+* Sums of weights over ranges of integer days go through one kernel,
+  :func:`range_sums`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -30,27 +35,13 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "TimeHorizon",
-    "ClaimWindow",
     "RebateFunction",
     "MeanClaimsMeasure",
     "WeightedMeasure",
     "mean_window_claims",
+    "range_sums",
     "FluctuationIncrements",
 ]
-
-
-class ClaimWindow(NamedTuple):
-    """Closed age intervals ``[lo, hi]`` whose claims hit the forecast window,
-    one per sale time (scalars for a scalar sale time).
-
-    ``at_zero`` / ``at_warranty`` flag whether an interval is pinned at the
-    age-0 / age-W boundary, where the mean claims measure may carry atoms.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    at_zero: np.ndarray
-    at_warranty: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,14 +70,14 @@ class TimeHorizon:
         """Integer grid of sale days that can produce claims in the window."""
         return np.arange(-self.warranty + self.offset, self.period + self.offset + 1)
 
-    def claim_window(self, sale_time) -> ClaimWindow:
-        """Age windows of sales at ``sale_time`` (a scalar or an array).
+    def claim_window(self, sale_time) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed age windows ``(lo, hi)`` of sales at ``sale_time`` (a
+        scalar or an array; scalars give floats).
 
         With ``o`` the window offset, a sale at ``x`` contributes claims of
         age ``c`` when ``x + c`` lies in ``[o, T + o]`` and ``c`` in
         ``[0, W]``, i.e. when ``max(0, o - x) <= c <= min(W, T + o - x)``.
-        The window is pinned at age 0 when ``x >= o`` and at age W when
-        ``x <= T + o - W``.  Sale times outside ``[-W + o, T + o]`` raise.
+        Sale times outside ``[-W + o, T + o]`` raise.
         """
         w, t, o = self.warranty, self.period, self.offset
         x = np.asarray(sale_time, dtype=float)
@@ -95,12 +86,7 @@ class TimeHorizon:
             raise DomainError(
                 f"sale time {x[outside].flat[0]} outside [{-w + o}, {t + o}]"
             )
-        return ClaimWindow(
-            np.maximum(0.0, o - x)[()],
-            np.minimum(float(w), t + o - x)[()],
-            (x >= o)[()],
-            (x <= t + o - w)[()],
-        )
+        return np.maximum(0.0, o - x)[()], np.minimum(float(w), t + o - x)[()]
 
     def sale_day_range(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`claim_window` over integer sale days.
@@ -123,8 +109,8 @@ class TimeHorizon:
         w, t, o = self.warranty, self.period, self.offset
         x = np.asarray(sale_time, dtype=float)
         live = (x >= -w + o) & (x <= t + o)
-        win = self.claim_window(np.where(live, x, o))
-        return live & (win.lo <= age) & (age <= win.hi)
+        lo, hi = self.claim_window(np.where(live, x, o))
+        return live & (lo <= age) & (age <= hi)
 
 
 # r(t) = p(t / W): power-basis coefficients of p, exact in the unit variable
@@ -242,10 +228,11 @@ class WeightedMeasure:
         if self.base.warranty != self.weight.warranty:
             raise ValidationError("measure and rebate must share the warranty length")
 
-    def mass(self, lo, hi, include_left_atom=False, include_right_atom=False):
-        """Integral of r^power over [lo, hi] against the density, plus flagged
-        atoms; exact, element-wise over arrays of bounds and flags (a float
-        for scalars)."""
+    def mass(self, lo, hi):
+        """Measure of the closed interval [lo, hi]: r^power integrated
+        against the density, plus the age-0 atom when ``lo == 0`` and the
+        age-W atom when ``hi == W``; exact, element-wise over arrays of
+        bounds (a float for scalars)."""
         w = self.base.warranty
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -255,28 +242,34 @@ class WeightedMeasure:
         dens = np.array([self.base.intercept, self.base.slope])
         anti = npoly.polyint(npoly.polymul(coef, dens))
         out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-        out = out + np.where(
-            np.asarray(include_left_atom) & (lo <= 0.0),
-            self.base.atom0 * npoly.polyval(0.0, coef),
-            0.0,
-        )
-        out = out + np.where(
-            np.asarray(include_right_atom) & (hi >= w),
-            self.base.atomW * npoly.polyval(float(w), coef),
-            0.0,
-        )
+        out = out + np.where(lo == 0.0, self.base.atom0 * npoly.polyval(0.0, coef), 0.0)
+        out = out + np.where(hi == w, self.base.atomW * npoly.polyval(float(w), coef), 0.0)
         return float(out) if out.ndim == 0 else out
 
 
 def mean_window_claims(weighted: WeightedMeasure, sale_time, horizon: TimeHorizon):
     """Expected rebate-weighted claims in the window for sales at ``sale_time``
-    (a scalar or an array).
+    (a scalar or an array): the weighted mean measure of each sale's closed
+    age window."""
+    return weighted.mass(*horizon.claim_window(sale_time))
 
-    Evaluates the weighted mean measure over each sale's age window,
-    including the age-0 / age-W atoms exactly when the window touches them.
+
+def range_sums(start, end, weight, first: int, size: int) -> np.ndarray:
+    """Per-day sums of weights over closed day ranges.
+
+    Entry k of the result, for day ``first + k`` (k = 0 .. size - 1), sums
+    ``weight[i]`` over every range i with ``start[i] <= first + k <=
+    end[i]``.  Ranges with ``start > end`` are empty; the others must lie
+    inside the ``size`` days from ``first``.  One difference array and one
+    cumulative sum, whatever the number of ranges.
     """
-    win = horizon.claim_window(sale_time)
-    return weighted.mass(win.lo, win.hi, win.at_zero, win.at_warranty)
+    start, end = np.asarray(start), np.asarray(end)
+    weight = np.asarray(weight, dtype=float)
+    keep = start <= end
+    acc = np.zeros(size + 1)
+    np.add.at(acc, start[keep] - first, weight[keep])
+    np.add.at(acc, end[keep] - first + 1, -weight[keep])
+    return np.cumsum(acc)[:size]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import FluctuationIncrements, MeanClaimsMeasure, RebateFunction, TimeHorizon
+from .core import (
+    FluctuationIncrements,
+    MeanClaimsMeasure,
+    RebateFunction,
+    TimeHorizon,
+    range_sums,
+)
 from .errors import DomainError, NumericalError
 from .stable import (
     StableParams,
@@ -93,11 +99,13 @@ def fluctuation_moments(
 ) -> Tuple[float, float]:
     """Mean and variance of the fluctuation integral against r(u) m(du).
 
-    Age u sees the daily increments on days (offset - u, T + offset - u].
-    The density part of r(u) m(du) integrates by the trapezoid rule on
-    ages 0..W and the atoms enter as exact point masses weighted by r(0),
-    r(W).  Summed over the windows that hold day k, these age weights give
-    the day's exposure a_k, so the mean is a . E[increment] and the
+    Age u sees the daily increments on days (offset - u, T + offset - u]:
+    the sale days of its window, :meth:`TimeHorizon.sale_day_range` (u, u),
+    without the first one.  The density part of r(u) m(du) integrates by
+    the trapezoid rule on ages 0..W and the atoms enter as exact point
+    masses weighted by r(0), r(W).  Summed over the windows that hold day
+    k (by :func:`claimcast.core.range_sums`), these age weights give the
+    day's exposure a_k, so the mean is a . E[increment] and the
     variance the quadratic form of a in the increment covariance:
     acf[0] c[0] + 2 sum_{l>=1} acf[l] c[l] with c the autocorrelation of
     y = a * scale.  No day-by-day grid is built.  A
@@ -118,12 +126,9 @@ def fluctuation_moments(
     days = len(increments.mean)
     if days != w + t + horizon.offset:
         raise DomainError("daily increments do not cover the forecast window")
-    # age u's window starts at entry offset + W - u (day offset - u + 1)
-    first = horizon.offset + w - np.arange(w + 1)
-    steps = np.zeros(days + 1)
-    steps[first] += weights
-    steps[first + t] -= weights
-    exposure = np.cumsum(steps[:-1])
+    # entry k is the increment over day k - W + 1
+    start, end = horizon.sale_day_range(u, u)
+    exposure = range_sums(start + 1, end, weights, 1 - w, days)
 
     mu = float(exposure @ increments.mean)
     y = exposure * increments.scale

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import claims as claims_mod
 from . import dataio
-from .claims import ClaimsTable, EmpiricalMeanMeasure, JoinedClaims, SalesTable
+from .claims import ClaimsTable, JoinedClaims, SalesTable
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .engine import (
     LimitParams,
@@ -88,8 +88,8 @@ class RunConfig:
             raise DomainError(f"unknown policy {self.policy!r}")
         if self.rebate_kind not in self.REBATE_KINDS:
             raise DomainError(f"unsupported rebate kind {self.rebate_kind!r}")
-        if any(k not in (0, 1) for k in self.periods):
-            raise DomainError("periods must be drawn from {0, 1}")
+        if not self.periods or any(k not in (0, 1) for k in self.periods):
+            raise DomainError("periods must be a non-empty selection from {0, 1}")
         if self.regime_override not in (None, *self.REGIME_OVERRIDES):
             raise DomainError(f"unknown regime override {self.regime_override!r}")
 
@@ -218,10 +218,7 @@ class Report:
             header = "  p      " + "  ".join(f"{k:>14s}" for k in kinds)
             lines.append(header)
             for p in QUANTILE_LEVELS:
-                cells = []
-                for kind in kinds:
-                    q = res.quantiles[kind].get(p)
-                    cells.append(f"{q:14,.2f}" if q is not None else " " * 14)
+                cells = [f"{res.quantiles[kind][p]:14,.2f}" for kind in kinds]
                 lines.append(f"  {p:4.2f}   " + "  ".join(cells))
             for key in sorted(res.sanity):
                 lines.append(f"  {key}: {res.sanity[key]:.4f}")
@@ -236,13 +233,13 @@ def _daily_counts(sales: SalesTable) -> Tuple[np.ndarray, int]:
 
 def _fit_claims(
     sales: SalesTable, claims: ClaimsTable, warranty: int, n: int
-) -> Tuple[ClaimsTable, JoinedClaims, EmpiricalMeanMeasure, MeanClaimsMeasure]:
+) -> Tuple[ClaimsTable, JoinedClaims, np.ndarray, MeanClaimsMeasure]:
     """Aggregate same-day claims, join them onto the n sold items, bin the
     ages and fit the mean claims measure."""
     aggregated = claims_mod.aggregate_daily_claims(claims)
     joined = claims_mod.join_claims(sales, aggregated, warranty)
-    emp = claims_mod.empirical_mean_measure(joined.age, n, warranty)
-    return aggregated, joined, emp, claims_mod.fit_mean_measure(emp)
+    bins = claims_mod.empirical_mean_measure(joined.age, n, warranty)
+    return aggregated, joined, bins, claims_mod.fit_mean_measure(bins)
 
 
 def realized_window_totals(
@@ -271,7 +268,7 @@ def run_pipeline(
     sales, claims, anchor = dataio.anchor_day_zero(sales, claims)
     n = config.items_sold(len(sales))
     rebate = config.rebate()
-    _, joined, emp, fitted = _fit_claims(sales, claims, config.warranty, n)
+    _, joined, bins, fitted = _fit_claims(sales, claims, config.warranty, n)
 
     counts, first_day = _daily_counts(sales)
     bass = fit_bass(counts, n, first_day)
@@ -348,7 +345,7 @@ def run_pipeline(
 
     if out_dir is not None:
         _emit_artifacts(
-            Path(out_dir), report, config, emp, fitted, decomposition, bass,
+            Path(out_dir), report, config, bins, fitted, decomposition, bass,
             counts, first_day, sizes, tail,
         )
     return report
@@ -358,7 +355,7 @@ def _emit_artifacts(
     out_dir: Path,
     report: Report,
     config: RunConfig,
-    emp,
+    bins: np.ndarray,
     fitted: MeanClaimsMeasure,
     decomposition,
     bass,
@@ -374,7 +371,7 @@ def _emit_artifacts(
 
     ages = np.arange(config.warranty + 1)
     dataio.write_series(
-        out_dir / "mean_measure_bins.csv", "age", ages, "mass", emp.bins
+        out_dir / "mean_measure_bins.csv", "age", ages, "mass", bins
     )
     dataio.write_series(
         out_dir / "mean_measure_fit.csv", "age", ages, "mass", fitted.bin_masses()

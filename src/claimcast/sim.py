@@ -220,13 +220,12 @@ class SingleLifetime:
     claim only when it ends within the warranty.
 
     ``ppf`` maps an array of uniforms to lifetimes.  ``mean_measure``
-    describes the lifetime law restricted to [0, W]; it is required for the
-    exact theory grids but not for sampling.
+    describes the lifetime law restricted to [0, W] and fixes W; sampling
+    reads only W from it, the exact theory grids read all of it.
     """
 
     ppf: Callable[[np.ndarray], np.ndarray]
-    warranty: int
-    mean_measure: Optional[MeanClaimsMeasure] = None
+    mean_measure: MeanClaimsMeasure
 
     def sample(self, rng, size: int) -> Tuple[np.ndarray, np.ndarray]:
         """Claims of ``size`` items as ``(item, age)`` columns: one uniform
@@ -236,12 +235,10 @@ class SingleLifetime:
         life = np.broadcast_to(np.asarray(self.ppf(u), dtype=float), u.shape)
         if np.any(life < 0.0):
             raise DomainError("lifetimes must be non-negative")
-        claimed = life <= self.warranty
+        claimed = life <= self.mean_measure.warranty
         return np.flatnonzero(claimed), life[claimed]
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
-        if self.mean_measure is None:
-            raise DomainError("exact grids need the lifetime's mean measure")
         mean, second = _window_moments(self.mean_measure, rebate, horizon)
         return mean, second - mean**2
 
@@ -396,13 +393,6 @@ class MonteCarloStudy:
             if self.theorem == "stable_0_1" and alpha > 1.0:
                 raise DomainError("stable_0_1 validation needs 0 < alpha <= 1")
 
-    def mean_measure(self) -> MeanClaimsMeasure:
-        if isinstance(self.claims, PoissonClaims):
-            return self.claims.mean_measure
-        if self.claims.mean_measure is None:
-            raise DomainError("exact limits need the lifetime's mean measure")
-        return self.claims.mean_measure
-
 
 def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
     """Limit parameters computed from the generating model, not from data.
@@ -425,7 +415,7 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
         acf=np.r_[1.0, np.zeros(len(var) - 1)],
     )
     mu_t, sig2_t = fluctuation_moments(
-        increments, study.mean_measure(), study.rebate, horizon
+        increments, study.claims.mean_measure, study.rebate, horizon
     )
     return LimitParams(
         claims_mean=c1,
@@ -536,7 +526,6 @@ def monte_carlo_validate(
     """
     if reps < 100:
         raise DomainError("need at least 100 replications")
-    dkw_band = float(1.36 / np.sqrt(reps))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -550,39 +539,30 @@ def monte_carlo_validate(
     counts = np.array([r[0] for r in results], dtype=float)
     costs = np.array([r[1] for r in results], dtype=float)
 
-    if np.all(counts == 0.0):
+    degenerate = bool(np.all(counts == 0.0))
+    if degenerate:
         logger.warning("every replication produced zero claims; report degenerate")
-        nan_row = tuple([float("nan")] * len(_REPORT_LEVELS))
-        return ValidationReport(
-            theorem=study.theorem,
-            reps=reps,
-            seed=seed,
-            ks_distance=float("nan"),
-            dkw_band=dkw_band,
-            quantile_levels=_REPORT_LEVELS,
-            empirical_quantiles=tuple([0.0] * len(_REPORT_LEVELS)),
-            limit_quantiles=nan_row,
-            coverage=nan_row,
-            degenerate=True,
-        )
-
-    lp = theoretical_limit(study)
-    center, norm, _ = _limit_law(study, lp)
-    z = ((counts if study.theorem == "count" else costs) - center) / norm
-    approx = reference_approximation(study, lp)
-    ks = _ks_against(approx, z)
-    limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())
-    emp_q = tuple(float(np.quantile(z, p)) for p in _REPORT_LEVELS)
-    coverage = tuple(float(np.mean(z <= q)) for q in limit_q)
+        nan_row = (float("nan"),) * len(_REPORT_LEVELS)
+        ks, limit_q, coverage = float("nan"), nan_row, nan_row
+        emp_q = (0.0,) * len(_REPORT_LEVELS)
+    else:
+        lp = theoretical_limit(study)
+        center, norm, _ = _limit_law(study, lp)
+        z = ((counts if study.theorem == "count" else costs) - center) / norm
+        approx = reference_approximation(study, lp)
+        ks = _ks_against(approx, z)
+        limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())
+        emp_q = tuple(float(np.quantile(z, p)) for p in _REPORT_LEVELS)
+        coverage = tuple(float(np.mean(z <= q)) for q in limit_q)
     return ValidationReport(
         theorem=study.theorem,
         reps=reps,
         seed=seed,
         ks_distance=ks,
-        dkw_band=dkw_band,
+        dkw_band=float(1.36 / np.sqrt(reps)),
         quantile_levels=_REPORT_LEVELS,
         empirical_quantiles=emp_q,
         limit_quantiles=limit_q,
         coverage=coverage,
-        degenerate=False,
+        degenerate=degenerate,
     )

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma as gamma_fn
-from typing import ClassVar
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class StableParams:
     beta: float
     sigma: float
     mu: float
-    parameterization: ClassVar[str] = "S1"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):

@@ -21,7 +21,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "Regime",
-    "SizeSummary",
     "TailDiagnosis",
     "summary_stats",
     "qq_plot_data",
@@ -43,32 +42,14 @@ class Regime(str, Enum):
     STABLE_0_1 = "stable_0_1"
 
 
-@dataclass(frozen=True)
-class SizeSummary:
-    mean: float
-    variance: float
-    q25: float
-    q50: float
-    q75: float
-
-    @property
-    def quartiles(self) -> Tuple[float, float, float]:
-        return (self.q25, self.q50, self.q75)
-
-
-def summary_stats(sizes) -> SizeSummary:
-    """Sample mean, unbiased variance and linearly interpolated quartiles."""
+def summary_stats(sizes) -> Tuple[float, float, Tuple[float, float, float]]:
+    """Sample mean, unbiased variance and the linearly interpolated
+    quartiles (q25, q50, q75)."""
     x = np.asarray(sizes, dtype=float)
     if x.size < 2:
         raise DomainError("need at least two claim sizes")
-    q25, q50, q75 = np.percentile(x, [25, 50, 75])
-    return SizeSummary(
-        mean=float(np.mean(x)),
-        variance=float(np.var(x, ddof=1)),
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-    )
+    quartiles = tuple(float(q) for q in np.percentile(x, [25, 50, 75]))
+    return float(np.mean(x)), float(np.var(x, ddof=1)), quartiles
 
 
 def qq_plot_data(sizes, k: int) -> np.ndarray:
@@ -171,14 +152,14 @@ def diagnose(
     sizes, k: int, finite_variance_override: Optional[bool] = None
 ) -> TailDiagnosis:
     """Summary statistics plus tail index and the regime they imply."""
-    summary = summary_stats(sizes)
+    mean, variance, quartiles = summary_stats(sizes)
     alpha_hat = qq_tail_index(sizes, k)
     regime = select_regime(alpha_hat, finite_variance_override)
     return TailDiagnosis(
         alpha_hat=alpha_hat,
         k=k,
         regime=regime,
-        mean=summary.mean,
-        variance=summary.variance,
-        quartiles=summary.quartiles,
+        mean=mean,
+        variance=variance,
+        quartiles=quartiles,
     )

@@ -175,18 +175,19 @@ class TestBuildClaimsMeasures:
 
 class TestEmpiricalMeanMeasure:
     def test_all_empty(self):
-        emp = empirical_mean_measure(np.zeros(0), 3, W)
-        assert np.all(emp.bins == 0.0)
+        bins = empirical_mean_measure(np.zeros(0), 3, W)
+        assert bins.shape == (W + 1,)
+        assert np.all(bins == 0.0)
 
     def test_hand_count(self):
-        emp = empirical_mean_measure(np.array([1.0, 1.0, 1.0]), 2, W)
-        assert emp.bins[1] == pytest.approx(1.5)
-        assert np.sum(emp.bins) == pytest.approx(1.5)
+        bins = empirical_mean_measure(np.array([1.0, 1.0, 1.0]), 2, W)
+        assert bins[1] == pytest.approx(1.5)
+        assert np.sum(bins) == pytest.approx(1.5)
 
     def test_end_bins_capture_atoms(self):
-        emp = empirical_mean_measure(np.array([0.0, W, 0.0]), 4, W)
-        assert emp.bins[0] == pytest.approx(0.5)
-        assert emp.bins[W] == pytest.approx(0.25)
+        bins = empirical_mean_measure(np.array([0.0, W, 0.0]), 4, W)
+        assert bins[0] == pytest.approx(0.5)
+        assert bins[W] == pytest.approx(0.25)
 
     def test_zero_items_rejected(self):
         with pytest.raises(DomainError):
@@ -195,37 +196,43 @@ class TestEmpiricalMeanMeasure:
 
 class TestFitMeanMeasure:
     def test_flat_bins(self):
-        from claimcast.claims import EmpiricalMeanMeasure
-
         c = 3.7e-4
         bins = np.full(W + 1, c)
         bins[0] = bins[W] = 0.0
-        fit = fit_mean_measure(EmpiricalMeanMeasure(bins, 10, W))
+        fit = fit_mean_measure(bins)
+        assert fit.warranty == W
         assert fit.slope == pytest.approx(0.0, abs=1e-18)
         assert fit.intercept == pytest.approx(c, rel=1e-12)
         assert fit.atom0 == 0.0 and fit.atomW == 0.0
 
     def test_noiseless_line_recovered(self):
-        from claimcast.claims import EmpiricalMeanMeasure
-
         a, b = -0.9e-6, 1.5e-3
         i = np.arange(0, W + 1, dtype=float)
         bins = a * i + b - a / 2.0
         bins[0] = 0.2
         bins[W] = 0.05
-        fit = fit_mean_measure(EmpiricalMeanMeasure(bins, 10, W))
+        fit = fit_mean_measure(bins)
         assert fit.slope == pytest.approx(a, rel=1e-12)
         assert fit.intercept == pytest.approx(b, rel=1e-12)
         assert fit.atom0 == pytest.approx(0.2)
         assert fit.atomW == pytest.approx(bins[W])
 
     def test_negative_fitted_density_raises(self):
-        from claimcast.claims import EmpiricalMeanMeasure
-
         i = np.arange(0, W + 1, dtype=float)
         bins = np.maximum(-2e-6 * i + 1e-4, 0.0)  # line goes negative inside (0, W)
         with pytest.raises(ValidationError):
-            fit_mean_measure(EmpiricalMeanMeasure(bins, 10, W))
+            fit_mean_measure(bins)
+
+    def test_rejects_negative_or_too_few_bins(self):
+        bins = np.full(W + 1, 1e-3)
+        bins[7] = -1e-9
+        with pytest.raises(DomainError, match="non-negative"):
+            fit_mean_measure(bins)
+        with pytest.raises(DomainError, match="interior bins"):
+            fit_mean_measure(np.full(3, 1e-3))  # W = 2: one interior bin
+        assert fit_mean_measure(np.full(4, 1e-3)).warranty == 3
+        with pytest.raises(DomainError, match="one bin per day"):
+            fit_mean_measure(np.full((2, W + 1), 1e-3))
 
 
 def zero_measure(warranty):
@@ -240,9 +247,9 @@ def grid_oracle(per_item, rebate, horizon, n):
     first = np.zeros(len(days))
     second = np.zeros(len(days))
     for k, x in enumerate(days):
-        win = horizon.claim_window(int(x))
+        lo, hi = horizon.claim_window(int(x))
         for pts in per_item:
-            tot = sum(float(rebate(p)) for p in pts if win.lo <= p <= win.hi)
+            tot = sum(float(rebate(p)) for p in pts if lo <= p <= hi)
             first[k] += tot
             second[k] += tot * tot
     return first / n, second / n
@@ -307,16 +314,15 @@ class TestMomentGrids:
         from claimcast.core import WeightedMeasure
 
         wm = WeightedMeasure(fitted, FREE)
-        # x = 0: branch [0, T] (with age-0 atom) vs interior formula [0, T]
-        assert wm.mass(0, T, True, False) == pytest.approx(
-            wm.mass(0, T) + fitted.atom0
-        )
-        # x = T - W: branch [W-T, W] (with age-W atom) vs interior formula
-        assert wm.mass(W - T, W, False, True) == pytest.approx(
-            wm.mass(W - T, W) + fitted.atomW
-        )
+        bare = WeightedMeasure(MeanClaimsMeasure(1e-6, 1e-3, warranty=W), FREE)
+        # x = 0: window [0, T] holds the age-0 atom on top of the density
+        assert HORIZON.claim_window(0) == (0.0, T)
+        assert wm.mass(0, T) == pytest.approx(bare.mass(0, T) + fitted.atom0)
+        # x = T - W: window [W-T, W] holds the age-W atom on top of the density
+        assert HORIZON.claim_window(T - W) == (W - T, W)
+        assert wm.mass(W - T, W) == pytest.approx(bare.mass(W - T, W) + fitted.atomW)
 
     def test_window_never_longer_than_period(self):
         for x in HORIZON.sale_days[:: len(HORIZON.sale_days) // 37]:
-            win = HORIZON.claim_window(int(x))
-            assert win.hi - win.lo <= min(T, W)
+            lo, hi = HORIZON.claim_window(int(x))
+            assert hi - lo <= min(T, W)

@@ -200,6 +200,23 @@ class TestExitCodes:
         assert rc == 2
         assert "need 2 <= k <= sample size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("periods", ["", ","])
+    def test_empty_periods_is_validation_error(self, dataset_dir, capsys, periods):
+        rc = main(["report", *data_args(dataset_dir), *COMMON, "--periods", periods])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "periods must be a non-empty selection" in captured.err
+        assert "period [" not in captured.out
+
+    def test_empty_periods_in_config_file_is_validation_error(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"periods": []}))
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 2
+        assert "periods must be a non-empty selection" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -12,6 +12,7 @@ from claimcast.core import (
     TimeHorizon,
     WeightedMeasure,
     mean_window_claims,
+    range_sums,
 )
 from claimcast.errors import DomainError, ValidationError
 
@@ -42,8 +43,8 @@ def window_claim_total(points, sale_time, rebate, horizon):
     """Rebate-weighted claims of one item that land in the window, through
     the array form of ``claim_window``."""
     pts = np.asarray(points, dtype=float)
-    win = horizon.claim_window(np.full(len(pts), sale_time))
-    hit = (win.lo <= pts) & (pts <= win.hi)
+    lo, hi = horizon.claim_window(np.full(len(pts), sale_time))
+    hit = (lo <= pts) & (pts <= hi)
     return float(np.sum(rebate(pts[hit])))
 
 
@@ -57,13 +58,11 @@ class TestTimeHorizon:
             TimeHorizon(100, 30, scale=0)
 
     def test_branch_boundaries(self):
-        # x = offset uses the [0, T-x] branch, x = T+offset-W the [-x, W] one
-        win = HORIZON.claim_window(0)
-        assert win == (0.0, float(T), True, False)
-        win = HORIZON.claim_window(T - W)
-        assert win == (float(W - T), float(W), False, True)
-        win = HORIZON.claim_window(-1)
-        assert win == (1.0, float(T + 1), False, False)
+        # x = offset uses the [0, T-x] branch (pinned at age 0), x = T+offset-W
+        # the [-x, W] one (pinned at age W); x = -1 is pinned at neither
+        assert HORIZON.claim_window(0) == (0.0, float(T))
+        assert HORIZON.claim_window(T - W) == (float(W - T), float(W))
+        assert HORIZON.claim_window(-1) == (1.0, float(T + 1))
         with pytest.raises(DomainError):
             HORIZON.claim_window(T + 1)
         with pytest.raises(DomainError):
@@ -71,9 +70,9 @@ class TestTimeHorizon:
 
     def test_array_of_sale_times(self):
         xs = np.array([-W, T - W, -500.5, -1, 0, 0.25, T])
-        win = HORIZON.claim_window(xs)
+        lo, hi = HORIZON.claim_window(xs)
         for k, x in enumerate(xs):
-            assert tuple(part[k] for part in win) == HORIZON.claim_window(x)
+            assert (lo[k], hi[k]) == HORIZON.claim_window(x)
         with pytest.raises(DomainError):
             HORIZON.claim_window(np.array([0.0, T + 1.0]))
         with pytest.raises(DomainError):
@@ -85,7 +84,7 @@ class TestTimeHorizon:
         # of the pair lie in x's claim window
         h = replace(HORIZON, offset=offset)
         days = h.sale_days
-        win = h.claim_window(days)
+        lo, hi = h.claim_window(days)
         rng = np.random.default_rng(41)
         a_int = rng.integers(0, W + 1, size=300)
         b_int = np.minimum(a_int + rng.integers(0, T + 3, size=300), W)
@@ -94,15 +93,14 @@ class TestTimeHorizon:
         for a, b in ((a_int, b_int), (a_flt, b_flt)):
             start, end = h.sale_day_range(a, b)
             in_range = (start[:, None] <= days) & (days <= end[:, None])
-            a_in = (win.lo <= a[:, None]) & (a[:, None] <= win.hi)
-            b_in = (win.lo <= b[:, None]) & (b[:, None] <= win.hi)
+            a_in = (lo <= a[:, None]) & (a[:, None] <= hi)
+            b_in = (lo <= b[:, None]) & (b[:, None] <= hi)
             assert np.array_equal(in_range, a_in & b_in)
             assert in_range.any()
 
     def test_offset_shifts_windows(self):
         h2 = replace(HORIZON, offset=T)
-        win = h2.claim_window(T)
-        assert win == (0.0, float(T), True, False)
+        assert h2.claim_window(T) == (0.0, float(T))
         assert h2.sale_days[0] == -W + T
         assert h2.sale_days[-1] == 2 * T
 
@@ -212,7 +210,7 @@ class TestWeightedMass:
     def test_car_total_mass_matches_daily_tally(self):
         m = car_mean_measure()
         wm = WeightedMeasure(m, RebateFunction.free_replacement(W))
-        total = wm.mass(0, W, include_left_atom=True, include_right_atom=True)
+        total = wm.mass(0, W)  # the closed [0, W] holds both atoms
         assert total == pytest.approx(float(np.sum(m.bin_masses())), rel=1e-10)
         # frozen value from the daily tally of the published coefficients
         assert total == pytest.approx(1.2626383968, abs=5e-9)
@@ -235,7 +233,7 @@ class TestWeightedMass:
         hi = np.minimum(lo + np.concatenate([[W, 0.0, 0.5, T], rng.uniform(0, W, 40)]), W)
         left = lo == 0.0
         right = hi == W
-        got = wm.mass(lo, hi, left, right)
+        got = wm.mass(lo, hi)
         nodes, weights = np.polynomial.legendre.leggauss(64)
         for k in range(len(lo)):
             y = 0.5 * (hi[k] - lo[k]) * nodes + 0.5 * (hi[k] + lo[k])
@@ -243,18 +241,43 @@ class TestWeightedMass:
             want = 0.5 * (hi[k] - lo[k]) * float(weights @ f)
             want += left[k] * m.atom0 + right[k] * m.atomW * float(r(float(W))) ** 2
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
-            assert wm.mass(lo[k], hi[k], bool(left[k]), bool(right[k])) == got[k]
+            assert wm.mass(lo[k], hi[k]) == got[k]
 
     @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
     def test_array_bounds_match_scalar_calls(self, kind):
         wm = WeightedMeasure(car_mean_measure(), RebateFunction(kind, W))
-        lo = np.array([0.0, 0.0, 10.0, W - T, 500.5])
-        hi = np.array([T, W, 10.0, W, 501.0])
-        left = np.array([True, False, True, False, True])
-        right = np.array([False, True, False, True, True])
-        got = wm.mass(lo, hi, left, right)
+        lo = np.array([0.0, 0.0, 10.0, W - T, 500.5, 0.0, W])
+        hi = np.array([T, W, 10.0, W, 501.0, 0.0, W])
+        got = wm.mass(lo, hi)
         for k in range(len(lo)):
-            assert got[k] == wm.mass(lo[k], hi[k], bool(left[k]), bool(right[k]))
+            assert got[k] == wm.mass(lo[k], hi[k])
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
+    def test_closed_interval_holds_an_atom_exactly_at_its_end(self, kind, power):
+        # [lo, hi] holds the age-0 atom iff lo == 0 and the age-W atom iff
+        # hi == W; the density part is that of the atom-free measure
+        m = car_mean_measure()
+        r = RebateFunction(kind, W)
+        wm = WeightedMeasure(m, r, power=power)
+        bare = WeightedMeasure(replace(m, atom0=0.0, atomW=0.0), r, power=power)
+        at0 = m.atom0 * float(r(0.0)) ** power
+        at_w = m.atomW * float(r(float(W))) ** power
+        cases = [
+            (0.0, T, at0),
+            (0.0, W, at0 + at_w),
+            (W - T, W, at_w),
+            (0.0, 0.0, at0),
+            (W, W, at_w),
+            (1e-12, W - 1e-9, 0.0),
+            (5.0, 5.0, 0.0),
+        ]
+        for lo, hi, atoms in cases:
+            assert wm.mass(lo, hi) == pytest.approx(bare.mass(lo, hi) + atoms, abs=1e-15)
+        lo, hi, atoms = (np.array(col) for col in zip(*cases))
+        assert np.allclose(wm.mass(lo, hi), bare.mass(lo, hi) + atoms, rtol=0, atol=1e-15)
+        if kind == "free_replacement":
+            assert wm.mass(0.0, 0.0) == m.atom0 and wm.mass(W, W) == m.atomW
 
     def test_invalid_interval_rejected(self):
         wm = WeightedMeasure(car_mean_measure(), RebateFunction.free_replacement(W))
@@ -273,10 +296,16 @@ class TestWeightedMass:
     )
     @settings(max_examples=120, deadline=None)
     def test_additive_over_split(self, s, u, v, kind):
+        # closed parts [lo, mid] and [mid, hi] share the point mid, which
+        # carries mass only as an atom, at 0 or W
         lo, mid, hi = sorted((s, u, v))
-        wm = WeightedMeasure(car_mean_measure(), RebateFunction(kind, W))
+        m = car_mean_measure()
+        r = RebateFunction(kind, W)
+        wm = WeightedMeasure(m, r)
+        shared = m.atom0 * r(0.0) if mid == 0.0 else 0.0
+        shared += m.atomW * r(float(W)) if mid == W else 0.0
         whole = wm.mass(lo, hi)
-        parts = wm.mass(lo, mid) + wm.mass(mid, hi)
+        parts = wm.mass(lo, mid) + wm.mass(mid, hi) - shared
         assert whole == pytest.approx(parts, abs=1e-9)
         assert wm.mass(lo, mid) <= whole + 1e-12  # monotone for non-negative density
 
@@ -293,3 +322,43 @@ class TestMeanWindowClaims:
         assert mean_window_claims(wm, 0, HORIZON) == pytest.approx(0.25)
         assert mean_window_claims(wm, T - W, HORIZON) == pytest.approx(0.5)
         assert mean_window_claims(wm, -10, HORIZON) == pytest.approx(0.0)
+
+
+def brute_force_range_sums(start, end, weight, first, size):
+    """Independent oracle: add each weight to every day of its range."""
+    out = [0.0] * size
+    for s, e, w in zip(start, end, weight):
+        for day in range(s, e + 1):
+            out[day - first] += w
+    return np.array(out)
+
+
+class TestRangeSums:
+    @given(first=st.integers(-1200, 100), size=st.integers(1, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_loop(self, first, size, data):
+        # starts may pass the last day and ends precede the first: such
+        # ranges are empty (start > end); every non-empty one is on the grid
+        last = first + size - 1
+        count = data.draw(st.integers(0, 12))
+        start = data.draw(st.lists(st.integers(first, last + 3), min_size=count,
+                                   max_size=count))
+        end = data.draw(st.lists(st.integers(first - 3, last), min_size=count,
+                                 max_size=count))
+        weight = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=count,
+                                    max_size=count))
+        got = range_sums(np.array(start, dtype=np.int64), np.array(end, dtype=np.int64),
+                         np.array(weight), first, size)
+        want = brute_force_range_sums(start, end, weight, first, size)
+        assert got.shape == (size,)
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_empty_and_edge_ranges(self):
+        first, size = -5, 8  # days -5 .. 2
+        start = np.array([3, 0, -5, 2, -5])
+        end = np.array([2, -1, -5, 2, 2])
+        weight = np.array([100.0, 100.0, 1.0, 2.0, 0.5])
+        got = range_sums(start, end, weight, first, size)
+        assert got.tolist() == [1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 2.5]
+        assert np.array_equal(range_sums(start[:2], end[:2], weight[:2], first, size),
+                              np.zeros(size))

@@ -69,6 +69,11 @@ class TestRunConfig:
             with pytest.raises(DomainError):
                 RunConfig(policy=policy, rebate_kind="free_replacement")
 
+    def test_empty_periods_rejected(self):
+        # a report with no forecast window forecasts nothing
+        with pytest.raises(DomainError, match="non-empty"):
+            RunConfig(periods=())
+
     def test_digest_stable_and_sensitive(self):
         assert RunConfig().digest() == RunConfig().digest()
         assert RunConfig().digest() != RunConfig(seed=1).digest()

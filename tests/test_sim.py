@@ -33,6 +33,8 @@ from claimcast.stable import (
 W, T = 200, 40
 HORIZON = TimeHorizon(W, T, 0, 300)
 FREE = RebateFunction.free_replacement(W)
+# lifetimes uniform on [0, 2W], restricted to [0, W]; sampling reads only W
+LIFE = MeanClaimsMeasure(0.0, 1.0 / (2 * W), warranty=W)
 
 
 class TestSimulateSales:
@@ -156,26 +158,26 @@ class TestSimulateClaimsMeasure:
         assert np.var(counts, ddof=1) == pytest.approx(mass, rel=0.02)
 
     def test_degenerate_lifetime(self):
-        spec = SingleLifetime(ppf=lambda u: W / 2.0, warranty=W)
+        spec = SingleLifetime(ppf=lambda u: W / 2.0, mean_measure=LIFE)
         for seed in range(5):
             item, age = spec.sample(make_rng(seed), 3)
             assert item.tolist() == [0, 1, 2]
             assert age.tolist() == [W / 2.0] * 3
 
     def test_lifetime_beyond_warranty_drops_claim(self):
-        spec = SingleLifetime(ppf=lambda u: W + 1.0, warranty=W)
+        spec = SingleLifetime(ppf=lambda u: W + 1.0, mean_measure=LIFE)
         item, age = spec.sample(make_rng(3), 4)
         assert len(item) == len(age) == 0
-        spec = SingleLifetime(ppf=lambda u: float(W), warranty=W)  # ends at W
+        spec = SingleLifetime(ppf=lambda u: float(W), mean_measure=LIFE)  # ends at W
         assert spec.sample(make_rng(3), 2)[1].tolist() == [W, W]
-        spec = SingleLifetime(ppf=lambda u: u * 2 * W, warranty=W)
+        spec = SingleLifetime(ppf=lambda u: u * 2 * W, mean_measure=LIFE)
         u = make_rng(8).uniform(size=1000)
         item, age = spec.sample(make_rng(8), 1000)
         assert item.tolist() == np.flatnonzero(u * 2 * W <= W).tolist()
         assert np.array_equal(age, u[item] * 2 * W)
 
     def test_negative_lifetime_rejected(self):
-        spec = SingleLifetime(ppf=lambda u: u - 0.5, warranty=W)
+        spec = SingleLifetime(ppf=lambda u: u - 0.5, mean_measure=LIFE)
         with pytest.raises(DomainError):
             spec.sample(make_rng(1), 100)
 
@@ -322,11 +324,9 @@ class TestTheoreticalLimit:
 
     def test_single_lifetime_variance_below_mean(self):
         # one claim at most: var = E[r^2 1] - mean^2 < mean for r <= 1
-        life = MeanClaimsMeasure(0.0, 1.0 / (2 * W), warranty=W)
         study = MonteCarloStudy(
             sales=NhppSales(LinearShare(W, W + T)),
-            claims=SingleLifetime(ppf=lambda u: u * 2 * W, warranty=W,
-                                  mean_measure=life),
+            claims=SingleLifetime(ppf=lambda u: u * 2 * W, mean_measure=LIFE),
             rebate=RebateFunction.linear(W, unit_price=3.0),
             horizon=HORIZON,
             theorem="prorata",
