@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "SalesTable",
     "ClaimsTable",
     "JoinedClaims",
-    "MomentGrids",
     "aggregate_daily_claims",
     "join_claims",
     "empirical_mean_measure",
@@ -185,41 +185,22 @@ def fit_mean_measure(bins) -> MeanClaimsMeasure:
     )
 
 
-@dataclass(frozen=True)
-class MomentGrids:
-    """Per-sale-day mean and variance of rebate-weighted window claims.
-
-    ``days`` is the integer sale grid [-W+offset, T+offset]; ``mean`` is
-    evaluated from the fitted measure, while the second moment behind
-    ``var`` comes from the raw claims of each item.  Mixing the two can push
-    the variance slightly negative; such entries are floored at zero and
-    counted in ``floor_count``.
-    """
-
-    days: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    floor_count: int
-
-    def __post_init__(self):
-        if np.any(self.mean < 0.0) or np.any(self.var < 0.0):
-            raise DomainError("moment grids must be non-negative")
-
-
 def moment_grids(
     claims: JoinedClaims,
     fitted: MeanClaimsMeasure,
     rebate: RebateFunction,
     horizon: TimeHorizon,
     n: int,
-) -> MomentGrids:
-    """Mean/variance grids of per-item window claims over sale days.
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Mean and variance grids of per-item window claims over
+    ``horizon.sale_days``, and how many variance entries were floored at 0.
 
     The mean grid integrates the fitted measure over each day's window.
     The second moment is the raw per-item average of the squared weighted
     window totals: every ordered pair (i, j) of one item's claims adds
     r(c_i) r(c_j) on the sale days whose window holds both ages, so the
-    whole grid costs one pass over the claim pairs.
+    whole grid costs one pass over the claim pairs.  Mixing the two can
+    push the variance slightly negative, hence the floor.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
@@ -239,6 +220,8 @@ def moment_grids(
     days = horizon.sale_days
     second = range_sums(start, end, wts[left] * wts[right], days[0], len(days)) / n
     mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
+    if np.any(mean < 0.0):
+        raise DomainError("mean window claims must be non-negative")
     var = second - mean**2
     floored = int(np.sum(var < 0.0))
     if floored:
@@ -247,9 +230,4 @@ def moment_grids(
             floored,
             float(var.min()),
         )
-    return MomentGrids(
-        days=days,
-        mean=mean,
-        var=np.maximum(var, 0.0),
-        floor_count=floored,
-    )
+    return mean, np.maximum(var, 0.0), floored

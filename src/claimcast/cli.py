@@ -30,7 +30,7 @@ from . import dataio, pipeline
 from .claims import ClaimsTable, aggregate_daily_claims
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .errors import DomainError, FitError, LoadError, NumericalError, ValidationError
-from .pipeline import RunConfig, run_pipeline, synthesize_dataset
+from .pipeline import RunConfig, report_text, run_pipeline, synthesize_dataset
 from .sales import compute_residuals, fit_bass
 from .tails import diagnose
 
@@ -183,7 +183,7 @@ def cmd_diagnose_tail(args) -> int:
     print(f"mean = {result.mean:.2f}  variance = {result.variance:.2f}")
     q25, q50, q75 = result.quartiles
     print(f"quartiles = {q25:.2f} / {q50:.2f} / {q75:.2f}")
-    print(f"tail index (k={result.k}) = {result.alpha_hat:.2f}")
+    print(f"tail index (k={config.qq_k}) = {result.alpha_hat:.2f}")
     print(f"regime = {result.regime.value}")
     return 0
 
@@ -193,7 +193,7 @@ def cmd_report(args) -> int:
     sales, claims = _load_inputs(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     report = run_pipeline(config, sales, claims, out_dir=out_dir)
-    print(report.to_text(), end="")
+    print(report_text(report, config.period), end="")
     if out_dir is not None:
         print(f"\nartifacts written to {args.out_dir}", file=sys.stderr)
     return 0

@@ -61,54 +61,61 @@ def _parse_day(raw: str) -> int:
 
 
 CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
-_READ_ERRORS = (csv.Error, OSError, UnicodeError)  # raised mid-file by a read
+_READ_ERRORS = (csv.Error, OSError, UnicodeError)  # raised by a read
 
 
 def _read_chunks(path, required: Sequence[str]):
     """Yield the data rows of ``path`` as (line numbers, raw columns) chunks.
 
-    Each chunk holds up to ``CHUNK_ROWS`` rows: an int64 array of each row's
+    The file is read as UTF-8, with or without a byte-order mark.  Each
+    chunk holds up to ``CHUNK_ROWS`` rows: an int64 array of each row's
     ``reader.line_num`` (its last physical line) and, per required column, a
     tuple of the raw field strings.  Blank lines are skipped, a repeated
     header name reads its last column and a field missing from a short row
-    is ``None``, all as ``csv.DictReader`` would have it.
+    is ``None``, all as ``csv.DictReader`` would have it.  A read error
+    (bytes that are not UTF-8, a field past the csv module's size limit)
+    becomes a ``LoadError`` raised from it that names the line the last
+    row read ends on; the rows read before it are yielded first.
     """
     path = Path(path)
     try:
-        handle = path.open(newline="")
+        handle = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, None) or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise LoadError(f"{path}: missing columns {missing} in header {header}")
-        where = {name: i for i, name in enumerate(header)}
-        index = [where[c] for c in required]
-        width = max(index) + 1
-
-        def chunk(rows, lines):
-            if min(map(len, rows)) < width:
-                rows = [r + [None] * (width - len(r)) for r in rows]
-            columns = list(zip(*rows))
-            return np.array(lines, dtype=np.int64), [columns[i] for i in index]
-
-        rows, lines = [], []
+        rows, lines, done = [], [], 0  # done: the line the last chunk ends on
         try:
+            header = next(reader, None) or []
+            done = reader.line_num
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise LoadError(f"{path}: missing columns {missing} in header {header}")
+            where = {name: i for i, name in enumerate(header)}
+            index = [where[c] for c in required]
+            width = max(index) + 1
             for row in reader:
                 if row:
                     rows.append(row)
                     lines.append(reader.line_num)
                     if len(rows) == CHUNK_ROWS:
-                        yield chunk(rows, lines)
-                        rows, lines = [], []
-        except _READ_ERRORS:
+                        yield _chunk(rows, lines, index, width)
+                        done, rows, lines = lines[-1], [], []
+        except _READ_ERRORS as exc:
             if rows:  # the rows read before a read error are still checked
-                yield chunk(rows, lines)
-            raise
+                yield _chunk(rows, lines, index, width)
+            last = lines[-1] if lines else done
+            raise LoadError(f"{path}: read failed after line {last}: {exc}") from exc
         if rows:
-            yield chunk(rows, lines)
+            yield _chunk(rows, lines, index, width)
+
+
+def _chunk(rows, lines, index, width):
+    """One chunk of :func:`_read_chunks`: short rows padded with ``None``."""
+    if min(map(len, rows)) < width:
+        rows = [r + [None] * (width - len(r)) for r in rows]
+    columns = list(zip(*rows))
+    return np.array(lines, dtype=np.int64), [columns[i] for i in index]
 
 
 def _ids(raw: tuple) -> Tuple[List[str], np.ndarray]:
@@ -187,7 +194,8 @@ def _load(path, required: Sequence[str], check, key: int, duplicate: str):
     raises ``duplicate`` (a message prefix) naming both lines, with the
     issues on earlier lines.  As in a row-at-a-time read, a repeat takes
     precedence over the 1% budget and over a read error further down the
-    file.
+    file; the ``LoadError`` of a read error carries the issues found before
+    it.
     """
     parts: List[List[np.ndarray]] = []
     issues: List[RowIssue] = []
@@ -201,8 +209,9 @@ def _load(path, required: Sequence[str], check, key: int, duplicate: str):
                 issues.append(RowIssue(int(lines[k]), message))
             parts.append([lines[keep]] + [_kept(c, keep) for c in columns])
             total += len(lines)
-    except _READ_ERRORS:
+    except LoadError as exc:
         _check_unique(path, parts, key, duplicate, issues)
+        exc.issues = issues
         raise
     _check_unique(path, parts, key, duplicate, issues)
     _check_bad_share(path, total, issues)

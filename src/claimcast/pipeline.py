@@ -4,7 +4,9 @@ tables out.
 The pipeline mirrors the estimation procedure end to end: anchor the
 clock, fit the sales curve and its fluctuation limit, fit the mean claims
 measure, diagnose the claim-size tail, assemble the limit parameters per
-forecast window and evaluate the distributional approximations.  Identical
+forecast window and evaluate the distributional approximations.  Its
+result is the plain dict that ``report.json`` holds, the one statement of
+the report's fields; :func:`report_text` renders it for people.  Identical
 config and inputs produce byte-identical reports.
 """
 
@@ -15,7 +17,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .tails import Regime, diagnose, qq_plot_data
 
 QUANTILE_LEVELS = (0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
 
-__all__ = ["RunConfig", "Report", "run_pipeline", "synthesize_dataset"]
+__all__ = ["RunConfig", "report_text", "run_pipeline", "synthesize_dataset"]
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_policy not in self.N_POLICIES:
             raise DomainError(f"unknown n policy {self.n_policy!r}")
-        if self.n_policy == "explicit" and not self.n_explicit:
-            raise DomainError("explicit n policy needs n_explicit")
+        if self.n_policy == "explicit" and (self.n_explicit or 0) < 1:
+            raise DomainError("explicit n policy needs n_explicit >= 1")
         if self.n_policy == "observed_total" and self.n_explicit is not None:
             raise DomainError("n_explicit needs the explicit n policy")
         if self.policy not in self.POLICIES:
@@ -109,120 +111,54 @@ class RunConfig:
         return RebateFunction.quadratic(self.warranty, self.unit_price)
 
 
-@dataclass(frozen=True)
-class PeriodResult:
-    offset: int
-    limits: LimitParams
-    quantiles: Dict[str, Dict[float, float]]
-    sanity: Dict[str, float]
-
-
-@dataclass(frozen=True)
-class Report:
-    """Everything the pipeline estimated, plus provenance."""
-
-    config_digest: str
-    seed: int
-    n: int
-    anchor: int
-    bass_p: float
-    bass_q: float
-    mean_measure: MeanClaimsMeasure
-    tail_alpha: Optional[float]
-    tail_regime: Optional[str]
-    size_mean: Optional[float]
-    size_variance: Optional[float]
-    rejected_claims: int
-    variance_floor_count: int
-    periods: Tuple[PeriodResult, ...]
-
-    def to_payload(self) -> dict:
-        payload = {
-            "provenance": {
-                "config": self.config_digest,
-                "seed": self.seed,
-            },
-            "n": self.n,
-            "anchor": self.anchor,
-            "sales_curve": {"p": self.bass_p, "q": self.bass_q},
-            "mean_measure": {
-                "slope": self.mean_measure.slope,
-                "intercept": self.mean_measure.intercept,
-                "atom0": self.mean_measure.atom0,
-                "atomW": self.mean_measure.atomW,
-            },
-            "tail": {
-                "alpha": self.tail_alpha,
-                "regime": self.tail_regime,
-                "size_mean": self.size_mean,
-                "size_variance": self.size_variance,
-            },
-            "rejected_claims": self.rejected_claims,
-            "variance_floor_count": self.variance_floor_count,
-            "periods": [],
-        }
-        for res in self.periods:
-            payload["periods"].append(
-                {
-                    "offset": res.offset,
-                    "limits": {
-                        "claims_mean": res.limits.claims_mean,
-                        "claims_var": res.limits.claims_var,
-                        "fluct_mean": res.limits.fluct_mean,
-                        "fluct_var": res.limits.fluct_var,
-                    },
-                    "quantiles": {
-                        kind: {str(p): q for p, q in column.items()}
-                        for kind, column in res.quantiles.items()
-                    },
-                    "sanity": res.sanity,
-                }
-            )
-        return payload
-
-    def to_text(self) -> str:
-        lines = [
-            "warranty cost forecast",
-            "======================",
-            f"config {self.config_digest}  seed {self.seed}",
-            f"items sold (n): {self.n}; clock anchored at raw day {self.anchor}",
-            f"sales curve: p={self.bass_p:.6e}  q={self.bass_q:.6e}",
-            (
-                "mean claims measure: "
-                f"slope={self.mean_measure.slope:.6e} "
-                f"intercept={self.mean_measure.intercept:.6e} "
-                f"atom0={self.mean_measure.atom0:.4f} "
-                f"atomW={self.mean_measure.atomW:.4f}"
-            ),
-        ]
-        if self.tail_alpha is not None:
-            lines.append(
-                f"claim sizes: mean={self.size_mean:.2f} "
-                f"variance={self.size_variance:.2f} "
-                f"tail index={self.tail_alpha:.2f} regime={self.tail_regime}"
-            )
-        if self.rejected_claims:
-            lines.append(f"quarantined claims (unknown vehicles): {self.rejected_claims}")
-        for res in self.periods:
-            t = res.limits.horizon.period
-            lo, hi = res.offset, res.offset + t
-            lines.append("")
-            lines.append(f"period [{lo}, {hi}]")
-            lines.append(
-                "  limits: "
-                f"c1={res.limits.claims_mean:.4f} c2={res.limits.claims_var:.4f} "
-                f"fluct mean={res.limits.fluct_mean:.4f} "
-                f"fluct var={res.limits.fluct_var:.4f}"
-            )
-            kinds = sorted(res.quantiles)
-            header = "  p      " + "  ".join(f"{k:>14s}" for k in kinds)
-            lines.append(header)
-            for p in QUANTILE_LEVELS:
-                cells = [f"{res.quantiles[kind][p]:14,.2f}" for kind in kinds]
-                lines.append(f"  {p:4.2f}   " + "  ".join(cells))
-            for key in sorted(res.sanity):
-                lines.append(f"  {key}: {res.sanity[key]:.4f}")
-        return "\n".join(lines) + "\n"
+def report_text(report: dict, period: int) -> str:
+    """The printed forecast: ``report.txt`` and the stdout of ``claimcast
+    report``, rendered from the :func:`run_pipeline` payload; ``period`` is
+    the forecast length T, which the payload does not hold."""
+    provenance, curve = report["provenance"], report["sales_curve"]
+    measure, tail = report["mean_measure"], report["tail"]
+    lines = [
+        "warranty cost forecast",
+        "======================",
+        f"config {provenance['config']}  seed {provenance['seed']}",
+        f"items sold (n): {report['n']}; clock anchored at raw day {report['anchor']}",
+        f"sales curve: p={curve['p']:.6e}  q={curve['q']:.6e}",
+        (
+            "mean claims measure: "
+            f"slope={measure['slope']:.6e} "
+            f"intercept={measure['intercept']:.6e} "
+            f"atom0={measure['atom0']:.4f} "
+            f"atomW={measure['atomW']:.4f}"
+        ),
+    ]
+    if tail["alpha"] is not None:
+        lines.append(
+            f"claim sizes: mean={tail['size_mean']:.2f} "
+            f"variance={tail['size_variance']:.2f} "
+            f"tail index={tail['alpha']:.2f} regime={tail['regime']}"
+        )
+    if report["rejected_claims"]:
+        lines.append(
+            f"quarantined claims (unknown vehicles): {report['rejected_claims']}"
+        )
+    for res in report["periods"]:
+        limits, quantiles, sanity = res["limits"], res["quantiles"], res["sanity"]
+        lines.append("")
+        lines.append(f"period [{res['offset']}, {res['offset'] + period}]")
+        lines.append(
+            "  limits: "
+            f"c1={limits['claims_mean']:.4f} c2={limits['claims_var']:.4f} "
+            f"fluct mean={limits['fluct_mean']:.4f} "
+            f"fluct var={limits['fluct_var']:.4f}"
+        )
+        kinds = sorted(quantiles)
+        lines.append("  p      " + "  ".join(f"{k:>14s}" for k in kinds))
+        for p in QUANTILE_LEVELS:
+            cells = [f"{quantiles[kind][str(p)]:14,.2f}" for kind in kinds]
+            lines.append(f"  {p:4.2f}   " + "  ".join(cells))
+        for key in sorted(sanity):
+            lines.append(f"  {key}: {sanity[key]:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 def _daily_counts(sales: SalesTable) -> Tuple[np.ndarray, int]:
@@ -255,13 +191,16 @@ def run_pipeline(
     sales: SalesTable,
     claims: ClaimsTable,
     out_dir: Optional[Path] = None,
-) -> Report:
+) -> dict:
     """Full estimation: sales curve, fluctuation limit, mean measure, tail
     diagnosis, limit parameters and quantiles per requested period.
 
-    All claims present in the input participate in estimating the mean
-    measure (as in the study the defaults mirror); claims falling inside a
-    forecast window additionally feed that window's sanity-check block.
+    Returns the payload that ``report.json`` holds, which
+    :func:`report_text` renders; ``out_dir``, if given, receives both
+    report files and the plot-data series behind every figure.  All claims
+    present in the input participate in estimating the mean measure (as in
+    the study the defaults mirror); claims falling inside a forecast window
+    additionally feed that window's sanity-check block.
     """
     if len(sales) == 0:
         raise DomainError("no sales records")
@@ -283,19 +222,40 @@ def run_pipeline(
         override = config.regime_override == "finite_variance"
         tail = diagnose(sizes, config.qq_k, finite_variance_override=override)
 
-    period_results = []
-    floor_total = 0
+    report = {
+        "provenance": {"config": config.digest(), "seed": config.seed},
+        "n": n,
+        "anchor": anchor,
+        "sales_curve": {"p": bass.p, "q": bass.q},
+        "mean_measure": {
+            "slope": fitted.slope,
+            "intercept": fitted.intercept,
+            "atom0": fitted.atom0,
+            "atomW": fitted.atomW,
+        },
+        "tail": {
+            "alpha": tail.alpha_hat if tail else None,
+            "regime": tail.regime.value if tail else None,
+            "size_mean": tail.mean if tail else None,
+            "size_variance": tail.variance if tail else None,
+        },
+        "rejected_claims": joined.quarantined,
+        "variance_floor_count": 0,
+        "periods": [],
+    }
     for k in sorted(set(config.periods)):
         offset = k * config.period
         horizon = TimeHorizon(config.warranty, config.period, offset, n)
-        grids = claims_mod.moment_grids(joined, fitted, rebate, horizon, n=n)
-        floor_total += grids.floor_count
-        c1, c2 = rate_constants(grids.mean, grids.var, bass.share(grids.days))
+        mean, var, floored = claims_mod.moment_grids(
+            joined, fitted, rebate, horizon, n=n
+        )
+        report["variance_floor_count"] += floored
+        c1, c2 = rate_constants(mean, var, bass.share(horizon.sale_days))
         increments = assemble_fluctuation(decomposition, horizon, config.poly_degree)
         mu_t, sig2_t = fluctuation_moments(increments, fitted, rebate, horizon)
-        lp = LimitParams(c1, c2, mu_t, sig2_t, horizon)
+        limits = dict(claims_mean=c1, claims_var=c2, fluct_mean=mu_t, fluct_var=sig2_t)
+        lp = LimitParams(horizon=horizon, **limits)
 
-        quantiles: Dict[str, Dict[float, float]] = {}
         approxes = {}
         if config.policy == "prorata":
             approxes["prorata"] = cost_approx_normal(lp, config.unit_price)
@@ -305,11 +265,12 @@ def run_pipeline(
             if tail.regime is not Regime.FINITE_VARIANCE:
                 alpha = 1.0 if tail.regime is Regime.STABLE_EQ_1 else tail.alpha_hat
                 approxes["stable"] = cost_approx_stable(lp, alpha, tail.mean)
+        quantiles = {}
         for kind, approx in approxes.items():
             column = approx_quantile(approx, np.array(QUANTILE_LEVELS))
-            quantiles[kind] = dict(zip(QUANTILE_LEVELS, column.tolist()))
+            quantiles[kind] = dict(zip(map(str, QUANTILE_LEVELS), column.tolist()))
 
-        sanity: Dict[str, float] = {}
+        sanity = {}
         actual_count, actual_cost = realized_window_totals(sales, joined, horizon)
         if actual_count > 0:
             sanity["actual_count"] = float(actual_count)
@@ -324,84 +285,50 @@ def run_pipeline(
                 cost_cdf = approx_cdf(approx, actual_cost)
                 sanity[f"cost_cdf_{kind}"] = cost_cdf
                 sanity[f"cost_extremeness_{kind}"] = extremeness(cost_cdf)
-        period_results.append(PeriodResult(offset, lp, quantiles, sanity))
-
-    report = Report(
-        config_digest=config.digest(),
-        seed=config.seed,
-        n=n,
-        anchor=anchor,
-        bass_p=bass.p,
-        bass_q=bass.q,
-        mean_measure=fitted,
-        tail_alpha=tail.alpha_hat if tail else None,
-        tail_regime=tail.regime.value if tail else None,
-        size_mean=tail.mean if tail else None,
-        size_variance=tail.variance if tail else None,
-        rejected_claims=joined.quarantined,
-        variance_floor_count=floor_total,
-        periods=tuple(period_results),
-    )
+        report["periods"].append(
+            dict(offset=offset, limits=limits, quantiles=quantiles, sanity=sanity)
+        )
 
     if out_dir is not None:
-        _emit_artifacts(
-            Path(out_dir), report, config, bins, fitted, decomposition, bass,
-            counts, first_day, sizes, tail,
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.txt").write_text(report_text(report, config.period))
+        dataio.write_json_report(report, out_dir / "report.json")
+        ages = np.arange(config.warranty + 1)
+        dataio.write_series(
+            out_dir / "mean_measure_bins.csv", "age", ages, "mass", bins
         )
+        dataio.write_series(
+            out_dir / "mean_measure_fit.csv", "age", ages, "mass", fitted.bin_masses()
+        )
+        days = first_day + np.arange(len(counts))
+        dataio.write_series(out_dir / "daily_sales.csv", "day", days, "count", counts)
+        fit_curve = bass.n * (bass.share(days) - bass.share(days - 1))
+        dataio.write_series(out_dir / "sales_fit.csv", "day", days, "count", fit_curve)
+        dataio.write_series(
+            out_dir / "residuals.csv",
+            "day",
+            decomposition.days,
+            "std_resid",
+            decomposition.std_resid,
+        )
+        if tail is not None:
+            hist, edges = np.histogram(
+                sizes, bins=min(200, max(10, len(sizes) // 50)), density=True
+            )
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            dataio.write_series(
+                out_dir / "size_density.csv", "size", centers, "density", hist
+            )
+            pts = qq_plot_data(sizes, config.qq_k)
+            dataio.write_series(
+                out_dir / "size_qq.csv",
+                "exp_quantile",
+                pts[:, 0],
+                "log_order_stat",
+                pts[:, 1],
+            )
     return report
-
-
-def _emit_artifacts(
-    out_dir: Path,
-    report: Report,
-    config: RunConfig,
-    bins: np.ndarray,
-    fitted: MeanClaimsMeasure,
-    decomposition,
-    bass,
-    counts: np.ndarray,
-    first_day: int,
-    sizes: np.ndarray,
-    tail,
-) -> None:
-    """Report files plus the plot-data series behind every figure."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(report.to_text())
-    dataio.write_json_report(report.to_payload(), out_dir / "report.json")
-
-    ages = np.arange(config.warranty + 1)
-    dataio.write_series(
-        out_dir / "mean_measure_bins.csv", "age", ages, "mass", bins
-    )
-    dataio.write_series(
-        out_dir / "mean_measure_fit.csv", "age", ages, "mass", fitted.bin_masses()
-    )
-    days = first_day + np.arange(len(counts))
-    dataio.write_series(out_dir / "daily_sales.csv", "day", days, "count", counts)
-    fit_curve = bass.n * (bass.share(days) - bass.share(days - 1))
-    dataio.write_series(out_dir / "sales_fit.csv", "day", days, "count", fit_curve)
-    dataio.write_series(
-        out_dir / "residuals.csv",
-        "day",
-        decomposition.days,
-        "std_resid",
-        decomposition.std_resid,
-    )
-    if tail is not None:
-        hist, edges = np.histogram(sizes, bins=min(200, max(10, len(sizes) // 50)),
-                                   density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dataio.write_series(
-            out_dir / "size_density.csv", "size", centers, "density", hist
-        )
-        pts = qq_plot_data(sizes, tail.k)
-        dataio.write_series(
-            out_dir / "size_qq.csv",
-            "exp_quantile",
-            pts[:, 0],
-            "log_order_stat",
-            pts[:, 1],
-        )
 
 
 def synthesize_dataset(

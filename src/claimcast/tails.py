@@ -141,7 +141,6 @@ def tail_scalers(alpha_hat: float, n: int) -> Scalers:
 @dataclass(frozen=True)
 class TailDiagnosis:
     alpha_hat: float
-    k: int
     regime: Regime
     mean: float
     variance: float
@@ -155,11 +154,4 @@ def diagnose(
     mean, variance, quartiles = summary_stats(sizes)
     alpha_hat = qq_tail_index(sizes, k)
     regime = select_regime(alpha_hat, finite_variance_override)
-    return TailDiagnosis(
-        alpha_hat=alpha_hat,
-        k=k,
-        regime=regime,
-        mean=mean,
-        variance=variance,
-        quartiles=quartiles,
-    )
+    return TailDiagnosis(alpha_hat, regime, mean, variance, quartiles)

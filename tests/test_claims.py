@@ -258,56 +258,60 @@ def grid_oracle(per_item, rebate, horizon, n):
 class TestMomentGrids:
     def test_mean_vanishes_in_empty_window(self):
         fitted = MeanClaimsMeasure(0.0, 1e-3, atom0=0.0, atomW=0.1, warranty=W)
-        grids = moment_grids(joined_from([]), fitted, FREE, HORIZON, n=5)
-        assert grids.mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
+        mean, _, _ = moment_grids(joined_from([]), fitted, FREE, HORIZON, n=5)
+        assert mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
 
     def test_two_item_toy_variance(self):
         # second moment (1/2)(1^2) = 0.5; the fitted atom at age 0 puts the
         # mean at 0.5 for x = 0, so the variance there is 0.25
-        grids = moment_grids(
+        mean, var, _ = moment_grids(
             joined_from([(5,), ()]),
             MeanClaimsMeasure(0.0, 0.0, atom0=0.5, warranty=W),
             FREE,
             HORIZON,
             n=2,
         )
-        at0 = np.where(grids.days == 0)[0][0]
-        assert grids.mean[at0] == pytest.approx(0.5)
-        assert grids.var[at0] == pytest.approx(0.25)
+        at0 = np.where(HORIZON.sale_days == 0)[0][0]
+        assert mean[at0] == pytest.approx(0.5)
+        assert var[at0] == pytest.approx(0.25)
 
     def test_matches_defining_sums_free_replacement(self):
         rng = np.random.default_rng(23)
         h = TimeHorizon(40, 12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 5)) for _ in range(30)]
         rebate = RebateFunction.free_replacement(40)
-        grids = moment_grids(joined_from(measures), zero_measure(40), rebate, h, n=30)
+        mean, var, floored = moment_grids(
+            joined_from(measures), zero_measure(40), rebate, h, n=30
+        )
         _, second_ref = grid_oracle(measures, rebate, h, 30)
-        assert np.all(grids.mean == 0.0)
-        assert np.allclose(grids.var, second_ref, atol=1e-10)
-        assert grids.floor_count == 0
+        assert np.all(mean == 0.0)
+        assert np.allclose(var, second_ref, atol=1e-10)
+        assert floored == 0
 
     def test_matches_defining_sums_prorata_with_offset(self):
         rng = np.random.default_rng(29)
         h = TimeHorizon(40, 12, offset=12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 4)) for _ in range(25)]
         rebate = RebateFunction.linear(40)
-        grids = moment_grids(joined_from(measures), zero_measure(40), rebate, h, n=25)
+        mean, var, _ = moment_grids(
+            joined_from(measures), zero_measure(40), rebate, h, n=25
+        )
         _, second_ref = grid_oracle(measures, rebate, h, 25)
-        assert np.all(grids.mean == 0.0)
-        assert np.allclose(grids.var, second_ref, atol=1e-10)
+        assert np.all(mean == 0.0)
+        assert np.allclose(var, second_ref, atol=1e-10)
 
     def test_fitted_mean_flooring_counted(self):
         # fitted mean larger than any raw second moment forces flooring
         fitted = MeanClaimsMeasure(0.0, 5e-3, atom0=0.5, atomW=0.5, warranty=W)
-        grids = moment_grids(
+        _, var, floored = moment_grids(
             joined_from([(3,), ()]),
             fitted,
             FREE,
             HORIZON,
             n=2,
         )
-        assert grids.floor_count > 0
-        assert np.all(grids.var >= 0.0)
+        assert floored > 0
+        assert np.all(var >= 0.0)
 
     def test_branch_boundary_windows_agree_up_to_atoms(self):
         fitted = MeanClaimsMeasure(1e-6, 1e-3, atom0=0.3, atomW=0.2, warranty=W)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from claimcast.cli import _build_config, build_parser, main
-from claimcast.pipeline import RunConfig, synthesize_dataset
+from claimcast.dataio import load_claims, load_sales
+from claimcast.pipeline import RunConfig, report_text, run_pipeline, synthesize_dataset
 
 COMMON = ["--warranty", "200", "--period", "30", "--qq-k", "300", "--ma-window", "10",
           "--poly-degree", "2"]
@@ -94,6 +95,26 @@ class TestSubcommands:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["provenance"]["config"]
         assert (out_dir / "size_qq.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--policy", "prorata", "--unit-price", "250"]],
+        ids=["free_replacement", "prorata"],
+    )
+    def test_printed_report_is_the_report_file(
+        self, dataset_dir, tmp_path, capsys, flags
+    ):
+        # stdout, report.txt and report_text of the returned payload agree
+        argv = ["report", *data_args(dataset_dir), *COMMON, *flags]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == (out_dir / "report.txt").read_bytes()
+        config = _build_config(build_parser().parse_args(argv))
+        sales, _ = load_sales(dataset_dir / "sales.csv")
+        claims, _ = load_claims(dataset_dir / "claims.csv")
+        assert report_text(run_pipeline(config, sales, claims), config.period) == printed
+        assert ("prorata" in printed) == bool(flags)
 
     def test_validate_small_run(self, tmp_path, capsys):
         rc = main(
@@ -199,6 +220,25 @@ class TestExitCodes:
         rc = main(["diagnose-tail", "--claims", claims, "--qq-k", "100000"])
         assert rc == 2
         assert "need 2 <= k <= sample size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"V,9,C\xe9,1.0\n", b'V,9,"' + b"x" * 200_000 + b'",1.0\n'],
+        ids=["not_utf8", "field_past_csv_limit"],
+    )
+    def test_unreadable_claims_file_is_validation_error(self, tmp_path, capsys, tail):
+        claims = tmp_path / "claims.csv"
+        rows = "".join(f"V{i},{100 + i},C{i},1.0\n" for i in range(100))
+        header = b"vehicle_id,claim_date,claim_id,amount\n"
+        claims.write_bytes(header + rows.encode() + tail)
+        rc = main(["diagnose-tail", "--claims", str(claims), "--qq-k", "10"])
+        assert rc == 2
+        assert f"error: {claims}: read failed after line" in capsys.readouterr().err
+
+    def test_negative_explicit_n_is_validation_error(self, dataset_dir, capsys):
+        rc = main(["fit-sales", "--sales", str(dataset_dir / "sales.csv"), "--n", "-5"])
+        assert rc == 2
+        assert "error: explicit n policy needs n_explicit >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("periods", ["", ","])
     def test_empty_periods_is_validation_error(self, dataset_dir, capsys, periods):

@@ -226,8 +226,27 @@ class TestLoadClaims:
             with pytest.raises(LoadError, match=r"claim id 'C0' \(lines 2 and 42\)"):
                 load_claims(p)
         else:
-            with pytest.raises(UnicodeDecodeError):
+            with pytest.raises(LoadError, match=r"c\.csv: read failed after") as info:
                 load_claims(p)
+            assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    def test_read_error_names_the_last_line_and_carries_the_issues(self, tmp_path):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(100)]
+        rows[4] = "V,103,C3,n/a"
+        rows.append('V,9,"' + "x" * 200_000 + '",1.0')  # past csv's field limit
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        with pytest.raises(LoadError, match=r"c\.csv: read failed after line 101:") as info:
+            load_claims(p)
+        assert isinstance(info.value.__cause__, csv.Error)
+        assert info.value.issues == [RowIssue(5, "unparseable amount 'n/a'")]
+
+    def test_undecodable_header_fails_the_load(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"vehicle_id,claim_date,claim_id,amount\xe9\nV,1,C1,1.0\n")
+        with pytest.raises(LoadError, match="read failed after line 0") as info:
+            load_claims(p)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
     def test_long_claim_id_in_a_rejected_row_is_not_kept(self, tmp_path):
         rows = ["vehicle_id,claim_date,claim_id,amount"]
@@ -287,6 +306,31 @@ class TestLoadClaims:
         )
         with pytest.raises(LoadError, match="2 of 2 rows malformed"):
             load_claims(p)
+
+
+@pytest.mark.parametrize(
+    "load, head",
+    [
+        (load_sales, ["vehicle_id,sale_date", "A,100", "", "B,xxx", "C,2020-01-05"]),
+        (
+            load_claims,
+            ["vehicle_id,claim_date,claim_id,amount", "A,120,C1,10.5", "A,130,C2,n/a"],
+        ),
+    ],
+    ids=["sales", "claims"],
+)
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, load, head):
+    # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+    lines = head + [f"V{i},{100 + i},K{i},1.0" for i in range(200)]
+    text = "\r\n".join(lines) + "\r\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    table, issues = load(marked)
+    want_table, want_issues = load(plain)
+    assert rows(table) == rows(want_table)
+    assert issues == want_issues != []
 
 
 class TestAnchoring:

@@ -17,6 +17,7 @@ from claimcast.pipeline import (
     QUANTILE_LEVELS,
     RunConfig,
     realized_window_totals,
+    report_text,
     run_pipeline,
     synthesize_dataset,
 )
@@ -59,6 +60,9 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             RunConfig(n_policy="explicit")
+        for n in (0, -5):  # a count of items sold is at least 1
+            with pytest.raises(DomainError, match="n_explicit >= 1"):
+                RunConfig(n_policy="explicit", n_explicit=n)
         with pytest.raises(DomainError):
             RunConfig(policy="warranty-of-the-month")
         with pytest.raises(DomainError):
@@ -83,14 +87,14 @@ class TestRunPipeline:
     def test_report_structure(self, dataset):
         sales, claims = dataset
         report = run_pipeline(CONFIG, sales, claims)
-        assert report.n == len(sales)
-        assert report.bass_p > 0.0
-        assert len(report.periods) == 2
-        for res in report.periods:
-            assert res.limits.claims_mean > 0.0
-            assert set(res.quantiles)  # at least one approximation column
-            for column in res.quantiles.values():
-                qs = [column[p] for p in QUANTILE_LEVELS]
+        assert report["n"] == len(sales)
+        assert report["sales_curve"]["p"] > 0.0
+        assert len(report["periods"]) == 2
+        for res in report["periods"]:
+            assert res["limits"]["claims_mean"] > 0.0
+            assert set(res["quantiles"])  # at least one approximation column
+            for column in res["quantiles"].values():
+                qs = [column[str(p)] for p in QUANTILE_LEVELS]
                 assert np.all(np.diff(qs) > 0.0)
 
     def test_quantile_block_matches_engine_outputs(self, dataset):
@@ -98,21 +102,21 @@ class TestRunPipeline:
         # quantiles at the stated levels
         sales, claims = dataset
         report = run_pipeline(CONFIG, sales, claims)
-        from claimcast.engine import cost_approx_normal, cost_approx_stable
+        from claimcast.engine import LimitParams, cost_approx_normal, cost_approx_stable
 
-        res = report.periods[0]
-        if "normal" in res.quantiles:
-            approx = cost_approx_normal(
-                res.limits, report.size_mean, report.size_variance
-            )
-            for p, q in res.quantiles["normal"].items():
-                assert q == pytest.approx(approx_quantile(approx, p), rel=1e-12)
-        if "stable" in res.quantiles:
-            approx = cost_approx_stable(
-                res.limits, report.tail_alpha, report.size_mean
-            )
-            for p, q in res.quantiles["stable"].items():
-                assert q == pytest.approx(approx_quantile(approx, p), rel=1e-9)
+        res, tail = report["periods"][0], report["tail"]
+        horizon = TimeHorizon(CONFIG.warranty, CONFIG.period, 0, report["n"])
+        limits = LimitParams(horizon=horizon, **res["limits"])
+        quantiles = res["quantiles"]
+        if "normal" in quantiles:
+            size_var = tail["size_variance"]
+            approx = cost_approx_normal(limits, tail["size_mean"], size_var)
+            for p, q in quantiles["normal"].items():
+                assert q == pytest.approx(approx_quantile(approx, float(p)), rel=1e-12)
+        if "stable" in quantiles:
+            approx = cost_approx_stable(limits, tail["alpha"], tail["size_mean"])
+            for p, q in quantiles["stable"].items():
+                assert q == pytest.approx(approx_quantile(approx, float(p)), rel=1e-9)
 
     def test_deterministic_artifacts(self, dataset, tmp_path):
         sales, claims = dataset
@@ -168,9 +172,8 @@ class TestRunPipeline:
             poly_degree=2,
         )
         report = run_pipeline(config, sales, claims)
-        res = report.periods[0]
-        assert set(res.quantiles) == {"prorata"}
-        assert report.tail_alpha is None
+        assert set(report["periods"][0]["quantiles"]) == {"prorata"}
+        assert report["tail"]["alpha"] is None
 
     def test_prorata_sanity_omits_the_count_law(self, dataset):
         # the r-weighted moments give the law of the summed rebates, which
@@ -186,7 +189,7 @@ class TestRunPipeline:
             ma_window=10,
             poly_degree=2,
         )
-        sanity = run_pipeline(config, sales, claims).periods[0].sanity
+        sanity = run_pipeline(config, sales, claims)["periods"][0]["sanity"]
         assert set(sanity) == {
             "actual_count",
             "actual_cost",
@@ -206,15 +209,14 @@ class TestRunPipeline:
             regime_override="finite_variance",
         )
         report = run_pipeline(config, sales, claims)
-        assert set(report.periods[0].quantiles) == {"normal"}
-        assert report.tail_regime == "finite_variance"
+        assert set(report["periods"][0]["quantiles"]) == {"normal"}
+        assert report["tail"]["regime"] == "finite_variance"
 
     def test_sanity_block_present_when_window_claims_exist(self, dataset):
         # synthetic claims extend past the last sale date, so the first
         # forecast window has realized claims to check against
         sales, claims = dataset
-        report = run_pipeline(CONFIG, sales, claims)
-        sanity = report.periods[0].sanity
+        sanity = run_pipeline(CONFIG, sales, claims)["periods"][0]["sanity"]
         assert "count_cdf" in sanity
         assert 0.0 <= sanity["count_cdf"] <= 1.0
         assert sanity["count_extremeness"] == pytest.approx(
@@ -253,15 +255,15 @@ class TestRunPipeline:
             poly_degree=2,
         )
         report = run_pipeline(config, sales, claims)
-        assert report.tail_regime == "stable_1_2"
-        res = report.periods[0]
-        assert set(res.quantiles) == {"normal", "stable"}
-        text = report.to_text()
+        assert report["tail"]["regime"] == "stable_1_2"
+        quantiles = report["periods"][0]["quantiles"]
+        assert set(quantiles) == {"normal", "stable"}
+        text = report_text(report, config.period)
         assert "normal" in text and "stable" in text
         # heavy tail: extreme stable quantiles stay below the normal ones'
         # growth only near the center; both columns must be monotone
-        for column in res.quantiles.values():
-            qs = [column[p] for p in QUANTILE_LEVELS]
+        for column in quantiles.values():
+            qs = [column[str(p)] for p in QUANTILE_LEVELS]
             assert np.all(np.diff(qs) > 0)
 
 

@@ -160,4 +160,4 @@ class TestDiagnose:
         assert d.regime is Regime.STABLE_1_2
         assert 1.3 <= d.alpha_hat <= 1.7
         assert d.quartiles[0] <= d.quartiles[1] <= d.quartiles[2]
-        assert d.k == 2000
+        assert (d.mean, d.variance, d.quartiles) == summary_stats(x)
