@@ -1,14 +1,17 @@
 """CSV ingestion and plot-data/report emission.
 
 Input files carry raw dates, either integer day numbers or ISO-8601
-calendar dates (auto-detected per value).  The loaders read a file with
-``csv.reader`` in chunks of ``CHUNK_ROWS`` rows and turn each chunk into
-numpy columns at once: amounts are cast as a column, day numbers too when
-all of a chunk's are plain ASCII integers; only a column holding values
-such a cast rejects (ISO dates, signs, padding, bad values) is parsed value
-by value.  Ids are stripped as Python strings, and only the accepted ones
-become an array, so an id column is as wide as its longest accepted id.  A
-row is rejected by the first check it fails, in a fixed order per file, and
+calendar dates (auto-detected per value).  A loader reads its file once as
+bytes.  A clean file (:func:`_clean`: printable ASCII, one kind of line
+end, no quotes, every line as long in fields as the header) is split in
+one numpy pass, its fields kept as offsets into the bytes.  Any other file
+goes through ``csv.reader`` in chunks of ``CHUNK_ROWS`` rows.  Either way
+the same row checks see whole columns: day numbers and amounts are cast
+as a column where they are plain (digits; decimals as a clean file holds
+them, or any amount ``float()`` takes in a ``csv.reader`` chunk), and only
+the other values are parsed one by one.  Only accepted ids become an
+array, so an id column is as wide as its longest accepted id.  A row is
+rejected by the first check it fails, in a fixed order per file, and
 reported as a :class:`RowIssue` with its line number; rejected rows are
 fatal only past a 1% share, a repeated id always.  Anchoring onto the
 forecast clock (day 0 = the day after the last observed sale) happens in
@@ -18,6 +21,7 @@ the pipeline so sales and claims share one anchor.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -61,13 +65,102 @@ def _parse_day(raw: str) -> int:
 
 
 CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
-_READ_ERRORS = (csv.Error, OSError, UnicodeError)  # raised by a read
+_READ_ERRORS = (csv.Error, UnicodeError)  # raised by a read
 
 
-def _read_chunks(path, required: Sequence[str]):
-    """Yield the data rows of ``path`` as (line numbers, raw columns) chunks.
+def _clean(data: bytes, required: Sequence[str]):
+    """The required columns of a clean file as :class:`_Fields`, else None.
 
-    The file is read as UTF-8, with or without a byte-order mark.  Each
+    A clean file is printable ASCII in lines that all end in ``\\n`` or all
+    in ``\\r\\n``, with no ``"``, no blank line and the header's field count
+    on every line; its header holds the required columns, their fields
+    neither start nor end with a space, and they are narrow enough that
+    fixed-width copies cost at most about twice the file.  No line is
+    longer than ``csv.reader``'s field limit.  ``csv.reader`` would split
+    such a file on every comma and line end, and each of its fields is
+    already stripped.
+    """
+    end = b"\r\n" if b"\r" in data else b"\n"
+    data += b"" if data.endswith(b"\n") else end
+    if not data.isascii() or b'"' in data or b"\x7f" in data:
+        return None
+    header = data[: data.index(b"\n") + 1].removesuffix(end).decode().split(",")
+    where = {name: i for i, name in enumerate(header)}
+    if any(c not in where for c in required):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    pattern = np.full(len(header), ord(","), dtype=np.uint8)
+    pattern[-1] = ord("\n")
+    if len(ends) % len(header) or np.any(buf[ends].reshape(-1, len(header)) != pattern):
+        return None  # a line with another field count, a blank one among them
+    ends = ends.reshape(-1, len(header))
+    if np.count_nonzero(buf < 0x20) != len(ends) * len(end):
+        return None  # a control character, or a stray \r
+    if len(end) == 2 and np.any(buf[ends[:, -1] - 1] != ord("\r")):
+        return None  # a line that ends in \n alone
+    columns = []
+    for name in required:
+        j = where[name]
+        start = (ends[1:, j - 1] if j else ends[:-1, -1]) + 1
+        stop = ends[1:, j] - (len(end) - 1 if j == len(header) - 1 else 0)
+        columns.append(_Fields(data, start, stop))
+    width = sum(int(c.widths.max(initial=0)) for c in columns)
+    longest = np.diff(ends[:, -1], prepend=-1).max()  # a line with its end
+    if longest > csv.field_size_limit() or (len(ends) - 1) * width > 2 * len(data):
+        return None  # a field csv.reader refuses, or costly fixed-width columns
+    if b" " in data and any(
+        np.any(buf[c.starts] == ord(" ")) or np.any(buf[c.ends - 1] == ord(" "))
+        for c in columns
+    ):
+        return None
+    return columns
+
+
+class _Fields:
+    """One column of a clean file: its fields as offsets into the file's bytes."""
+
+    def __init__(self, data: bytes, starts: np.ndarray, ends: np.ndarray):
+        self.data, self.starts, self.ends = data, starts, ends
+        self.widths = ends - starts
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, k) -> str:
+        return self.data[self.starts[k] : self.ends[k]].decode()
+
+    def chars(self, width: int, right: bool = False) -> np.ndarray:
+        """The fields as a (width, rows) byte matrix.
+
+        Column k holds field k from the top, NULs below it, or if ``right``
+        ending at the bottom, "0"s above it, which keep a number's value; a
+        field wider than ``width`` is cut to fit.  Rows, not columns, are
+        contiguous, so a test over every field is a few passes over rows.
+        """
+        buf = np.frombuffer(self.data, dtype=np.uint8)
+        first = self.ends - width if right else self.starts
+        out = np.empty((width, len(self)), dtype=np.uint8)
+        for k, row in enumerate(out):
+            buf.take(first + k, out=row, mode="clip")
+        at = np.arange(width)[:, None]
+        if right:
+            np.putmask(out, at < width - self.widths, ord("0"))
+        else:
+            np.putmask(out, at >= self.widths, 0)
+        return out
+
+    def text(self, keep: np.ndarray) -> np.ndarray:
+        """The kept fields as a str array as wide as the widest of them."""
+        kept = _Fields(self.data, self.starts[keep], self.ends[keep])
+        width = max(int(kept.widths.max(initial=0)), 1)
+        return kept.chars(width).T.astype("<u4", order="C").view(f"<U{width}").ravel()
+
+
+def _read_chunks(path, data: bytes, required: Sequence[str]):
+    """Yield the data rows of ``data`` as (line numbers, raw columns) chunks.
+
+    ``data`` is the file's bytes after any UTF-8 byte-order mark.  Each
     chunk holds up to ``CHUNK_ROWS`` rows: an int64 array of each row's
     ``reader.line_num`` (its last physical line) and, per required column, a
     tuple of the raw field strings.  Blank lines are skipped, a repeated
@@ -77,37 +170,48 @@ def _read_chunks(path, required: Sequence[str]):
     becomes a ``LoadError`` raised from it that names the line the last
     row read ends on; the rows read before it are yielded first.
     """
-    path = Path(path)
+    reader = csv.reader(_text_lines(data))
+    rows, lines, done = [], [], 0  # done: the line the last chunk ends on
     try:
-        handle = path.open(newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        rows, lines, done = [], [], 0  # done: the line the last chunk ends on
-        try:
-            header = next(reader, None) or []
-            done = reader.line_num
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise LoadError(f"{path}: missing columns {missing} in header {header}")
-            where = {name: i for i, name in enumerate(header)}
-            index = [where[c] for c in required]
-            width = max(index) + 1
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == CHUNK_ROWS:
-                        yield _chunk(rows, lines, index, width)
-                        done, rows, lines = lines[-1], [], []
-        except _READ_ERRORS as exc:
-            if rows:  # the rows read before a read error are still checked
-                yield _chunk(rows, lines, index, width)
-            last = lines[-1] if lines else done
-            raise LoadError(f"{path}: read failed after line {last}: {exc}") from exc
-        if rows:
+        header = next(reader, None) or []
+        done = reader.line_num
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise LoadError(f"{path}: missing columns {missing} in header {header}")
+        where = {name: i for i, name in enumerate(header)}
+        index = [where[c] for c in required]
+        width = max(index) + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    yield _chunk(rows, lines, index, width)
+                    done, rows, lines = lines[-1], [], []
+    except _READ_ERRORS as exc:
+        if rows:  # the rows read before a read error are still checked
             yield _chunk(rows, lines, index, width)
+        last = lines[-1] if lines else done
+        raise LoadError(f"{path}: read failed after line {last}: {exc}") from exc
+    if rows:
+        yield _chunk(rows, lines, index, width)
+
+
+def _text_lines(data: bytes):
+    """The lines of UTF-8 ``data`` as ``open(newline="")`` yields them.
+
+    Bytes that are not UTF-8 raise the ``UnicodeDecodeError`` in place of
+    the line that holds them, after the lines before it.
+    """
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        for line in io.StringIO(data[: exc.start].decode(), newline=""):
+            if not line.endswith(("\n", "\r")):
+                break  # the start of the line that holds the bad bytes
+            yield line
+        raise
+    yield from io.StringIO(text, newline="")
 
 
 def _chunk(rows, lines, index, width):
@@ -118,15 +222,18 @@ def _chunk(rows, lines, index, width):
     return np.array(lines, dtype=np.int64), [columns[i] for i in index]
 
 
-def _ids(raw: tuple) -> Tuple[List[str], np.ndarray]:
+def _ids(raw) -> Tuple[List[str], np.ndarray]:
     """Stripped ids of one raw column and the mask of the unusable ones.
 
     A missing field is the empty id.  An id holding a NUL is unusable too:
     a numpy str array drops trailing NULs, so it could not be stored as
-    read.  The ids stay Python strings: only the kept ones become an array
-    (:func:`_kept`), so a long id in a rejected row does not widen the
-    column.
+    read.  The ids stay Python strings (a clean file's stay
+    :class:`_Fields`, already stripped and free of NULs): only the kept
+    ones become an array (:func:`_kept`), so a long id in a rejected row
+    does not widen the column.
     """
+    if isinstance(raw, _Fields):
+        return raw, raw.widths == 0
     ids = [(v or "").strip() for v in raw]
     if all(ids) and "\x00" not in "".join(ids):
         return ids, np.zeros(len(ids), dtype=bool)
@@ -142,66 +249,141 @@ def _kept(column, keep: np.ndarray) -> np.ndarray:
     """The kept entries of one chunk's column, as an array."""
     if isinstance(column, np.ndarray):
         return column[keep]
+    if isinstance(column, _Fields):
+        return column.text(keep)
     return np.array(column if keep.all() else list(compress(column, keep)), dtype=str)
 
 
-def _days(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
+def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
     """Day numbers of one raw column and the mask of the usable ones.
 
-    A chunk of plain ASCII integers is cast at once; any other chunk, and
-    one that the cast refuses (a value past int's digit limit or past
-    int64), goes value by value through :func:`_parse_day`.  A day past
-    int64 is unusable like an unparseable one.
+    Plain ASCII digit strings are cast at once: in a clean file each one
+    of at most 18 digits, in a chunk of ``csv.reader`` rows all of them if
+    every value is one.  Any other value, and a chunk that the cast refuses
+    (a value past int's digit limit or past int64), goes value by value
+    through :func:`_parse_day`.  A day past int64 is unusable like an
+    unparseable one.
     """
     ok = np.ones(len(raw), dtype=bool)
-    if all(raw) and (text := "".join(raw)).isascii() and text.isdigit():
+    if isinstance(raw, _Fields):
+        width = min(int(raw.widths.max(initial=0)), 18)
+        digits = raw.chars(width, right=True) - np.uint8(ord("0"))
+        plain = (raw.widths > 0) & (raw.widths <= width) & np.all(digits < 10, axis=0)
+        days = _horner(digits)
+    else:
+        days, plain = np.zeros(len(raw), dtype=np.int64), ~ok
+        if all(raw) and (text := "".join(raw)).isascii() and text.isdigit():
+            try:
+                days, plain = np.array(list(map(int, raw)), dtype=np.int64), ok
+            except (ValueError, OverflowError):
+                pass
+    for k in np.flatnonzero(~plain):
         try:
-            return np.array(list(map(int, raw)), dtype=np.int64), ok
-        except (ValueError, OverflowError):
-            pass
-    days = np.zeros(len(raw), dtype=np.int64)
-    for k, value in enumerate(raw):
-        try:
-            days[k] = _parse_day(value or "")
+            days[k] = _parse_day(raw[k] or "")
         except (ValueError, OverflowError):
             ok[k] = False
     return days, ok
 
 
-def _amounts(raw: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """Amounts of one raw column and the mask of the parseable ones."""
+def _amounts(raw) -> Tuple[np.ndarray, np.ndarray]:
+    """Amounts of one raw column and the mask of the parseable ones.
+
+    A value goes through ``float()`` unless it is cast at once: in a clean
+    file each plain decimal (:func:`_plain_decimals`), in a chunk of
+    ``csv.reader`` rows all values if ``float()`` takes each.
+    """
     ok = np.ones(len(raw), dtype=bool)
-    try:
-        return np.array(list(map(float, raw)), dtype=float), ok
-    except (TypeError, ValueError):
-        pass
-    amounts = np.empty(len(raw))
-    for k, value in enumerate(raw):
+    if isinstance(raw, _Fields):
+        amounts, plain = _plain_decimals(raw)
+    else:
+        amounts, plain = np.empty(len(raw)), ~ok
         try:
-            amounts[k] = float(value or "")
+            amounts, plain = np.array(list(map(float, raw)), dtype=float), ok
+        except (TypeError, ValueError):
+            pass
+    for k in np.flatnonzero(~plain):
+        try:
+            amounts[k] = float(raw[k] or "")
         except ValueError:
             amounts[k] = np.nan
             ok[k] = False
     return amounts, ok
 
 
+def _plain_decimals(raw: "_Fields") -> Tuple[np.ndarray, np.ndarray]:
+    """The plain decimals of a clean file's column, and their mask.
+
+    A plain decimal is an optional ``-``, then at most 15 digits with at
+    most one ``.`` among or around them.  It is its digits m over 10**f for
+    its f fractional digits: both are exact doubles, so the one rounding of
+    the division gives the double nearest the decimal, as ``float()`` does.
+    """
+    rows, widths = np.arange(len(raw)), raw.widths
+    width = max(min(int(widths.max(initial=0)), 17), 1)
+    chars = raw.chars(width, right=True)
+    first = np.clip(width - widths, 0, width - 1)
+    minus = (widths > 0) & (chars[first, rows] == ord("-"))
+    chars[first[minus], rows[minus]] = ord("0")
+    dot = chars == ord(".")
+    chars[dot] = ord("0")
+    digits = chars - np.uint8(ord("0"))
+    dots = np.count_nonzero(dot, axis=0)
+    figures = widths - minus - dots
+    plain = (
+        (widths <= width)
+        & np.all(digits < 10, axis=0)
+        & (dots <= 1)
+        & (figures >= 1)
+        & (figures <= 15)
+    )
+    # the digits read with the point as a 0 digit, then that digit dropped
+    whole = _horner(digits)
+    point = dots > 0
+    scale = 10 ** np.where(point, width - 1 - np.argmax(dot, axis=0), 0)
+    mantissa = np.where(point, whole // (10 * scale) * scale + whole % scale, whole)
+    amounts = mantissa / scale.astype(float)
+    return np.negative(amounts, out=amounts, where=minus), plain
+
+
+def _horner(digits: np.ndarray) -> np.ndarray:
+    """The int64 values of the columns of a (width, rows) digit matrix."""
+    values = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits:
+        values *= 10
+        values += row
+    return values
+
+
 def _load(path, required: Sequence[str], check, key: int, duplicate: str):
     """The accepted rows of ``path`` as columns, and its row issues.
 
-    ``check`` maps one chunk's raw columns to its parsed columns (ids as
-    lists, the rest as arrays) and the (row, message) pairs of its rejected
-    rows.  Column ``key`` must be unique among accepted rows: a repeat
-    raises ``duplicate`` (a message prefix) naming both lines, with the
-    issues on earlier lines.  As in a row-at-a-time read, a repeat takes
-    precedence over the 1% budget and over a read error further down the
-    file; the ``LoadError`` of a read error carries the issues found before
-    it.
+    The file is read once as bytes.  A clean one (:func:`_clean`) is
+    checked as one chunk, row k on line k + 2; any other goes through
+    ``csv.reader`` in chunks (:func:`_read_chunks`).  ``check`` maps one
+    chunk's raw columns to its parsed columns (ids as lists or
+    :class:`_Fields`, the rest as arrays) and the (row, message) pairs of
+    its rejected rows.  Column ``key`` must be unique among accepted rows:
+    a repeat raises ``duplicate`` (a message prefix) naming both lines,
+    with the issues on earlier lines.  As in a row-at-a-time read, a
+    repeat takes precedence over the 1% budget and over a read error
+    further down the file; the ``LoadError`` of a read error carries the
+    issues found before it.
     """
+    path = Path(path)
+    try:
+        data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    clean = _clean(data, required)
+    if clean is None:
+        chunks = _read_chunks(path, data, required)
+    else:
+        chunks = [(np.arange(2, len(clean[0]) + 2), clean)]
     parts: List[List[np.ndarray]] = []
     issues: List[RowIssue] = []
     total = 0
     try:
-        for lines, raw in _read_chunks(path, required):
+        for lines, raw in chunks:
             columns, rejected = check(*raw)
             keep = np.ones(len(lines), dtype=bool)
             for k, message in rejected:
@@ -218,15 +400,30 @@ def _load(path, required: Sequence[str], check, key: int, duplicate: str):
     return [np.concatenate(c) for c in list(zip(*parts))[1:]], issues
 
 
+def _has_repeat(ids: np.ndarray) -> bool:
+    """Whether a str array holds some value twice.
+
+    Ids of at most 8 characters below U+0100 are compared as one 64-bit
+    integer each, their Latin-1 bytes; any others through a set.
+    """
+    codes = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
+    if codes.shape[1] > 8 or np.any(codes > 0xFF):
+        return len(set(ids.tolist())) < len(ids)
+    words = np.zeros((len(ids), 8), dtype=np.uint8)
+    words[:, : codes.shape[1]] = codes
+    words = np.sort(words.view(np.uint64).ravel())
+    return bool(np.any(words[1:] == words[:-1]))
+
+
 def _check_unique(path, parts, key: int, duplicate: str, issues) -> None:
     """Raise the ``LoadError`` for the earliest repeated id, if any."""
     if not parts:
         return
     lines = np.concatenate([part[0] for part in parts])
     ids = np.concatenate([part[1 + key] for part in parts])
-    unique, first = np.unique(ids, return_index=True)
-    if len(unique) == len(ids):
+    if not _has_repeat(ids):
         return
+    unique, first = np.unique(ids, return_index=True)
     again = np.ones(len(ids), dtype=bool)
     again[first] = False
     k = int(np.argmax(again))  # the earliest repeat in file order

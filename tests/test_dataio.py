@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import rowwise_csv
@@ -241,6 +241,29 @@ class TestLoadClaims:
         assert isinstance(info.value.__cause__, csv.Error)
         assert info.value.issues == [RowIssue(5, "unparseable amount 'n/a'")]
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_decode_error_names_the_line_before_the_bad_byte(self, tmp_path, line_end):
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i},1.0" for i in range(100)]
+        rows[4] = "V,103,C3,n/a"
+        rows.append("V,9,C\xe9,1.0")  # line 102, about 1.6 kB in
+        rows += [f"V,{200 + i},D{i},1.0" for i in range(20)]
+        p = tmp_path / "c.csv"
+        p.write_bytes((line_end.join(rows) + line_end).encode("latin-1"))
+        with pytest.raises(LoadError, match=r"c\.csv: read failed after line 101: ") as info:
+            load_claims(p)
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        assert info.value.issues == [RowIssue(5, "unparseable amount 'n/a'")]
+
+    def test_field_past_csv_limit_in_a_clean_file_fails_the_load(self, tmp_path):
+        p = write(
+            tmp_path / "c.csv",
+            "vehicle_id,claim_date,claim_id,amount,note\n"
+            "V,1,C1,1.0,x\nV,2,C2,1.0," + "x" * 200_000 + "\n",
+        )
+        with pytest.raises(LoadError, match=r"c\.csv: read failed after line 2: field"):
+            load_claims(p)
+
     def test_undecodable_header_fails_the_load(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_bytes(b"vehicle_id,claim_date,claim_id,amount\xe9\nV,1,C1,1.0\n")
@@ -263,6 +286,24 @@ class TestLoadClaims:
         assert len(claims) == 200
         assert claims.vehicle_id.dtype == np.dtype("<U1")
         assert peak < 5e6  # a claim id column 100k characters wide: 80 MB
+
+    def test_long_claim_id_in_a_clean_file_goes_the_csv_way(self, tmp_path):
+        # no padding, so the file is clean but for the width of that one id
+        rows = ["vehicle_id,claim_date,claim_id,amount"]
+        rows += [f"V,{100 + i},C{i:03d},1.0" for i in range(200)]
+        rows.insert(180, ",100," + "K" * 100_000 + ",1.0")
+        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+                claims, issues = load_claims(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reader.called
+        assert issues == [RowIssue(181, "empty vehicle_id")]
+        assert claims.vehicle_id.dtype == np.dtype("<U1")
+        assert peak < 5e6
 
     def test_day_past_int64_is_an_issue(self, tmp_path):
         rows = ["vehicle_id,claim_date,claim_id,amount"]
@@ -382,17 +423,43 @@ AMOUNTS = [
     "1.5", "0", "-0.0", "1e-300", " 2.5 ", "1_000.5", "nan", "inf", "-inf",
     "-5", "n/a", "", "1,5",
 ]
+# Values that can sit in a clean file, for the forms its one-pass casts
+# take or leave: digit counts at their limits, points and signs in odd
+# places, a day past int64 and decimals past 15 digits.
+CLEAN_IDS = ["a b", "x_y", "-"]
+CLEAN_DAYS = [
+    "9223372036854775807", "000000000000000017", "0000000000000000017", "-0", "1e3",
+]
+CLEAN_AMOUNTS = [
+    ".5", "5.", "-.5", ".", "-", "-0", "0.1", "+2.5", "00012.50", "1e5", "1.5.2", "1-2",
+    "123456789012345", "1234567890123456", "12345678901234.5", "0.30000000000000004",
+    "9007199254740993", "9999999999999.999",
+]
 SALES = ("vehicle_id", "sale_date")
 CLAIMS = ("vehicle_id", "claim_date", "claim_id", "amount")
 
 
+def clean_value(value):
+    """Whether a field value can sit in a clean file, and is short."""
+    return (
+        value.isascii()
+        and value.isprintable()
+        and not set(value) & set('",')
+        and value == value.strip()
+        and len(value) < 25
+    )
+
+
 @st.composite
-def csv_files(draw, columns):
+def csv_files(draw, columns, clean=False):
     """(header, rows, line end) of a generated sales or claims file.
 
     Plain rows carry unique ids, so issues stay inside the 1% budget
     unless the drawn odd rows are many; the odd rows draw their fields from
     the lists above and may be short, long, blank or repeat an earlier id.
+    A ``clean`` file keeps every required column and has rows only of the
+    header's length, with odd fields from the values that can sit in a
+    clean file (:func:`claimcast.dataio._clean`).
     """
     pools = {
         "vehicle_id": IDS,
@@ -401,6 +468,18 @@ def csv_files(draw, columns):
         "claim_id": IDS + ["K0", "K1"],
         "amount": AMOUNTS,
     }
+    if clean:
+        extra = {
+            "vehicle_id": CLEAN_IDS,
+            "sale_date": CLEAN_DAYS,
+            "claim_date": CLEAN_DAYS,
+            "claim_id": CLEAN_IDS,
+            "amount": CLEAN_AMOUNTS,
+        }
+        pools = {
+            name: [v for v in pool if clean_value(v)] + extra[name]
+            for name, pool in pools.items()
+        }
     key = "claim_id" if "claim_id" in columns else "vehicle_id"
     plain = {
         "vehicle_id": lambda i: f"V{i % 7 if key == 'claim_id' else i}",
@@ -414,7 +493,7 @@ def csv_files(draw, columns):
         header = draw(st.permutations(header))
     if draw(st.booleans()):  # a repeated name: its last column is read
         header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(columns)))
-    if draw(st.integers(0, 9)) == 0:
+    if not clean and draw(st.integers(0, 9)) == 0:
         header.remove(draw(st.sampled_from(columns)))
     if draw(st.booleans()):
         header.append("note")
@@ -426,10 +505,11 @@ def csv_files(draw, columns):
             for i, name in enumerate(header)
         ]
 
-    n_plain = draw(st.sampled_from([0, 3, 150, 450]))
+    n_plain = draw(st.sampled_from([3, 150, 450] if clean else [0, 3, 150, 450]))
     rows = [layout({name: f(i) for name, f in plain.items()}) for i in range(n_plain)]
     for _ in range(draw(st.integers(0, 6))):
-        shape = draw(st.sampled_from(["row", "row", "short", "long", "blank"]))
+        shapes = ["row"] if clean else ["row", "row", "short", "long", "blank"]
+        shape = draw(st.sampled_from(shapes))
         row = layout({name: draw(st.sampled_from(pools[name])) for name in columns})
         if shape == "short":
             row = row[: draw(st.integers(0, len(row) - 1))]
@@ -501,7 +581,10 @@ class TestAgainstRowwiseLoaders:
             deadline=None,
             suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
         )
-        @given(csv_files(columns), st.sampled_from([1, 4, 64, dataio.CHUNK_ROWS]))
+        @given(
+            st.booleans().flatmap(lambda clean: csv_files(columns, clean)),
+            st.sampled_from([1, 4, 64, dataio.CHUNK_ROWS]),
+        )
         def check(file, chunk_rows):
             header, rows, line_end = file
             with path.open("w", newline="") as handle:
@@ -517,15 +600,114 @@ class TestAgainstRowwiseLoaders:
         check()
 
     def test_perfbench_style_file(self, tmp_path):
-        rows = ["vehicle_id,claim_date,claim_id,amount"]
-        rows += [
-            f"V{i // 3:06d},{1 + i % 900},C{i:07d},{(i % 97) * 1.25:.2f}"
-            for i in range(9000)
-        ]
-        rows[77] = "V000001,17,C0000077,n/a"
-        rows[5000] = "V001234,day-3,C0005000,1.00"
-        p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
-        assert outcome(load_claims, p) == outcome(rowwise_csv.load_claims, p)
+        check_without_csv_reader(tmp_path, "\n", b"")
+
+    @pytest.mark.parametrize(
+        "line_end, mark", [("\r\n", b""), ("\n", b"\xef\xbb\xbf")], ids=["crlf", "bom"]
+    )
+    def test_perfbench_style_file_variants(self, tmp_path, line_end, mark):
+        check_without_csv_reader(tmp_path, line_end, mark)
+
+    @pytest.mark.parametrize(
+        "line_end, head",
+        [
+            ("\r\n", "V0,100\nV1\r2,101\r\n"),
+            ("\r\n", "V0\t,100\r\nV1,101\r\n"),
+            ("\n", "V0\r,100\nV1,101\n"),
+        ],
+        ids=["bare_lf_and_stray_cr", "tab", "stray_cr"],
+    )
+    def test_control_characters_go_the_csv_way(self, tmp_path, line_end, head):
+        rows = "".join(f"V{i},{100 + i}{line_end}" for i in range(2, 300))
+        p = tmp_path / "s.csv"
+        p.write_bytes(("vehicle_id,sale_date" + line_end + head + rows).encode())
+        assert outcome(load_sales, p) == outcome(rowwise_csv.load_sales, p)
+
+    @pytest.mark.parametrize(
+        "columns, load", [(SALES, load_sales), (CLAIMS, load_claims)], ids=["sales", "claims"]
+    )
+    def test_clean_file_loads_as_through_csv_reader(self, tmp_path_factory, columns, load):
+        """A clean file, and the same file with one line end switched.
+
+        The switch mixes ``\\n`` and ``\\r\\n``, which sends the copy to
+        ``csv.reader``; both must give the same tables, issues and errors.
+        """
+        path = tmp_path_factory.mktemp("switched") / "input.csv"
+
+        @settings(
+            derandomize=True,
+            max_examples=200,
+            deadline=None,
+            suppress_health_check=[
+                HealthCheck.too_slow,
+                HealthCheck.data_too_large,
+                HealthCheck.filter_too_much,
+            ],
+        )
+        @given(csv_files(columns, clean=True), st.data())
+        def check(file, data):
+            header, rows, line_end = file
+            lines = [",".join(row) for row in [header] + rows]
+            path.write_bytes("".join(line + line_end for line in lines).encode())
+            # one wide field among short rows sends a file the csv way
+            assume(dataio._clean(path.read_bytes(), columns) is not None)
+            with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
+                want = outcome(load, path)
+            k = data.draw(st.integers(0, len(lines) - 1))
+            other = "\r\n" if line_end == "\n" else "\n"
+            ends = [other if i == k else line_end for i in range(len(lines))]
+            path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+            assert outcome(load, path) == want
+
+        check()
+
+
+def check_without_csv_reader(tmp_path, line_end, mark):
+    """A perfbench-style claims file loads without ``csv.reader``, as the oracle loads it."""
+    rows = ["vehicle_id,claim_date,claim_id,amount"]
+    rows += [
+        f"V{i // 3:06d},{1 + i % 900},C{i:07d},{(i % 97) * 1.25:.2f}"
+        for i in range(9000)
+    ]
+    rows[77] = "V000001,17,C0000077,n/a"
+    rows[3001] = "V001000,17,C0003001,-2.50"
+    rows[5000] = "V001234,day-3,C0005000,1.00"
+    rows[8999] = "V002999,17,,1.00"
+    text = (line_end.join(rows) + line_end).encode()
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text)
+    want = outcome(rowwise_csv.load_claims, plain)  # the oracle reads no mark
+    p = tmp_path / "c.csv"
+    p.write_bytes(mark + text)
+    with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
+        assert outcome(load_claims, p) == want
+    assert len(want[3]) == 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(1, 17).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1)),
+            st.integers(0, 17),
+        )
+    ),
+)
+@example([0.1], [(False, 10**15 - 1, 3), (False, 10**16 - 1, 3), (True, 10**16 - 1, 16)])
+def test_one_pass_amount_cast_is_float(values, decimals):
+    """Decimals as a clean file holds them are read as ``float()`` reads them."""
+    texts = [form % v for v in values for form in ("%r", "%.17g", "%.2f")]
+    for minus, digits, places in decimals:  # the point ``places`` digits from the end
+        text = str(digits).rjust(places + 1, "0")
+        texts.append("-" * minus + text[: len(text) - places] + "." + text[len(text) - places :])
+    widths = np.array([len(t) for t in texts])
+    ends = np.cumsum(widths + 1) - 1
+    fields = dataio._Fields("".join(t + "\n" for t in texts).encode(), ends - widths, ends)
+    amounts, ok = dataio._amounts(fields)
+    assert ok.all()
+    assert amounts.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 def test_load_claims_memory_peak(tmp_path):
@@ -545,7 +727,8 @@ def test_load_claims_memory_peak(tmp_path):
     )
     tracemalloc.start()
     try:
-        claims, _ = load_claims(path)
+        with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
+            claims, _ = load_claims(path)  # a clean file: one numpy pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
