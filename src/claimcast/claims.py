@@ -5,8 +5,9 @@ item and a :class:`ClaimsTable` with one row per claim.  The chain is:
 merge same-day claims per vehicle (:func:`aggregate_daily_claims`), join
 each claim onto its item with the age clipped into [0, W]
 (:func:`join_claims`), tally the ages into daily bins, fit a linear density
-plus end atoms, and finally tabulate the per-sale-day mean and variance of
-rebate-weighted window claims.  Which claims land in a window is decided by
+plus end atoms, and finally tabulate, for every forecast window in one
+call, the per-sale-day mean and variance of rebate-weighted window claims.
+Which claims land in a window is decided by
 :class:`claimcast.core.TimeHorizon` alone, and the per-day sums go through
 :func:`claimcast.core.range_sums`, the one day-range kernel.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,20 +83,45 @@ class ClaimsTable:
         return len(self.day)
 
 
+def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Str arrays of ids as uint64 keys that sort and compare as the ids do.
+
+    An id of at most 8 characters below U+0100 packs into one big-endian
+    64-bit word, its Latin-1 bytes then NULs: numpy compares str values
+    character by character with NULs past the shorter, so the words keep
+    both order and equality.  If any column is wider or holds another
+    character, every column comes back unchanged, for the str path.
+    """
+    keys = []
+    for ids in columns:
+        ids = np.ascontiguousarray(ids)
+        width = ids.itemsize // 4
+        codes = ids.view(np.uint32).reshape(len(ids), width)
+        if width > 8 or np.any(codes > 0xFF):
+            return columns
+        chars = np.zeros((len(ids), 8), dtype=np.uint8)
+        chars[:, :width] = codes
+        keys.append(chars.view(">u8").ravel().astype(np.uint64))
+    return tuple(keys)
+
+
 def aggregate_daily_claims(claims: ClaimsTable) -> ClaimsTable:
     """Merge all of a vehicle's same-day claims into one row.
 
     A car returning with p claims on one date is treated as a single claim
     whose size is the sum of the p amounts (added in input order).  Output
     is sorted by (vehicle_id, day) for a deterministic downstream order.
-    Vehicle ids and days are each ranked once, so the merge runs on one
-    int64 key, vehicle rank * distinct days + day rank, that sorts the same.
+    Vehicle ids (as :func:`_id_keys`) and days are each ranked once, so the
+    merge runs on one int64 key, vehicle rank * distinct days + day rank,
+    that sorts the same.
     """
-    vids, vid_rank = np.unique(claims.vehicle_id, return_inverse=True)
+    (keys,) = _id_keys(claims.vehicle_id)
+    _, first, vid_rank = np.unique(keys, return_index=True, return_inverse=True)
     days, day_rank = np.unique(claims.day, return_inverse=True)
     merged, inverse = np.unique(vid_rank * len(days) + day_rank, return_inverse=True)
     amount = np.bincount(inverse, weights=claims.amount, minlength=len(merged))
-    return ClaimsTable(vids[merged // len(days)], days[merged % len(days)], amount)
+    vids = claims.vehicle_id[first[merged // len(days)]]
+    return ClaimsTable(vids, days[merged % len(days)], amount)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,16 +150,20 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     Ages below 0 (claims honored before the recorded sale) become 0 and ages
     beyond W (claims honored past warranty) become W.  Claims whose
     vehicle_id has no sales row are quarantined: counted, not dropped
-    silently.
+    silently.  Ids are matched as :func:`_id_keys`, and the integer ages
+    make item * (W + 1) + age one sort key in (item, age) order.
     """
-    order = np.argsort(sales.vehicle_id, kind="stable")
-    ids = sales.vehicle_id[order]
-    pos = np.searchsorted(ids, claims.vehicle_id)
+    if warranty < 0:
+        raise DomainError("warranty must be non-negative")
+    sale_keys, claim_keys = _id_keys(sales.vehicle_id, claims.vehicle_id)
+    order = np.argsort(sale_keys, kind="stable")
+    ids = sale_keys[order]
+    pos = np.searchsorted(ids, claim_keys)
     known = pos < len(ids)
-    known[known] = ids[pos[known]] == claims.vehicle_id[known]
+    known[known] = ids[pos[known]] == claim_keys[known]
     item = order[pos[known]]
     age = np.clip(claims.day[known] - sales.day[item], 0, warranty)
-    rows = np.lexsort((age, item))
+    rows = np.argsort(item * (warranty + 1) + age, kind="stable")
     quarantined = int(len(claims) - np.count_nonzero(known))
     if quarantined:
         logger.warning(
@@ -189,18 +219,20 @@ def moment_grids(
     claims: JoinedClaims,
     fitted: MeanClaimsMeasure,
     rebate: RebateFunction,
-    horizon: TimeHorizon,
+    horizons: Sequence[TimeHorizon],
     n: int,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Mean and variance grids of per-item window claims over
-    ``horizon.sale_days``, and how many variance entries were floored at 0.
+) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """Per horizon, the mean and variance grids of per-item window claims
+    over ``horizon.sale_days`` and how many variance entries were floored
+    at 0.
 
     The mean grid integrates the fitted measure over each day's window.
     The second moment is the raw per-item average of the squared weighted
     window totals: every ordered pair (i, j) of one item's claims adds
-    r(c_i) r(c_j) on the sale days whose window holds both ages, so the
-    whole grid costs one pass over the claim pairs.  Mixing the two can
-    push the variance slightly negative, hence the floor.
+    r(c_i) r(c_j) on the sale days whose window holds both ages, so each
+    grid costs one pass over the claim pairs, which are expanded once for
+    all horizons.  Mixing the two can push the variance slightly negative,
+    hence the floor.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
@@ -214,20 +246,27 @@ def moment_grids(
     right = np.repeat(first, size) + (
         np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
     )
-    start, end = horizon.sale_day_range(
-        np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
-    )
-    days = horizon.sale_days
-    second = range_sums(start, end, wts[left] * wts[right], days[0], len(days)) / n
-    mean = mean_window_claims(WeightedMeasure(fitted, rebate), days, horizon)
-    if np.any(mean < 0.0):
-        raise DomainError("mean window claims must be non-negative")
-    var = second - mean**2
-    floored = int(np.sum(var < 0.0))
-    if floored:
-        logger.info(
-            "floored %d negative variance entries (worst %.3e)",
-            floored,
-            float(var.min()),
-        )
-    return mean, np.maximum(var, 0.0), floored
+    del first, size
+    lo, hi = np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
+    pair_wts = wts[left] * wts[right]
+    del left, right
+
+    measure = WeightedMeasure(fitted, rebate)
+    grids = []
+    for horizon in horizons:
+        start, end = horizon.sale_day_range(lo, hi)
+        days = horizon.sale_days
+        second = range_sums(start, end, pair_wts, days[0], len(days)) / n
+        mean = mean_window_claims(measure, days, horizon)
+        if np.any(mean < 0.0):
+            raise DomainError("mean window claims must be non-negative")
+        var = second - mean**2
+        floored = int(np.sum(var < 0.0))
+        if floored:
+            logger.info(
+                "floored %d negative variance entries (worst %.3e)",
+                floored,
+                float(var.min()),
+            )
+        grids.append((mean, np.maximum(var, 0.0), floored))
+    return grids

@@ -31,11 +31,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-# loaded on import, so that a first load does not pay for it: np.unique
-# loads numpy.ma
+# loaded on import, so that a first report does not pay for it: the
+# np.percentile of tails.summary_stats loads numpy.ma (a load alone does not)
 import numpy.ma  # noqa: F401
 
-from .claims import ClaimsTable, SalesTable
+from .claims import ClaimsTable, SalesTable, _id_keys
 from .errors import LoadError
 
 __all__ = [
@@ -66,6 +66,10 @@ def _parse_day(raw: str) -> int:
 
 CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
 _READ_ERRORS = (csv.Error, UnicodeError)  # raised by a read
+_DAY_WIDTH = 18  # the most digits :func:`_days` casts at once
+_AMOUNT_WIDTH = 17  # a plain decimal's most characters: "-", 15 digits, "."
+# per column, the most bytes of one field that _days or _plain_decimals reads
+_GATHERED = {"sale_date": _DAY_WIDTH, "claim_date": _DAY_WIDTH, "amount": _AMOUNT_WIDTH}
 
 
 def _clean(data: bytes, required: Sequence[str]):
@@ -75,7 +79,8 @@ def _clean(data: bytes, required: Sequence[str]):
     in ``\\r\\n``, with no ``"``, no blank line and the header's field count
     on every line; its header holds the required columns, their fields
     neither start nor end with a space, and they are narrow enough that
-    fixed-width copies cost at most about twice the file.  No line is
+    fixed-width copies cost at most about twice the file (a day or amount
+    column counted at most as wide as it is gathered).  No line is
     longer than ``csv.reader``'s field limit.  ``csv.reader`` would split
     such a file on every comma and line end, and each of its fields is
     already stripped.
@@ -105,7 +110,10 @@ def _clean(data: bytes, required: Sequence[str]):
         start = (ends[1:, j - 1] if j else ends[:-1, -1]) + 1
         stop = ends[1:, j] - (len(end) - 1 if j == len(header) - 1 else 0)
         columns.append(_Fields(data, start, stop))
-    width = sum(int(c.widths.max(initial=0)) for c in columns)
+    width = sum(
+        min(int(c.widths.max(initial=0)), _GATHERED.get(name, len(data)))
+        for name, c in zip(required, columns)
+    )
     longest = np.diff(ends[:, -1], prepend=-1).max()  # a line with its end
     if longest > csv.field_size_limit() or (len(ends) - 1) * width > 2 * len(data):
         return None  # a field csv.reader refuses, or costly fixed-width columns
@@ -266,7 +274,7 @@ def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
     """
     ok = np.ones(len(raw), dtype=bool)
     if isinstance(raw, _Fields):
-        width = min(int(raw.widths.max(initial=0)), 18)
+        width = min(int(raw.widths.max(initial=0)), _DAY_WIDTH)
         digits = raw.chars(width, right=True) - np.uint8(ord("0"))
         plain = (raw.widths > 0) & (raw.widths <= width) & np.all(digits < 10, axis=0)
         days = _horner(digits)
@@ -319,7 +327,7 @@ def _plain_decimals(raw: "_Fields") -> Tuple[np.ndarray, np.ndarray]:
     the division gives the double nearest the decimal, as ``float()`` does.
     """
     rows, widths = np.arange(len(raw)), raw.widths
-    width = max(min(int(widths.max(initial=0)), 17), 1)
+    width = max(min(int(widths.max(initial=0)), _AMOUNT_WIDTH), 1)
     chars = raw.chars(width, right=True)
     first = np.clip(width - widths, 0, width - 1)
     minus = (widths > 0) & (chars[first, rows] == ord("-"))
@@ -403,16 +411,14 @@ def _load(path, required: Sequence[str], check, key: int, duplicate: str):
 def _has_repeat(ids: np.ndarray) -> bool:
     """Whether a str array holds some value twice.
 
-    Ids of at most 8 characters below U+0100 are compared as one 64-bit
-    integer each, their Latin-1 bytes; any others through a set.
+    Ids that pack into 64-bit keys (:func:`claimcast.claims._id_keys`) are
+    compared sorted, any others through a set.
     """
-    codes = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
-    if codes.shape[1] > 8 or np.any(codes > 0xFF):
+    (keys,) = _id_keys(ids)
+    if keys is ids:
         return len(set(ids.tolist())) < len(ids)
-    words = np.zeros((len(ids), 8), dtype=np.uint8)
-    words[:, : codes.shape[1]] = codes
-    words = np.sort(words.view(np.uint64).ravel())
-    return bool(np.any(words[1:] == words[:-1]))
+    keys = np.sort(keys)
+    return bool(np.any(keys[1:] == keys[:-1]))
 
 
 def _check_unique(path, parts, key: int, duplicate: str, issues) -> None:

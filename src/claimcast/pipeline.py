@@ -42,6 +42,7 @@ from .sales import (
     decompose_residuals,
     fit_bass,
 )
+from .stable import stable_quantile
 from .tails import Regime, diagnose, qq_plot_data
 
 QUANTILE_LEVELS = (0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
@@ -243,12 +244,14 @@ def run_pipeline(
         "variance_floor_count": 0,
         "periods": [],
     }
-    for k in sorted(set(config.periods)):
-        offset = k * config.period
-        horizon = TimeHorizon(config.warranty, config.period, offset, n)
-        mean, var, floored = claims_mod.moment_grids(
-            joined, fitted, rebate, horizon, n=n
-        )
+    horizons = [
+        TimeHorizon(config.warranty, config.period, k * config.period, n)
+        for k in sorted(set(config.periods))
+    ]
+    grids = claims_mod.moment_grids(joined, fitted, rebate, horizons, n=n)
+    levels = np.array(QUANTILE_LEVELS)
+    standard = {}  # stable law -> its quantile column: one call per distinct law
+    for horizon, (mean, var, floored) in zip(horizons, grids):
         report["variance_floor_count"] += floored
         c1, c2 = rate_constants(mean, var, bass.share(horizon.sale_days))
         increments = assemble_fluctuation(decomposition, horizon, config.poly_degree)
@@ -267,7 +270,13 @@ def run_pipeline(
                 approxes["stable"] = cost_approx_stable(lp, alpha, tail.mean)
         quantiles = {}
         for kind, approx in approxes.items():
-            column = approx_quantile(approx, np.array(QUANTILE_LEVELS))
+            if approx.stable is None:
+                column = approx_quantile(approx, levels)
+            else:
+                # for 1 < alpha < 2 every window shares the standard law
+                if approx.stable not in standard:
+                    standard[approx.stable] = stable_quantile(approx.stable, levels)
+                column = approx.location + approx.scale * standard[approx.stable]
             quantiles[kind] = dict(zip(map(str, QUANTILE_LEVELS), column.tolist()))
 
         sanity = {}
@@ -286,7 +295,9 @@ def run_pipeline(
                 sanity[f"cost_cdf_{kind}"] = cost_cdf
                 sanity[f"cost_extremeness_{kind}"] = extremeness(cost_cdf)
         report["periods"].append(
-            dict(offset=offset, limits=limits, quantiles=quantiles, sanity=sanity)
+            dict(
+                offset=horizon.offset, limits=limits, quantiles=quantiles, sanity=sanity
+            )
         )
 
     if out_dir is not None:

@@ -11,6 +11,7 @@ from claimcast.claims import (
     aggregate_daily_claims,
     empirical_mean_measure,
     fit_mean_measure,
+    _id_keys,
     join_claims,
     moment_grids,
 )
@@ -122,6 +123,90 @@ class TestAggregateAgainstStructuredMerge:
         same_merge(claims_table(*rows))
 
 
+LATIN1_IDS = st.text(
+    st.characters(min_codepoint=1, max_codepoint=0xFF), min_size=1, max_size=8
+)
+
+
+class TestIdKeys:
+    """_id_keys: ids packed into uint64 keys that sort and compare as the str ids."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(LATIN1_IDS, max_size=40))
+    def test_keys_order_and_compare_as_the_ids(self, ids):
+        ids += [v[: len(v) // 2 + 1] for v in ids]  # prefix pairs such as "A"/"AB"
+        column = np.array(ids, dtype=str)
+        (keys,) = _id_keys(column)
+        assert keys.dtype == np.uint64
+        assert np.argsort(keys, kind="stable").tolist() == sorted(
+            range(len(ids)), key=ids.__getitem__
+        )
+        assert np.array_equal(keys[:, None] == keys, column[:, None] == column)
+
+    def test_prefix_and_widest_ids(self):
+        column = np.array(["A", "AB", "A\x01", "\xff" * 8, "ABCDEFGH", "B"])
+        (keys,) = _id_keys(column)
+        assert np.argsort(keys).tolist() == [0, 2, 1, 4, 5, 3]
+        assert len(set(keys.tolist())) == len(column)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["ABCDEFGHI", "A"], ["A\u0100", "A"], ["车"]],
+        ids=["nine_chars", "u0100", "cjk"],
+    )
+    def test_long_or_wide_ids_keep_the_str_path(self, ids):
+        column, short = np.array(ids), np.array(["A"])
+        got = _id_keys(short, column)
+        assert got[0] is short and got[1] is column
+
+    def test_empty_columns(self):
+        (keys,) = _id_keys(np.array([], dtype=str))
+        assert keys.dtype == np.uint64 and keys.shape == (0,)
+        assert rows(aggregate_daily_claims(claims_table())) == []
+        joined = join_claims(sales_table(), claims_table(("A", 1, 1.0)), W)
+        assert len(joined.item) == 0 and joined.quarantined == 1
+
+    def test_join_and_merge_agree_on_both_paths(self):
+        # the same ids with a 9-character prefix take the str path
+        rng = np.random.default_rng(17)
+        vids = [f"V{i:02d}" for i in range(60)]
+        sold = [(v, int(d)) for v, d in zip(vids[:50], rng.integers(-W, 0, size=50))]
+        claims = [
+            (vids[int(i)], int(d), float(a))
+            for i, d, a in zip(
+                rng.integers(0, 60, size=400),
+                rng.integers(-W - 50, T, size=400),
+                rng.uniform(size=400),
+            )
+        ]
+        long = "X" * 9
+        sales = sales_table(*sold)
+        wide_sales = sales_table(*[(long + v, d) for v, d in sold])
+        raw = claims_table(*claims)
+        wide_raw = claims_table(*[(long + v, d, a) for v, d, a in claims])
+        merged = aggregate_daily_claims(raw)
+        wide_merged = aggregate_daily_claims(wide_raw)
+        assert wide_merged.vehicle_id.tolist() == [
+            long + v for v in merged.vehicle_id.tolist()
+        ]
+        assert merged.day.tolist() == wide_merged.day.tolist()
+        assert merged.amount.tobytes() == wide_merged.amount.tobytes()
+        for table, wide_table in ((raw, wide_raw), (merged, wide_merged)):
+            got = join_claims(sales, table, W)
+            wide = join_claims(wide_sales, wide_table, W)
+            for name in ("item", "age", "amount"):
+                assert getattr(got, name).tobytes() == getattr(wide, name).tobytes()
+            assert got.quarantined == wide.quarantined > 0
+        # (item, age) order, ties in input order: what np.lexsort gives
+        item = {v: i for i, (v, _) in enumerate(sold)}
+        known = [(item[v], min(max(d - sold[item[v]][1], 0), W), a)
+                 for v, d, a in claims if v in item]
+        want = sorted(known, key=lambda row: row[:2])
+        got = join_claims(sales, raw, W)
+        columns = (got.item, got.age, got.amount)
+        assert list(zip(*(c.tolist() for c in columns))) == want
+
+
 class TestBuildClaimsMeasures:
     """join_claims: per-item claim ages from the sales and claims tables."""
 
@@ -146,6 +231,10 @@ class TestBuildClaimsMeasures:
         joined = join_claims(sales, claims, W)
         assert joined.quarantined == 1
         assert joined.item.tolist() == [0] and joined.amount.tolist() == [1.0]
+
+    def test_negative_warranty_rejected(self):
+        with pytest.raises(DomainError, match="warranty"):
+            join_claims(sales_table(("A", -10)), claims_table(("A", -5, 1.0)), -1)
 
     def test_claim_free_items_get_empty_measures(self):
         sales = sales_table(("A", -10), ("B", -20))
@@ -258,17 +347,17 @@ def grid_oracle(per_item, rebate, horizon, n):
 class TestMomentGrids:
     def test_mean_vanishes_in_empty_window(self):
         fitted = MeanClaimsMeasure(0.0, 1e-3, atom0=0.0, atomW=0.1, warranty=W)
-        mean, _, _ = moment_grids(joined_from([]), fitted, FREE, HORIZON, n=5)
+        [(mean, _, _)] = moment_grids(joined_from([]), fitted, FREE, [HORIZON], n=5)
         assert mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
 
     def test_two_item_toy_variance(self):
         # second moment (1/2)(1^2) = 0.5; the fitted atom at age 0 puts the
         # mean at 0.5 for x = 0, so the variance there is 0.25
-        mean, var, _ = moment_grids(
+        [(mean, var, _)] = moment_grids(
             joined_from([(5,), ()]),
             MeanClaimsMeasure(0.0, 0.0, atom0=0.5, warranty=W),
             FREE,
-            HORIZON,
+            [HORIZON],
             n=2,
         )
         at0 = np.where(HORIZON.sale_days == 0)[0][0]
@@ -280,8 +369,8 @@ class TestMomentGrids:
         h = TimeHorizon(40, 12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 5)) for _ in range(30)]
         rebate = RebateFunction.free_replacement(40)
-        mean, var, floored = moment_grids(
-            joined_from(measures), zero_measure(40), rebate, h, n=30
+        [(mean, var, floored)] = moment_grids(
+            joined_from(measures), zero_measure(40), rebate, [h], n=30
         )
         _, second_ref = grid_oracle(measures, rebate, h, 30)
         assert np.all(mean == 0.0)
@@ -293,8 +382,8 @@ class TestMomentGrids:
         h = TimeHorizon(40, 12, offset=12)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 4)) for _ in range(25)]
         rebate = RebateFunction.linear(40)
-        mean, var, _ = moment_grids(
-            joined_from(measures), zero_measure(40), rebate, h, n=25
+        [(mean, var, _)] = moment_grids(
+            joined_from(measures), zero_measure(40), rebate, [h], n=25
         )
         _, second_ref = grid_oracle(measures, rebate, h, 25)
         assert np.all(mean == 0.0)
@@ -303,11 +392,11 @@ class TestMomentGrids:
     def test_fitted_mean_flooring_counted(self):
         # fitted mean larger than any raw second moment forces flooring
         fitted = MeanClaimsMeasure(0.0, 5e-3, atom0=0.5, atomW=0.5, warranty=W)
-        _, var, floored = moment_grids(
+        [(_, var, floored)] = moment_grids(
             joined_from([(3,), ()]),
             fitted,
             FREE,
-            HORIZON,
+            [HORIZON],
             n=2,
         )
         assert floored > 0

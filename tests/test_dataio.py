@@ -99,6 +99,22 @@ class TestLoadSales:
         assert len(sales) == 200
         assert issues == [RowIssue(121, f"unparseable sale_date {day!r}")]
 
+    def test_long_day_keeps_a_clean_file_on_the_numpy_path(self, tmp_path):
+        # the day column counts at most 18 bytes wide, as _days gathers it,
+        # so one 19-digit day does not make the fixed-width copies too costly
+        rows = ["vehicle_id,sale_date"] + [f"V{i:05d},{1000 + i}" for i in range(450)]
+        rows[201] = "V00200,9999999999999999999"
+        text = "\n".join(rows) + "\n"
+        assert dataio._clean(text.encode(), ("vehicle_id", "sale_date")) is not None
+        p = write(tmp_path / "s.csv", text)
+        with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
+            got = outcome(load_sales, p)
+        mixed = write(tmp_path / "mixed.csv", text.replace("\n", "\r\n", 1))
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            assert outcome(load_sales, mixed) == got
+        assert reader.called
+        assert got[3] == [RowIssue(202, "unparseable sale_date '9999999999999999999'")]
+
     def test_id_holding_a_nul_is_an_issue(self, tmp_path):
         rows = ["vehicle_id,sale_date"] + [f"V{i},{100 + i}" for i in range(200)]
         rows[50:50] = ["N\x00,7", "N,8", " \x00 ,9"]
@@ -710,16 +726,22 @@ def test_one_pass_amount_cast_is_float(values, decimals):
     assert amounts.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
-def test_load_claims_memory_peak(tmp_path):
-    """Loading a paper-scale claims file (44k rows) stays well under 20 MB."""
+@pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+def test_load_claims_memory_peak(tmp_path, tokenizer):
+    """Loading a paper-scale claims file (44k rows) stays well under 20 MB,
+    as a clean file in one numpy pass and, with one CRLF line end among
+    LFs, through ``csv.reader``."""
     rng = np.random.default_rng(5)
     n = 44_000
     owner = np.sort(rng.integers(0, 34_807, size=n))
     day = rng.integers(1, 2200, size=n)
     amount = 10.0 * rng.uniform(size=n) ** (-1.0 / 1.5)
+    header = "vehicle_id,claim_date,claim_id,amount" + (
+        "\r\n" if tokenizer == "csv_reader" else "\n"
+    )
     path = tmp_path / "claims.csv"
     path.write_text(
-        "vehicle_id,claim_date,claim_id,amount\n"
+        header
         + "".join(
             f"V{o:06d},{d},C{j:07d},{a:.2f}\n"
             for j, (o, d, a) in enumerate(zip(owner, day, amount))
@@ -727,10 +749,13 @@ def test_load_claims_memory_peak(tmp_path):
     )
     tracemalloc.start()
     try:
-        with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
-            claims, _ = load_claims(path)  # a clean file: one numpy pass
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            if tokenizer == "numpy":
+                reader.side_effect = AssertionError
+            claims, _ = load_claims(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert reader.called == (tokenizer == "csv_reader")
     assert len(claims) == n
     assert peak < 20e6

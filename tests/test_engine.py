@@ -56,8 +56,8 @@ class TestComputeRateConstants:
         # the fitted measure and Bass coefficients are published to four
         # significant digits, which caps agreement at roughly 2e-4
         horizon = TimeHorizon(W, T, offset, N)
-        mean, var, _ = moment_grids(
-            NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W), horizon, n=1
+        [(mean, var, _)] = moment_grids(
+            NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W), [horizon], n=1
         )
         c1, _ = rate_constants(mean, var, CAR_BASS.share(horizon.sale_days))
         assert c1 == pytest.approx(want, abs=2e-4)
@@ -325,7 +325,7 @@ class TestCostApproxProrata:
                         contrib += float(rebate(age)) * mass
                 c1_ref += 0.5 * x_mid_weight * contrib
 
-        mean, _, _ = moment_grids(NO_CLAIMS, m, rebate, horizon, n=1)
+        [(mean, _, _)] = moment_grids(NO_CLAIMS, m, rebate, [horizon], n=1)
         dnu = np.diff(nu)
         c1 = float(np.sum(0.5 * (mean[1:] + mean[:-1]) * dnu))
         assert c1 == pytest.approx(c1_ref, rel=1e-12)

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from claimcast import engine, pipeline
 from claimcast.claims import (
     ClaimsTable,
     SalesTable,
@@ -21,6 +24,7 @@ from claimcast.pipeline import (
     run_pipeline,
     synthesize_dataset,
 )
+from claimcast.stable import stable_quantile
 from series_csv import read_series
 
 CONFIG = RunConfig(
@@ -230,31 +234,8 @@ class TestRunPipeline:
     def test_heavy_tailed_sizes_produce_both_columns(self):
         # Pareto(1.5) claim amounts put the tail index inside (1, 2); the
         # report then carries the normal and stable columns side by side
-        rng = np.random.default_rng(55)
-        span, w = 240, 200
-        sales = []
-        claims = []
-        claim_id = 0
-        for i in range(3000):
-            vid = f"H{i:05d}"
-            day = int(rng.integers(1, span + 1))
-            sales.append((vid, day))
-            for _ in range(int(rng.poisson(0.9))):
-                age = int(rng.integers(0, w + 1))
-                amount = float(20.0 * rng.uniform() ** (-1.0 / 1.5))
-                claim_id += 1
-                claims.append((vid, day + age, amount))
-        sales = SalesTable(*zip(*sales))
-        claims = ClaimsTable(*zip(*claims))
-        config = RunConfig(
-            warranty=200,
-            period=30,
-            periods=(0,),
-            qq_k=500,
-            ma_window=10,
-            poly_degree=2,
-        )
-        report = run_pipeline(config, sales, claims)
+        config = replace(HEAVY_CONFIG, periods=(0,))
+        report = run_pipeline(config, *heavy_tailed_tables(1.5))
         assert report["tail"]["regime"] == "stable_1_2"
         quantiles = report["periods"][0]["quantiles"]
         assert set(quantiles) == {"normal", "stable"}
@@ -265,6 +246,43 @@ class TestRunPipeline:
         for column in quantiles.values():
             qs = [column[str(p)] for p in QUANTILE_LEVELS]
             assert np.all(np.diff(qs) > 0)
+
+    @pytest.mark.parametrize(
+        "tail_index, regime, calls", [(1.5, "stable_1_2", 1), (0.7, "stable_0_1", 2)]
+    )
+    def test_one_stable_quantile_call_per_distinct_law(self, tail_index, regime, calls):
+        # for 1 < alpha < 2 both windows share the standard law; below 1 the
+        # law depends on each window's claim rate c1
+        spy = mock.Mock(wraps=stable_quantile)
+        with mock.patch.object(pipeline, "stable_quantile", spy), mock.patch.object(
+            engine, "stable_quantile", spy
+        ):
+            report = run_pipeline(HEAVY_CONFIG, *heavy_tailed_tables(tail_index))
+        assert report["tail"]["regime"] == regime
+        assert len(report["periods"]) == 2
+        assert spy.call_count == calls
+
+
+HEAVY_CONFIG = RunConfig(
+    warranty=200, period=30, periods=(0, 1), qq_k=500, ma_window=10, poly_degree=2
+)
+
+
+def heavy_tailed_tables(tail_index):
+    """3000 sold items, about 0.9 claims each, Pareto(tail_index) amounts."""
+    rng = np.random.default_rng(55)
+    span, w = 240, 200
+    sales = []
+    claims = []
+    for i in range(3000):
+        vid = f"H{i:05d}"
+        day = int(rng.integers(1, span + 1))
+        sales.append((vid, day))
+        for _ in range(int(rng.poisson(0.9))):
+            age = int(rng.integers(0, w + 1))
+            amount = float(20.0 * rng.uniform() ** (-1.0 / tail_index))
+            claims.append((vid, day + age, amount))
+    return SalesTable(*zip(*sales)), ClaimsTable(*zip(*claims))
 
 
 def brute_force_window_totals(sales, claims, horizon):
