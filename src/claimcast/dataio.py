@@ -31,10 +31,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-# loaded on import, so that a first report does not pay for it: the
-# np.percentile of tails.summary_stats loads numpy.ma (a load alone does not)
-import numpy.ma  # noqa: F401
-
 from .claims import ClaimsTable, SalesTable, _id_keys
 from .errors import LoadError
 

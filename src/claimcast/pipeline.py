@@ -81,6 +81,14 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # TimeHorizon's rule, checked before any load: with T >= 1 it also
+        # needs W >= 3
+        if self.period < 1:
+            raise DomainError(f"period must be at least 1 day, got T={self.period}")
+        if 2 * self.period >= self.warranty:
+            raise DomainError(
+                f"need 2*period < warranty, got T={self.period}, W={self.warranty}"
+            )
         if self.n_policy not in self.N_POLICIES:
             raise DomainError(f"unknown n policy {self.n_policy!r}")
         if self.n_policy == "explicit" and (self.n_explicit or 0) < 1:
@@ -387,6 +395,8 @@ def synthesize_dataset(
     size_law = LognormalSizes(size_mu_log, size_sigma_log)
 
     item, age = claims_law.sample(rng, n)
+    order = np.lexsort((age, item))  # rows by car, then age; amounts in that order
+    item, age = item[order], age[order]
     amounts = size_law.sample(rng, len(age))
     vids = [f"V{i:06d}" for i in range(n)]
 

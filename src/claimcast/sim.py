@@ -6,6 +6,8 @@ through ``numpy.random.SeedSequence``, so identical seeds reproduce results
 bit-for-bit and replication r of a run seeded s draws from the independent
 stream keyed (s, r).  A replication draws its sale times, then the claims of
 all items as one batch of (item, age) columns, then one size per claim.
+Because every replication has its own stream, a validation draws a block
+of replications one after another and scores the whole block in one pass.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-# numpy loads these on first use; importing them here keeps that out of the
-# first validation: make_rng uses numpy.random, np.quantile loads numpy.ma
-import numpy.ma  # noqa: F401
+# numpy loads numpy.random on first use; importing it here keeps that out of
+# the first validation, whose make_rng uses it
 import numpy.random
 
 from .core import (
@@ -40,7 +41,7 @@ from .engine import (
     rate_constants,
 )
 from .errors import DomainError
-from .tails import tail_scalers
+from .tails import sample_quantiles, tail_scalers
 
 logger = logging.getLogger(__name__)
 
@@ -150,14 +151,22 @@ class NhppSales:
         return np.asarray(self.share(np.asarray(days, dtype=float)), dtype=float)
 
     def _daily_share(self, horizon: TimeHorizon) -> Tuple[np.ndarray, np.ndarray]:
-        """Days -W .. T+offset and the share on them, checked non-decreasing."""
-        days = np.arange(
-            -horizon.warranty, horizon.period + horizon.offset + 1, dtype=float
-        )
-        nu = self.share_on(days, horizon)
-        if not np.all(np.diff(nu) >= 0.0):
-            raise DomainError("NHPP sales share must be non-decreasing")
-        return days, nu
+        """Days -W .. T+offset and the share on them, checked non-decreasing.
+
+        Kept on the instance for the last horizon asked, so that the
+        replications of a study build and check the share once.
+        """
+        memo = self.__dict__.get("_daily")
+        if memo is None or memo[0] != horizon:
+            days = np.arange(
+                -horizon.warranty, horizon.period + horizon.offset + 1, dtype=float
+            )
+            nu = self.share_on(days, horizon)
+            if not np.all(np.diff(nu) >= 0.0):
+                raise DomainError("NHPP sales share must be non-decreasing")
+            memo = (horizon, days, nu)
+            object.__setattr__(self, "_daily", memo)
+        return memo[1], memo[2]
 
     def increment_var(self, horizon: TimeHorizon) -> np.ndarray:
         """Fluctuation variance of each day -W+1 .. T+offset: the share's
@@ -192,13 +201,21 @@ class PoissonClaims:
 
     mean_measure: MeanClaimsMeasure
 
+    @functools.cached_property
+    def _peak(self) -> float:
+        """The thinning bound: the linear density's maximum on [0, W]."""
+        m = self.mean_measure
+        return max(0.0, float(m.density(0.0)), float(m.density(float(m.warranty))))
+
     def sample(self, rng, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Claims of ``size`` items as ``(item, age)`` columns sorted by
-        (item, age): one Poisson draw of proposal counts for all items,
-        thinning over the concatenated proposals, one Poisson draw per atom."""
+        """Claims of ``size`` items as unsorted ``(item, age)`` columns: one
+        Poisson draw of proposal counts for all items, thinning over the
+        concatenated proposals, one Poisson draw per atom.  The columns hold
+        the kept proposals, then the age-0 atoms, then the age-W atoms, each
+        group in item order."""
         m = self.mean_measure
         w = float(m.warranty)
-        peak = max(0.0, float(m.density(0.0)), float(m.density(w)))
+        peak = self._peak
         items = np.arange(size)
         proposals = rng.poisson(peak * w, size)
         u = rng.uniform(0.0, w, size=proposals.sum())
@@ -207,8 +224,7 @@ class PoissonClaims:
         atom_item = np.repeat(np.tile(items, 2), np.concatenate([at0, at_w]))
         item = np.concatenate([np.repeat(items, proposals)[keep], atom_item])
         age = np.concatenate([u[keep], np.repeat([0.0, w], [at0.sum(), at_w.sum()])])
-        order = np.lexsort((age, item))
-        return item[order], age[order]
+        return item, age
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
         return _window_moments(self.mean_measure, rebate, horizon)
@@ -302,7 +318,54 @@ SizeSpec = Union[LognormalSizes, ParetoSizes]
 
 
 # --------------------------------------------------------------------------
-# exact realization of one replication
+# exact realization of scenarios
+
+# one realized replication: sale times, claim (item, age) columns with item
+# indexing the sales, and the claim-size stream
+Scenario = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+def _score(
+    scenarios: List[Scenario], rebate: RebateFunction, horizon: TimeHorizon
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact claim counts and costs of a block of scenarios, in one pass
+    that does not depend on the order of any scenario's claims.
+
+    The block's sales and claims are stacked, one window test scores every
+    claim and ``np.bincount`` tallies the hits per scenario.  Under free
+    replacement a scenario's cost is the sum of its first ``count`` sizes;
+    under a rebate schedule only each item's earliest claim can pay, at
+    ``unit_price * r(age)``, summed in item order.  Each sum covers one
+    scenario's values alone, so it has the bits of a one-scenario block.
+    """
+    n_sales = np.array([len(s[0]) for s in scenarios])
+    n_claims = np.array([len(s[1]) for s in scenarios])
+    sales = np.concatenate([s[0] for s in scenarios])
+    item = np.concatenate([s[1] for s in scenarios])
+    item += np.repeat(np.cumsum(n_sales) - n_sales, n_claims)  # index the stack
+    age = np.concatenate([s[2] for s in scenarios])
+    prorata = rebate.kind != "free_replacement"
+    if prorata:  # each item's earliest claim, in item order
+        earliest = np.full(len(sales), np.inf)
+        np.minimum.at(earliest, item, age)
+        item = np.flatnonzero(earliest < np.inf)
+        age = earliest[item]
+    hit = horizon.lands_in_window(sales[item], age)
+    owner = np.repeat(np.arange(len(scenarios)), n_sales)  # scenario of each sale
+    counts = np.bincount(owner[item[hit]], minlength=len(scenarios))
+    if prorata:
+        paid = rebate.unit_price * rebate(age[hit])  # scenario by scenario
+        parts = np.split(paid, np.cumsum(counts)[:-1])
+        return counts, np.array([np.sum(part) for part in parts])
+    costs = np.empty(len(scenarios))
+    for k, ((*_, sizes), count) in enumerate(zip(scenarios, counts)):
+        if sizes is None or len(sizes) < count:
+            raise DomainError(
+                f"size stream exhausted: need {count}, have "
+                f"{0 if sizes is None else len(sizes)}"
+            )
+        costs[k] = np.sum(np.asarray(sizes, dtype=float)[:count])
+    return counts, costs
 
 
 def realize_cost(
@@ -319,7 +382,8 @@ def realize_cost(
     ``age[k]``; the columns must be sorted by (item, age).  Under free
     replacement every claim landing in the window consumes the next entry
     of the ``sizes`` stream; under a rebate schedule only each item's first
-    claim can pay, at ``unit_price * r(age)``.
+    claim can pay, at ``unit_price * r(age)``.  This is the block scoring
+    of :func:`monte_carlo_validate` on a block of one checked scenario.
     """
     sales = np.asarray(sales, dtype=float)
     item = np.asarray(item, dtype=np.int64)
@@ -331,19 +395,8 @@ def realize_cost(
     step = np.diff(item, prepend=-1)  # > 0 exactly at each item's first claim
     if np.any((step < 0) | ((step == 0) & (np.diff(age, prepend=0.0) < 0))):
         raise DomainError("claims must be sorted by (item, age)")
-    prorata = rebate.kind != "free_replacement"
-    if prorata:
-        item, age = item[step > 0], age[step > 0]
-    hit = horizon.lands_in_window(sales[item], age)
-    count = int(np.count_nonzero(hit))
-    if prorata:
-        return count, float(np.sum(rebate.unit_price * rebate(age[hit])))
-    if sizes is None or len(sizes) < count:
-        raise DomainError(
-            f"size stream exhausted: need {count}, have "
-            f"{0 if sizes is None else len(sizes)}"
-        )
-    return count, float(np.sum(np.asarray(sizes, dtype=float)[:count]))
+    counts, costs = _score([(sales, item, age, sizes)], rebate, horizon)
+    return int(counts[0]), float(costs[0])
 
 
 # --------------------------------------------------------------------------
@@ -463,8 +516,10 @@ def reference_approximation(
     )
 
 
-def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Tuple[int, float]:
-    """One end-to-end realization from the replication's own Philox stream."""
+def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Scenario:
+    """The realized scenario ``(sales, item, age, sizes)`` of replication
+    ``rep``, drawn from its own Philox stream in the documented order; the
+    claim columns come in the claims sampler's order, unsorted."""
     rng = make_rng(seed, rep)
     sales = study.sales.sample(study.horizon, rng)
     item, age = study.claims.sample(rng, len(sales))
@@ -472,7 +527,19 @@ def run_replication(study: MonteCarloStudy, seed: int, rep: int) -> Tuple[int, f
         sizes = study.sizes.sample(rng, len(age))
     else:
         sizes = np.zeros(len(age))  # count-only study: the cost is ignored
-    return realize_cost(sales, item, age, sizes, study.rebate, study.horizon)
+    return sales, item, age, sizes
+
+
+_BLOCK = 16  # replications scored together; larger blocks raise peak memory
+
+
+def _replicate_block(
+    study: MonteCarloStudy, seed: int, reps: range
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Claim counts and costs of replications ``reps``, each drawn by
+    :func:`run_replication` and all scored in one pass."""
+    scenarios = [run_replication(study, seed, r) for r in reps]
+    return _score(scenarios, study.rebate, study.horizon)
 
 
 @dataclass(frozen=True)
@@ -520,24 +587,26 @@ def monte_carlo_validate(
 ) -> ValidationReport:
     """Simulate ``reps`` replications and compare against the limit law.
 
-    Replications are independent streams keyed (seed, rep); with
-    ``workers > 1`` they are farmed out in contiguous chunks and reduced in
-    replication order, so the report does not depend on the worker count.
+    Replications are independent streams keyed (seed, rep), drawn and
+    scored in fixed-size blocks; with ``workers > 1`` the blocks are farmed
+    out in contiguous chunks and reduced in replication order, so the
+    report depends neither on the worker count nor on the block size.
     """
     if reps < 100:
         raise DomainError("need at least 100 replications")
+    blocks = [range(r, min(r + _BLOCK, reps)) for r in range(0, reps, _BLOCK)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        replicate = functools.partial(run_replication, study, seed)
+        replicate = functools.partial(_replicate_block, study, seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(replicate, range(reps), chunksize=-(-reps // workers))
+            scored = list(
+                pool.map(replicate, blocks, chunksize=-(-len(blocks) // workers))
             )
     else:
-        results = [run_replication(study, seed, r) for r in range(reps)]
-    counts = np.array([r[0] for r in results], dtype=float)
-    costs = np.array([r[1] for r in results], dtype=float)
+        scored = [_replicate_block(study, seed, block) for block in blocks]
+    counts = np.concatenate([c for c, _ in scored]).astype(float)
+    costs = np.concatenate([c for _, c in scored])
 
     degenerate = bool(np.all(counts == 0.0))
     if degenerate:
@@ -552,7 +621,7 @@ def monte_carlo_validate(
         approx = reference_approximation(study, lp)
         ks = _ks_against(approx, z)
         limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())
-        emp_q = tuple(float(np.quantile(z, p)) for p in _REPORT_LEVELS)
+        emp_q = tuple(sample_quantiles(z, _REPORT_LEVELS).tolist())
         coverage = tuple(float(np.mean(z <= q)) for q in limit_q)
     return ValidationReport(
         theorem=study.theorem,

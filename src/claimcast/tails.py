@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Regime",
     "TailDiagnosis",
+    "sample_quantiles",
     "summary_stats",
     "qq_plot_data",
     "qq_tail_index",
@@ -42,13 +43,42 @@ class Regime(str, Enum):
     STABLE_0_1 = "stable_0_1"
 
 
+def sample_quantiles(sample, levels) -> np.ndarray:
+    """Linearly interpolated quantiles of ``sample`` at ``levels`` in [0, 1],
+    numpy's default method computed from one sort.
+
+    Level q sits at the virtual index (n - 1) q of the sorted sample, between
+    its floor i and i + 1; the value interpolates from the nearer side, as
+    ``np.quantile`` does, and a sample holding NaN gives NaN.  The values
+    equal ``np.quantile``'s.  Only where the sample holds both -0.0 and 0.0
+    can the sign of a zero result differ, because numpy partitions where
+    this sorts, and the two order tied zeros differently.
+    """
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    n = len(x)
+    if n == 0:
+        raise DomainError("need a non-empty sample")
+    q = np.asarray(levels, dtype=float)
+    if np.any((q < 0.0) | (q > 1.0)):
+        raise DomainError("quantile levels must lie in [0, 1]")
+    virtual = (n - 1) * q
+    below = np.floor(virtual).astype(np.intp)
+    below[virtual >= n - 1] = -1  # the largest value, from both sides
+    above = np.where(below < 0, -1, below + 1)
+    t = virtual - below
+    a, b = x[below], x[above]
+    diff = b - a
+    out = np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
+    return np.full_like(out, np.nan) if np.isnan(x[-1]) else out
+
+
 def summary_stats(sizes) -> Tuple[float, float, Tuple[float, float, float]]:
     """Sample mean, unbiased variance and the linearly interpolated
     quartiles (q25, q50, q75)."""
     x = np.asarray(sizes, dtype=float)
     if x.size < 2:
         raise DomainError("need at least two claim sizes")
-    quartiles = tuple(float(q) for q in np.percentile(x, [25, 50, 75]))
+    quartiles = tuple(sample_quantiles(x, (0.25, 0.5, 0.75)).tolist())
     return float(np.mean(x)), float(np.var(x, ddof=1)), quartiles
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,22 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warranty", [2, 100])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_report_rejects_the_clock_before_loading(
+        self, tmp_path, capsys, warranty, via_config
+    ):
+        # the input files do not exist: the config is rejected first
+        argv = ["report", *data_args(tmp_path)]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"warranty": warranty}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--warranty", str(warranty)]
+        assert main(argv) == 2
+        assert f"need 2*period < warranty, got T=91, W={warranty}" in capsys.readouterr().err
 
     def test_bin_width_leaving_one_bin_is_validation_error(self, dataset_dir, capsys):
         sales = dataset_dir / "sales.csv"
@@ -407,3 +425,44 @@ class TestExplicitN:
         )
         assert rc == 2
         assert "n_explicit needs the explicit n policy" in capsys.readouterr().err
+
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+class TestPinnedOutputs:
+    """Byte-for-byte outputs recorded before validation scored its
+    replications in blocks and the claims sampler stopped sorting."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "theorem, flags",
+        [("count", []), ("normal", []), ("stable_1_2", []),
+         ("stable_0_1", ["--pareto-alpha", "0.7"]), ("prorata", [])],
+        ids=["count", "normal", "stable_1_2", "stable_0_1", "prorata"],
+    )
+    def test_validation_report(self, tmp_path, capsys, theorem, flags, workers):
+        out = tmp_path / "report.json"
+        argv = ["validate", "--theorem", theorem, "--reps", "100", "--seed", "0",
+                "--workers", workers, "--json-out", str(out), *flags]
+        assert main(argv) == 0
+        assert out.read_bytes() == (PINNED / f"validate_{theorem}.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            ([], ("45f21cf13299990b0d713601761f8e0ef453e1c0ace416d42dae4642462d1e3f",
+                  "52e41ff9b18265ed0302c3761f7315617bd400ddb667e6f30d60eef9003957d0")),
+            (["--n-items", "2000", "--warranty", "200", "--span", "240", "--seed", "5"],
+             ("b0b00fd17aa19bf4a2a3a9aae652a58b0a540e3bb9a5a34c0d1cb09aaa6b91f6",
+              "6edaee44cd9abaf22e8819583829af2e1dd9d6ce8ef668ac21335a1abce6e231")),
+        ],
+        ids=["defaults", "small"],
+    )
+    def test_simulated_dataset(self, tmp_path, capsys, argv, digests):
+        assert main(["simulate", "--out-dir", str(tmp_path), *argv]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sales.csv", "claims.csv")
+        )
+        assert got == digests

@@ -48,10 +48,35 @@ def test_cli_loads_no_scipy():
 
 
 def test_sim_loads_what_its_operation_uses():
-    # loaded on import, so that a first validation does not pay for them
-    assert {"numpy.random", "numpy.ma"} <= modules_after("import claimcast.sim")
+    # numpy.random is loaded on import, so that a first validation does not
+    # pay for it; numpy.ma is on no path (see the operation test below)
+    loaded = modules_after("import claimcast.sim")
+    assert "numpy.random" in loaded
+    assert "numpy.ma" not in loaded
 
 
 def test_pipeline_loads_what_its_operation_uses():
-    # np.unique loads numpy.ma; a first report should not pay for it
-    assert "numpy.ma" in modules_after("import claimcast.pipeline")
+    assert "numpy.ma" not in modules_after("import claimcast.pipeline")
+
+
+def test_operations_load_no_numpy_ma(tmp_path):
+    # a bare np.unique, np.quantile or np.percentile loads numpy.ma (about
+    # 20 ms); neither a report nor a validation calls one
+    small = ["--warranty", "200", "--period", "30"]
+    commands = [
+        ["simulate", "--out-dir", str(tmp_path), "--n-items", "2000",
+         "--warranty", "200", "--span", "240"],
+        ["report", "--sales", str(tmp_path / "sales.csv"), "--claims",
+         str(tmp_path / "claims.csv"), *small, "--qq-k", "300",
+         "--out-dir", str(tmp_path / "out")],
+        *(["validate", "--theorem", theorem, *small, "--n-scale", "150", "--reps", "100"]
+          for theorem in ("count", "normal", "stable_1_2", "prorata")),
+    ]
+    run = (
+        "import contextlib, io\n"
+        "from claimcast import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    assert "numpy.ma" not in modules_after(run)

@@ -77,6 +77,21 @@ class TestRunConfig:
             with pytest.raises(DomainError):
                 RunConfig(policy=policy, rebate_kind="free_replacement")
 
+    @pytest.mark.parametrize(
+        "clock",
+        [dict(warranty=2), dict(warranty=2, period=1), dict(warranty=100),
+         dict(warranty=182), dict(period=0), dict(period=-3)],
+        ids=lambda clock: ",".join(f"{k}={v}" for k, v in clock.items()),
+    )
+    def test_clock_outside_the_horizon_rule_rejected(self, clock):
+        # the rule TimeHorizon applies, before any load: T >= 1, 2T < W
+        with pytest.raises(DomainError, match="period"):
+            RunConfig(**clock)
+
+    def test_smallest_clocks_accepted(self):
+        assert RunConfig(warranty=3, period=1).warranty == 3
+        assert RunConfig(warranty=183).period == 91
+
     def test_empty_periods_rejected(self):
         # a report with no forecast window forecasts nothing
         with pytest.raises(DomainError, match="non-empty"):

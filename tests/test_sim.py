@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from claimcast import sim
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import CostApproximation, approx_quantile, cost_approx_stable
 from claimcast.errors import DomainError
@@ -16,6 +17,7 @@ from claimcast.sim import (
     RenewalSales,
     SingleLifetime,
     _ks_against,
+    _score,
     make_rng,
     monte_carlo_validate,
     realize_cost,
@@ -134,17 +136,22 @@ class TestSimulateClaimsMeasure:
         assert np.count_nonzero(age == 0.0) / reps == pytest.approx(0.5, rel=0.05)
         assert np.count_nonzero(age == W) / reps == pytest.approx(0.25, rel=0.05)
 
-    def test_sorted_by_item_then_age_with_exact_atoms(self):
+    def test_grouped_columns_with_exact_atoms(self):
         measure = paper_shaped_measure(W)
         item, age = PoissonClaims(measure).sample(make_rng(3), 5000)
         assert item.dtype.kind == "i" and age.dtype == float
-        step = np.diff(item)
-        assert np.all(step >= 0)
-        assert np.all(np.diff(age)[step == 0] >= 0)
         assert np.all((0 <= item) & (item < 5000))
         assert np.all((0.0 <= age) & (age <= W))
-        # both atoms carry mass, so both edges are hit exactly
-        assert np.any(age == 0.0) and np.any(age == float(W))
+        # kept proposals, then the age-0 atoms, then the age-W atoms, each
+        # group in item order; both atoms carry mass, so both edges are hit
+        # exactly
+        at0, at_w = np.count_nonzero(age == 0.0), np.count_nonzero(age == float(W))
+        assert at0 > 0 and at_w > 0
+        cuts = [len(age) - at0 - at_w, len(age) - at_w]
+        interior, zeros, ends = np.split(age, cuts)
+        assert np.all((0.0 < interior) & (interior < W))
+        assert np.all(zeros == 0.0) and np.all(ends == float(W))
+        assert all(np.all(np.diff(group) >= 0) for group in np.split(item, cuts))
 
     def test_count_mean_and_variance_equal_total_mass(self):
         # a Poisson measure's per-item count is Poisson(total mass)
@@ -204,6 +211,13 @@ def oracle_realize(sales, per_item, sizes, rebate, horizon):
                     cost += float(sizes[next_size])
                     next_size += 1
     return count, cost
+
+
+def realized(study, seed, rep):
+    """Claim count and cost of one replication, scored by realize_cost."""
+    sales, item, age, sizes = run_replication(study, seed, rep)
+    order = np.lexsort((age, item))
+    return realize_cost(sales, item[order], age[order], sizes, study.rebate, study.horizon)
 
 
 class TestRealizeCost:
@@ -274,6 +288,51 @@ class TestRealizeCost:
                     np.zeros(2), np.array(item), np.array(age), np.ones(2),
                     FREE, HORIZON,
                 )
+
+
+class TestScoreBlock:
+    def test_matches_oracle_on_blocks_of_unsorted_claims(self):
+        # blocks of 1..16 scenarios, each scenario's claims shuffled; ages
+        # include both edges, so an item can hold tied earliest claims
+        rng = np.random.default_rng(2026)
+        rebates = [FREE, RebateFunction.linear(W, unit_price=7.5)]
+        horizons = [HORIZON, TimeHorizon(W, T, T, 300)]
+        for trial in range(400):
+            rebate, horizon = rebates[trial % 2], horizons[trial // 2 % 2]
+            block, want = [], []
+            for _ in range(int(rng.integers(1, 17))):
+                k = int(rng.integers(0, 11))
+                sales = rng.uniform(-W, 2 * T, size=k)
+                per_item = [
+                    rng.choice([0.0, rng.uniform(0, W), float(W)], size=rng.integers(0, 4))
+                    for _ in range(k)
+                ]
+                sizes = rng.lognormal(1.0, 1.0, size=3 * k + 5)
+                item, age = columns(per_item)
+                count, cost = oracle_realize(sales, per_item, sizes, rebate, horizon)
+                one = realize_cost(sales, item, age, sizes, rebate, horizon)
+                assert one[0] == count and one[1] == pytest.approx(cost, abs=1e-9)
+                if rebate is FREE:  # numpy's pairwise sum of the size prefix
+                    assert one[1] == float(np.sum(sizes[:count]))
+                want.append(one)  # the block must give these bits
+                shuffle = rng.permutation(len(item))
+                block.append((sales, item[shuffle], age[shuffle], sizes))
+            counts, costs = _score(block, rebate, horizon)
+            assert list(zip(counts.tolist(), costs.tolist())) == want
+
+    def test_block_size_leaves_the_report_unchanged(self, monkeypatch):
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(W, W + T)),
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=RebateFunction.linear(W, unit_price=2.0),
+            horizon=TimeHorizon(W, T, 0, 200),
+            theorem="prorata",
+        )
+        reports = []
+        for block in (1, 7, 16, 300):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            reports.append(monte_carlo_validate(study, reps=130, seed=4))
+        assert all(r == reports[0] for r in reports)
 
 
 def paper_shaped_measure(warranty):
@@ -471,7 +530,7 @@ class TestMonteCarloValidate:
             sizes=ParetoSizes(alpha=0.7),
         )
         reps = 1000
-        costs = np.array([run_replication(study, 7, r)[1] for r in range(reps)])
+        costs = np.array([realized(study, 7, r)[1] for r in range(reps)])
         approx = cost_approx_stable(theoretical_limit(study), 0.7)
         assert _ks_against(approx, costs) < 1.36 / np.sqrt(reps)
 

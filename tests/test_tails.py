@@ -9,6 +9,7 @@ from claimcast.tails import (
     diagnose,
     qq_plot_data,
     qq_tail_index,
+    sample_quantiles,
     select_regime,
     summary_stats,
     tail_scalers,
@@ -46,6 +47,52 @@ class TestSummaryStats:
     def test_quartiles_ordered(self, xs):
         q25, q50, q75 = summary_stats(xs)[2]
         assert q25 <= q50 <= q75
+
+
+class TestSampleQuantiles:
+    LEVELS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
+
+    def test_bits_of_numpy_on_drawn_samples(self):
+        # sizes 1..200 with ties, wide and narrow spreads, negative values;
+        # no sample holds zeros of both signs
+        rng = np.random.default_rng(8)
+        for trial in range(2000):
+            n = int(rng.integers(1, 200))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 6)
+            if trial % 3 == 0:
+                x = np.round(x, 1)  # ties
+            levels = np.r_[self.LEVELS, rng.uniform(size=5)]
+            before = x.copy()
+            got = sample_quantiles(x, levels)
+            assert np.array_equal(got, np.quantile(x, levels)), trial
+            assert np.array_equal(x, before)  # the sample is left as it was
+
+    def test_summary_quartiles_have_the_bits_of_numpy_percentile(self):
+        for n in (2, 3, 4, 5, 17, 5001):
+            for seed in range(20):
+                x = pareto_sample(1.5, n, seed)
+                want = tuple(np.percentile(x, [25, 50, 75]).tolist())
+                assert summary_stats(x)[2] == want
+
+    def test_signed_zeros_agree_in_value(self):
+        # numpy partitions where this sorts; the two can order -0.0 and 0.0
+        # differently, so a zero result may differ in sign, never in value
+        x = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0])
+        got = sample_quantiles(x, self.LEVELS)
+        want = np.quantile(x, self.LEVELS)
+        assert np.all(got == want)
+        assert np.all((got == 0.0) == (want == 0.0))
+
+    def test_nan_sample_gives_nan(self):
+        got = sample_quantiles([1.0, np.nan, 2.0], [0.0, 0.5])
+        assert np.all(np.isnan(got))
+
+    def test_rejects_empty_sample_and_bad_levels(self):
+        with pytest.raises(DomainError):
+            sample_quantiles([], [0.5])
+        for level in (-0.1, 1.5):
+            with pytest.raises(DomainError):
+                sample_quantiles([1.0, 2.0], [level])
 
 
 class TestQQPlot:
