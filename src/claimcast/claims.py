@@ -1,15 +1,14 @@
 """From sales and claims tables to fitted mean measures and moment grids.
 
 Records travel as numpy columns: a :class:`SalesTable` with one row per sold
-item and a :class:`ClaimsTable` with one row per claim.  The chain is:
-merge same-day claims per vehicle (:func:`aggregate_daily_claims`), join
-each claim onto its item with the age clipped into [0, W]
-(:func:`join_claims`), tally the ages into daily bins, fit a linear density
-plus end atoms, and finally tabulate, for every forecast window in one
-call, the per-sale-day mean and variance of rebate-weighted window claims.
-Which claims land in a window is decided by
-:class:`claimcast.core.TimeHorizon` alone, and the per-day sums go through
-:func:`claimcast.core.range_sums`, the one day-range kernel.
+item and a :class:`ClaimsTable` with one row per claim.  The chain is: join
+each claim onto its item with the age clipped into [0, W], a vehicle's
+same-day claims merged in the join's own sort (:func:`join_claims`), tally
+the ages into daily bins, fit a linear density plus end atoms, and finally
+tabulate, for every forecast window in one call, the per-sale-day mean and
+variance of rebate-weighted window claims.  Which claims land in a window
+is decided by :class:`claimcast.core.TimeHorizon` alone, and the per-day
+sums go through :func:`claimcast.core.range_sums`, the one day-range kernel.
 """
 
 from __future__ import annotations
@@ -105,23 +104,32 @@ def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
     return tuple(keys)
 
 
+def _merge_days(owner: np.ndarray, day: np.ndarray, amount: np.ndarray):
+    """The first row of each distinct (owner, day), owners being int ranks,
+    in that order, and its rows' amounts summed in input order: one stable
+    argsort of the key owner * span + day (days ranked if it could overflow)."""
+    low, high = day.min(initial=0), day.max(initial=0)
+    if (owner.max(initial=0) + 1.0) * (float(high) - float(low) + 1.0) >= 2.0**62:
+        low, high, day = 0, len(day), np.unique(day, return_inverse=True)[1]
+    key = owner * (high - low + 1) + (day - low)
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    return order[new], np.bincount(np.cumsum(new) - 1, weights=amount[order])
+
+
 def aggregate_daily_claims(claims: ClaimsTable) -> ClaimsTable:
     """Merge all of a vehicle's same-day claims into one row.
 
     A car returning with p claims on one date is treated as a single claim
     whose size is the sum of the p amounts (added in input order).  Output
     is sorted by (vehicle_id, day) for a deterministic downstream order.
-    Vehicle ids (as :func:`_id_keys`) and days are each ranked once, so the
-    merge runs on one int64 key, vehicle rank * distinct days + day rank,
-    that sorts the same.
+    Vehicle ids (as :func:`_id_keys`) are ranked, then merged as
+    :func:`join_claims` merges items.
     """
     (keys,) = _id_keys(claims.vehicle_id)
-    _, first, vid_rank = np.unique(keys, return_index=True, return_inverse=True)
-    days, day_rank = np.unique(claims.day, return_inverse=True)
-    merged, inverse = np.unique(vid_rank * len(days) + day_rank, return_inverse=True)
-    amount = np.bincount(inverse, weights=claims.amount, minlength=len(merged))
-    vids = claims.vehicle_id[first[merged // len(days)]]
-    return ClaimsTable(vids, days[merged % len(days)], amount)
+    _, vid_rank = np.unique(keys, return_inverse=True)
+    rows, amount = _merge_days(vid_rank, claims.day, claims.amount)
+    return ClaimsTable(claims.vehicle_id[rows], claims.day[rows], amount)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +137,8 @@ class JoinedClaims:
     """Claims of sold items as columns, sorted by (item, age).
 
     ``item`` indexes the sales table, ``age`` is the claim day minus the
-    sale day clipped into [0, W], and ``quarantined`` counts the claims whose
-    vehicle has no sales row.
+    sale day clipped into [0, W], and ``quarantined`` counts the merged
+    claims whose vehicle has no sales row.
     """
 
     item: np.ndarray
@@ -140,8 +148,9 @@ class JoinedClaims:
 
     def __post_init__(self):
         _columns(self, item=np.int64, age=float, amount=float)
-        if np.any(np.diff(self.item) < 0):
-            raise DomainError("joined claims must be sorted by item")
+        step = np.diff(self.item)
+        if np.any((step < 0) | ((step == 0) & (np.diff(self.age) < 0))):
+            raise DomainError("joined claims must be sorted by (item, age)")
 
 
 def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> JoinedClaims:
@@ -150,8 +159,9 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     Ages below 0 (claims honored before the recorded sale) become 0 and ages
     beyond W (claims honored past warranty) become W.  Claims whose
     vehicle_id has no sales row are quarantined: counted, not dropped
-    silently.  Ids are matched as :func:`_id_keys`, and the integer ages
-    make item * (W + 1) + age one sort key in (item, age) order.
+    silently.  Ids are matched as :func:`_id_keys`.  Same-day claims merge
+    as in :func:`aggregate_daily_claims`, in one sort on (item, day) that
+    also orders the rows by (item, age), unknown vehicles ranked last.
     """
     if warranty < 0:
         raise DomainError("warranty must be non-negative")
@@ -161,16 +171,20 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     pos = np.searchsorted(ids, claim_keys)
     known = pos < len(ids)
     known[known] = ids[pos[known]] == claim_keys[known]
-    item = order[pos[known]]
-    age = np.clip(claims.day[known] - sales.day[item], 0, warranty)
-    rows = np.argsort(item * (warranty + 1) + age, kind="stable")
-    quarantined = int(len(claims) - np.count_nonzero(known))
+    owner = np.empty(len(claims), dtype=np.int64)
+    owner[known] = order[pos[known]]
+    owner[~known] = len(ids) + np.unique(claim_keys[~known], return_inverse=True)[1]
+    rows, amount = _merge_days(owner, claims.day, claims.amount)
+    kept = int(np.searchsorted(owner[rows], len(ids)))
+    item, rows = owner[rows[:kept]], rows[:kept]
+    age = np.clip(claims.day[rows] - sales.day[item], 0, warranty)
+    quarantined = len(amount) - kept
     if quarantined:
         logger.warning(
             "%d claim records reference unknown vehicles and were quarantined",
             quarantined,
         )
-    return JoinedClaims(item[rows], age[rows], claims.amount[known][rows], quarantined)
+    return JoinedClaims(item, age, amount[:kept], quarantined)
 
 
 def empirical_mean_measure(ages, n: int, warranty: int) -> np.ndarray:
@@ -215,6 +229,21 @@ def fit_mean_measure(bins) -> MeanClaimsMeasure:
     )
 
 
+def _close_pairs(item: np.ndarray, age: np.ndarray, warranty: int, period: int):
+    """The ordered pairs (i, j) of one item's claims at most ``period`` apart,
+    in (i, j) order, for claims sorted by (item, age).  Claim i's candidates
+    run from ``first[i]``, the first claim whose key item * (W + T + 2) + age
+    is at most T + 1/2 below i's, to the last j with ``first[j] <= i``; the
+    key can round fractional ages, so hi - lo <= T is tested on the ages."""
+    key = item * (warranty + period + 2.0) + age
+    first = np.searchsorted(key, key - (period + 0.5))
+    size = np.cumsum(np.bincount(first, minlength=len(key))) - first
+    left = np.repeat(np.arange(len(age)), size)
+    right = np.arange(len(left)) - np.repeat(np.cumsum(size) - size - first, size)
+    close = np.abs(age[left] - age[right]) <= period
+    return left[close], right[close]
+
+
 def moment_grids(
     claims: JoinedClaims,
     fitted: MeanClaimsMeasure,
@@ -224,40 +253,36 @@ def moment_grids(
 ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
     """Per horizon, the mean and variance grids of per-item window claims
     over ``horizon.sale_days`` and how many variance entries were floored
-    at 0.
+    at 0; the horizons must share W and T.
 
     The mean grid integrates the fitted measure over each day's window.
     The second moment is the raw per-item average of the squared weighted
-    window totals: every ordered pair (i, j) of one item's claims adds
-    r(c_i) r(c_j) on the sale days whose window holds both ages, so each
-    grid costs one pass over the claim pairs, which are expanded once for
-    all horizons.  Mixing the two can push the variance slightly negative,
-    hence the floor.
+    window totals: every ordered pair (i, j) of one item's claims at most
+    T apart (no window spans more) adds r(c_i) r(c_j) on the sale days
+    whose window holds both ages.  Counted from the first sale day, those
+    days are the offset-0 window's, and with whole-day ages (as
+    :func:`join_claims` gives) every offset's, so one :func:`range_sums`
+    serves all horizons.  For fractional ages this ceil(-lo) form is exact;
+    ceil(o - lo) can round differently for lo within o * 2**-52 of a whole
+    number.  Mixing the moments can push the variance below 0, hence the floor.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
+    shapes = {(h.warranty, h.period) for h in horizons}
+    if len(shapes) != 1:
+        raise DomainError("horizons must share one warranty and one period")
+    ((w, t),) = shapes
     age = claims.age
     wts = np.asarray(rebate(age), dtype=float)
-
-    # pair expansion: claim i pairs with every claim of its item, in order
-    first = np.searchsorted(claims.item, claims.item, side="left")
-    size = np.searchsorted(claims.item, claims.item, side="right") - first
-    left = np.repeat(np.arange(len(age)), size)
-    right = np.repeat(first, size) + (
-        np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
-    )
-    del first, size
+    left, right = _close_pairs(claims.item, age, w, t)
     lo, hi = np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
-    pair_wts = wts[left] * wts[right]
-    del left, right
+    start, end = TimeHorizon(w, t).sale_day_range(lo, hi)
+    second = range_sums(start, end, wts[left] * wts[right], -w, w + t + 1) / n
 
     measure = WeightedMeasure(fitted, rebate)
     grids = []
     for horizon in horizons:
-        start, end = horizon.sale_day_range(lo, hi)
-        days = horizon.sale_days
-        second = range_sums(start, end, pair_wts, days[0], len(days)) / n
-        mean = mean_window_claims(measure, days, horizon)
+        mean = mean_window_claims(measure, horizon.sale_days, horizon)
         if np.any(mean < 0.0):
             raise DomainError("mean window claims must be non-negative")
         var = second - mean**2

@@ -153,10 +153,10 @@ def cmd_fit_claims(args) -> int:
     config = _build_config(args)
     sales, claims = _load_inputs(args)
     sales, claims, _ = dataio.anchor_day_zero(sales, claims)
-    aggregated, joined, _, fitted = pipeline._fit_claims(
+    joined, _, fitted = pipeline._fit_claims(
         sales, claims, config.warranty, config.items_sold(len(sales))
     )
-    print(f"items: {len(sales)}; aggregated claims: {len(aggregated)}")
+    print(f"items: {len(sales)}; aggregated claims: {len(joined.age) + joined.quarantined}")
     print(f"density slope     = {fitted.slope:.6e}")
     print(f"density intercept = {fitted.intercept:.6e}")
     print(f"atom at age 0     = {fitted.atom0:.6f}")

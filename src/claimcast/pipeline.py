@@ -103,6 +103,11 @@ class RunConfig:
             raise DomainError("periods must be a non-empty selection from {0, 1}")
         if self.regime_override not in (None, *self.REGIME_OVERRIDES):
             raise DomainError(f"unknown regime override {self.regime_override!r}")
+        for name, least in (("qq_k", 2), ("ma_window", 1), ("poly_degree", 0)):
+            if getattr(self, name) < least:  # a later stage's rule, checked early
+                raise DomainError(f"{name} must be at least {least}")
+        if not self.unit_price > 0.0:
+            raise DomainError(f"unit price must be positive, got {self.unit_price}")
 
     def items_sold(self, observed: int) -> int:
         """The scale n: the observed sales count or the explicit figure."""
@@ -178,13 +183,12 @@ def _daily_counts(sales: SalesTable) -> Tuple[np.ndarray, int]:
 
 def _fit_claims(
     sales: SalesTable, claims: ClaimsTable, warranty: int, n: int
-) -> Tuple[ClaimsTable, JoinedClaims, np.ndarray, MeanClaimsMeasure]:
-    """Aggregate same-day claims, join them onto the n sold items, bin the
-    ages and fit the mean claims measure."""
-    aggregated = claims_mod.aggregate_daily_claims(claims)
-    joined = claims_mod.join_claims(sales, aggregated, warranty)
+) -> Tuple[JoinedClaims, np.ndarray, MeanClaimsMeasure]:
+    """Join the claims onto the n sold items, same-day claims merged, bin
+    the ages and fit the mean claims measure."""
+    joined = claims_mod.join_claims(sales, claims, warranty)
     bins = claims_mod.empirical_mean_measure(joined.age, n, warranty)
-    return aggregated, joined, bins, claims_mod.fit_mean_measure(bins)
+    return joined, bins, claims_mod.fit_mean_measure(bins)
 
 
 def realized_window_totals(
@@ -216,7 +220,7 @@ def run_pipeline(
     sales, claims, anchor = dataio.anchor_day_zero(sales, claims)
     n = config.items_sold(len(sales))
     rebate = config.rebate()
-    _, joined, bins, fitted = _fit_claims(sales, claims, config.warranty, n)
+    joined, bins, fitted = _fit_claims(sales, claims, config.warranty, n)
 
     counts, first_day = _daily_counts(sales)
     bass = fit_bass(counts, n, first_day)

@@ -21,8 +21,8 @@ Quantiles invert the CDF by Brent's method (R. P. Brent, *Algorithms for
 Minimization without Derivatives*, 1973, ch. 4): each level is bracketed
 by geometric expansion around the location and then searched by a port of
 scipy's ``brentq``.  The searches of all levels run in lockstep, as
-generators, so that each round evaluates the CDF once at the distinct
-points the live levels need next, in one batched call.
+generators, so that each round (the first: both ends of the shared
+starting bracket) evaluates the CDF once at the points they need next.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def stable_quantile(params: StableParams, p):
 
     Each distinct level is bracketed around mu by geometric expansion and
     found by Brent's method.  The searches run in lockstep: each round
-    takes every live search's next point and evaluates the distinct ones
+    takes every live search's next points and evaluates the distinct ones
     once, in one kernel call.
     """
     levels = np.asarray(p, dtype=float)
@@ -286,10 +286,11 @@ def stable_quantile(params: StableParams, p):
     wanted = {k: next(search) for k, search in enumerate(searches)}
     roots = np.empty(len(targets))
     while wanted:
-        xs, at = np.unique(list(wanted.values()), return_inverse=True)
-        for k, cdf in zip(list(wanted), _cdf(params, xs)[at].tolist()):
+        xs, at = np.unique(np.concatenate(list(wanted.values())), return_inverse=True)
+        cdfs = iter(_cdf(params, xs)[at].tolist())
+        for k, points in list(wanted.items()):
             try:
-                wanted[k] = searches[k].send(cdf - targets[k])
+                wanted[k] = searches[k].send([next(cdfs) - targets[k] for _ in points])
             except StopIteration as done:
                 roots[k] = done.value
                 del wanted[k]
@@ -298,26 +299,26 @@ def stable_quantile(params: StableParams, p):
 
 
 def _quantile_search(params: StableParams, p: float):
-    """The p-quantile search as a generator: yields each point where it
-    needs f = cdf - p, takes f there sent back, and returns the quantile."""
+    """The p-quantile search as a generator: yields a tuple of the points
+    where it needs f = cdf - p next (first both bracket ends), takes the
+    list of f there sent back, and returns the quantile."""
     lo_edge, hi_edge = _support_edges(params)
     center = params.mu
     lo = max(center - 4.0 * params.sigma, lo_edge + 1e-12 * params.sigma)
     hi = min(center + 4.0 * params.sigma, hi_edge - 1e-12 * params.sigma)
-    f_lo = yield lo
-    f_hi = yield hi
+    f_lo, f_hi = yield (lo, hi)
     for _ in range(80):
         if f_lo <= 0.0:
             break
         lo = max(center - 4.0 * (center - lo), lo_edge + 1e-12 * params.sigma)
-        f_lo = yield lo
+        (f_lo,) = yield (lo,)
         if lo == lo_edge:
             break
     for _ in range(80):
         if f_hi >= 0.0:
             break
         hi = min(center + 4.0 * (hi - center), hi_edge - 1e-12 * params.sigma)
-        f_hi = yield hi
+        (f_hi,) = yield (hi,)
     if not (f_lo <= 0.0 <= f_hi):
         raise NumericalError(
             f"could not bracket the {p:.4g}-quantile "
@@ -329,8 +330,8 @@ def _quantile_search(params: StableParams, p: float):
 
 def _brent_steps(xa, xb, fa, fb, xtol: float, rtol=8.9e-16, maxiter=100):
     """Brent's method on [xa, xb], where f is fa and fb, as a generator:
-    yields each further point where it needs f, takes f's value there sent
-    back, and returns the root.
+    yields each further point where it needs f as a 1-tuple, takes f's
+    value there sent back in a list, and returns the root.
 
     A line-for-line port of scipy's ``brentq.c``, so it takes the same
     steps: inverse quadratic or secant steps while they shrink the bracket
@@ -373,5 +374,5 @@ def _brent_steps(xa, xb, fa, fb, xtol: float, rtol=8.9e-16, maxiter=100):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = yield xcur
+        (fcur,) = yield (xcur,)
     raise NumericalError(f"Brent's method did not converge in {maxiter} steps")

@@ -11,11 +11,12 @@ from claimcast.claims import (
     aggregate_daily_claims,
     empirical_mean_measure,
     fit_mean_measure,
+    _close_pairs,
     _id_keys,
     join_claims,
     moment_grids,
 )
-from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
+from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon, range_sums
 from claimcast.errors import DomainError, ValidationError
 
 W, T = 1096, 91
@@ -108,6 +109,30 @@ class TestAggregateAgainstStructuredMerge:
             )
         )
 
+    def test_many_same_day_rows_sum_in_input_order(self):
+        # 1e16 + 1 + 1 rounds to 1e16, 1 + 1 + 1e16 does not: each sum
+        # holds only if the merge keeps its group's rows in input order
+        rng = np.random.default_rng(5)
+        rows = [(f"V{int(v)}", int(d), float(a)) for v, d, a in zip(
+            rng.integers(0, 4, size=3000), rng.integers(0, 3, size=3000),
+            rng.choice([1e16, 1.0], p=[0.01, 0.99], size=3000))]
+        same_merge(claims_table(*rows))
+        summed = {}
+        for v, d, a in rows:
+            summed[v, d] = summed.get((v, d), 0.0) + a
+        got = aggregate_daily_claims(claims_table(*rows))
+        assert got.amount.tolist() == [summed[v, d] for v, d in sorted(summed)]
+
+    def test_days_too_far_apart_for_one_key(self):
+        # owner * span + day would overflow int64: the kernel ranks the days
+        big = np.iinfo(np.int64).max
+        same_merge(
+            claims_table(
+                ("B", big, 1.0), ("A", -big, 2.0), ("B", big, 0.5), ("A", 0, 4.0),
+                ("A", -big, 8.0), ("C", big - 1, 16.0),
+            )
+        )
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -197,14 +222,79 @@ class TestIdKeys:
             for name in ("item", "age", "amount"):
                 assert getattr(got, name).tobytes() == getattr(wide, name).tobytes()
             assert got.quarantined == wide.quarantined > 0
-        # (item, age) order, ties in input order: what np.lexsort gives
+        # one row per known (vehicle, day), its amounts summed in input
+        # order, in (item, age) order with same-age rows by day
         item = {v: i for i, (v, _) in enumerate(sold)}
-        known = [(item[v], min(max(d - sold[item[v]][1], 0), W), a)
-                 for v, d, a in claims if v in item]
-        want = sorted(known, key=lambda row: row[:2])
+        summed = {}
+        for v, d, a in claims:
+            if v in item:
+                summed[v, d] = summed.get((v, d), 0.0) + a
+        want = [
+            (i, age, a)
+            for i, age, _, a in sorted(
+                (item[v], min(max(d - sold[item[v]][1], 0), W), d, a)
+                for (v, d), a in summed.items()
+            )
+        ]
         got = join_claims(sales, raw, W)
         columns = (got.item, got.age, got.amount)
         assert list(zip(*(c.tolist() for c in columns))) == want
+
+
+class TestJoinMergesSameDayClaims:
+    """join_claims merges raw claims itself: the same bits as joining the
+    output of aggregate_daily_claims."""
+
+    @staticmethod
+    def same_join(sales, raw, warranty):
+        got = join_claims(sales, raw, warranty)
+        want = join_claims(sales, aggregate_daily_claims(raw), warranty)
+        for name in ("item", "age", "amount"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.quarantined == want.quarantined
+        return got
+
+    def test_hand_case(self):
+        sales = sales_table(("A", -10), ("B", -1100), ("C", -50))
+        raw = claims_table(
+            ("B", 60, 2.0), ("A", -5, 1.0), ("GHOST", 3, 9.0), ("A", -20, 0.5),
+            ("A", -5, 0.25), ("GHOST", 3, 1.0), ("B", 70, 4.0), ("GHOST", 4, 1.0),
+            ("A", -30, 0.125),
+        )
+        got = self.same_join(sales, raw, W)
+        # A: two clipped to age 0 (days -30, -20 in day order), then the
+        # merged day -5; B: both past warranty, at age W in day order
+        assert list(zip(got.item.tolist(), got.age.tolist(), got.amount.tolist())) == [
+            (0, 0.0, 0.125), (0, 0.0, 0.5), (0, 5.0, 1.25), (1, W, 2.0), (1, W, 4.0),
+        ]
+        assert got.quarantined == 2  # GHOST on days 3 and 4
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda sold: st.tuples(
+                st.lists(st.integers(-60, 0), min_size=sold, max_size=sold),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 7),  # ids 6 and 7 have no sales row
+                        st.integers(-90, 40),
+                        st.floats(0.0, 1e6, allow_subnormal=True),
+                    ),
+                    max_size=50,
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    def test_raw_and_aggregated_join_alike(self, drawn):
+        sale_days, claim_rows, wide = drawn
+        prefix = "XXXXXXXXX" if wide else ""  # ids wider than 8: the str path
+        vid = [f"{prefix}V{i}" for i in range(8)]
+        sales = sales_table(*[(vid[i], d) for i, d in enumerate(sale_days)])
+        raw = claims_table(*[(vid[i], d, a) for i, d, a in claim_rows])
+        got = self.same_join(sales, raw, 30)  # ages clip at 0 and at W = 30
+        assert got.quarantined == len({(i, d) for i, d, _ in claim_rows
+                                       if i >= len(sale_days)})
 
 
 class TestBuildClaimsMeasures:
@@ -252,13 +342,16 @@ class TestBuildClaimsMeasures:
             claims.append((vid, int(rng.integers(-W, T)), 1.0))
         joined = join_claims(sales, claims_table(*claims), W)
         kept = len(joined.age)
-        assert kept + joined.quarantined == len(claims)
+        # same-day claims of one vehicle merge into one
+        merged = {(v, d) for v, d, _ in claims}
+        assert len(merged) < len(claims)
+        assert kept + joined.quarantined == len(merged)
         known = set(sales.vehicle_id.tolist())
-        assert kept == sum(1 for c in claims if c[0] in known)
+        assert kept == sum(1 for v, _ in merged if v in known)
         assert np.all(np.diff(joined.item) >= 0)
         for i, vid in enumerate(sales.vehicle_id.tolist()):
             want = sorted(min(max(d - int(sales.day[i]), 0), W)
-                          for v, d, _ in claims if v == vid)
+                          for v, d in merged if v == vid)
             assert item_points(joined, i) == tuple(float(a) for a in want)
 
 
@@ -342,6 +435,118 @@ def grid_oracle(per_item, rebate, horizon, n):
             first[k] += tot
             second[k] += tot * tot
     return first / n, second / n
+
+
+def all_pairs_second(joined, rebate, horizon, n):
+    """The second-moment grid from every ordered pair of one item's claims,
+    each window's day ranges taken at its own offset: the defining sums,
+    added in the order the close pairs keep."""
+    left, right = [], []
+    for i in range(len(joined.item)):
+        for j in np.flatnonzero(joined.item == joined.item[i]).tolist():
+            left.append(i)
+            right.append(j)
+    left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+    age, wts = joined.age, np.asarray(rebate(joined.age), dtype=float)
+    lo, hi = np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
+    days = horizon.sale_days
+    start, end = horizon.sale_day_range(lo, hi)
+    return range_sums(start, end, wts[left] * wts[right], days[0], len(days)) / n
+
+
+def brute_close_pairs(joined, period):
+    """The ordered pairs of one item's claims at most ``period`` apart."""
+    item, age = joined.item.tolist(), joined.age.tolist()
+    return [
+        (i, j)
+        for i in range(len(age))
+        for j in range(len(age))
+        if item[i] == item[j] and abs(age[i] - age[j]) <= period
+    ]
+
+
+SPREAD_AGES = st.lists(st.lists(st.integers(0, 40), max_size=6), max_size=8)
+
+
+class TestCloseClaimPairs:
+    """moment_grids expands only the claim pairs at most T apart, once for
+    every window."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(SPREAD_AGES, st.sampled_from(["free_replacement", "linear"]))
+    def test_one_call_is_one_call_per_horizon_and_all_pairs(self, per_item, kind):
+        joined = joined_from(per_item)
+        rebate = RebateFunction(kind, 40)
+        fitted = MeanClaimsMeasure(-1e-4, 6e-3, atom0=0.05, atomW=0.02, warranty=40)
+        horizons = [TimeHorizon(40, 12), TimeHorizon(40, 12, offset=12)]
+        both = moment_grids(joined, fitted, rebate, horizons, n=9)
+        for horizon, grids in zip(horizons, both):
+            [alone] = moment_grids(joined, fitted, rebate, [horizon], n=9)
+            for got, want in zip(grids, alone):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            [(_, raw_var, _)] = moment_grids(
+                joined, zero_measure(40), rebate, [horizon], n=9
+            )
+            want = np.maximum(all_pairs_second(joined, rebate, horizon, 9), 0.0)
+            assert raw_var.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["free_replacement", "linear"])
+    @pytest.mark.parametrize("offset", [0, 12])
+    def test_matches_defining_sums_on_claims_far_apart(self, kind, offset):
+        # every item holds claims more than T = 12 days apart, fractional
+        # ones included, so the pair filter drops pairs; at offset 12 the
+        # age just below 3 has its first sale day at 10, where 12 - age
+        # rounds to 9
+        per_item = [(0, 13, 26.5, 40), (3.25, 15.25, 15.75, 28), (0, 0, 40, 40),
+                    (5,), (), (1.5, 14, 39.5), (3 - 2**-50, 20)]
+        h = TimeHorizon(40, 12, offset=offset)
+        rebate = RebateFunction(kind, 40)
+        joined = joined_from(per_item)
+        assert len(_close_pairs(joined.item, joined.age, 40, 12)[0]) < sum(
+            len(p) ** 2 for p in per_item
+        )
+        [(_, var, _)] = moment_grids(joined, zero_measure(40), rebate, [h], n=7)
+        _, second_ref = grid_oracle(per_item, rebate, h, 7)
+        assert np.allclose(var, second_ref, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.integers(0, 40), st.floats(0.0, 40.0)), max_size=7
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 19),
+    )
+    def test_expanded_pairs_are_the_pairs_at_most_t_apart(self, per_item, period):
+        joined = joined_from(per_item)
+        left, right = _close_pairs(joined.item, joined.age, 40, period)
+        assert list(zip(left.tolist(), right.tolist())) == brute_close_pairs(
+            joined, period
+        )
+
+    def test_pairs_exactly_t_apart_kept(self):
+        age = np.array([0.3, 12.3, 12.300000000000002, 40.0])
+        item = np.zeros(4, dtype=np.int64)
+        left, right = _close_pairs(item, age, 40, 12)
+        want = brute_close_pairs(JoinedClaims(item, age, np.zeros(4)), 12)
+        assert list(zip(left.tolist(), right.tolist())) == want
+        assert (0, 1) in want
+
+    def test_horizons_must_share_the_clock(self):
+        fitted = zero_measure(W)
+        for horizons in ([], [HORIZON, TimeHorizon(W, T - 1)],
+                         [HORIZON, TimeHorizon(W + 1, T)]):
+            with pytest.raises(DomainError, match="share"):
+                moment_grids(joined_from([(1,)]), fitted, FREE, horizons, n=1)
+
+    def test_joined_claims_sorted_by_item_then_age(self):
+        with pytest.raises(DomainError, match="sorted"):
+            JoinedClaims([0, 0], [5.0, 3.0], [1.0, 1.0])
+        with pytest.raises(DomainError, match="sorted"):
+            JoinedClaims([1, 0], [3.0, 5.0], [1.0, 1.0])
+        assert len(JoinedClaims([0, 1], [5.0, 3.0], [1.0, 1.0]).age) == 2
 
 
 class TestMomentGrids:

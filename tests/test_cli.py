@@ -177,6 +177,24 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"need 2*period < warranty, got T=91, W={warranty}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--qq-k", "0"], "qq_k must be at least 2"),
+         (["--qq-k", "1"], "qq_k must be at least 2"),
+         (["--ma-window", "0"], "ma_window must be at least 1"),
+         (["--poly-degree", "-1"], "poly_degree must be at least 0"),
+         (["--unit-price", "0"], "unit price must be positive"),
+         (["--policy", "prorata", "--unit-price", "-1"], "unit price must be positive")],
+        ids=["qq_k_0", "qq_k_1", "ma_window_0", "poly_degree_-1", "unit_price_0",
+             "prorata_unit_price_-1"],
+    )
+    def test_report_rejects_stage_settings_before_loading(
+        self, tmp_path, capsys, flags, message
+    ):
+        # the input files do not exist: the config is rejected first
+        assert main(["report", *data_args(tmp_path), *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bin_width_leaving_one_bin_is_validation_error(self, dataset_dir, capsys):
         sales = dataset_dir / "sales.csv"
         rc = main(["fit-sales", "--sales", str(sales), *COMMON, "--bin-width", "200"])
@@ -430,9 +448,29 @@ class TestExplicitN:
 PINNED = Path(__file__).resolve().parent / "pinned"
 
 
+@pytest.fixture(scope="module")
+def seed3_dir(tmp_path_factory):
+    """The default simulated dataset at seed 3 (5 000 cars, W = 1096)."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert main(["simulate", "--out-dir", str(root), "--seed", "3"]) == 0
+    return root
+
+
 class TestPinnedOutputs:
-    """Byte-for-byte outputs recorded before validation scored its
-    replications in blocks and the claims sampler stopped sorting."""
+    """Byte-for-byte outputs: the validation reports and datasets recorded
+    before validation scored its replications in blocks and the claims
+    sampler stopped sorting, the forecast reports before the join merged
+    same-day claims and the moment grids kept only close claim pairs."""
+
+    @pytest.mark.parametrize(
+        "policy, flags", [("free", []), ("prorata", ["--policy", "prorata"])]
+    )
+    def test_forecast_report(self, seed3_dir, tmp_path, capsys, policy, flags):
+        argv = ["report", *data_args(seed3_dir), "--periods", "0,1", *flags,
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        got = (tmp_path / "report.json").read_bytes()
+        assert got == (PINNED / f"report_{policy}.json").read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(

@@ -88,6 +88,20 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="period"):
             RunConfig(**clock)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [dict(qq_k=1), dict(qq_k=-5), dict(ma_window=0), dict(poly_degree=-1),
+         dict(unit_price=0.0), dict(unit_price=-2.5), dict(unit_price=float("nan"))],
+        ids=lambda setting: ",".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    def test_stage_settings_rejected_before_any_load(self, setting):
+        with pytest.raises(DomainError, match="must be"):
+            RunConfig(**setting)
+
+    def test_smallest_stage_settings_accepted(self):
+        config = RunConfig(qq_k=2, ma_window=1, poly_degree=0, unit_price=1e-9)
+        assert config.qq_k == 2 and config.poly_degree == 0
+
     def test_smallest_clocks_accepted(self):
         assert RunConfig(warranty=3, period=1).warranty == 3
         assert RunConfig(warranty=183).period == 91

@@ -447,14 +447,38 @@ class TestBatchedQuantiles:
         # one kernel call per round for all levels, not one per level per step
         assert together <= max(alone) < sum(alone)
 
+    @pytest.mark.parametrize(
+        "levels, split_bracket_rounds",
+        [((0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99), 12),
+         ((0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99), 13)],
+        ids=["report", "validate_stable"],
+    )
+    def test_starting_bracket_in_one_round(self, monkeypatch, levels, split_bracket_rounds):
+        # the law both report windows and validate_stable invert; the
+        # rounds counted when each bracket end took a round of its own
+        params = params_mean_case(1.5)
+        calls = []
+        kernel = stable_mod._cdf
+
+        def recording(law, x):
+            calls.append(x.tolist())
+            return kernel(law, x)
+
+        monkeypatch.setattr(stable_mod, "_cdf", recording)
+        got = stable_quantile(params, np.array(levels))
+        assert calls[0] == [-4.0 * params.sigma, 4.0 * params.sigma]
+        assert len(calls) == split_bracket_rounds - 1
+        monkeypatch.undo()
+        assert got.tobytes() == np.array([stable_quantile(params, p) for p in levels]).tobytes()
+
 
 def _brentq(f, xa, xb, xtol, rtol=8.9e-16, maxiter=100):
     """Root of f on [xa, xb]: ``_brent_steps`` with f evaluated at each step."""
     steps = _brent_steps(xa, xb, f(xa), f(xb), xtol, rtol, maxiter)
     try:
-        x = next(steps)
+        (x,) = next(steps)
         while True:
-            x = steps.send(f(x))
+            (x,) = steps.send([f(x)])
     except StopIteration as done:
         return done.value
 
