@@ -7,8 +7,10 @@ same-day claims merged in the join's own sort (:func:`join_claims`), tally
 the ages into daily bins, fit a linear density plus end atoms, and finally
 tabulate, for every forecast window in one call, the per-sale-day mean and
 variance of rebate-weighted window claims.  Which claims land in a window
-is decided by :class:`claimcast.core.TimeHorizon` alone, and the per-day
-sums go through :func:`claimcast.core.range_sums`, the one day-range kernel.
+is decided by :class:`claimcast.core.TimeHorizon` alone, the mean grid is
+:meth:`claimcast.core.MeanClaimsMeasure.mass` of each window, and the
+per-day sums go through :func:`claimcast.core.range_sums`, the one
+day-range kernel.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    MeanClaimsMeasure,
-    RebateFunction,
-    TimeHorizon,
-    WeightedMeasure,
-    mean_window_claims,
-    range_sums,
-)
+from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon, range_sums
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
@@ -249,13 +244,13 @@ def moment_grids(
     fitted: MeanClaimsMeasure,
     rebate: RebateFunction,
     horizons: Sequence[TimeHorizon],
-    n: int,
 ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
     """Per horizon, the mean and variance grids of per-item window claims
     over ``horizon.sale_days`` and how many variance entries were floored
-    at 0; the horizons must share W and T.
+    at 0; the horizons must share W, T and the item count n (``scale``).
 
-    The mean grid integrates the fitted measure over each day's window.
+    The mean grid is the rebate-weighted fitted measure of each day's
+    window, :meth:`MeanClaimsMeasure.mass`.
     The second moment is the raw per-item average of the squared weighted
     window totals: every ordered pair (i, j) of one item's claims at most
     T apart (no window spans more) adds r(c_i) r(c_j) on the sale days
@@ -266,12 +261,10 @@ def moment_grids(
     ceil(o - lo) can round differently for lo within o * 2**-52 of a whole
     number.  Mixing the moments can push the variance below 0, hence the floor.
     """
-    if n < 1:
-        raise DomainError("need at least one sold item")
-    shapes = {(h.warranty, h.period) for h in horizons}
+    shapes = {(h.warranty, h.period, h.scale) for h in horizons}
     if len(shapes) != 1:
-        raise DomainError("horizons must share one warranty and one period")
-    ((w, t),) = shapes
+        raise DomainError("horizons must share one warranty, period and scale")
+    ((w, t, n),) = shapes
     age = claims.age
     wts = np.asarray(rebate(age), dtype=float)
     left, right = _close_pairs(claims.item, age, w, t)
@@ -279,10 +272,9 @@ def moment_grids(
     start, end = TimeHorizon(w, t).sale_day_range(lo, hi)
     second = range_sums(start, end, wts[left] * wts[right], -w, w + t + 1) / n
 
-    measure = WeightedMeasure(fitted, rebate)
     grids = []
     for horizon in horizons:
-        mean = mean_window_claims(measure, horizon.sale_days, horizon)
+        mean = fitted.mass(*horizon.claim_window(horizon.sale_days), rebate)
         if np.any(mean < 0.0):
             raise DomainError("mean window claims must be non-negative")
         var = second - mean**2

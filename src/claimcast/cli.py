@@ -126,9 +126,10 @@ def _print_row_issues(issues) -> None:
 
 
 def _load_inputs(args):
-    sales, sales_issues = dataio.load_sales(args.sales)
-    claims, claim_issues = dataio.load_claims(args.claims)
-    _print_row_issues(sales_issues + claim_issues)
+    sales, issues = dataio.load_sales(args.sales)
+    _print_row_issues(issues)
+    claims, issues = dataio.load_claims(args.claims)
+    _print_row_issues(issues)
     return sales, claims
 
 
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DomainError, ValidationError, LoadError) as exc:
+        if isinstance(exc, LoadError):  # the row issues behind a failed load
+            _print_row_issues(exc.issues)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, NumericalError) as exc:

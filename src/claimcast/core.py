@@ -18,7 +18,7 @@ Conventions used throughout the package:
   over integer sale days, and :meth:`TimeHorizon.lands_in_window` answers
   the rule claim by claim.  The interval is closed, so it holds the age-0
   atom exactly when ``lo == 0`` and the age-W atom exactly when ``hi == W``;
-  :meth:`WeightedMeasure.mass` measures it with no further switch.
+  :meth:`MeanClaimsMeasure.mass` measures it with no further switch.
 * Sums of weights over ranges of integer days go through one kernel,
   :func:`range_sums`.
 """
@@ -37,8 +37,6 @@ __all__ = [
     "TimeHorizon",
     "RebateFunction",
     "MeanClaimsMeasure",
-    "WeightedMeasure",
-    "mean_window_claims",
     "range_sums",
     "FluctuationIncrements",
 ]
@@ -137,8 +135,10 @@ class RebateFunction:
     def __post_init__(self):
         if self.kind not in _REBATE_SHAPES:
             raise DomainError(f"unknown rebate kind {self.kind!r}")
-        if self.unit_price <= 0.0:
-            raise DomainError("unit price must be positive")
+        if not 0.0 < self.unit_price < np.inf:
+            raise DomainError(
+                f"unit price must be positive and finite, got {self.unit_price}"
+            )
 
     @classmethod
     def free_replacement(cls, warranty: int) -> "RebateFunction":
@@ -186,6 +186,8 @@ class MeanClaimsMeasure:
     def __post_init__(self):
         if self.warranty <= 0:
             raise DomainError("warranty must be positive")
+        if not np.all(np.isfinite([self.slope, self.intercept, self.atom0, self.atomW])):
+            raise ValidationError("density and atoms must be finite")
         if self.atom0 < 0.0 or self.atomW < 0.0:
             raise ValidationError("atoms must be non-negative")
         # linear density: checking both endpoints of (0, W) suffices
@@ -214,44 +216,26 @@ class MeanClaimsMeasure:
         bins[w] += self.atomW
         return bins
 
-
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """The measure r(y)^power m(dy): mean measure reweighted by a rebate
-    schedule (``power`` 2 gives the single-claim variance weights)."""
-
-    base: MeanClaimsMeasure
-    weight: RebateFunction
-    power: int = 1
-
-    def __post_init__(self):
-        if self.base.warranty != self.weight.warranty:
+    def mass(self, lo, hi, rebate: RebateFunction, power: int = 1):
+        """The measure r(y)^power m(dy) of the closed interval [lo, hi]
+        (``power`` 2 gives the single-claim variance weights): r^power
+        integrated against the density, plus the age-0 atom when ``lo == 0``
+        and the age-W atom when ``hi == W``; exact, element-wise over arrays
+        of bounds (a float for scalars)."""
+        w = self.warranty
+        if rebate.warranty != w:
             raise ValidationError("measure and rebate must share the warranty length")
-
-    def mass(self, lo, hi):
-        """Measure of the closed interval [lo, hi]: r^power integrated
-        against the density, plus the age-0 atom when ``lo == 0`` and the
-        age-W atom when ``hi == W``; exact, element-wise over arrays of
-        bounds (a float for scalars)."""
-        w = self.base.warranty
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= w)):
             raise DomainError(f"interval [{lo}, {hi}] not inside [0, {w}]")
-        coef = self.weight.poly_coef(self.power)
-        dens = np.array([self.base.intercept, self.base.slope])
+        coef = rebate.poly_coef(power)
+        dens = np.array([self.intercept, self.slope])
         anti = npoly.polyint(npoly.polymul(coef, dens))
         out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-        out = out + np.where(lo == 0.0, self.base.atom0 * npoly.polyval(0.0, coef), 0.0)
-        out = out + np.where(hi == w, self.base.atomW * npoly.polyval(float(w), coef), 0.0)
+        out = out + np.where(lo == 0.0, self.atom0 * npoly.polyval(0.0, coef), 0.0)
+        out = out + np.where(hi == w, self.atomW * npoly.polyval(float(w), coef), 0.0)
         return float(out) if out.ndim == 0 else out
-
-
-def mean_window_claims(weighted: WeightedMeasure, sale_time, horizon: TimeHorizon):
-    """Expected rebate-weighted claims in the window for sales at ``sale_time``
-    (a scalar or an array): the weighted mean measure of each sale's closed
-    age window."""
-    return weighted.mass(*horizon.claim_window(sale_time))
 
 
 def range_sums(start, end, weight, first: int, size: int) -> np.ndarray:

@@ -106,8 +106,10 @@ class RunConfig:
         for name, least in (("qq_k", 2), ("ma_window", 1), ("poly_degree", 0)):
             if getattr(self, name) < least:  # a later stage's rule, checked early
                 raise DomainError(f"{name} must be at least {least}")
-        if not self.unit_price > 0.0:
-            raise DomainError(f"unit price must be positive, got {self.unit_price}")
+        if not 0.0 < self.unit_price < np.inf:
+            raise DomainError(
+                f"unit price must be positive and finite, got {self.unit_price}"
+            )
 
     def items_sold(self, observed: int) -> int:
         """The scale n: the observed sales count or the explicit figure."""
@@ -260,7 +262,7 @@ def run_pipeline(
         TimeHorizon(config.warranty, config.period, k * config.period, n)
         for k in sorted(set(config.periods))
     ]
-    grids = claims_mod.moment_grids(joined, fitted, rebate, horizons, n=n)
+    grids = claims_mod.moment_grids(joined, fitted, rebate, horizons)
     levels = np.array(QUANTILE_LEVELS)
     standard = {}  # stable law -> its quantile column: one call per distinct law
     for horizon, (mean, var, floored) in zip(horizons, grids):

@@ -22,14 +22,7 @@ import numpy as np
 # the first validation, whose make_rng uses it
 import numpy.random
 
-from .core import (
-    FluctuationIncrements,
-    MeanClaimsMeasure,
-    RebateFunction,
-    TimeHorizon,
-    WeightedMeasure,
-    mean_window_claims,
-)
+from .core import FluctuationIncrements, MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .engine import (
     CostApproximation,
     LimitParams,
@@ -227,7 +220,9 @@ class PoissonClaims:
         return item, age
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
-        return _window_moments(self.mean_measure, rebate, horizon)
+        window = horizon.claim_window(horizon.sale_days)
+        m = self.mean_measure
+        return m.mass(*window, rebate), m.mass(*window, rebate, power=2)
 
 
 @dataclass(frozen=True)
@@ -255,30 +250,23 @@ class SingleLifetime:
         return np.flatnonzero(claimed), life[claimed]
 
     def window_moment_grids(self, rebate: RebateFunction, horizon: TimeHorizon):
-        mean, second = _window_moments(self.mean_measure, rebate, horizon)
-        return mean, second - mean**2
+        window = horizon.claim_window(horizon.sale_days)
+        m = self.mean_measure
+        mean = m.mass(*window, rebate)
+        return mean, m.mass(*window, rebate, power=2) - mean**2
 
 
 ClaimsSpec = Union[PoissonClaims, SingleLifetime]
-
-
-def _window_moments(
-    measure: MeanClaimsMeasure, rebate: RebateFunction, horizon: TimeHorizon
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sale-day means of the r- and r^2-weighted window claims."""
-    days = horizon.sale_days
-    weighted = WeightedMeasure(measure, rebate)
-    squared = WeightedMeasure(measure, rebate, power=2)
-    return (
-        mean_window_claims(weighted, days, horizon),
-        mean_window_claims(squared, days, horizon),
-    )
 
 
 @dataclass(frozen=True)
 class LognormalSizes:
     mu_log: float = 0.0
     sigma_log: float = 0.5
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mu_log) and 0.0 <= self.sigma_log < np.inf):
+            raise DomainError("need a finite mu_log and a finite sigma_log >= 0")
 
     def sample(self, rng, size):
         return rng.lognormal(self.mu_log, self.sigma_log, size=size)
@@ -301,8 +289,8 @@ class ParetoSizes:
     xm: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.xm <= 0.0:
-            raise DomainError("need alpha > 0 and xm > 0")
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.xm < np.inf):
+            raise DomainError("need finite alpha > 0 and xm > 0")
 
     def sample(self, rng, size):
         return self.xm * rng.uniform(size=size) ** (-1.0 / self.alpha)

@@ -478,15 +478,13 @@ class TestCloseClaimPairs:
         joined = joined_from(per_item)
         rebate = RebateFunction(kind, 40)
         fitted = MeanClaimsMeasure(-1e-4, 6e-3, atom0=0.05, atomW=0.02, warranty=40)
-        horizons = [TimeHorizon(40, 12), TimeHorizon(40, 12, offset=12)]
-        both = moment_grids(joined, fitted, rebate, horizons, n=9)
+        horizons = [TimeHorizon(40, 12, 0, 9), TimeHorizon(40, 12, 12, 9)]
+        both = moment_grids(joined, fitted, rebate, horizons)
         for horizon, grids in zip(horizons, both):
-            [alone] = moment_grids(joined, fitted, rebate, [horizon], n=9)
+            [alone] = moment_grids(joined, fitted, rebate, [horizon])
             for got, want in zip(grids, alone):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            [(_, raw_var, _)] = moment_grids(
-                joined, zero_measure(40), rebate, [horizon], n=9
-            )
+            [(_, raw_var, _)] = moment_grids(joined, zero_measure(40), rebate, [horizon])
             want = np.maximum(all_pairs_second(joined, rebate, horizon, 9), 0.0)
             assert raw_var.tobytes() == want.tobytes()
 
@@ -499,13 +497,13 @@ class TestCloseClaimPairs:
         # rounds to 9
         per_item = [(0, 13, 26.5, 40), (3.25, 15.25, 15.75, 28), (0, 0, 40, 40),
                     (5,), (), (1.5, 14, 39.5), (3 - 2**-50, 20)]
-        h = TimeHorizon(40, 12, offset=offset)
+        h = TimeHorizon(40, 12, offset=offset, scale=7)
         rebate = RebateFunction(kind, 40)
         joined = joined_from(per_item)
         assert len(_close_pairs(joined.item, joined.age, 40, 12)[0]) < sum(
             len(p) ** 2 for p in per_item
         )
-        [(_, var, _)] = moment_grids(joined, zero_measure(40), rebate, [h], n=7)
+        [(_, var, _)] = moment_grids(joined, zero_measure(40), rebate, [h])
         _, second_ref = grid_oracle(per_item, rebate, h, 7)
         assert np.allclose(var, second_ref, atol=1e-12)
 
@@ -537,9 +535,10 @@ class TestCloseClaimPairs:
     def test_horizons_must_share_the_clock(self):
         fitted = zero_measure(W)
         for horizons in ([], [HORIZON, TimeHorizon(W, T - 1)],
-                         [HORIZON, TimeHorizon(W + 1, T)]):
+                         [HORIZON, TimeHorizon(W + 1, T)],
+                         [HORIZON, TimeHorizon(W, T, offset=T, scale=2)]):
             with pytest.raises(DomainError, match="share"):
-                moment_grids(joined_from([(1,)]), fitted, FREE, horizons, n=1)
+                moment_grids(joined_from([(1,)]), fitted, FREE, horizons)
 
     def test_joined_claims_sorted_by_item_then_age(self):
         with pytest.raises(DomainError, match="sorted"):
@@ -552,7 +551,9 @@ class TestCloseClaimPairs:
 class TestMomentGrids:
     def test_mean_vanishes_in_empty_window(self):
         fitted = MeanClaimsMeasure(0.0, 1e-3, atom0=0.0, atomW=0.1, warranty=W)
-        [(mean, _, _)] = moment_grids(joined_from([]), fitted, FREE, [HORIZON], n=5)
+        [(mean, _, _)] = moment_grids(
+            joined_from([]), fitted, FREE, [TimeHorizon(W, T, scale=5)]
+        )
         assert mean[-1] == pytest.approx(0.0)  # x = T: window [0, 0], no atom
 
     def test_two_item_toy_variance(self):
@@ -562,8 +563,7 @@ class TestMomentGrids:
             joined_from([(5,), ()]),
             MeanClaimsMeasure(0.0, 0.0, atom0=0.5, warranty=W),
             FREE,
-            [HORIZON],
-            n=2,
+            [TimeHorizon(W, T, scale=2)],
         )
         at0 = np.where(HORIZON.sale_days == 0)[0][0]
         assert mean[at0] == pytest.approx(0.5)
@@ -571,11 +571,11 @@ class TestMomentGrids:
 
     def test_matches_defining_sums_free_replacement(self):
         rng = np.random.default_rng(23)
-        h = TimeHorizon(40, 12)
+        h = TimeHorizon(40, 12, scale=30)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 5)) for _ in range(30)]
         rebate = RebateFunction.free_replacement(40)
         [(mean, var, floored)] = moment_grids(
-            joined_from(measures), zero_measure(40), rebate, [h], n=30
+            joined_from(measures), zero_measure(40), rebate, [h]
         )
         _, second_ref = grid_oracle(measures, rebate, h, 30)
         assert np.all(mean == 0.0)
@@ -584,11 +584,11 @@ class TestMomentGrids:
 
     def test_matches_defining_sums_prorata_with_offset(self):
         rng = np.random.default_rng(29)
-        h = TimeHorizon(40, 12, offset=12)
+        h = TimeHorizon(40, 12, offset=12, scale=25)
         measures = [rng.uniform(0, 40, size=rng.integers(0, 4)) for _ in range(25)]
         rebate = RebateFunction.linear(40)
         [(mean, var, _)] = moment_grids(
-            joined_from(measures), zero_measure(40), rebate, [h], n=25
+            joined_from(measures), zero_measure(40), rebate, [h]
         )
         _, second_ref = grid_oracle(measures, rebate, h, 25)
         assert np.all(mean == 0.0)
@@ -601,24 +601,24 @@ class TestMomentGrids:
             joined_from([(3,), ()]),
             fitted,
             FREE,
-            [HORIZON],
-            n=2,
+            [TimeHorizon(W, T, scale=2)],
         )
         assert floored > 0
         assert np.all(var >= 0.0)
 
     def test_branch_boundary_windows_agree_up_to_atoms(self):
         fitted = MeanClaimsMeasure(1e-6, 1e-3, atom0=0.3, atomW=0.2, warranty=W)
-        from claimcast.core import WeightedMeasure
-
-        wm = WeightedMeasure(fitted, FREE)
-        bare = WeightedMeasure(MeanClaimsMeasure(1e-6, 1e-3, warranty=W), FREE)
+        bare = MeanClaimsMeasure(1e-6, 1e-3, warranty=W)
         # x = 0: window [0, T] holds the age-0 atom on top of the density
         assert HORIZON.claim_window(0) == (0.0, T)
-        assert wm.mass(0, T) == pytest.approx(bare.mass(0, T) + fitted.atom0)
+        assert fitted.mass(0, T, FREE) == pytest.approx(
+            bare.mass(0, T, FREE) + fitted.atom0
+        )
         # x = T - W: window [W-T, W] holds the age-W atom on top of the density
         assert HORIZON.claim_window(T - W) == (W - T, W)
-        assert wm.mass(W - T, W) == pytest.approx(bare.mass(W - T, W) + fitted.atomW)
+        assert fitted.mass(W - T, W, FREE) == pytest.approx(
+            bare.mass(W - T, W, FREE) + fitted.atomW
+        )
 
     def test_window_never_longer_than_period(self):
         for x in HORIZON.sale_days[:: len(HORIZON.sale_days) // 37]:

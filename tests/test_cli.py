@@ -184,9 +184,10 @@ class TestExitCodes:
          (["--ma-window", "0"], "ma_window must be at least 1"),
          (["--poly-degree", "-1"], "poly_degree must be at least 0"),
          (["--unit-price", "0"], "unit price must be positive"),
-         (["--policy", "prorata", "--unit-price", "-1"], "unit price must be positive")],
+         (["--policy", "prorata", "--unit-price", "-1"], "unit price must be positive"),
+         (["--policy", "prorata", "--unit-price", "inf"], "unit price must be positive")],
         ids=["qq_k_0", "qq_k_1", "ma_window_0", "poly_degree_-1", "unit_price_0",
-             "prorata_unit_price_-1"],
+             "prorata_unit_price_-1", "prorata_unit_price_inf"],
     )
     def test_report_rejects_stage_settings_before_loading(
         self, tmp_path, capsys, flags, message
@@ -271,6 +272,30 @@ class TestExitCodes:
         assert rc == 2
         assert f"error: {claims}: read failed after line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows,issues,error",
+        [
+            (["A,1", ",2", "C,x", "D,4"],
+             ["line 3: empty vehicle_id", "line 4: unparseable sale_date 'x'"],
+             "2 of 4 rows malformed (over the 1% budget)"),
+            ([f"V{i},{i}" for i in range(200)] + [",5", "V7,9"],
+             ["line 202: empty vehicle_id"], "duplicate sales rows for vehicle 'V7'"),
+            ([f"V{i},{i}" for i in range(200)] + [",5", "V\xe9,9"],
+             ["line 202: empty vehicle_id"], "read failed after line 202"),
+        ],
+        ids=["over_budget", "repeated_id", "read_error"],
+    )
+    def test_failed_load_prints_its_row_issues(self, tmp_path, capsys, rows, issues, error):
+        # the issues found before the load failed come first, then the error
+        sales = tmp_path / "sales.csv"
+        body = "vehicle_id,sale_date\n" + "".join(row + "\n" for row in rows)
+        sales.write_bytes(body.encode("latin-1"))
+        rc = main(["fit-sales", "--sales", str(sales), *COMMON])
+        assert rc == 2
+        *warnings, last = capsys.readouterr().err.splitlines()
+        assert warnings == [f"warning: {issue}" for issue in issues]
+        assert last.startswith(f"error: {sales}: ") and error in last
+
     def test_negative_explicit_n_is_validation_error(self, dataset_dir, capsys):
         rc = main(["fit-sales", "--sales", str(dataset_dir / "sales.csv"), "--n", "-5"])
         assert rc == 2
@@ -305,6 +330,32 @@ class TestExitCodes:
         rc = main(["validate", *flags, "--reps", "100"])
         assert rc == 2
         assert "needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--theorem", "prorata", "--unit-price", "nan"],
+            ["--theorem", "normal", "--size-sigma-log", "nan"],
+            ["--theorem", "normal", "--size-sigma-log", "-1"],
+            ["--theorem", "normal", "--size-mu-log", "nan"],
+            ["--theorem", "count", "--density-intercept", "nan"],
+            ["--atom0", "nan"],
+            ["--atomW", "inf"],
+            ["--density-slope", "inf"],
+            ["--theorem", "stable_1_2", "--pareto-alpha", "nan"],
+        ],
+    )
+    def test_bad_model_parameter_rejected_before_any_replication(
+        self, flags, capsys, monkeypatch
+    ):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("replications ran")
+
+        monkeypatch.setattr("claimcast.sim.monte_carlo_validate", no_replications)
+        rc = main(["validate", *flags, "--reps", "100"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestConfigFile:

@@ -10,8 +10,6 @@ from claimcast.core import (
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
-    WeightedMeasure,
-    mean_window_claims,
     range_sums,
 )
 from claimcast.errors import DomainError, ValidationError
@@ -166,6 +164,11 @@ class TestRebateFunction:
         with pytest.raises(DomainError):
             RebateFunction("tabulated", W)
 
+    @pytest.mark.parametrize("price", [0.0, -1.0, np.nan, np.inf])
+    def test_unit_price_must_be_positive_and_finite(self, price):
+        with pytest.raises(DomainError, match="unit price"):
+            RebateFunction.linear(W, unit_price=price)
+
     def test_squared(self):
         days = np.arange(0, W + 1, 7)
         for kind in ("free_replacement", "linear", "quadratic"):
@@ -191,6 +194,16 @@ class TestMeanClaimsMeasure:
         with pytest.raises(ValidationError, match="near x=W "):
             MeanClaimsMeasure(slope=-1e-3, intercept=1e-4, warranty=W)
 
+    @pytest.mark.parametrize("field", ["slope", "intercept", "atom0", "atomW"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            replace(car_mean_measure(), **{field: value})
+
+    def test_negative_atom_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            replace(car_mean_measure(), atomW=-1e-3)
+
     def test_bin_masses_sum_to_total(self):
         m = car_mean_measure()
         # independent tally: daily bins m((i-1, i]) = a*i + b - a/2, atoms at ends
@@ -202,15 +215,17 @@ class TestMeanClaimsMeasure:
 
 
 class TestWeightedMass:
+    """MeanClaimsMeasure.mass: the measure r(y)^power m(dy) of a closed interval."""
+
     def test_uniform_unit_mass(self):
         m = MeanClaimsMeasure(0.0, 1.0 / W, warranty=W)
-        wm = WeightedMeasure(m, RebateFunction.free_replacement(W))
-        assert wm.mass(0, W) == pytest.approx(1.0, rel=1e-12)
+        assert m.mass(0, W, RebateFunction.free_replacement(W)) == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     def test_car_total_mass_matches_daily_tally(self):
         m = car_mean_measure()
-        wm = WeightedMeasure(m, RebateFunction.free_replacement(W))
-        total = wm.mass(0, W)  # the closed [0, W] holds both atoms
+        total = m.mass(0, W, RebateFunction.free_replacement(W))  # holds both atoms
         assert total == pytest.approx(float(np.sum(m.bin_masses())), rel=1e-10)
         # frozen value from the daily tally of the published coefficients
         assert total == pytest.approx(1.2626383968, abs=5e-9)
@@ -218,8 +233,9 @@ class TestWeightedMass:
     def test_triangle_area_under_linear_rebate(self):
         c = 0.37
         m = MeanClaimsMeasure(0.0, c, warranty=W)
-        wm = WeightedMeasure(m, RebateFunction.linear(W))
-        assert wm.mass(0, W) == pytest.approx(c * W / 2.0, rel=1e-12)
+        assert m.mass(0, W, RebateFunction.linear(W)) == pytest.approx(
+            c * W / 2.0, rel=1e-12
+        )
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
     def test_squared_weight_is_exact(self, kind):
@@ -227,13 +243,12 @@ class TestWeightedMass:
         # exact for the degree <= 5 integrand; atoms weighted by r(0)^2, r(W)^2
         m = MeanClaimsMeasure(2e-7, 1e-3, atom0=0.25, atomW=0.5, warranty=W)
         r = RebateFunction(kind, W)
-        wm = WeightedMeasure(m, r, power=2)
         rng = np.random.default_rng(8)
         lo = np.concatenate([[0.0, 3.0, 100.2, W - T], rng.uniform(0, W, 40)])
         hi = np.minimum(lo + np.concatenate([[W, 0.0, 0.5, T], rng.uniform(0, W, 40)]), W)
         left = lo == 0.0
         right = hi == W
-        got = wm.mass(lo, hi)
+        got = m.mass(lo, hi, r, power=2)
         nodes, weights = np.polynomial.legendre.leggauss(64)
         for k in range(len(lo)):
             y = 0.5 * (hi[k] - lo[k]) * nodes + 0.5 * (hi[k] + lo[k])
@@ -241,16 +256,16 @@ class TestWeightedMass:
             want = 0.5 * (hi[k] - lo[k]) * float(weights @ f)
             want += left[k] * m.atom0 + right[k] * m.atomW * float(r(float(W))) ** 2
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
-            assert wm.mass(lo[k], hi[k]) == got[k]
+            assert m.mass(lo[k], hi[k], r, power=2) == got[k]
 
     @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
     def test_array_bounds_match_scalar_calls(self, kind):
-        wm = WeightedMeasure(car_mean_measure(), RebateFunction(kind, W))
+        m, r = car_mean_measure(), RebateFunction(kind, W)
         lo = np.array([0.0, 0.0, 10.0, W - T, 500.5, 0.0, W])
         hi = np.array([T, W, 10.0, W, 501.0, 0.0, W])
-        got = wm.mass(lo, hi)
+        got = m.mass(lo, hi, r)
         for k in range(len(lo)):
-            assert got[k] == wm.mass(lo[k], hi[k])
+            assert got[k] == m.mass(lo[k], hi[k], r)
 
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("kind", ["free_replacement", "linear", "quadratic"])
@@ -259,8 +274,7 @@ class TestWeightedMass:
         # hi == W; the density part is that of the atom-free measure
         m = car_mean_measure()
         r = RebateFunction(kind, W)
-        wm = WeightedMeasure(m, r, power=power)
-        bare = WeightedMeasure(replace(m, atom0=0.0, atomW=0.0), r, power=power)
+        bare = replace(m, atom0=0.0, atomW=0.0)
         at0 = m.atom0 * float(r(0.0)) ** power
         at_w = m.atomW * float(r(float(W))) ** power
         cases = [
@@ -273,20 +287,31 @@ class TestWeightedMass:
             (5.0, 5.0, 0.0),
         ]
         for lo, hi, atoms in cases:
-            assert wm.mass(lo, hi) == pytest.approx(bare.mass(lo, hi) + atoms, abs=1e-15)
+            assert m.mass(lo, hi, r, power) == pytest.approx(
+                bare.mass(lo, hi, r, power) + atoms, abs=1e-15
+            )
         lo, hi, atoms = (np.array(col) for col in zip(*cases))
-        assert np.allclose(wm.mass(lo, hi), bare.mass(lo, hi) + atoms, rtol=0, atol=1e-15)
+        want = bare.mass(lo, hi, r, power) + atoms
+        assert np.allclose(m.mass(lo, hi, r, power), want, rtol=0, atol=1e-15)
         if kind == "free_replacement":
-            assert wm.mass(0.0, 0.0) == m.atom0 and wm.mass(W, W) == m.atomW
+            assert m.mass(0.0, 0.0, r, power) == m.atom0
+            assert m.mass(W, W, r, power) == m.atomW
 
     def test_invalid_interval_rejected(self):
-        wm = WeightedMeasure(car_mean_measure(), RebateFunction.free_replacement(W))
+        m, r = car_mean_measure(), RebateFunction.free_replacement(W)
         with pytest.raises(DomainError):
-            wm.mass(-1, 10)
+            m.mass(-1, 10, r)
         with pytest.raises(DomainError):
-            wm.mass(10, 5)
+            m.mass(10, 5, r)
         with pytest.raises(DomainError):
-            wm.mass(0, W + 1)
+            m.mass(0, W + 1, r)
+
+    def test_rebate_of_another_warranty_rejected(self):
+        m = car_mean_measure()
+        with pytest.raises(ValidationError, match="warranty"):
+            m.mass(0, T, RebateFunction.free_replacement(W + 1))
+        with pytest.raises(ValidationError, match="warranty"):
+            m.mass(0, T, RebateFunction.linear(W - 1), power=2)
 
     @given(
         s=st.floats(0, W),
@@ -301,27 +326,28 @@ class TestWeightedMass:
         lo, mid, hi = sorted((s, u, v))
         m = car_mean_measure()
         r = RebateFunction(kind, W)
-        wm = WeightedMeasure(m, r)
         shared = m.atom0 * r(0.0) if mid == 0.0 else 0.0
         shared += m.atomW * r(float(W)) if mid == W else 0.0
-        whole = wm.mass(lo, hi)
-        parts = wm.mass(lo, mid) + wm.mass(mid, hi) - shared
+        whole = m.mass(lo, hi, r)
+        parts = m.mass(lo, mid, r) + m.mass(mid, hi, r) - shared
         assert whole == pytest.approx(parts, abs=1e-9)
-        assert wm.mass(lo, mid) <= whole + 1e-12  # monotone for non-negative density
+        assert m.mass(lo, mid, r) <= whole + 1e-12  # monotone for non-negative density
 
 
 class TestMeanWindowClaims:
+    """A sale's mean window claims: the mass of its claim window."""
+
     def test_empty_window_at_period_end(self):
         m = MeanClaimsMeasure(0.0, 1e-3, atom0=0.0, warranty=W)
-        wm = WeightedMeasure(m, RebateFunction.free_replacement(W))
-        assert mean_window_claims(wm, T, HORIZON) == pytest.approx(0.0)
+        r = RebateFunction.free_replacement(W)
+        assert m.mass(*HORIZON.claim_window(T), r) == pytest.approx(0.0)
 
     def test_atoms_enter_only_at_pinned_edges(self):
         m = MeanClaimsMeasure(0.0, 0.0, atom0=0.25, atomW=0.5, warranty=W)
-        wm = WeightedMeasure(m, RebateFunction.free_replacement(W))
-        assert mean_window_claims(wm, 0, HORIZON) == pytest.approx(0.25)
-        assert mean_window_claims(wm, T - W, HORIZON) == pytest.approx(0.5)
-        assert mean_window_claims(wm, -10, HORIZON) == pytest.approx(0.0)
+        r = RebateFunction.free_replacement(W)
+        assert m.mass(*HORIZON.claim_window(0), r) == pytest.approx(0.25)
+        assert m.mass(*HORIZON.claim_window(T - W), r) == pytest.approx(0.5)
+        assert m.mass(*HORIZON.claim_window(-10), r) == pytest.approx(0.0)
 
 
 def brute_force_range_sums(start, end, weight, first, size):

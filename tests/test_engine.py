@@ -55,9 +55,9 @@ class TestComputeRateConstants:
     def test_car_coefficients_reproduce_published_rate(self, offset, want):
         # the fitted measure and Bass coefficients are published to four
         # significant digits, which caps agreement at roughly 2e-4
-        horizon = TimeHorizon(W, T, offset, N)
+        horizon = TimeHorizon(W, T, offset)
         [(mean, var, _)] = moment_grids(
-            NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W), [horizon], n=1
+            NO_CLAIMS, CAR_MEASURE, RebateFunction.free_replacement(W), [horizon]
         )
         c1, _ = rate_constants(mean, var, CAR_BASS.share(horizon.sale_days))
         assert c1 == pytest.approx(want, abs=2e-4)
@@ -307,7 +307,7 @@ class TestCostApproxProrata:
         # 5-day horizon: atoms at 0 and W only, linear share; the rate
         # constant collapses to a double sum over sale days and atoms
         w, t = 5, 2
-        horizon = TimeHorizon(w, t, 0, 10)
+        horizon = TimeHorizon(w, t)
         m = MeanClaimsMeasure(0.0, 0.0, atom0=0.3, atomW=0.2, warranty=w)
         rebate = RebateFunction.linear(w, unit_price=2.0)
 
@@ -325,7 +325,7 @@ class TestCostApproxProrata:
                         contrib += float(rebate(age)) * mass
                 c1_ref += 0.5 * x_mid_weight * contrib
 
-        [(mean, _, _)] = moment_grids(NO_CLAIMS, m, rebate, [horizon], n=1)
+        [(mean, _, _)] = moment_grids(NO_CLAIMS, m, rebate, [horizon])
         dnu = np.diff(nu)
         c1 = float(np.sum(0.5 * (mean[1:] + mean[:-1]) * dnu))
         assert c1 == pytest.approx(c1_ref, rel=1e-12)

@@ -701,3 +701,19 @@ class TestSizeLaws:
         assert np.min(x) >= 2.0
         assert law.mean == pytest.approx(2.0 * 3.0)
         assert np.mean(np.log(x / 2.0)) == pytest.approx(1.0 / 1.5, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "mu_log,sigma_log", [(np.nan, 0.5), (np.inf, 0.5), (0.0, np.nan), (0.0, np.inf),
+                             (0.0, -1.0)]
+    )
+    def test_lognormal_needs_finite_parameters(self, mu_log, sigma_log):
+        with pytest.raises(DomainError, match="finite"):
+            LognormalSizes(mu_log, sigma_log)
+
+    @pytest.mark.parametrize(
+        "alpha,xm", [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0), (1.5, np.nan),
+                     (1.5, np.inf), (1.5, -1.0)]
+    )
+    def test_pareto_needs_finite_positive_parameters(self, alpha, xm):
+        with pytest.raises(DomainError, match="alpha"):
+            ParetoSizes(alpha, xm)
