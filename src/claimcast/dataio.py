@@ -3,19 +3,22 @@
 Input files carry raw dates, either integer day numbers or ISO-8601
 calendar dates (auto-detected per value).  A loader reads its file once as
 bytes.  A clean file (:func:`_clean`: printable ASCII, one kind of line
-end, no quotes, every line as long in fields as the header) is split in
-one numpy pass, its fields kept as offsets into the bytes.  Any other file
-goes through ``csv.reader`` in chunks of ``CHUNK_ROWS`` rows.  Either way
-the same row checks see whole columns: day numbers and amounts are cast
-as a column where they are plain (digits; decimals as a clean file holds
-them, or any amount ``float()`` takes in a ``csv.reader`` chunk), and only
-the other values are parsed one by one.  Only accepted ids become an
-array, so an id column is as wide as its longest accepted id.  A row is
-rejected by the first check it fails, in a fixed order per file, and
-reported as a :class:`RowIssue` with its line number; rejected rows are
-fatal only past a 1% share, a repeated id always.  Anchoring onto the
-forecast clock (day 0 = the day after the last observed sale) happens in
-the pipeline so sales and claims share one anchor.
+end, no quotes, every line as long in fields as the header) is split and
+cast in line-aligned blocks of about ``BLOCK_BYTES``, its fields kept as
+offsets into the block, so that beside the file and its columns a load
+holds one block's work.  Any other file goes through ``csv.reader`` in
+chunks of ``CHUNK_ROWS`` rows.  Either way the same row checks see each
+block or chunk as whole columns: day numbers and amounts are cast as a
+column where they are plain (digits; decimals as a clean file holds them,
+or any amount ``float()`` takes in a ``csv.reader`` chunk), and only the
+other values are parsed one by one.  Only accepted ids become an array, so
+an id column is as wide as its longest accepted id; the ids that must be
+unique are held as packed 64-bit keys where they pack.  A row is rejected
+by the first check it fails, in a fixed order per file, and reported as a
+:class:`RowIssue` with its line number; rejected rows are fatal only past
+a 1% share, a repeated id always.  Anchoring onto the forecast clock
+(day 0 = the day after the last observed sale) happens in the pipeline so
+sales and claims share one anchor.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ def _parse_day(raw: str) -> int:
 
 
 CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
+BLOCK_BYTES = 1 << 17  # bytes of a clean file split and cast at a time
 _READ_ERRORS = (csv.Error, UnicodeError)  # raised by a read
 _DAY_WIDTH = 18  # the most digits :func:`_days` casts at once
 _AMOUNT_WIDTH = 17  # a plain decimal's most characters: "-", 15 digits, "."
@@ -68,8 +72,12 @@ _AMOUNT_WIDTH = 17  # a plain decimal's most characters: "-", 15 digits, "."
 _GATHERED = {"sale_date": _DAY_WIDTH, "claim_date": _DAY_WIDTH, "amount": _AMOUNT_WIDTH}
 
 
+class _NotClean(Exception):
+    """Raised by :func:`_clean` where a file is not clean."""
+
+
 def _clean(data: bytes, required: Sequence[str]):
-    """The required columns of a clean file as :class:`_Fields`, else None.
+    """Yield the data rows of a clean file as (line numbers, columns) blocks.
 
     A clean file is printable ASCII in lines that all end in ``\\n`` or all
     in ``\\r\\n``, with no ``"``, no blank line and the header's field count
@@ -80,49 +88,82 @@ def _clean(data: bytes, required: Sequence[str]):
     longer than ``csv.reader``'s field limit.  ``csv.reader`` would split
     such a file on every comma and line end, and each of its fields is
     already stripped.
+
+    The checks that are ``bytes`` methods see the whole file; the others
+    see one block of whole lines at a time, about ``BLOCK_BYTES`` long,
+    which is then yielded as its rows' line numbers and its required
+    columns as :class:`_Fields`.  :class:`_NotClean` is raised where the
+    file is not clean, at the latest after its last block.  The width rule
+    weighs the file's row count against its widest fields so far, so it
+    fails at the first block that makes the whole file fail it.
     """
-    end = b"\r\n" if b"\r" in data else b"\n"
-    data += b"" if data.endswith(b"\n") else end
     if not data.isascii() or b'"' in data or b"\x7f" in data:
-        return None
-    header = data[: data.index(b"\n") + 1].removesuffix(end).decode().split(",")
+        raise _NotClean
+    end = b"\r\n" if b"\r" in data else b"\n"
+    tail = b"" if data.endswith(b"\n") else end  # the last line's missing end
+    size = len(data) + len(tail)
+    rows = data.count(b"\n") + bool(tail) - 1  # the data rows, if clean
+    start = data.find(b"\n") + 1 or len(data)  # where the header line ends
+    head = data[:start] + (tail if start == len(data) else b"")
+    header = head.removesuffix(end).decode().split(",")
     where = {name: i for i, name in enumerate(header)}
     if any(c not in where for c in required):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        raise _NotClean
     pattern = np.full(len(header), ord(","), dtype=np.uint8)
     pattern[-1] = ord("\n")
-    if len(ends) % len(header) or np.any(buf[ends].reshape(-1, len(header)) != pattern):
-        return None  # a line with another field count, a blank one among them
-    ends = ends.reshape(-1, len(header))
+    _line_ends(head, pattern, end)
+    caps = [_GATHERED.get(name, size) for name in required]
+    widest = [0] * len(required)
+    done = 0  # the data rows of the blocks before
+    while start < len(data):
+        # the block ends with the line that holds its BLOCK_BYTES-th byte
+        stop = data.find(b"\n", min(start + BLOCK_BYTES, len(data)) - 1) + 1 or len(data)
+        block = data[start:stop] + (tail if stop == len(data) else b"")
+        ends = _line_ends(block, pattern, end)
+        columns = []
+        for name in required:
+            j = where[name]
+            first = ends[:, j - 1] + 1 if j else np.append(0, ends[:-1, -1] + 1)
+            last = ends[:, j] - (len(end) - 1 if j == len(header) - 1 else 0)
+            columns.append(_Fields(block, first, last))
+        widest = [max(w, int(c.widths.max())) for w, c in zip(widest, columns)]
+        if rows * sum(map(min, widest, caps)) > 2 * size:
+            raise _NotClean  # costly fixed-width columns
+        buf = np.frombuffer(block, dtype=np.uint8)
+        if b" " in block and any(
+            np.any(buf[c.starts] == ord(" ")) or np.any(buf[c.ends - 1] == ord(" "))
+            for c in columns
+        ):
+            raise _NotClean
+        yield np.arange(done + 2, done + 2 + len(ends)), columns
+        done, start = done + len(ends), stop
+
+
+def _line_ends(block: bytes, pattern: np.ndarray, end: bytes) -> np.ndarray:
+    """The offsets of the commas and line ends of whole lines, a row per line.
+
+    :class:`_NotClean` is raised for a line whose commas and line ends are
+    not ``pattern`` (a line with another field count, a blank one), a
+    control character or stray ``\\r``, a line that ends in ``\\n`` alone
+    where ``end`` is ``\\r\\n``, and a line longer than ``csv.reader``'s
+    field limit.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if len(ends) % len(pattern) or np.any(buf[ends].reshape(-1, len(pattern)) != pattern):
+        raise _NotClean
+    ends = ends.reshape(-1, len(pattern))
     if np.count_nonzero(buf < 0x20) != len(ends) * len(end):
-        return None  # a control character, or a stray \r
+        raise _NotClean
     if len(end) == 2 and np.any(buf[ends[:, -1] - 1] != ord("\r")):
-        return None  # a line that ends in \n alone
-    columns = []
-    for name in required:
-        j = where[name]
-        start = (ends[1:, j - 1] if j else ends[:-1, -1]) + 1
-        stop = ends[1:, j] - (len(end) - 1 if j == len(header) - 1 else 0)
-        columns.append(_Fields(data, start, stop))
-    width = sum(
-        min(int(c.widths.max(initial=0)), _GATHERED.get(name, len(data)))
-        for name, c in zip(required, columns)
-    )
-    longest = np.diff(ends[:, -1], prepend=-1).max()  # a line with its end
-    if longest > csv.field_size_limit() or (len(ends) - 1) * width > 2 * len(data):
-        return None  # a field csv.reader refuses, or costly fixed-width columns
-    if b" " in data and any(
-        np.any(buf[c.starts] == ord(" ")) or np.any(buf[c.ends - 1] == ord(" "))
-        for c in columns
-    ):
-        return None
-    return columns
+        raise _NotClean
+    if np.diff(ends[:, -1], prepend=-1).max() > csv.field_size_limit():
+        raise _NotClean
+    return ends
 
 
 class _Fields:
-    """One column of a clean file: its fields as offsets into the file's bytes."""
+    """One column of a clean file's block: its fields as offsets into the block."""
 
     def __init__(self, data: bytes, starts: np.ndarray, ends: np.ndarray):
         self.data, self.starts, self.ends = data, starts, ends
@@ -133,6 +174,10 @@ class _Fields:
 
     def __getitem__(self, k) -> str:
         return self.data[self.starts[k] : self.ends[k]].decode()
+
+    def take(self, keep: np.ndarray) -> "_Fields":
+        """The fields where ``keep`` is set."""
+        return _Fields(self.data, self.starts[keep], self.ends[keep])
 
     def chars(self, width: int, right: bool = False) -> np.ndarray:
         """The fields as a (width, rows) byte matrix.
@@ -154,11 +199,10 @@ class _Fields:
             np.putmask(out, at >= self.widths, 0)
         return out
 
-    def text(self, keep: np.ndarray) -> np.ndarray:
-        """The kept fields as a str array as wide as the widest of them."""
-        kept = _Fields(self.data, self.starts[keep], self.ends[keep])
-        width = max(int(kept.widths.max(initial=0)), 1)
-        return kept.chars(width).T.astype("<u4", order="C").view(f"<U{width}").ravel()
+    def text(self) -> np.ndarray:
+        """The fields as a str array as wide as the widest of them."""
+        width = max(int(self.widths.max(initial=0)), 1)
+        return self.chars(width).T.astype("<u4", order="C").view(f"<U{width}").ravel()
 
 
 def _read_chunks(path, data: bytes, required: Sequence[str]):
@@ -233,8 +277,8 @@ def _ids(raw) -> Tuple[List[str], np.ndarray]:
     a numpy str array drops trailing NULs, so it could not be stored as
     read.  The ids stay Python strings (a clean file's stay
     :class:`_Fields`, already stripped and free of NULs): only the kept
-    ones become an array (:func:`_kept`), so a long id in a rejected row
-    does not widen the column.
+    ones become an array (:func:`_kept`, :func:`_packed`), so a long id in
+    a rejected row does not widen the column.
     """
     if isinstance(raw, _Fields):
         return raw, raw.widths == 0
@@ -254,8 +298,31 @@ def _kept(column, keep: np.ndarray) -> np.ndarray:
     if isinstance(column, np.ndarray):
         return column[keep]
     if isinstance(column, _Fields):
-        return column.text(keep)
+        return column.take(keep).text()
     return np.array(column if keep.all() else list(compress(column, keep)), dtype=str)
+
+
+def _packed(ids, keep: np.ndarray) -> np.ndarray:
+    """The kept ids of one chunk as :func:`claimcast.claims._id_keys` packs them.
+
+    Ids that pack come back as uint64 keys, any others as a str array.  A
+    clean file's ids of at most 8 bytes are packed from its bytes, with no
+    str array between.
+    """
+    if isinstance(ids, _Fields):
+        kept = ids.take(keep)
+        if kept.widths.max(initial=0) > 8:
+            return kept.text()
+        chars = np.ascontiguousarray(kept.chars(8).T)  # one row of 8 bytes per id
+        return chars.view(">u8").ravel().astype(np.uint64)
+    (keys,) = _id_keys(_kept(ids, keep))
+    return keys
+
+
+def _unpacked(keys: np.ndarray) -> np.ndarray:
+    """The str ids that :func:`_packed` packed into ``keys``."""
+    chars = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return chars.astype("<u4").view("<U8").ravel()
 
 
 def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
@@ -358,86 +425,102 @@ def _horner(digits: np.ndarray) -> np.ndarray:
     return values
 
 
-def _load(path, required: Sequence[str], check, key: int, duplicate: str):
+def _load(path, required: Sequence[str], check, duplicate: str):
     """The accepted rows of ``path`` as columns, and its row issues.
 
-    The file is read once as bytes.  A clean one (:func:`_clean`) is
-    checked as one chunk, row k on line k + 2; any other goes through
-    ``csv.reader`` in chunks (:func:`_read_chunks`).  ``check`` maps one
-    chunk's raw columns to its parsed columns (ids as lists or
-    :class:`_Fields`, the rest as arrays) and the (row, message) pairs of
-    its rejected rows.  Column ``key`` must be unique among accepted rows:
-    a repeat raises ``duplicate`` (a message prefix) naming both lines,
-    with the issues on earlier lines.  As in a row-at-a-time read, a
-    repeat takes precedence over the 1% budget and over a read error
-    further down the file; the ``LoadError`` of a read error carries the
-    issues found before it.
+    The file is read once as bytes.  A clean one goes through
+    :func:`_clean` in line-aligned blocks, any other through
+    ``csv.reader`` in chunks (:func:`_read_chunks`).  A file found not to
+    be clean after some of its blocks were checked starts again through
+    ``csv.reader``.  ``check`` maps one chunk's raw columns to its parsed
+    columns (ids as lists or :class:`_Fields`, the rest as arrays), its
+    ids that must be unique, and the (row, message) pairs of its rejected
+    rows.  A repeat among the accepted rows' ids raises ``duplicate`` (a
+    message prefix) naming both lines, with the issues on earlier lines.
+    As in a row-at-a-time read, a repeat takes precedence over the 1%
+    budget and over a read error further down the file; the ``LoadError``
+    of a read error carries the issues found before it.
     """
     path = Path(path)
     try:
         data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    clean = _clean(data, required)
-    if clean is None:
-        chunks = _read_chunks(path, data, required)
-    else:
-        chunks = [(np.arange(2, len(clean[0]) + 2), clean)]
+    try:
+        return _accepted(path, _clean(data, required), check, duplicate)
+    except _NotClean:
+        pass  # the handler's traceback would hold the blocks checked so far
+    return _accepted(path, _read_chunks(path, data, required), check, duplicate)
+
+
+def _accepted(path, chunks, check, duplicate: str):
+    """:func:`_load` over (line numbers, raw columns) chunks.
+
+    Each chunk's kept columns are held, and joined once at the end; its
+    kept ids are held only as :func:`_packed` keys, with their lines.
+    """
     parts: List[List[np.ndarray]] = []
+    ids: List[Tuple[np.ndarray, np.ndarray]] = []
     issues: List[RowIssue] = []
     total = 0
     try:
         for lines, raw in chunks:
-            columns, rejected = check(*raw)
+            columns, unique, rejected = check(*raw)
             keep = np.ones(len(lines), dtype=bool)
             for k, message in rejected:
                 keep[k] = False
                 issues.append(RowIssue(int(lines[k]), message))
-            parts.append([lines[keep]] + [_kept(c, keep) for c in columns])
+            parts.append([_kept(c, keep) for c in columns])
+            ids.append((lines[keep], _packed(unique, keep)))
             total += len(lines)
     except LoadError as exc:
-        _check_unique(path, parts, key, duplicate, issues)
+        _check_unique(path, ids, duplicate, issues)
         exc.issues = issues
         raise
-    _check_unique(path, parts, key, duplicate, issues)
+    _check_unique(path, ids, duplicate, issues)
     _check_bad_share(path, total, issues)
-    return [np.concatenate(c) for c in list(zip(*parts))[1:]], issues
+    del ids  # freed before the columns are joined
+    return [np.concatenate(c) for c in zip(*parts)], issues
 
 
 def _has_repeat(ids: np.ndarray) -> bool:
-    """Whether a str array holds some value twice.
+    """Whether uint64 keys or a str array hold some value twice."""
+    if ids.dtype == np.uint64:
+        ids = np.sort(ids)
+        return bool(np.any(ids[1:] == ids[:-1]))
+    return len(set(ids.tolist())) < len(ids)
 
-    Ids that pack into 64-bit keys (:func:`claimcast.claims._id_keys`) are
-    compared sorted, any others through a set.
+
+def _check_unique(path, parts, duplicate: str, issues) -> None:
+    """Raise the ``LoadError`` for the earliest repeated id, if any.
+
+    ``parts`` holds each chunk's kept lines and :func:`_packed` ids.  The
+    ids are compared as keys where every chunk's ids pack, else as str.
     """
-    (keys,) = _id_keys(ids)
-    if keys is ids:
-        return len(set(ids.tolist())) < len(ids)
-    keys = np.sort(keys)
-    return bool(np.any(keys[1:] == keys[:-1]))
-
-
-def _check_unique(path, parts, key: int, duplicate: str, issues) -> None:
-    """Raise the ``LoadError`` for the earliest repeated id, if any."""
     if not parts:
         return
-    lines = np.concatenate([part[0] for part in parts])
-    ids = np.concatenate([part[1 + key] for part in parts])
+    ids = [keys for _, keys in parts]
+    packed = all(keys.dtype == np.uint64 for keys in ids)
+    if not packed:
+        ids = [keys if keys.dtype.kind == "U" else _unpacked(keys) for keys in ids]
+    ids = np.concatenate(ids)
     if not _has_repeat(ids):
         return
+    lines = np.concatenate([lines for lines, _ in parts])
     unique, first = np.unique(ids, return_index=True)
     again = np.ones(len(ids), dtype=bool)
     again[first] = False
     k = int(np.argmax(again))  # the earliest repeat in file order
     earlier = int(lines[first[np.searchsorted(unique, ids[k])]])
+    repeat = _unpacked(ids[k : k + 1]) if packed else ids[k : k + 1]
     raise LoadError(
-        f"{path}: {duplicate} {str(ids[k])!r} (lines {earlier} and {int(lines[k])})",
+        f"{path}: {duplicate} {str(repeat[0])!r} (lines {earlier} and {int(lines[k])})",
         [issue for issue in issues if issue.line < lines[k]],
     )
 
 
 def _sales_rows(vehicle_id, sale_date):
-    """One chunk's checks: sale_date, then vehicle_id."""
+    """One chunk's checks: sale_date, then vehicle_id, the unique id."""
     vid, bad_vid = _ids(vehicle_id)
     day, day_ok = _days(sale_date)
     rejected = []
@@ -446,11 +529,14 @@ def _sales_rows(vehicle_id, sale_date):
             rejected.append((k, f"unparseable sale_date {sale_date[k]!r}"))
         else:
             rejected.append((k, _id_issue("vehicle_id", vid[k])))
-    return (vid, day), rejected
+    return (vid, day), vid, rejected
 
 
 def _claim_rows(vehicle_id, claim_date, claim_id, amount):
-    """One chunk's checks: vehicle_id, claim_id, claim_date, then amount."""
+    """One chunk's checks: vehicle_id, claim_id, claim_date, then amount.
+
+    The claim ids are the unique ids.
+    """
     vid, bad_vid = _ids(vehicle_id)
     cid, bad_cid = _ids(claim_id)
     day, day_ok = _days(claim_date)
@@ -472,7 +558,7 @@ def _claim_rows(vehicle_id, claim_date, claim_id, amount):
         else:
             message = f"negative amount {float(value[k])}"
         rejected.append((k, message))
-    return (vid, day, value, cid), rejected
+    return (vid, day, value), cid, rejected
 
 
 def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
@@ -487,7 +573,6 @@ def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
         path,
         ("vehicle_id", "sale_date"),
         _sales_rows,
-        0,
         "duplicate sales rows for vehicle",
     )
     return SalesTable(vid, day), issues
@@ -502,11 +587,10 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     amount.  Duplicate claim ids are fatal (both line numbers reported);
     rejected rows are collected and become fatal only past a 1% share.
     """
-    (vid, day, amount, _), issues = _load(
+    (vid, day, amount), issues = _load(
         path,
         ("vehicle_id", "claim_date", "claim_id", "amount"),
         _claim_rows,
-        3,
         "duplicate claim id",
     )
     return ClaimsTable(vid, day, amount), issues

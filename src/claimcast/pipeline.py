@@ -387,6 +387,8 @@ def synthesize_dataset(
     from .sales import BassParams
     from .sim import LognormalSizes, PoissonClaims, make_rng
 
+    if seed < 0:
+        raise DomainError(f"need a non-negative seed, got {seed}")
     rng = make_rng(seed)
     curve = BassParams(p=bass_p, q=bass_q, n=n, origin=0)
     share = curve.share(np.arange(span + 1, dtype=float))

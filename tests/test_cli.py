@@ -7,6 +7,7 @@ import pytest
 
 from claimcast.cli import _build_config, build_parser, main
 from claimcast.dataio import load_claims, load_sales
+from claimcast.errors import DomainError
 from claimcast.pipeline import RunConfig, report_text, run_pipeline, synthesize_dataset
 
 COMMON = ["--warranty", "200", "--period", "30", "--qq-k", "300", "--ma-window", "10",
@@ -331,6 +332,11 @@ class TestExitCodes:
         assert rc == 2
         assert "needs" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, capsys):
+        rc = main(["validate", "--seed", "-1", "--reps", "100"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need a non-negative seed, got -1\n"
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -457,6 +463,16 @@ class TestDefaults:
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 0
         assert main(["report", *data_args(tmp_path)]) == 0
         assert "error" not in capsys.readouterr().err
+
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out-dir", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need a non-negative seed, got -1\n"
+        assert not out.exists()  # nothing drawn, nothing written
+        with pytest.raises(DomainError, match="non-negative seed"):
+            synthesize_dataset(out / "s.csv", out / "c.csv", seed=-3)
+        assert not out.exists()
 
     def test_simulate_has_no_forecast_period(self, tmp_path):
         # the dataset spans sale and claim days only; T belongs to RunConfig
