@@ -11,6 +11,11 @@ is decided by :class:`claimcast.core.TimeHorizon` alone, the mean grid is
 :meth:`claimcast.core.MeanClaimsMeasure.mass` of each window, and the
 per-day sums go through :func:`claimcast.core.range_sums`, the one
 day-range kernel.
+
+Each step holds its inputs, its result and at most one block of work.  The
+join packs the ids into one 8-byte key per row and drops each index array
+after its last use; the grids expand the close claim pairs ``PAIR_BLOCK``
+claims at a time and keep only each pair's sale-day range and weight.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon, range_sums
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
+
+# claims whose close pairs moment_grids expands at a time
+PAIR_BLOCK = 2048
 
 __all__ = [
     "SalesTable",
@@ -77,13 +85,27 @@ class ClaimsTable:
         return len(self.day)
 
 
+def _concat_blocks(parts: list) -> List[np.ndarray]:
+    """Columns joined from blocks, ``parts`` holding one sequence of columns
+    per block.  ``parts`` is emptied, and each column's blocks are dropped
+    once it is joined, so at most one joined column lives beside the blocks."""
+    columns = [list(column) for column in zip(*parts)]
+    parts.clear()
+    joined = []
+    while columns:
+        joined.append(np.concatenate(columns.pop(0)))
+    return joined
+
+
 def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Str arrays of ids as uint64 keys that sort and compare as the ids do.
 
     An id of at most 8 characters below U+0100 packs into one big-endian
     64-bit word, its Latin-1 bytes then NULs: numpy compares str values
     character by character with NULs past the shorter, so the words keep
-    both order and equality.  If any column is wider or holds another
+    both order and equality.  Each column's words are written byte-reversed
+    into one (n, 8) byte matrix, which is then read as little-endian keys
+    with no further copy.  If any column is wider or holds another
     character, every column comes back unchanged, for the str path.
     """
     keys = []
@@ -91,11 +113,11 @@ def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
         ids = np.ascontiguousarray(ids)
         width = ids.itemsize // 4
         codes = ids.view(np.uint32).reshape(len(ids), width)
-        if width > 8 or np.any(codes > 0xFF):
+        if width > 8 or codes.max(initial=0) > 0xFF:
             return columns
         chars = np.zeros((len(ids), 8), dtype=np.uint8)
-        chars[:, :width] = codes
-        keys.append(chars.view(">u8").ravel().astype(np.uint64))
+        chars[:, 8 - width :] = codes[:, ::-1]
+        keys.append(chars.view("<u8").ravel())
     return tuple(keys)
 
 
@@ -106,10 +128,17 @@ def _merge_days(owner: np.ndarray, day: np.ndarray, amount: np.ndarray):
     low, high = day.min(initial=0), day.max(initial=0)
     if (owner.max(initial=0) + 1.0) * (float(high) - float(low) + 1.0) >= 2.0**62:
         low, high, day = 0, len(day), np.unique(day, return_inverse=True)[1]
-    key = owner * (high - low + 1) + (day - low)
+    key = owner * (high - low + 1)
+    key += day
+    key -= low
     order = np.argsort(key, kind="stable")
-    new = np.diff(key[order], prepend=-1) != 0
-    return order[new], np.bincount(np.cumsum(new) - 1, weights=amount[order])
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    group = np.cumsum(new)
+    group -= 1
+    return order[new], np.bincount(group, weights=amount[order])
 
 
 def aggregate_daily_claims(claims: ClaimsTable) -> ClaimsTable:
@@ -163,16 +192,30 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     sale_keys, claim_keys = _id_keys(sales.vehicle_id, claims.vehicle_id)
     order = np.argsort(sale_keys, kind="stable")
     ids = sale_keys[order]
-    pos = np.searchsorted(ids, claim_keys)
-    known = pos < len(ids)
-    known[known] = ids[pos[known]] == claim_keys[known]
-    owner = np.empty(len(claims), dtype=np.int64)
-    owner[known] = order[pos[known]]
-    owner[~known] = len(ids) + np.unique(claim_keys[~known], return_inverse=True)[1]
+    del sale_keys
+    sold = len(ids)
+    if sold:
+        # a claim's id can only sit at its left insertion point, so
+        # clamping that point into the ids makes no false match
+        pos = np.searchsorted(ids, claim_keys)
+        np.minimum(pos, sold - 1, out=pos)
+        unknown = ids[pos] != claim_keys
+        owner = order[pos]
+        del pos
+    else:
+        unknown = np.ones(len(claim_keys), dtype=bool)
+        owner = np.empty(len(claim_keys), dtype=np.int64)
+    del ids, order
+    owner[unknown] = sold + np.unique(claim_keys[unknown], return_inverse=True)[1]
+    del claim_keys, unknown
     rows, amount = _merge_days(owner, claims.day, claims.amount)
-    kept = int(np.searchsorted(owner[rows], len(ids)))
-    item, rows = owner[rows[:kept]], rows[:kept]
-    age = np.clip(claims.day[rows] - sales.day[item], 0, warranty)
+    owner = owner[rows]
+    kept = int(np.searchsorted(owner, sold))
+    item = owner[:kept]
+    # clipped as int64, written as float: the same values, one array
+    age = np.empty(kept)
+    np.clip(claims.day[rows[:kept]] - sales.day[item], 0, warranty, out=age)
+    del rows
     quarantined = len(amount) - kept
     if quarantined:
         logger.warning(
@@ -226,17 +269,38 @@ def fit_mean_measure(bins) -> MeanClaimsMeasure:
 
 def _close_pairs(item: np.ndarray, age: np.ndarray, warranty: int, period: int):
     """The ordered pairs (i, j) of one item's claims at most ``period`` apart,
-    in (i, j) order, for claims sorted by (item, age).  Claim i's candidates
-    run from ``first[i]``, the first claim whose key item * (W + T + 2) + age
-    is at most T + 1/2 below i's, to the last j with ``first[j] <= i``; the
-    key can round fractional ages, so hi - lo <= T is tested on the ages."""
+    in (i, j) order, for claims sorted by (item, age), yielded for one block
+    of ``PAIR_BLOCK`` claims i at a time (one empty block if there are no
+    claims).  Claim i's candidates run from ``first[i]``, the first claim
+    whose key item * (W + T + 2) + age is at most T + 1/2 below i's, to the
+    last j with ``first[j] <= i`` (``first`` is non-decreasing); the key
+    can round fractional ages, so hi - lo <= T is tested on the ages."""
     key = item * (warranty + period + 2.0) + age
     first = np.searchsorted(key, key - (period + 0.5))
-    size = np.cumsum(np.bincount(first, minlength=len(key))) - first
-    left = np.repeat(np.arange(len(age)), size)
-    right = np.arange(len(left)) - np.repeat(np.cumsum(size) - size - first, size)
-    close = np.abs(age[left] - age[right]) <= period
-    return left[close], right[close]
+    del key
+    for a in range(0, max(len(age), 1), PAIR_BLOCK):
+        b = min(a + PAIR_BLOCK, len(age))
+        claim = np.arange(a, b)
+        count = np.searchsorted(first, claim, side="right") - first[a:b]
+        left = np.repeat(claim, count)
+        right = np.arange(len(left)) - np.repeat(np.cumsum(count) - count - first[a:b], count)
+        close = np.abs(age[left] - age[right]) <= period
+        yield left[close], right[close]
+
+
+def _pair_ranges(claims: JoinedClaims, rebate: RebateFunction, warranty: int, period: int):
+    """The sale-day range and weight r(c_i) r(c_j) of every close pair, in
+    (i, j) order, as the offset-0 window counts them (see
+    :func:`moment_grids`); only these columns outlive a block."""
+    age = claims.age
+    wts = np.asarray(rebate(age), dtype=float)
+    clock = TimeHorizon(warranty, period)
+    parts = []
+    for left, right in _close_pairs(claims.item, age, warranty, period):
+        a, b = age[left], age[right]
+        start, end = clock.sale_day_range(np.minimum(a, b), np.maximum(a, b))
+        parts.append((start.astype(np.int32), end.astype(np.int32), wts[left] * wts[right]))
+    return _concat_blocks(parts)
 
 
 def moment_grids(
@@ -260,17 +324,18 @@ def moment_grids(
     serves all horizons.  For fractional ages this ceil(-lo) form is exact;
     ceil(o - lo) can round differently for lo within o * 2**-52 of a whole
     number.  Mixing the moments can push the variance below 0, hence the floor.
+
+    What stays in memory beside the claims and the grids: the rebate weight
+    and first candidate of every claim, one block's expansion, and the
+    close pairs' int32 sale-day ranges and float weights (16 bytes a pair),
+    which are joined in (i, j) order and summed in that one call, so the
+    grids do not depend on ``PAIR_BLOCK``.
     """
     shapes = {(h.warranty, h.period, h.scale) for h in horizons}
     if len(shapes) != 1:
         raise DomainError("horizons must share one warranty, period and scale")
     ((w, t, n),) = shapes
-    age = claims.age
-    wts = np.asarray(rebate(age), dtype=float)
-    left, right = _close_pairs(claims.item, age, w, t)
-    lo, hi = np.minimum(age[left], age[right]), np.maximum(age[left], age[right])
-    start, end = TimeHorizon(w, t).sale_day_range(lo, hi)
-    second = range_sums(start, end, wts[left] * wts[right], -w, w + t + 1) / n
+    second = range_sums(*_pair_ranges(claims, rebate, w, t), -w, w + t + 1) / n
 
     grids = []
     for horizon in horizons:

@@ -21,6 +21,9 @@ Conventions used throughout the package:
   :meth:`MeanClaimsMeasure.mass` measures it with no further switch.
 * Sums of weights over ranges of integer days go through one kernel,
   :func:`range_sums`.
+* Power-basis polynomials are numpy's ``polyval``, ``polyint``, ``polymul``
+  and ``polypow`` (from ``numpy.polynomial.polynomial``), ported with their
+  operation order so the bits match, without loading that package.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, ValidationError
 
@@ -111,6 +113,47 @@ class TimeHorizon:
         return live & (lo <= age) & (age <= hi)
 
 
+def _polytrim(c: np.ndarray) -> np.ndarray:
+    """``c`` without its trailing zero coefficients, keeping at least one."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if len(nonzero) else c[:1]
+
+
+def _polyval(x, c):
+    """Horner's rule from the highest coefficient, as numpy's ``polyval``;
+    ``c`` is a 1-d float array, ``x`` a scalar or an array."""
+    if isinstance(x, np.ndarray):
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    out = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        out = c[-i] + out * x
+    return out
+
+
+def _polymul(c1, c2) -> np.ndarray:
+    return _polytrim(np.convolve(_polytrim(c1), _polytrim(c2)))
+
+
+def _polypow(c, power: int) -> np.ndarray:
+    c = _polytrim(np.array(c, dtype=float))
+    out = np.ones(1) if power == 0 else c
+    for _ in range(2, power + 1):
+        out = np.convolve(out, c)
+    return out
+
+
+def _polyint(c) -> np.ndarray:
+    """The antiderivative that is 0 at 0, as numpy's ``polyint``."""
+    c = np.array(c, dtype=float)
+    if len(c) == 1 and c[0] == 0:
+        return np.zeros(1)
+    out = np.empty(len(c) + 1)
+    out[0] = c[0] * 0
+    out[1:] = c / np.arange(1, len(c) + 1)
+    out[0] += 0 - _polyval(0, out)
+    return out
+
+
 # r(t) = p(t / W): power-basis coefficients of p, exact in the unit variable
 _REBATE_SHAPES = {
     "free_replacement": (1.0,),
@@ -161,14 +204,14 @@ class RebateFunction:
         once, so the square of ``linear`` has exactly the coefficients of
         ``quadratic``.
         """
-        shape = npoly.polypow(_REBATE_SHAPES[self.kind], power)
+        shape = _polypow(_REBATE_SHAPES[self.kind], power)
         return shape / float(self.warranty) ** np.arange(len(shape))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-9) or np.any(t > self.warranty + 1e-9):
             raise DomainError("rebate evaluated outside [0, W]")
-        out = npoly.polyval(t, self.poly_coef())
+        out = _polyval(t, self.poly_coef())
         return float(out) if out.ndim == 0 else out
 
 
@@ -231,10 +274,10 @@ class MeanClaimsMeasure:
             raise DomainError(f"interval [{lo}, {hi}] not inside [0, {w}]")
         coef = rebate.poly_coef(power)
         dens = np.array([self.intercept, self.slope])
-        anti = npoly.polyint(npoly.polymul(coef, dens))
-        out = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-        out = out + np.where(lo == 0.0, self.atom0 * npoly.polyval(0.0, coef), 0.0)
-        out = out + np.where(hi == w, self.atomW * npoly.polyval(float(w), coef), 0.0)
+        anti = _polyint(_polymul(coef, dens))
+        out = _polyval(hi, anti) - _polyval(lo, anti)
+        out = out + np.where(lo == 0.0, self.atom0 * _polyval(0.0, coef), 0.0)
+        out = out + np.where(hi == w, self.atomW * _polyval(float(w), coef), 0.0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -250,9 +293,11 @@ def range_sums(start, end, weight, first: int, size: int) -> np.ndarray:
     start, end = np.asarray(start), np.asarray(end)
     weight = np.asarray(weight, dtype=float)
     keep = start <= end
+    if not keep.all():
+        start, end, weight = start[keep], end[keep], weight[keep]
     acc = np.zeros(size + 1)
-    np.add.at(acc, start[keep] - first, weight[keep])
-    np.add.at(acc, end[keep] - first + 1, -weight[keep])
+    np.add.at(acc, start - first, weight)
+    np.add.at(acc, end - (first - 1), -weight)
     return np.cumsum(acc)[:size]
 
 

@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .claims import ClaimsTable, SalesTable, _id_keys
+from .claims import ClaimsTable, SalesTable, _concat_blocks, _id_keys
 from .errors import LoadError
 
 __all__ = [
@@ -63,7 +63,7 @@ def _parse_day(raw: str) -> int:
         return date.fromisoformat(raw).toordinal()
 
 
-CHUNK_ROWS = 2048  # rows converted to numpy columns at a time
+CHUNK_ROWS = 2048  # rows converted between text and numpy columns at a time
 BLOCK_BYTES = 1 << 17  # bytes of a clean file split and cast at a time
 _READ_ERRORS = (csv.Error, UnicodeError)  # raised by a read
 _DAY_WIDTH = 18  # the most digits :func:`_days` casts at once
@@ -456,8 +456,9 @@ def _load(path, required: Sequence[str], check, duplicate: str):
 def _accepted(path, chunks, check, duplicate: str):
     """:func:`_load` over (line numbers, raw columns) chunks.
 
-    Each chunk's kept columns are held, and joined once at the end; its
-    kept ids are held only as :func:`_packed` keys, with their lines.
+    Each chunk's kept columns are held, and joined one column at a time at
+    the end (:func:`claimcast.claims._concat_blocks`); its kept ids are held
+    only as :func:`_packed` keys, with their lines.
     """
     parts: List[List[np.ndarray]] = []
     ids: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -480,7 +481,7 @@ def _accepted(path, chunks, check, duplicate: str):
     _check_unique(path, ids, duplicate, issues)
     _check_bad_share(path, total, issues)
     del ids  # freed before the columns are joined
-    return [np.concatenate(c) for c in zip(*parts)], issues
+    return _concat_blocks(parts), issues
 
 
 def _has_repeat(ids: np.ndarray) -> bool:
@@ -626,15 +627,18 @@ def anchor_day_zero(
 
 
 def write_series(path, x_name: str, x: np.ndarray, y_name: str, y: np.ndarray) -> None:
-    """Two-column CSV with full-precision floats (round-trips exactly)."""
+    """Two-column CSV with full-precision floats (round-trips exactly),
+    formatted and written ``CHUNK_ROWS`` rows at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    x = np.asarray(x, dtype=float).tolist()
-    y = np.asarray(y, dtype=float).tolist()
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow([x_name, y_name])
-        # a float's repr never needs quoting; "\r\n" is csv.writer's line end
-        handle.write("".join([f"{a!r},{b!r}\r\n" for a, b in zip(x, y)]))
+        for k in range(0, min(len(x), len(y)), CHUNK_ROWS):
+            rows = zip(x[k : k + CHUNK_ROWS].tolist(), y[k : k + CHUNK_ROWS].tolist())
+            # a float's repr never needs quoting; "\r\n" is csv.writer's line end
+            handle.write("".join([f"{a!r},{b!r}\r\n" for a, b in rows]))
 
 
 def write_json_report(payload: dict, path) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Optional, Tuple
 
 import numpy as np
@@ -53,7 +52,14 @@ __all__ = [
 # standard normal CDF and quantile, elementwise; within 2.2e-16 absolute and
 # 1e-15 relative of scipy's ndtr and ndtri
 _ndtr = np.frompyfunc(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), 1, 1)
-_ndtri = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+try:  # the routine NormalDist().inv_cdf calls, without importing statistics
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # a Python without the C accelerator
+    from statistics import NormalDist
+
+    _ndtri = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+else:
+    _ndtri = np.frompyfunc(lambda p: _normal_dist_inv_cdf(p, 0.0, 1.0), 1, 1)
 
 
 @dataclass(frozen=True)

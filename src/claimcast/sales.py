@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from .core import FluctuationIncrements, TimeHorizon
+from .core import FluctuationIncrements, TimeHorizon, _polyval
 from .errors import DomainError, FitError
 
 logger = logging.getLogger(__name__)
@@ -276,6 +274,31 @@ def decompose_residuals(
     )
 
 
+def _poly_fit(x, y, degree: int, at: np.ndarray) -> np.ndarray:
+    """The degree-``degree`` least-squares polynomial through (x, y), at
+    ``at``: numpy's ``Polynomial.fit(x, y, degree)(at)``, ported with its
+    operation order so the bits match.  x is mapped from [min, max] onto
+    [-1, 1], the Vandermonde columns are scaled to unit norm for one
+    ``lstsq``, and a rank below degree + 1 is a :class:`FitError`."""
+    domain = np.asarray(x, dtype=float)
+    lo, hi = domain.min(), domain.max()
+    if lo == hi:
+        lo, hi = lo - 1, hi + 1
+    off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+    u = off + scl * x + 0.0
+    powers = np.empty((degree + 1, len(u)))
+    powers[0] = u * 0 + 1
+    for i in range(1, degree + 1):
+        powers[i] = powers[i - 1] * u  # 1 * u is u for the finite u here
+    norm = np.sqrt(np.square(powers).sum(1))
+    norm[norm == 0] = 1
+    rcond = len(u) * np.finfo(float).eps
+    coef, _, rank, _ = np.linalg.lstsq(powers.T / norm, y + 0.0, rcond)
+    if rank != degree + 1:
+        raise FitError("rank-deficient polynomial fit: The fit may be poorly conditioned")
+    return _polyval(off + scl * at, coef / norm)
+
+
 def _extend(
     obs_days: np.ndarray,
     obs_values: np.ndarray,
@@ -293,13 +316,7 @@ def _extend(
     if degree >= len(obs_days):
         raise FitError("polynomial degree exceeds the observed sample")
     y = np.log(obs_values) if log_domain else obs_values
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.RankWarning)
-        try:
-            poly = Polynomial.fit(obs_days, y, degree)
-        except np.exceptions.RankWarning as exc:
-            raise FitError(f"rank-deficient polynomial fit: {exc}") from exc
-    out = poly(target_days.astype(float))
+    out = _poly_fit(obs_days, y, degree, target_days.astype(float))
     if log_domain:
         out = np.exp(out)
     inside = (target_days >= obs_days[0]) & (target_days <= obs_days[-1])

@@ -584,6 +584,8 @@ def monte_carlo_validate(
         raise DomainError("need at least 100 replications")
     if seed < 0:
         raise DomainError(f"need a non-negative seed, got {seed}")
+    if workers < 1:
+        raise DomainError(f"need at least one worker, got {workers}")
     blocks = [range(r, min(r + _BLOCK, reps)) for r in range(0, reps, _BLOCK)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structured_merge
+from claimcast import claims as claims_mod
 from claimcast.claims import (
     ClaimsTable,
     JoinedClaims,
@@ -454,6 +458,12 @@ def all_pairs_second(joined, rebate, horizon, n):
     return range_sums(start, end, wts[left] * wts[right], days[0], len(days)) / n
 
 
+def close_pairs(item, age, warranty, period):
+    """The pairs of every block of :func:`_close_pairs`, joined."""
+    left, right = zip(*_close_pairs(item, age, warranty, period))
+    return np.concatenate(left), np.concatenate(right)
+
+
 def brute_close_pairs(joined, period):
     """The ordered pairs of one item's claims at most ``period`` apart."""
     item, age = joined.item.tolist(), joined.age.tolist()
@@ -500,7 +510,7 @@ class TestCloseClaimPairs:
         h = TimeHorizon(40, 12, offset=offset, scale=7)
         rebate = RebateFunction(kind, 40)
         joined = joined_from(per_item)
-        assert len(_close_pairs(joined.item, joined.age, 40, 12)[0]) < sum(
+        assert len(close_pairs(joined.item, joined.age, 40, 12)[0]) < sum(
             len(p) ** 2 for p in per_item
         )
         [(_, var, _)] = moment_grids(joined, zero_measure(40), rebate, [h])
@@ -516,18 +526,34 @@ class TestCloseClaimPairs:
             max_size=8,
         ),
         st.integers(1, 19),
+        st.sampled_from([1, 2, 5, claims_mod.PAIR_BLOCK]),
     )
-    def test_expanded_pairs_are_the_pairs_at_most_t_apart(self, per_item, period):
+    def test_expanded_pairs_are_the_pairs_at_most_t_apart(self, per_item, period, block):
         joined = joined_from(per_item)
-        left, right = _close_pairs(joined.item, joined.age, 40, period)
+        with mock.patch.object(claims_mod, "PAIR_BLOCK", block):
+            left, right = close_pairs(joined.item, joined.age, 40, period)
         assert list(zip(left.tolist(), right.tolist())) == brute_close_pairs(
             joined, period
         )
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_grids_do_not_depend_on_the_block_size(self, block):
+        sales, claims = paper_scale_tables(n_items=300, n_claims=2_000, unknown=0)
+        joined = join_claims(sales, claims, W)
+        fitted = MeanClaimsMeasure(-8.9e-7, 1.48e-3, 0.133, 0.042, W)
+        horizons = [TimeHorizon(W, T, 0, 300), TimeHorizon(W, T, T, 300)]
+        rebate = RebateFunction.linear(W, 250.0)
+        want = moment_grids(joined, fitted, rebate, horizons)
+        with mock.patch.object(claims_mod, "PAIR_BLOCK", block):
+            got = moment_grids(joined, fitted, rebate, horizons)
+        for (mean, var, floored), (mean0, var0, floored0) in zip(got, want):
+            assert mean.tobytes() == mean0.tobytes() and var.tobytes() == var0.tobytes()
+            assert floored == floored0
+
     def test_pairs_exactly_t_apart_kept(self):
         age = np.array([0.3, 12.3, 12.300000000000002, 40.0])
         item = np.zeros(4, dtype=np.int64)
-        left, right = _close_pairs(item, age, 40, 12)
+        left, right = close_pairs(item, age, 40, 12)
         want = brute_close_pairs(JoinedClaims(item, age, np.zeros(4)), 12)
         assert list(zip(left.tolist(), right.tolist())) == want
         assert (0, 1) in want
@@ -624,3 +650,119 @@ class TestMomentGrids:
         for x in HORIZON.sale_days[:: len(HORIZON.sale_days) // 37]:
             lo, hi = HORIZON.claim_window(int(x))
             assert hi - lo <= min(T, W)
+
+
+class TestEmptyAndOneClaimInputs:
+    """The join and the grids on no claims, no sales, only unknown vehicles
+    and a single claim."""
+
+    def test_join_without_claims(self):
+        joined = join_claims(sales_table(("A", -5), ("B", -3)), claims_table(), W)
+        assert [len(c) for c in (joined.item, joined.age, joined.amount)] == [0, 0, 0]
+        assert joined.item.dtype == np.int64 and joined.quarantined == 0
+
+    @pytest.mark.parametrize("width", [1, 9], ids=["packed", "str"])
+    def test_join_without_sales(self, width):
+        a, b = "A" * width, "B" * width
+        claims = claims_table((a, 1, 2.0), (b, 1, 1.0), (a, 1, 3.0), (a, 2, 1.0))
+        joined = join_claims(sales_table(), claims, W)
+        assert len(joined.item) == len(joined.amount) == 0
+        assert joined.quarantined == 3  # (A, 1) merged, (A, 2), (B, 1)
+        empty = join_claims(sales_table(), claims_table(), W)
+        assert len(empty.item) == 0 and empty.quarantined == 0
+
+    @pytest.mark.parametrize("width", [1, 9], ids=["packed", "str"])
+    def test_join_with_only_unknown_vehicles(self, width):
+        sales = sales_table(("S" * width, -5), ("T" * width, -1))
+        claims = claims_table(("A" * width, 1, 1.0), ("B", 2, 1.0), ("A" * width, 1, 1.0))
+        joined = join_claims(sales, claims, W)
+        assert len(joined.item) == 0 and joined.quarantined == 2
+
+    def test_join_keeps_known_claims_beside_unknown_ones(self):
+        sales = sales_table(("B", -5), ("A", -2), ("C", 0))
+        claims = claims_table(
+            ("Z", 1, 9.0), ("A", 3, 1.0), ("C", 4, 2.0), ("A", 3, 0.5), ("Y", 0, 1.0),
+            ("C", -1, 4.0), ("C", 2000, 8.0),
+        )
+        joined = join_claims(sales, claims, W)
+        assert joined.item.tolist() == [1, 2, 2, 2]
+        assert joined.age.tolist() == [5.0, 0.0, 4.0, float(W)]
+        assert joined.amount.tolist() == [1.5, 4.0, 2.0, 8.0]
+        assert joined.quarantined == 2
+
+    def test_moment_grids_without_claims(self):
+        fitted = MeanClaimsMeasure(-1e-7, 2e-4, atom0=0.01, atomW=0.02, warranty=W)
+        horizons = [TimeHorizon(W, T, 0, 10), TimeHorizon(W, T, T, 10)]
+        for horizon, (mean, var, floored) in zip(
+            horizons, moment_grids(joined_from([]), fitted, FREE, horizons)
+        ):
+            want = fitted.mass(*horizon.claim_window(horizon.sale_days), FREE)
+            assert mean.tobytes() == want.tobytes()
+            assert var.tobytes() == np.zeros(len(want)).tobytes()
+            assert floored == np.count_nonzero(want)
+
+    @pytest.mark.parametrize("age", [0.0, 40.0, float(W)])
+    def test_moment_grids_with_one_claim(self, age):
+        rebate = RebateFunction.linear(W, 250.0)
+        horizons = [TimeHorizon(W, T, 0, 3), TimeHorizon(W, T, T, 3)]
+        joined = JoinedClaims([0], [age], [1.0])
+        for horizon, (_, var, _) in zip(
+            horizons, moment_grids(joined, zero_measure(W), rebate, horizons)
+        ):
+            _, second = grid_oracle([(age,)], rebate, horizon, 3)
+            assert var.tobytes() == second.tobytes()
+
+
+def paper_scale_tables(n_items=34_807, n_claims=44_000, unknown=25):
+    """Sales and claims at the paper's scale: 44 000 claims, ages spread
+    over [0, W], on 34 807 items, the first ``unknown`` claims on vehicles
+    with no sale."""
+    rng = np.random.default_rng(11)
+    ids = np.array([f"V{i:06d}" for i in range(n_items)])
+    sale_day = rng.integers(-1116, 1, size=n_items)
+    owner = rng.integers(0, n_items, size=n_claims)
+    vid = ids[owner]
+    vid[:unknown] = [f"X{i:06d}" for i in range(unknown)]
+    day = sale_day[owner] + rng.integers(0, W + 1, size=n_claims)
+    amount = 10.0 * rng.uniform(size=n_claims) ** (-1.0 / 1.5)
+    return SalesTable(ids, sale_day), ClaimsTable(vid, day, amount)
+
+
+def traced_peak(f, *args):
+    """``f(*args)`` and the traced peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestMemory:
+    """At paper scale the join and the grids hold their result and little
+    else.  Measured excesses over the bounds' variable parts: 1.10 MB for
+    the join and 0.93 MB for the grids; whole-column temporaries took 3.48
+    and 3.34 MB."""
+
+    def test_join_holds_its_result_and_little_else(self):
+        sales, claims = paper_scale_tables()
+        joined, peak = traced_peak(join_claims, sales, claims, W)
+        assert len(joined.item) > 40_000 and joined.quarantined == 25
+        result = sum(c.nbytes for c in (joined.item, joined.age, joined.amount))
+        assert peak <= result + 1.5e6
+
+    @pytest.mark.parametrize("kind", ["free_replacement", "linear"])
+    def test_moment_grids_hold_grids_pairs_and_one_block(self, kind):
+        sales, claims = paper_scale_tables()
+        joined = join_claims(sales, claims, W)
+        fitted = MeanClaimsMeasure(-8.9e-7, 1.48e-3, 0.133, 0.042, W)
+        horizons = [TimeHorizon(W, T, 0, len(sales)), TimeHorizon(W, T, T, len(sales))]
+        grids, peak = traced_peak(
+            moment_grids, joined, fitted, RebateFunction(kind, W), horizons
+        )
+        held = sum(mean.nbytes + var.nbytes for mean, var, _ in grids)
+        pairs = sum(len(left) for left, _ in _close_pairs(joined.item, joined.age, W, T))
+        assert pairs > len(joined.item)
+        # int32 start and end and a float weight per close pair
+        assert peak <= held + 16 * pairs + 1.5e6

@@ -337,6 +337,12 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "error: need a non-negative seed, got -1\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_validation_error(self, capsys, workers):
+        rc = main(["validate", "--workers", workers, "--reps", "100"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: need at least one worker, got {workers}\n"
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -10,6 +10,10 @@ from claimcast.core import (
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
+    _polyint,
+    _polymul,
+    _polypow,
+    _polyval,
     range_sums,
 )
 from claimcast.errors import DomainError, ValidationError
@@ -179,6 +183,58 @@ class TestRebateFunction:
         assert np.array_equal(
             RebateFunction.linear(W).poly_coef(2), RebateFunction.quadratic(W).poly_coef()
         )
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+# nonzero last coefficients, one zero last coefficient, and all zeros
+coefficients = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=1, max_size=5
+).map(np.array)
+coefficient_cases = st.one_of(
+    coefficients,
+    coefficients.map(lambda c: np.r_[c, 0.0]),
+    st.integers(1, 3).map(np.zeros),
+)
+
+
+class TestPolynomialPorts:
+    """The power-basis helpers against numpy.polynomial.polynomial, bit for bit."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        c=coefficient_cases,
+        x=st.one_of(
+            st.floats(-2e3, 2e3, allow_nan=False),
+            st.floats(-2e3, 2e3, allow_nan=False).map(np.array),
+            st.lists(st.floats(-2e3, 2e3, allow_nan=False), min_size=1, max_size=6)
+            .map(np.array),
+        ),
+    )
+    def test_polyval(self, c, x):
+        got, want = _polyval(x, c), npoly.polyval(x, c)
+        assert type(got) is type(want) and same_bits(got, want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(c1=coefficient_cases, c2=coefficient_cases)
+    @example(c1=RebateFunction.quadratic(W).poly_coef(2), c2=np.array([1.3e-3, 0.0]))
+    def test_polymul_and_polyint(self, c1, c2):
+        # the example is a density whose fitted slope is exactly 0
+        assert same_bits(_polymul(c1, c2), npoly.polymul(c1, c2))
+        assert same_bits(_polyint(c1), npoly.polyint(c1))
+        assert same_bits(
+            _polyint(_polymul(c1, c2)), npoly.polyint(npoly.polymul(c1, c2))
+        )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(c=coefficient_cases, power=st.integers(0, 4))
+    def test_polypow(self, c, power):
+        assert same_bits(_polypow(tuple(c), power), npoly.polypow(tuple(c), power))
 
 
 def car_mean_measure():

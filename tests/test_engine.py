@@ -7,6 +7,7 @@ from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import (
     CostApproximation,
     LimitParams,
+    _ndtri,
     approx_cdf,
     approx_quantile,
     cost_approx_normal,
@@ -428,6 +429,25 @@ class TestNormalLawAgainstScipy:
             got = approx_quantile(self.STD, v)
             assert isinstance(got, float)
             assert abs(got - ndtri(v)) <= 2e-15 * abs(ndtri(v))
+
+
+class TestNdtriPort:
+    def test_matches_normal_dist_inv_cdf_bit_for_bit(self):
+        from statistics import NormalDist
+
+        rng = np.random.default_rng(28)
+        p = np.r_[
+            5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.425, 0.575,
+            np.exp(-25.0), 1.0 - np.exp(-25.0) / 2.0,
+            rng.uniform(size=6000),
+            10.0 ** rng.uniform(-320.0, -1.0, size=2000),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, size=2000),
+        ]
+        p = p[(p > 0.0) & (p < 1.0)]
+        assert len(p) >= 10_000
+        want = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+        got = np.asarray(_ndtri(p), dtype=float)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExtremeness:

@@ -1,4 +1,5 @@
-"""The import boundary: no claimcast module loads scipy.
+"""The import boundary: no claimcast module loads scipy, and none loads a
+library it does not use.
 
 Each check imports in a fresh interpreter, so that modules loaded by other
 tests cannot hide an import.
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import claimcast
 
@@ -47,6 +50,22 @@ def test_cli_loads_no_scipy():
     assert scipy_modules("import claimcast.cli") == []
 
 
+# each was loaded for one function that claimcast now computes itself:
+# core's polynomial helpers, sales' polynomial fit and engine's normal quantile
+UNUSED_LIBRARIES = ("numpy.polynomial", "statistics", "fractions", "decimal")
+
+
+def unused_libraries(loaded):
+    return sorted(
+        m for m in loaded if any(m == u or m.startswith(u + ".") for u in UNUSED_LIBRARIES)
+    )
+
+
+@pytest.mark.parametrize("module", ["claimcast.pipeline", "claimcast.sim"])
+def test_imports_load_no_unused_library(module):
+    assert unused_libraries(modules_after(f"import {module}")) == []
+
+
 def test_sim_loads_what_its_operation_uses():
     # numpy.random is loaded on import, so that a first validation does not
     # pay for it; numpy.ma is on no path (see the operation test below)
@@ -61,7 +80,8 @@ def test_pipeline_loads_what_its_operation_uses():
 
 def test_operations_load_no_numpy_ma(tmp_path):
     # a bare np.unique, np.quantile or np.percentile loads numpy.ma (about
-    # 20 ms); neither a report nor a validation calls one
+    # 20 ms); neither a report nor a validation calls one, nor loads one of
+    # UNUSED_LIBRARIES on the way
     small = ["--warranty", "200", "--period", "30"]
     commands = [
         ["simulate", "--out-dir", str(tmp_path), "--n-items", "2000",
@@ -79,4 +99,6 @@ def test_operations_load_no_numpy_ma(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
     )
-    assert "numpy.ma" not in modules_after(run)
+    loaded = modules_after(run)
+    assert "numpy.ma" not in loaded
+    assert unused_libraries(loaded) == []

@@ -16,6 +16,7 @@ from claimcast.sales import (
     BASS_START,
     BassParams,
     ResidualDecomposition,
+    _poly_fit,
     assemble_fluctuation,
     centered_moving_average,
     compute_residuals,
@@ -457,6 +458,32 @@ class TestAssembleFluctuation:
         dec = decompose_residuals(r, first_day=-59, halfwidth=5)
         with pytest.raises(FitError):
             assemble_fluctuation(dec, h, poly_degree=70)
+
+
+class TestPolynomialFitPort:
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    @pytest.mark.parametrize("first", [-59, -1095])
+    def test_matches_numpy_polynomial_fit(self, degree, first):
+        from numpy.polynomial import Polynomial
+
+        rng = np.random.default_rng(degree - first)
+        days = np.arange(first, first + 60)
+        y = rng.normal(0.0, 1.0, size=60) + 0.01 * days
+        at = np.arange(first - 30, first + 120).astype(float)
+        want = Polynomial.fit(days, y, degree)(at)
+        assert _poly_fit(days, y, degree, at).tobytes() == want.tobytes()
+
+    def test_single_day_widens_the_domain_as_numpy_does(self):
+        from numpy.polynomial import Polynomial
+
+        days, y, at = np.array([-5]), np.array([0.25]), np.array([-9.0, -5.0, 3.0])
+        want = Polynomial.fit(days, y, 0)(at)
+        assert _poly_fit(days, y, 0, at).tobytes() == want.tobytes()
+
+    def test_rank_deficient_message(self):
+        days = np.arange(5)
+        with pytest.raises(FitError, match="^rank-deficient polynomial fit: The fit may"):
+            _poly_fit(np.r_[days, days], np.ones(10), 6, days.astype(float))
 
 
 class TestWindowIncrementMoments:

@@ -489,6 +489,24 @@ class TestMonteCarloValidate:
         with pytest.raises(DomainError, match="non-negative seed, got -1"):
             monte_carlo_validate(study, reps=100, seed=-1, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected_before_any_replication(self, monkeypatch, workers):
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(W, W + T)),
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=FREE,
+            horizon=HORIZON,
+            theorem="count",
+        )
+
+        def no_replications(*args, **kwargs):
+            raise AssertionError("replications ran")
+
+        monkeypatch.setattr("claimcast.sim._replicate_block", no_replications)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_replications)
+        with pytest.raises(DomainError, match=f"at least one worker, got {workers}"):
+            monte_carlo_validate(study, reps=100, seed=1, workers=workers)
+
     @pytest.mark.slow
     def test_heavy_tail_cost_limit_quantiles(self):
         # Pareto(1.5) sizes at the car-study geometry: the standardized
