@@ -97,16 +97,26 @@ def _concat_blocks(parts: list) -> List[np.ndarray]:
     return joined
 
 
-def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Str arrays of ids as uint64 keys that sort and compare as the ids do.
+def _pack(codes: np.ndarray) -> np.ndarray:
+    """uint64 keys of ids given as an (n, width) matrix of character codes
+    below 0x100, width at most 8, each row one id's characters then NULs.
 
-    An id of at most 8 characters below U+0100 packs into one big-endian
-    64-bit word, its Latin-1 bytes then NULs: numpy compares str values
-    character by character with NULs past the shorter, so the words keep
-    both order and equality.  Each column's words are written byte-reversed
-    into one (n, 8) byte matrix, which is then read as little-endian keys
-    with no further copy.  If any column is wider or holds another
-    character, every column comes back unchanged, for the str path.
+    Each id packs into one big-endian 64-bit word, its Latin-1 bytes then
+    NULs: numpy compares str values character by character with NULs past
+    the shorter, so the words keep both order and equality.  The words are
+    written byte-reversed into one (n, 8) byte matrix, which is then read
+    as little-endian keys with no further copy.
+    """
+    n, width = codes.shape
+    chars = np.zeros((n, 8), dtype=np.uint8)
+    chars[:, 8 - width :] = codes[:, ::-1]
+    return chars.view("<u8").ravel()
+
+
+def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Str arrays of ids as :func:`_pack` keys, which sort and compare as
+    the ids do, if every id has at most 8 characters below U+0100; else
+    every column comes back unchanged, for the str path.
     """
     keys = []
     for ids in columns:
@@ -115,9 +125,7 @@ def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
         codes = ids.view(np.uint32).reshape(len(ids), width)
         if width > 8 or codes.max(initial=0) > 0xFF:
             return columns
-        chars = np.zeros((len(ids), 8), dtype=np.uint8)
-        chars[:, 8 - width :] = codes[:, ::-1]
-        keys.append(chars.view("<u8").ravel())
+        keys.append(_pack(codes))
     return tuple(keys)
 
 

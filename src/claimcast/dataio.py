@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .claims import ClaimsTable, SalesTable, _concat_blocks, _id_keys
+from .claims import ClaimsTable, SalesTable, _id_keys, _pack
 from .errors import LoadError
 
 __all__ = [
@@ -313,8 +313,7 @@ def _packed(ids, keep: np.ndarray) -> np.ndarray:
         kept = ids.take(keep)
         if kept.widths.max(initial=0) > 8:
             return kept.text()
-        chars = np.ascontiguousarray(kept.chars(8).T)  # one row of 8 bytes per id
-        return chars.view(">u8").ravel().astype(np.uint64)
+        return _pack(kept.chars(8).T)  # one row of 8 bytes per id
     (keys,) = _id_keys(_kept(ids, keep))
     return keys
 
@@ -457,8 +456,8 @@ def _accepted(path, chunks, check, duplicate: str):
     """:func:`_load` over (line numbers, raw columns) chunks.
 
     Each chunk's kept columns are held, and joined one column at a time at
-    the end (:func:`claimcast.claims._concat_blocks`); its kept ids are held
-    only as :func:`_packed` keys, with their lines.
+    the end, so at most one joined column lives beside the blocks; its kept
+    ids are held only as :func:`_packed` keys, with their lines.
     """
     parts: List[List[np.ndarray]] = []
     ids: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -481,32 +480,43 @@ def _accepted(path, chunks, check, duplicate: str):
     _check_unique(path, ids, duplicate, issues)
     _check_bad_share(path, total, issues)
     del ids  # freed before the columns are joined
-    return _concat_blocks(parts), issues
+    columns = [list(column) for column in zip(*parts)]
+    del parts
+    joined = []
+    while columns:  # each column's blocks are dropped once it is joined
+        joined.append(np.concatenate(columns.pop(0)))
+    return joined, issues
 
 
 def _has_repeat(ids: np.ndarray) -> bool:
-    """Whether uint64 keys or a str array hold some value twice."""
+    """Whether uint64 keys or a str array hold some value twice; uint64
+    keys are sorted in place."""
     if ids.dtype == np.uint64:
-        ids = np.sort(ids)
+        ids.sort()
         return bool(np.any(ids[1:] == ids[:-1]))
     return len(set(ids.tolist())) < len(ids)
+
+
+def _joined_ids(parts) -> Tuple[np.ndarray, bool]:
+    """Every chunk's :func:`_packed` ids in file order, as uint64 keys where
+    every chunk's ids pack, else as str, and whether they are keys."""
+    ids = [keys for _, keys in parts]
+    packed = all(keys.dtype == np.uint64 for keys in ids)
+    if not packed:
+        ids = [keys if keys.dtype.kind == "U" else _unpacked(keys) for keys in ids]
+    return np.concatenate(ids), packed
 
 
 def _check_unique(path, parts, duplicate: str, issues) -> None:
     """Raise the ``LoadError`` for the earliest repeated id, if any.
 
     ``parts`` holds each chunk's kept lines and :func:`_packed` ids.  The
-    ids are compared as keys where every chunk's ids pack, else as str.
+    repeat test sorts the joined ids in place; only a file with a repeat
+    joins them again, in file order, to find the earliest.
     """
-    if not parts:
+    if not parts or not _has_repeat(_joined_ids(parts)[0]):
         return
-    ids = [keys for _, keys in parts]
-    packed = all(keys.dtype == np.uint64 for keys in ids)
-    if not packed:
-        ids = [keys if keys.dtype.kind == "U" else _unpacked(keys) for keys in ids]
-    ids = np.concatenate(ids)
-    if not _has_repeat(ids):
-        return
+    ids, packed = _joined_ids(parts)
     lines = np.concatenate([lines for lines, _ in parts])
     unique, first = np.unique(ids, return_index=True)
     again = np.ones(len(ids), dtype=bool)

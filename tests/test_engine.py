@@ -449,6 +449,39 @@ class TestNdtriPort:
         got = np.asarray(_ndtri(p), dtype=float)
         assert got.tobytes() == want.tobytes()
 
+    def test_fallback_without_the_c_accelerator_matches(self):
+        """A Python without ``_statistics`` takes the ``NormalDist`` path."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        from statistics import NormalDist
+
+        import claimcast
+
+        p = [5e-324, 1e-300, 2.0**-53, 1e-5, 0.025, 0.425, 0.5, 0.575, 0.975, 1.0 - 2.0**-53]
+        code = (
+            "import json, sys\n"
+            "sys.modules['_statistics'] = None\n"
+            "from claimcast.engine import _ndtri\n"
+            f"got = [float(v) for v in _ndtri({p!r})]\n"
+            "print(json.dumps([got, 'statistics' in sys.modules]))"
+        )
+        src = str(Path(claimcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(v for v in (src, os.environ.get("PYTHONPATH", "")) if v)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, fell_back = json.loads(proc.stdout)
+        assert fell_back
+        assert got == [NormalDist().inv_cdf(v) for v in p]
+
 
 class TestExtremeness:
     @pytest.mark.parametrize(
