@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon, range_sums
+from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon, _concat_blocks, range_sums
 from .errors import DomainError
 
 logger = logging.getLogger(__name__)
@@ -83,18 +83,6 @@ class ClaimsTable:
 
     def __len__(self) -> int:
         return len(self.day)
-
-
-def _concat_blocks(parts: list) -> List[np.ndarray]:
-    """Columns joined from blocks, ``parts`` holding one sequence of columns
-    per block.  ``parts`` is emptied, and each column's blocks are dropped
-    once it is joined, so at most one joined column lives beside the blocks."""
-    columns = [list(column) for column in zip(*parts)]
-    parts.clear()
-    joined = []
-    while columns:
-        joined.append(np.concatenate(columns.pop(0)))
-    return joined
 
 
 def _pack(codes: np.ndarray) -> np.ndarray:

@@ -228,32 +228,27 @@ def cmd_validate(args) -> int:
     measure = MeanClaimsMeasure(
         args.density_slope, args.density_intercept, args.atom0, args.atomW, w
     )
+    sizes, claims = None, PoissonClaims(measure)
+    rebate = RebateFunction.free_replacement(w)
     if args.theorem == "prorata":
         # lifetimes uniform on [0, 2W]: u -> 2W u, a partial so that it pickles
         lifetime = MeanClaimsMeasure(0.0, 1.0 / (2.0 * w), warranty=w)
-        study = MonteCarloStudy(
-            sales=NhppSales(share),
-            claims=SingleLifetime(
-                ppf=functools.partial(operator.mul, 2.0 * w), mean_measure=lifetime
-            ),
-            rebate=RebateFunction.linear(w, unit_price=args.unit_price),
-            horizon=horizon,
-            theorem="prorata",
+        claims = SingleLifetime(
+            ppf=functools.partial(operator.mul, 2.0 * w), mean_measure=lifetime
         )
-    else:
-        sizes = None
-        if args.theorem == "normal":
-            sizes = LognormalSizes(args.size_mu_log, args.size_sigma_log)
-        elif args.theorem in ("stable_1_2", "stable_0_1"):
-            sizes = ParetoSizes(alpha=args.pareto_alpha)
-        study = MonteCarloStudy(
-            sales=NhppSales(share),
-            claims=PoissonClaims(measure),
-            rebate=RebateFunction.free_replacement(w),
-            horizon=horizon,
-            theorem=args.theorem,
-            sizes=sizes,
-        )
+        rebate = RebateFunction.linear(w, unit_price=args.unit_price)
+    elif args.theorem == "normal":
+        sizes = LognormalSizes(args.size_mu_log, args.size_sigma_log)
+    elif args.theorem in ("stable_1_2", "stable_0_1"):
+        sizes = ParetoSizes(alpha=args.pareto_alpha)
+    study = MonteCarloStudy(
+        sales=NhppSales(share),
+        claims=claims,
+        rebate=rebate,
+        horizon=horizon,
+        theorem=args.theorem,
+        sizes=sizes,
+    )
     report = monte_carlo_validate(
         study, reps=args.reps, seed=args.seed, workers=args.workers
     )

@@ -15,12 +15,13 @@ Conventions used throughout the package:
   ``0 <= c <= W`` and ``o <= x + c <= T + o``.  :meth:`TimeHorizon.claim_window`
   turns that into a closed age interval ``[lo, hi]`` per sale time (over
   arrays of sale times), :meth:`TimeHorizon.sale_day_range` is its inverse
-  over integer sale days, and :meth:`TimeHorizon.lands_in_window` answers
-  the rule claim by claim.  The interval is closed, so it holds the age-0
-  atom exactly when ``lo == 0`` and the age-W atom exactly when ``hi == W``;
-  :meth:`MeanClaimsMeasure.mass` measures it with no further switch.
+  over integer sale days, and :meth:`TimeHorizon.lands_in_window` tests its
+  bounds claim by claim, a sale outside ``[-W + o, T + o]`` missing.  The
+  interval is closed, so it holds the age-0 atom exactly when ``lo == 0``
+  and the age-W atom exactly when ``hi == W``; :meth:`MeanClaimsMeasure.mass`
+  measures it with no further switch.
 * Sums of weights over ranges of integer days go through one kernel,
-  :func:`range_sums`.
+  :func:`range_sums`; columns made in blocks are joined by ``_concat_blocks``.
 * Power-basis polynomials are numpy's ``polyval``, ``polyint``, ``polymul``
   and ``polypow`` (from ``numpy.polynomial.polynomial``), ported with their
   operation order so the bits match, without loading that package.
@@ -29,7 +30,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -103,14 +104,15 @@ class TimeHorizon:
         return start.astype(np.int64), end.astype(np.int64)
 
     def lands_in_window(self, sale_time, age) -> np.ndarray:
-        """Whether a claim of ``age`` from a sale at ``sale_time`` lands in the
-        window (element-wise); sales before ``-W + o`` or after ``T + o``
-        never contribute."""
+        """Whether a claim of age ``c`` from a sale at ``x`` lands in the
+        window, element-wise: ``-W + o <= x <= T + o`` and ``max(0, o - x) <=
+        c <= min(W, T + o - x)``, so a sale outside that range misses."""
         w, t, o = self.warranty, self.period, self.offset
         x = np.asarray(sale_time, dtype=float)
-        live = (x >= -w + o) & (x <= t + o)
-        lo, hi = self.claim_window(np.where(live, x, o))
-        return live & (lo <= age) & (age <= hi)
+        hit = (x >= -w + o) & (x <= t + o)
+        hit &= np.maximum(0.0, o - x) <= age
+        hit &= age <= np.minimum(float(w), t + o - x)
+        return hit
 
 
 def _polytrim(c: np.ndarray) -> np.ndarray:
@@ -279,6 +281,15 @@ class MeanClaimsMeasure:
         out = out + np.where(lo == 0.0, self.atom0 * _polyval(0.0, coef), 0.0)
         out = out + np.where(hi == w, self.atomW * _polyval(float(w), coef), 0.0)
         return float(out) if out.ndim == 0 else out
+
+
+def _concat_blocks(parts: list) -> List[np.ndarray]:
+    """Columns joined from blocks, ``parts`` holding one sequence of columns
+    per block.  ``parts`` is emptied, and each column's blocks are dropped
+    once it is joined, so at most one joined column lives beside the blocks."""
+    columns = [list(column) for column in zip(*parts)]
+    parts.clear()
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
 
 
 def range_sums(start, end, weight, first: int, size: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .claims import ClaimsTable, SalesTable, _id_keys, _pack
+from .core import _concat_blocks
 from .errors import LoadError
 
 __all__ = [
@@ -455,9 +456,8 @@ def _load(path, required: Sequence[str], check, duplicate: str):
 def _accepted(path, chunks, check, duplicate: str):
     """:func:`_load` over (line numbers, raw columns) chunks.
 
-    Each chunk's kept columns are held, and joined one column at a time at
-    the end, so at most one joined column lives beside the blocks; its kept
-    ids are held only as :func:`_packed` keys, with their lines.
+    Each chunk's kept columns are held until ``_concat_blocks`` joins them;
+    its kept ids are held only as :func:`_packed` keys, with their lines.
     """
     parts: List[List[np.ndarray]] = []
     ids: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -480,12 +480,7 @@ def _accepted(path, chunks, check, duplicate: str):
     _check_unique(path, ids, duplicate, issues)
     _check_bad_share(path, total, issues)
     del ids  # freed before the columns are joined
-    columns = [list(column) for column in zip(*parts)]
-    del parts
-    joined = []
-    while columns:  # each column's blocks are dropped once it is joined
-        joined.append(np.concatenate(columns.pop(0)))
-    return joined, issues
+    return _concat_blocks(parts), issues
 
 
 def _has_repeat(ids: np.ndarray) -> bool:

@@ -106,10 +106,7 @@ class RunConfig:
         for name, least in (("qq_k", 2), ("ma_window", 1), ("poly_degree", 0)):
             if getattr(self, name) < least:  # a later stage's rule, checked early
                 raise DomainError(f"{name} must be at least {least}")
-        if not 0.0 < self.unit_price < np.inf:
-            raise DomainError(
-                f"unit price must be positive and finite, got {self.unit_price}"
-            )
+        self.rebate()  # RebateFunction's unit-price rule, checked early
 
     def items_sold(self, observed: int) -> int:
         """The scale n: the observed sales count or the explicit figure."""
@@ -120,11 +117,10 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def rebate(self) -> RebateFunction:
-        if self.policy == "free_replacement":
-            return RebateFunction.free_replacement(self.warranty)
-        if self.rebate_kind == "linear":
-            return RebateFunction.linear(self.warranty, self.unit_price)
-        return RebateFunction.quadratic(self.warranty, self.unit_price)
+        """The policy's rebate schedule; it carries the unit price, which
+        free replacement does not use."""
+        kind = self.rebate_kind if self.policy == "prorata" else "free_replacement"
+        return RebateFunction(kind, self.warranty, self.unit_price)
 
 
 def report_text(report: dict, period: int) -> str:
@@ -389,6 +385,8 @@ def synthesize_dataset(
 
     if seed < 0:
         raise DomainError(f"need a non-negative seed, got {seed}")
+    if span < 1:
+        raise DomainError(f"need a span of at least one day, got {span}")
     rng = make_rng(seed)
     curve = BassParams(p=bass_p, q=bass_q, n=n, origin=0)
     share = curve.share(np.arange(span + 1, dtype=float))

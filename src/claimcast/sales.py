@@ -61,6 +61,8 @@ class BassParams:
     origin: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.p) and np.isfinite(self.q)):
+            raise DomainError(f"need finite p and q, got p = {self.p}, q = {self.q}")
         if self.p <= 0.0 or self.p + self.q <= 0.0:
             raise DomainError("need p > 0 and p + q > 0")
         if self.n < 1:
@@ -101,7 +103,7 @@ def fit_bass(
     so both stay positive.  A trailing partial bin is ignored, and at least
     two full bins are needed.  Raises ``FitError`` when 800 residual
     evaluations do not converge, or when the fit converges where p or
-    p + q is not positive once rounded.
+    p + q is not positive and finite once rounded.
     """
     counts = np.asarray(counts, dtype=float)
     if len(counts) < 30:
@@ -155,10 +157,10 @@ def fit_bass(
             "The maximum number of function evaluations is exceeded.",
             **best,
         )
-    p, q = float(b), float(c - b)
-    if not (p > 0.0 and p + q > 0.0):
+    p, q = float(b), float(c) - float(b)  # as floats, inf - inf is NaN unwarned
+    if not (0.0 < p < np.inf and 0.0 < p + q < np.inf):
         # a fit that failed, not bad input: when b dwarfs c, p + q =
-        # b + (c - b) rounds to 0
+        # b + (c - b) rounds to 0, and an overflowed b or c is not finite
         raise FitError(
             f"Bass fit degenerate: p = {p:.6g} and q = {q:.6g} leave p + q = {p + q:.6g}",
             **best,

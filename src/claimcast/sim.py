@@ -8,6 +8,10 @@ stream keyed (s, r).  A replication draws its sale times, then the claims of
 all items as one batch of (item, age) columns, then one size per claim.
 Because every replication has its own stream, a validation draws a block
 of replications one after another and scores the whole block in one pass.
+
+A validation standardizes in one place, ``_limit_law``: it gives the
+theorem's center and norm and the limit law of (statistic - center) / norm,
+against which the standardized replications are scored.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "MonteCarloStudy",
     "ValidationReport",
     "theoretical_limit",
-    "reference_approximation",
     "monte_carlo_validate",
 ]
 
@@ -470,36 +473,26 @@ def theoretical_limit(study: MonteCarloStudy) -> LimitParams:
 def _limit_law(
     study: MonteCarloStudy, lp: LimitParams
 ) -> Tuple[float, float, CostApproximation]:
-    """The engine's approximation of the theorem's raw statistic, with the
-    (center, norm) that carry it onto the limit's scale."""
+    """The (center, norm) that standardize the theorem's raw statistic, and
+    its limit law: the engine's approximation under x -> (x - center) / norm."""
     n = study.horizon.scale
     c1 = lp.claims_mean
-    if study.theorem == "count":
-        return n * c1, np.sqrt(n), cost_approx_normal(lp)
-    if study.theorem == "prorata":
-        cb = study.rebate.unit_price
-        return n * cb * c1, cb * np.sqrt(n), cost_approx_normal(lp, cb)
     sizes = study.sizes
-    if study.theorem == "normal":
+    if study.theorem == "count":
+        center, norm, approx = n * c1, np.sqrt(n), cost_approx_normal(lp)
+    elif study.theorem == "prorata":
+        cb = study.rebate.unit_price
+        center, norm, approx = n * cb * c1, cb * np.sqrt(n), cost_approx_normal(lp, cb)
+    elif study.theorem == "normal":
         e, v = sizes.mean, sizes.var
-        return n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
-    alpha, xm = sizes.alpha, sizes.xm
-    if study.theorem == "stable_1_2":
-        e = sizes.mean
-        b_n = tail_scalers(alpha, n).b_n * xm
-        return n * c1 * e, b_n, cost_approx_stable(lp, alpha, e, xm)
-    approx = cost_approx_stable(lp, alpha, size_scale=xm)
-    return approx.location, approx.scale, approx
-
-
-def reference_approximation(
-    study: MonteCarloStudy, lp: Optional[LimitParams] = None
-) -> CostApproximation:
-    """The limit law of the standardized statistic: the engine's
-    approximation under x -> (x - center) / norm."""
-    lp = theoretical_limit(study) if lp is None else lp
-    center, norm, approx = _limit_law(study, lp)
-    return replace(
+        center, norm, approx = n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
+    elif study.theorem == "stable_1_2":
+        center, norm = n * c1 * sizes.mean, tail_scalers(sizes.alpha, n).b_n * sizes.xm
+        approx = cost_approx_stable(lp, sizes.alpha, sizes.mean, sizes.xm)
+    else:
+        approx = cost_approx_stable(lp, sizes.alpha, size_scale=sizes.xm)
+        center, norm = approx.location, approx.scale
+    return center, norm, replace(
         approx, location=(approx.location - center) / norm, scale=approx.scale / norm
     )
 
@@ -587,16 +580,15 @@ def monte_carlo_validate(
     if workers < 1:
         raise DomainError(f"need at least one worker, got {workers}")
     blocks = [range(r, min(r + _BLOCK, reps)) for r in range(0, reps, _BLOCK)]
+    replicate = functools.partial(_replicate_block, study, seed)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        replicate = functools.partial(_replicate_block, study, seed)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            scored = list(
-                pool.map(replicate, blocks, chunksize=-(-len(blocks) // workers))
-            )
+            chunk = -(-len(blocks) // workers)  # contiguous chunks, one per worker
+            scored = list(pool.map(replicate, blocks, chunksize=chunk))
     else:
-        scored = [_replicate_block(study, seed, block) for block in blocks]
+        scored = list(map(replicate, blocks))
     counts = np.concatenate([c for c, _ in scored]).astype(float)
     costs = np.concatenate([c for _, c in scored])
 
@@ -607,10 +599,8 @@ def monte_carlo_validate(
         ks, limit_q, coverage = float("nan"), nan_row, nan_row
         emp_q = (0.0,) * len(_REPORT_LEVELS)
     else:
-        lp = theoretical_limit(study)
-        center, norm, _ = _limit_law(study, lp)
+        center, norm, approx = _limit_law(study, theoretical_limit(study))
         z = ((counts if study.theorem == "count" else costs) - center) / norm
-        approx = reference_approximation(study, lp)
         ks = _ks_against(approx, z)
         limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())
         emp_q = tuple(sample_quantiles(z, _REPORT_LEVELS).tolist())

@@ -22,6 +22,7 @@ from claimcast.claims import (
 )
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon, range_sums
 from claimcast.errors import DomainError, ValidationError
+from claimcast.pipeline import realized_window_totals
 
 W, T = 1096, 91
 HORIZON = TimeHorizon(W, T)
@@ -743,7 +744,8 @@ class TestMemory:
     """At paper scale the join and the grids hold their result and little
     else.  Measured excesses over the bounds' variable parts: 1.10 MB for
     the join and 0.93 MB for the grids; whole-column temporaries took 3.48
-    and 3.34 MB."""
+    and 3.34 MB.  The window totals measure 4.13 columns of the joined
+    claims; a window test through stand-in sale times took 6.26."""
 
     def test_join_holds_its_result_and_little_else(self):
         sales, claims = paper_scale_tables()
@@ -766,3 +768,14 @@ class TestMemory:
         assert pairs > len(joined.item)
         # int32 start and end and a float weight per close pair
         assert peak <= held + 16 * pairs + 1.5e6
+
+    @pytest.mark.parametrize("offset", [0, T])
+    def test_window_totals_hold_few_columns(self, offset):
+        sales, claims = paper_scale_tables()
+        joined = join_claims(sales, claims, W)
+        horizon = TimeHorizon(W, T, offset, len(sales))
+        (count, _), peak = traced_peak(realized_window_totals, sales, joined, horizon)
+        assert count > 3000
+        # four and a half 8-byte columns of the joined claims: the sale
+        # days, their floats, one bound with its temporary, and the masks
+        assert peak <= 4.5 * 8 * len(joined.item) + 0.1e6

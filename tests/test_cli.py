@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from claimcast.claims import aggregate_daily_claims
 from claimcast.cli import _build_config, build_parser, main
 from claimcast.dataio import load_claims, load_sales
 from claimcast.errors import DomainError
@@ -46,6 +47,16 @@ def data_args(root):
     return ["--sales", str(root / "sales.csv"), "--claims", str(root / "claims.csv")]
 
 
+@pytest.fixture(scope="module")
+def ghost_dir(dataset_dir, tmp_path_factory):
+    """The CLI dataset with one more claim, on a vehicle that was never sold."""
+    root = tmp_path_factory.mktemp("cli_ghost")
+    (root / "sales.csv").write_bytes((dataset_dir / "sales.csv").read_bytes())
+    claims = (dataset_dir / "claims.csv").read_bytes() + b"GHOST01,100,C_GHOST,5.00\r\n"
+    (root / "claims.csv").write_bytes(claims)
+    return root
+
+
 class TestSubcommands:
     def test_fit_sales(self, dataset_dir, capsys):
         rc = main(["fit-sales", "--sales", str(dataset_dir / "sales.csv"), *COMMON])
@@ -60,6 +71,25 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "density slope" in out
         assert "atom at age 0" in out
+
+    def test_fit_claims_reports_quarantined_claims(self, ghost_dir, capsys):
+        assert main(["fit-claims", *data_args(ghost_dir), *COMMON]) == 0
+        assert capsys.readouterr().err == "quarantined claims: 1\n"
+
+    def test_report_prints_quarantined_claims(self, ghost_dir, capsys):
+        assert main(["report", *data_args(ghost_dir), *COMMON]) == 0
+        assert "\nquarantined claims (unknown vehicles): 1\n" in capsys.readouterr().out
+
+    def test_diagnose_tail_truncates_above(self, dataset_dir, capsys):
+        claims, _ = load_claims(dataset_dir / "claims.csv")
+        amount = aggregate_daily_claims(claims).amount
+        cut = float(np.median(amount))
+        argv = ["diagnose-tail", "--claims", str(dataset_dir / "claims.csv"), *COMMON]
+        assert main([*argv, "--qq-k", "100", "--truncate-above", str(cut)]) == 0
+        kept = int(np.count_nonzero(amount < cut))
+        assert 0 < kept < len(amount)
+        out = capsys.readouterr().out
+        assert out.startswith(f"claims: {kept} (aggregated per vehicle and day)\n")
 
     def test_diagnose_tail(self, dataset_dir, capsys):
         rc = main(
@@ -152,6 +182,17 @@ class TestSubcommands:
         assert "95% DKW band 0.1242" in out  # 1.36 / sqrt(120)
         payload = json.loads((tmp_path / "validate.json").read_text())
         assert payload["dkw_band"] == pytest.approx(1.36 / 120**0.5, rel=1e-15)
+
+    def test_validate_degenerate_study(self, tmp_path, capsys):
+        # no claims at any age: every replication counts zero claims
+        zero = ["--density-slope", "0", "--density-intercept", "0", "--atom0", "0",
+                "--atomW", "0"]
+        out = tmp_path / "validate.json"
+        argv = ["validate", "--theorem", "count", "--reps", "100", "--json-out", str(out)]
+        assert main([*argv, *zero]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "degenerate study: every replication produced zero claims\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -371,6 +412,16 @@ class TestExitCodes:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("name", ["missing.json", "not_json.json"])
+    def test_unreadable_config_is_validation_error(
+        self, dataset_dir, tmp_path, capsys, name
+    ):
+        (tmp_path / "not_json.json").write_text("{warranty: 200")
+        cfg = tmp_path / name
+        rc = main(["report", *data_args(dataset_dir), "--config", str(cfg), *COMMON])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+
     @pytest.mark.parametrize(
         "entry",
         [{"periods": 5}, {"warranty": "200"}, {"qq_k": 300.5}, {"stationary": "no"}],
@@ -479,6 +530,24 @@ class TestDefaults:
         with pytest.raises(DomainError, match="non-negative seed"):
             synthesize_dataset(out / "s.csv", out / "c.csv", seed=-3)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--span", "0"], "need a span of at least one day, got 0"),
+            (["--span", "-4"], "need a span of at least one day, got -4"),
+            (["--bass-p", "nan"], "need finite p and q, got p = nan"),
+            (["--bass-p", "inf"], "need finite p and q, got p = inf"),
+            (["--bass-q", "nan"], "need finite p and q, got p = 0.00040149, q = nan"),
+            (["--bass-q=-inf"], "need finite p and q, got p = 0.00040149, q = -inf"),
+        ],
+    )
+    def test_simulate_rejects_a_bad_span_or_curve(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["simulate", "--out-dir", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()  # nothing drawn, nothing written
 
     def test_simulate_has_no_forecast_period(self, tmp_path):
         # the dataset spans sale and claim days only; T belongs to RunConfig

@@ -100,6 +100,25 @@ class TestTimeHorizon:
             assert np.array_equal(in_range, a_in & b_in)
             assert in_range.any()
 
+    @pytest.mark.parametrize("offset", [0, T])
+    def test_lands_in_window_is_the_window_rule(self, offset):
+        # a claim of age c from a sale on day x lands exactly when
+        # 0 <= c <= W and o <= x + c <= T + o; sale days and ages on a
+        # half-day grid keep x + c exact, and run past every edge
+        h = replace(HORIZON, offset=offset)
+        x = np.arange(-W + offset - 3, T + offset + 3.5, 0.5)
+        c = np.arange(-2.0, W + 2.5, 0.5)
+        xs, cs = np.repeat(x, len(c)), np.tile(c, len(x))
+        want = (0 <= cs) & (cs <= W) & (offset <= xs + cs) & (xs + cs <= T + offset)
+        assert np.array_equal(h.lands_in_window(xs, cs), want)
+        # integer sale days as the tables hold them, and no sale time at all
+        days = np.arange(-W + offset - 2, T + offset + 3)
+        assert np.array_equal(
+            h.lands_in_window(days, np.full(len(days), 5.0)),
+            (offset <= days + 5) & (days + 5 <= T + offset),
+        )
+        assert not h.lands_in_window(np.array([np.nan]), np.array([0.0])).any()
+
     def test_offset_shifts_windows(self):
         h2 = replace(HORIZON, offset=T)
         assert h2.claim_window(T) == (0.0, float(T))

@@ -12,7 +12,7 @@ from claimcast.claims import (
     aggregate_daily_claims,
     join_claims,
 )
-from claimcast.core import TimeHorizon
+from claimcast.core import RebateFunction, TimeHorizon
 from claimcast.dataio import load_claims, load_sales
 from claimcast.engine import approx_quantile
 from claimcast.errors import DomainError
@@ -114,6 +114,22 @@ class TestRunConfig:
     def test_digest_stable_and_sensitive(self):
         assert RunConfig().digest() == RunConfig().digest()
         assert RunConfig().digest() != RunConfig(seed=1).digest()
+
+    @pytest.mark.parametrize(
+        "setting, want",
+        [
+            (dict(), RebateFunction.free_replacement(1096)),
+            (dict(unit_price=250.0), RebateFunction("free_replacement", 1096, 250.0)),
+            (dict(policy="prorata"), RebateFunction.linear(1096, 1.0)),
+            (
+                dict(policy="prorata", rebate_kind="quadratic", unit_price=250.0),
+                RebateFunction.quadratic(1096, 250.0),
+            ),
+        ],
+        ids=["free_replacement", "free_replacement-priced", "linear", "quadratic"],
+    )
+    def test_rebate_follows_the_policy_and_kind(self, setting, want):
+        assert RunConfig(**setting).rebate() == want
 
 
 class TestRunPipeline:

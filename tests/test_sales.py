@@ -62,6 +62,14 @@ class TestBassCurve:
         lo, hi = min(t1, t2), max(t1, t2)
         assert 0.0 <= b.share(lo) <= b.share(hi) <= 1.0
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(np.nan, 0.01), (np.inf, 0.01), (4e-4, np.nan), (4e-4, np.inf), (4e-4, -np.inf)],
+    )
+    def test_non_finite_coefficients_rejected(self, p, q):
+        with pytest.raises(DomainError, match="need finite p and q"):
+            BassParams(p=p, q=q, n=100, origin=0)
+
 
 class TestFitBass:
     def test_recovers_noiseless_curve(self):
@@ -173,7 +181,7 @@ def _scipy_outcome(result, n, origin):
     if not result.success:
         return FitError(f"Bass fit did not converge: {result.message}", **best)
     p, q = float(b), float(c - b)
-    if not (p > 0.0 and p + q > 0.0):
+    if not (0.0 < p < np.inf and 0.0 < p + q < np.inf):
         return FitError(
             f"Bass fit degenerate: p = {p:.6g} and q = {q:.6g} leave p + q = {p + q:.6g}",
             **best,
@@ -275,6 +283,23 @@ class TestLevenbergMarquardtPort:
         assert outcome.best_params == (float(b), float(c))
         assert float(b) + float(c - b) == 0.0  # c is lost in rounding
         assert outcome.residual_norm == float(np.sqrt(np.dot(fvec, fvec)))
+
+    @pytest.mark.parametrize("x", [(-8.0, 800.0), (800.0, 900.0)], ids=["c", "b_and_c"])
+    def test_overflowed_converged_fit_is_a_fit_error(self, x):
+        # a converged fit whose exp(log c) overflows leaves q or p + q
+        # infinite or NaN: a failed fit, not bad input
+        fvec = np.ones(3)
+
+        def converged(fun, x0, **tolerances):
+            return np.array(x), fvec, 1, 12
+
+        with mock.patch.object(sales_mod, "_lmder", converged):
+            with pytest.raises(FitError, match="Bass fit degenerate: ") as outcome:
+                fit_bass(DEGENERATE_SERIES, int(DEGENERATE_SERIES.sum()), 1, 30)
+        with np.errstate(over="ignore"):
+            b, c = np.exp(x)
+        assert outcome.value.best_params == (float(b), float(c))
+        assert outcome.value.residual_norm == float(np.sqrt(3.0))
 
     def test_fit_error_when_evaluations_run_out(self):
         counts, n, first_day, width = _spike(100, 50, 50, 1)

@@ -17,11 +17,11 @@ from claimcast.sim import (
     RenewalSales,
     SingleLifetime,
     _ks_against,
+    _limit_law,
     _score,
     make_rng,
     monte_carlo_validate,
     realize_cost,
-    reference_approximation,
     run_replication,
     theoretical_limit,
 )
@@ -687,7 +687,7 @@ class TestMonteCarloValidate:
         else:  # alpha = 1: the intensity-c1 law, no c1 log c1 shift
             location, scale = 0.0, 1.0
             stable = params_eq_one_case(c1)
-        got = reference_approximation(study, lp)
+        got = _limit_law(study, lp)[2]
         close = dict(rel=1e-12, abs=1e-12)
         assert got.location == pytest.approx(location, **close)
         assert got.scale == pytest.approx(scale, **close)
