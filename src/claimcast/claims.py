@@ -12,10 +12,12 @@ is decided by :class:`claimcast.core.TimeHorizon` alone, the mean grid is
 per-day sums go through :func:`claimcast.core.range_sums`, the one
 day-range kernel.
 
-Each step holds its inputs, its result and at most one block of work.  The
-join packs the ids into one 8-byte key per row and drops each index array
-after its last use; the grids expand the close claim pairs ``PAIR_BLOCK``
-claims at a time and keep only each pair's sale-day range and weight.
+Vehicle ids are byte columns of their UTF-8 encodings, held once per
+table.  Each step holds its inputs, its result and at most one block of
+work.  The join packs ids of at most 8 bytes into one 8-byte key per row
+(longer ones compare as bytes) and drops each index array after its last
+use; the grids expand the close claim pairs ``PAIR_BLOCK`` claims at a
+time and keep only each pair's sale-day range and weight.
 """
 
 from __future__ import annotations
@@ -47,22 +49,43 @@ __all__ = [
 
 
 def _columns(table, **dtypes) -> None:
-    """Coerce a frozen table's columns to arrays and check equal lengths."""
+    """Coerce a frozen table's columns to arrays and check equal lengths; a
+    ``bytes`` column holds ids, encoded by :func:`_utf8`."""
     for name, dtype in dtypes.items():
-        object.__setattr__(table, name, np.asarray(getattr(table, name), dtype=dtype))
+        column = getattr(table, name)
+        column = _utf8(column) if dtype is bytes else np.asarray(column, dtype=dtype)
+        object.__setattr__(table, name, column)
     if len({getattr(table, name).shape for name in dtypes}) != 1:
         raise DomainError(f"{type(table).__name__} columns differ in length")
 
 
+def _utf8(ids) -> np.ndarray:
+    """Ids as a byte column of their UTF-8 encodings, as wide as the widest.
+
+    A byte column is taken as it is.  UTF-8 orders ids as their code
+    points do, so sorts, ranks and merges on bytes order as they would on
+    the text.
+    """
+    column = np.asarray(ids)
+    if column.dtype.kind == "S":
+        return column
+    text = column.astype(str, copy=False).tolist()
+    return np.array([v.encode() for v in text], dtype=bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class SalesTable:
-    """Sold items as columns: vehicle id and sale day, one row per item."""
+    """Sold items as columns: vehicle id and sale day, one row per item.
+
+    ``vehicle_id`` is a byte column (``S<width>``) of UTF-8 ids; str ids
+    are encoded once, when the table is built.
+    """
 
     vehicle_id: np.ndarray
     day: np.ndarray
 
     def __post_init__(self):
-        _columns(self, vehicle_id=str, day=np.int64)
+        _columns(self, vehicle_id=bytes, day=np.int64)
 
     def __len__(self) -> int:
         return len(self.day)
@@ -70,14 +93,17 @@ class SalesTable:
 
 @dataclass(frozen=True, eq=False)
 class ClaimsTable:
-    """Claims as columns: vehicle id, claim day and amount, one row per claim."""
+    """Claims as columns: vehicle id, claim day and amount, one row per claim.
+
+    ``vehicle_id`` is a byte column like :class:`SalesTable`'s.
+    """
 
     vehicle_id: np.ndarray
     day: np.ndarray
     amount: np.ndarray
 
     def __post_init__(self):
-        _columns(self, vehicle_id=str, day=np.int64, amount=float)
+        _columns(self, vehicle_id=bytes, day=np.int64, amount=float)
         if np.any(self.amount < 0.0):
             raise DomainError("claim amount must be non-negative")
 
@@ -85,36 +111,30 @@ class ClaimsTable:
         return len(self.day)
 
 
-def _pack(codes: np.ndarray) -> np.ndarray:
-    """uint64 keys of ids given as an (n, width) matrix of character codes
-    below 0x100, width at most 8, each row one id's characters then NULs.
+def _pack(ids: np.ndarray) -> np.ndarray:
+    """uint64 keys of a byte column of ids at most 8 bytes wide.
 
-    Each id packs into one big-endian 64-bit word, its Latin-1 bytes then
-    NULs: numpy compares str values character by character with NULs past
-    the shorter, so the words keep both order and equality.  The words are
-    written byte-reversed into one (n, 8) byte matrix, which is then read
-    as little-endian keys with no further copy.
+    Each id packs into one big-endian 64-bit word, its bytes then NULs:
+    numpy compares byte strings byte by byte with NULs past the shorter,
+    so the words keep both order and equality.  The words are written
+    byte-reversed into one (n, 8) byte matrix, which is then read as
+    little-endian keys with no further copy.
     """
-    n, width = codes.shape
-    chars = np.zeros((n, 8), dtype=np.uint8)
+    width = ids.dtype.itemsize
+    codes = np.ascontiguousarray(ids).view(np.uint8).reshape(len(ids), width)
+    chars = np.zeros((len(ids), 8), dtype=np.uint8)
     chars[:, 8 - width :] = codes[:, ::-1]
     return chars.view("<u8").ravel()
 
 
 def _id_keys(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Str arrays of ids as :func:`_pack` keys, which sort and compare as
-    the ids do, if every id has at most 8 characters below U+0100; else
-    every column comes back unchanged, for the str path.
+    """Byte columns of ids as :func:`_pack` keys, which sort and compare as
+    the ids do, if no column is wider than 8 bytes; else every column comes
+    back unchanged, to be compared as bytes.
     """
-    keys = []
-    for ids in columns:
-        ids = np.ascontiguousarray(ids)
-        width = ids.itemsize // 4
-        codes = ids.view(np.uint32).reshape(len(ids), width)
-        if width > 8 or codes.max(initial=0) > 0xFF:
-            return columns
-        keys.append(_pack(codes))
-    return tuple(keys)
+    if any(ids.dtype.itemsize > 8 for ids in columns):
+        return columns
+    return tuple(_pack(ids) for ids in columns)
 
 
 def _merge_days(owner: np.ndarray, day: np.ndarray, amount: np.ndarray):
@@ -182,6 +202,10 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
     silently.  Ids are matched as :func:`_id_keys`.  Same-day claims merge
     as in :func:`aggregate_daily_claims`, in one sort on (item, day) that
     also orders the rows by (item, age), unknown vehicles ranked last.
+
+    Ages are clipped day differences and the merge keys on day differences,
+    so the result does not move when both tables' days shift by one
+    constant: the tables need not share the forecast clock's anchor.
     """
     if warranty < 0:
         raise DomainError("warranty must be non-negative")

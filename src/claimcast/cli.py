@@ -27,7 +27,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import dataio, pipeline
-from .claims import ClaimsTable, aggregate_daily_claims
+from .claims import aggregate_daily_claims
 from .core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from .errors import DomainError, FitError, LoadError, NumericalError, ValidationError
 from .pipeline import RunConfig, report_text, run_pipeline, synthesize_dataset
@@ -137,7 +137,7 @@ def cmd_fit_sales(args) -> int:
     config = _build_config(args)
     sales, issues = dataio.load_sales(args.sales)
     _print_row_issues(issues)
-    anchored, _, anchor = dataio.anchor_day_zero(sales, ClaimsTable([], [], []))
+    anchored, anchor = dataio.anchor_day_zero(sales)
     counts, first = pipeline._daily_counts(anchored)
     n = config.items_sold(len(sales))
     params = fit_bass(counts, n, first, bin_width=args.bin_width)
@@ -153,7 +153,6 @@ def cmd_fit_sales(args) -> int:
 def cmd_fit_claims(args) -> int:
     config = _build_config(args)
     sales, claims = _load_inputs(args)
-    sales, claims, _ = dataio.anchor_day_zero(sales, claims)
     joined, _, fitted = pipeline._fit_claims(
         sales, claims, config.warranty, config.items_sold(len(sales))
     )

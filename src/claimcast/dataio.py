@@ -11,14 +11,17 @@ chunks of ``CHUNK_ROWS`` rows.  Either way the same row checks see each
 block or chunk as whole columns: day numbers and amounts are cast as a
 column where they are plain (digits; decimals as a clean file holds them,
 or any amount ``float()`` takes in a ``csv.reader`` chunk), and only the
-other values are parsed one by one.  Only accepted ids become an array, so
-an id column is as wide as its longest accepted id; the ids that must be
-unique are held as packed 64-bit keys where they pack.  A row is rejected
-by the first check it fails, in a fixed order per file, and reported as a
+other values are parsed one by one.  Ids are held as the UTF-8 bytes of
+the file: a clean file's are cut from its blocks, a ``csv.reader``
+chunk's are encoded once.  Only accepted ids become an array, so an id
+column is a byte column (``S<width>``) as wide as its longest accepted id
+in bytes; the ids that must be unique are held as packed 64-bit keys where
+they pack and as bytes where they do not.  A row is rejected by the first
+check it fails, in a fixed order per file, and reported as a
 :class:`RowIssue` with its line number; rejected rows are fatal only past
-a 1% share, a repeated id always.  Anchoring onto the forecast clock
-(day 0 = the day after the last observed sale) happens in the pipeline so
-sales and claims share one anchor.
+a 1% share, a repeated id always.  :func:`anchor_day_zero` moves the sales
+onto the forecast clock (day 0 = the day after the last observed sale);
+claims join onto sales by day differences, so they are never moved.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .claims import ClaimsTable, SalesTable, _id_keys, _pack
+from .claims import ClaimsTable, SalesTable, _id_keys, _utf8
 from .core import _concat_blocks
 from .errors import LoadError
 
@@ -200,11 +203,6 @@ class _Fields:
             np.putmask(out, at >= self.widths, 0)
         return out
 
-    def text(self) -> np.ndarray:
-        """The fields as a str array as wide as the widest of them."""
-        width = max(int(self.widths.max(initial=0)), 1)
-        return self.chars(width).T.astype("<u4", order="C").view(f"<U{width}").ravel()
-
 
 def _read_chunks(path, data: bytes, required: Sequence[str]):
     """Yield the data rows of ``data`` as (line numbers, raw columns) chunks.
@@ -275,11 +273,11 @@ def _ids(raw) -> Tuple[List[str], np.ndarray]:
     """Stripped ids of one raw column and the mask of the unusable ones.
 
     A missing field is the empty id.  An id holding a NUL is unusable too:
-    a numpy str array drops trailing NULs, so it could not be stored as
+    a numpy byte array drops trailing NULs, so it could not be stored as
     read.  The ids stay Python strings (a clean file's stay
     :class:`_Fields`, already stripped and free of NULs): only the kept
-    ones become an array (:func:`_kept`, :func:`_packed`), so a long id in
-    a rejected row does not widen the column.
+    ones become an array (:func:`_kept`), so a long id in a rejected row
+    does not widen the column.
     """
     if isinstance(raw, _Fields):
         return raw, raw.widths == 0
@@ -295,34 +293,20 @@ def _id_issue(name: str, value: str) -> str:
 
 
 def _kept(column, keep: np.ndarray) -> np.ndarray:
-    """The kept entries of one chunk's column, as an array."""
+    """The kept entries of one chunk's column, as an array; ids as a byte
+    column as wide as the widest kept one."""
     if isinstance(column, np.ndarray):
         return column[keep]
     if isinstance(column, _Fields):
-        return column.take(keep).text()
-    return np.array(column if keep.all() else list(compress(column, keep)), dtype=str)
-
-
-def _packed(ids, keep: np.ndarray) -> np.ndarray:
-    """The kept ids of one chunk as :func:`claimcast.claims._id_keys` packs them.
-
-    Ids that pack come back as uint64 keys, any others as a str array.  A
-    clean file's ids of at most 8 bytes are packed from its bytes, with no
-    str array between.
-    """
-    if isinstance(ids, _Fields):
-        kept = ids.take(keep)
-        if kept.widths.max(initial=0) > 8:
-            return kept.text()
-        return _pack(kept.chars(8).T)  # one row of 8 bytes per id
-    (keys,) = _id_keys(_kept(ids, keep))
-    return keys
+        kept = column.take(keep)
+        width = max(int(kept.widths.max(initial=0)), 1)
+        return np.ascontiguousarray(kept.chars(width).T).view(f"S{width}").ravel()
+    return _utf8(column if keep.all() else list(compress(column, keep)))
 
 
 def _unpacked(keys: np.ndarray) -> np.ndarray:
-    """The str ids that :func:`_packed` packed into ``keys``."""
-    chars = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return chars.astype("<u4").view("<U8").ravel()
+    """The byte ids that :func:`claimcast.claims._id_keys` packed into ``keys``."""
+    return keys.astype(">u8").view("S8")
 
 
 def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
@@ -457,7 +441,9 @@ def _accepted(path, chunks, check, duplicate: str):
     """:func:`_load` over (line numbers, raw columns) chunks.
 
     Each chunk's kept columns are held until ``_concat_blocks`` joins them;
-    its kept ids are held only as :func:`_packed` keys, with their lines.
+    its kept unique ids are held only as :func:`claimcast.claims._id_keys`
+    gives them (packed keys, or bytes where they do not pack), with their
+    lines.
     """
     parts: List[List[np.ndarray]] = []
     ids: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -471,7 +457,7 @@ def _accepted(path, chunks, check, duplicate: str):
                 keep[k] = False
                 issues.append(RowIssue(int(lines[k]), message))
             parts.append([_kept(c, keep) for c in columns])
-            ids.append((lines[keep], _packed(unique, keep)))
+            ids.append((lines[keep], _id_keys(_kept(unique, keep))[0]))
             total += len(lines)
     except LoadError as exc:
         _check_unique(path, ids, duplicate, issues)
@@ -484,30 +470,29 @@ def _accepted(path, chunks, check, duplicate: str):
 
 
 def _has_repeat(ids: np.ndarray) -> bool:
-    """Whether uint64 keys or a str array hold some value twice; uint64
-    keys are sorted in place."""
-    if ids.dtype == np.uint64:
-        ids.sort()
-        return bool(np.any(ids[1:] == ids[:-1]))
-    return len(set(ids.tolist())) < len(ids)
+    """Whether uint64 keys or byte ids hold some value twice; they are
+    sorted in place."""
+    ids.sort()
+    return bool(np.any(ids[1:] == ids[:-1]))
 
 
 def _joined_ids(parts) -> Tuple[np.ndarray, bool]:
-    """Every chunk's :func:`_packed` ids in file order, as uint64 keys where
-    every chunk's ids pack, else as str, and whether they are keys."""
+    """Every chunk's unique ids in file order, as uint64 keys where every
+    chunk's ids pack, else as bytes, and whether they are keys."""
     ids = [keys for _, keys in parts]
     packed = all(keys.dtype == np.uint64 for keys in ids)
     if not packed:
-        ids = [keys if keys.dtype.kind == "U" else _unpacked(keys) for keys in ids]
+        ids = [keys if keys.dtype.kind == "S" else _unpacked(keys) for keys in ids]
     return np.concatenate(ids), packed
 
 
 def _check_unique(path, parts, duplicate: str, issues) -> None:
     """Raise the ``LoadError`` for the earliest repeated id, if any.
 
-    ``parts`` holds each chunk's kept lines and :func:`_packed` ids.  The
-    repeat test sorts the joined ids in place; only a file with a repeat
-    joins them again, in file order, to find the earliest.
+    ``parts`` holds each chunk's kept lines and unique ids as
+    :func:`_accepted` holds them.  The repeat test sorts the joined ids in
+    place; only a file with a repeat joins them again, in file order, to
+    find the earliest, whose bytes the message decodes.
     """
     if not parts or not _has_repeat(_joined_ids(parts)[0]):
         return
@@ -520,7 +505,7 @@ def _check_unique(path, parts, duplicate: str, issues) -> None:
     earlier = int(lines[first[np.searchsorted(unique, ids[k])]])
     repeat = _unpacked(ids[k : k + 1]) if packed else ids[k : k + 1]
     raise LoadError(
-        f"{path}: {duplicate} {str(repeat[0])!r} (lines {earlier} and {int(lines[k])})",
+        f"{path}: {duplicate} {repeat[0].decode()!r} (lines {earlier} and {int(lines[k])})",
         [issue for issue in issues if issue.line < lines[k]],
     )
 
@@ -613,22 +598,20 @@ def _check_bad_share(path, total: int, issues: List[RowIssue]) -> None:
         )
 
 
-def anchor_day_zero(
-    sales: SalesTable, claims: ClaimsTable
-) -> Tuple[SalesTable, ClaimsTable, int]:
-    """Shift raw dates so day 0 is the day after the last observed sale.
+def anchor_day_zero(sales: SalesTable) -> Tuple[SalesTable, int]:
+    """The sales with raw dates shifted so day 0 is the day after the last
+    observed sale, and that shift (the anchor, a raw day).
 
     Observed sales then occupy [-span, -1] and the forecast windows
-    [0, T], [T, 2T] start immediately after the data ends.
+    [0, T], [T, 2T] start immediately after the data ends.  Claims are
+    not shifted: :func:`claimcast.claims.join_claims` reads only day
+    differences, so it joins the raw tables as loaded.  The anchored table
+    shares the vehicle-id column of ``sales``.
     """
     if len(sales) == 0:
         raise LoadError("cannot anchor an empty sales table")
     anchor = int(sales.day.max()) + 1
-    return (
-        SalesTable(sales.vehicle_id, sales.day - anchor),
-        ClaimsTable(claims.vehicle_id, claims.day - anchor, claims.amount),
-        anchor,
-    )
+    return SalesTable(sales.vehicle_id, sales.day - anchor), anchor
 
 
 def write_series(path, x_name: str, x: np.ndarray, y_name: str, y: np.ndarray) -> None:

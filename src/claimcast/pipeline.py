@@ -1,13 +1,14 @@
 """End-to-end orchestration: records in, fitted parameters and quantile
 tables out.
 
-The pipeline mirrors the estimation procedure end to end: anchor the
-clock, fit the sales curve and its fluctuation limit, fit the mean claims
-measure, diagnose the claim-size tail, assemble the limit parameters per
-forecast window and evaluate the distributional approximations.  Its
-result is the plain dict that ``report.json`` holds, the one statement of
-the report's fields; :func:`report_text` renders it for people.  Identical
-config and inputs produce byte-identical reports.
+The pipeline mirrors the estimation procedure end to end: fit the mean
+claims measure on the tables as loaded, anchor the sales onto the forecast
+clock, fit the sales curve and its fluctuation limit, diagnose the
+claim-size tail, assemble the limit parameters per forecast window and
+evaluate the distributional approximations.  Its result is the plain dict
+that ``report.json`` holds, the one statement of the report's fields;
+:func:`report_text` renders it for people.  Identical config and inputs
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -81,14 +82,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # TimeHorizon's rule, checked before any load: with T >= 1 it also
-        # needs W >= 3
-        if self.period < 1:
-            raise DomainError(f"period must be at least 1 day, got T={self.period}")
-        if 2 * self.period >= self.warranty:
-            raise DomainError(
-                f"need 2*period < warranty, got T={self.period}, W={self.warranty}"
-            )
+        TimeHorizon(self.warranty, self.period)  # the clock's rule, checked early
         if self.n_policy not in self.N_POLICIES:
             raise DomainError(f"unknown n policy {self.n_policy!r}")
         if self.n_policy == "explicit" and (self.n_explicit or 0) < 1:
@@ -215,10 +209,11 @@ def run_pipeline(
     """
     if len(sales) == 0:
         raise DomainError("no sales records")
-    sales, claims, anchor = dataio.anchor_day_zero(sales, claims)
     n = config.items_sold(len(sales))
     rebate = config.rebate()
+    # the join reads day differences, so it takes the tables as loaded
     joined, bins, fitted = _fit_claims(sales, claims, config.warranty, n)
+    sales, anchor = dataio.anchor_day_zero(sales)
 
     counts, first_day = _daily_counts(sales)
     bass = fit_bass(counts, n, first_day)

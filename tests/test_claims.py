@@ -42,9 +42,9 @@ def sales_table(*rows):
 
 
 def rows(table):
-    """A ClaimsTable's rows as (vehicle_id, day, amount) tuples."""
-    columns = (table.vehicle_id, table.day, table.amount)
-    return list(zip(*(c.tolist() for c in columns)))
+    """A ClaimsTable's rows as (vehicle_id, day, amount) tuples, ids decoded."""
+    vids = [v.decode() for v in table.vehicle_id.tolist()]
+    return list(zip(vids, table.day.tolist(), table.amount.tolist()))
 
 
 def joined_from(per_item):
@@ -153,44 +153,57 @@ class TestAggregateAgainstStructuredMerge:
         same_merge(claims_table(*rows))
 
 
-LATIN1_IDS = st.text(
-    st.characters(min_codepoint=1, max_codepoint=0xFF), min_size=1, max_size=8
-)
+# ids of at most 8 bytes in UTF-8, any character but NUL
+SHORT_IDS = st.text(
+    st.characters(min_codepoint=1, codec="utf-8"), min_size=1, max_size=8
+).filter(lambda v: len(v.encode()) <= 8)
 
 
 class TestIdKeys:
-    """_id_keys: ids packed into uint64 keys that sort and compare as the str ids."""
+    """_id_keys: UTF-8 byte ids packed into uint64 keys that sort and compare
+    as the text ids."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.lists(LATIN1_IDS, max_size=40))
+    @given(st.lists(SHORT_IDS, max_size=40))
     def test_keys_order_and_compare_as_the_ids(self, ids):
         ids += [v[: len(v) // 2 + 1] for v in ids]  # prefix pairs such as "A"/"AB"
-        column = np.array(ids, dtype=str)
+        column = SalesTable(ids, np.zeros(len(ids))).vehicle_id
+        assert column.dtype.kind == "S"
         (keys,) = _id_keys(column)
         assert keys.dtype == np.uint64
+        # UTF-8 bytes order as the code points do
         assert np.argsort(keys, kind="stable").tolist() == sorted(
             range(len(ids)), key=ids.__getitem__
         )
-        assert np.array_equal(keys[:, None] == keys, column[:, None] == column)
+        text = np.array(ids, dtype=str)
+        assert np.array_equal(keys[:, None] == keys, text[:, None] == text)
 
     def test_prefix_and_widest_ids(self):
-        column = np.array(["A", "AB", "A\x01", "\xff" * 8, "ABCDEFGH", "B"])
+        column = np.array([b"A", b"AB", b"A\x01", b"\xff" * 8, b"ABCDEFGH", b"B"])
         (keys,) = _id_keys(column)
         assert np.argsort(keys).tolist() == [0, 2, 1, 4, 5, 3]
         assert len(set(keys.tolist())) == len(column)
 
     @pytest.mark.parametrize(
         "ids",
-        [["ABCDEFGHI", "A"], ["A\u0100", "A"], ["车"]],
+        [["ABCDEFGHI", "A"], ["A\u0100" * 3, "A"], ["车" * 3]],
         ids=["nine_chars", "u0100", "cjk"],
     )
     def test_long_or_wide_ids_keep_the_str_path(self, ids):
-        column, short = np.array(ids), np.array(["A"])
+        # 9 bytes in UTF-8 (three characters of 3 bytes for "cjk"): the
+        # columns are compared as bytes, as they are
+        column = SalesTable(ids, np.zeros(len(ids))).vehicle_id
+        short = SalesTable(["A"], [0]).vehicle_id
+        assert column.dtype.itemsize == 9
         got = _id_keys(short, column)
         assert got[0] is short and got[1] is column
 
+    def test_short_ids_pack_whatever_their_characters(self):
+        (keys,) = _id_keys(SalesTable(["A\u0100", "车", "A"], [0, 0, 0]).vehicle_id)
+        assert keys.dtype == np.uint64 and np.argsort(keys).tolist() == [2, 0, 1]
+
     def test_empty_columns(self):
-        (keys,) = _id_keys(np.array([], dtype=str))
+        (keys,) = _id_keys(np.array([], dtype=bytes))
         assert keys.dtype == np.uint64 and keys.shape == (0,)
         assert rows(aggregate_daily_claims(claims_table())) == []
         joined = join_claims(sales_table(), claims_table(("A", 1, 1.0)), W)
@@ -217,7 +230,7 @@ class TestIdKeys:
         merged = aggregate_daily_claims(raw)
         wide_merged = aggregate_daily_claims(wide_raw)
         assert wide_merged.vehicle_id.tolist() == [
-            long + v for v in merged.vehicle_id.tolist()
+            long.encode() + v for v in merged.vehicle_id.tolist()
         ]
         assert merged.day.tolist() == wide_merged.day.tolist()
         assert merged.amount.tobytes() == wide_merged.amount.tobytes()
@@ -302,6 +315,33 @@ class TestJoinMergesSameDayClaims:
                                        if i >= len(sale_days)})
 
 
+class TestShiftedDays:
+    """The join and the merge read day differences only, so shifting both
+    tables' days by one constant changes neither: this is why claims are
+    never moved onto the forecast clock."""
+
+    @pytest.mark.parametrize("shift", [-737_000, 1, 10**12])
+    def test_join_and_merge_do_not_see_the_shift(self, shift):
+        sales, claims = paper_scale_tables(n_items=3000, n_claims=4000)
+        # same-day repeats, so the merge sums some rows, known vehicles and unknown
+        claims = ClaimsTable(
+            np.concatenate([claims.vehicle_id, claims.vehicle_id[:600]]),
+            np.concatenate([claims.day, claims.day[:600]]),
+            np.concatenate([claims.amount, claims.amount[:600] / 3.0]),
+        )
+        moved_sales = SalesTable(sales.vehicle_id, sales.day + shift)
+        moved = ClaimsTable(claims.vehicle_id, claims.day + shift, claims.amount)
+        got, want = join_claims(moved_sales, moved, W), join_claims(sales, claims, W)
+        for name in ("item", "age", "amount"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.quarantined == want.quarantined > 0
+        merged, want = aggregate_daily_claims(moved), aggregate_daily_claims(claims)
+        assert len(want) < len(claims)
+        assert merged.vehicle_id.tobytes() == want.vehicle_id.tobytes()
+        assert (merged.day - shift).tobytes() == want.day.tobytes()
+        assert merged.amount.tobytes() == want.amount.tobytes()
+
+
 class TestBuildClaimsMeasures:
     """join_claims: per-item claim ages from the sales and claims tables."""
 
@@ -351,10 +391,10 @@ class TestBuildClaimsMeasures:
         merged = {(v, d) for v, d, _ in claims}
         assert len(merged) < len(claims)
         assert kept + joined.quarantined == len(merged)
-        known = set(sales.vehicle_id.tolist())
+        known = {v.decode() for v in sales.vehicle_id.tolist()}
         assert kept == sum(1 for v, _ in merged if v in known)
         assert np.all(np.diff(joined.item) >= 0)
-        for i, vid in enumerate(sales.vehicle_id.tolist()):
+        for i, vid in enumerate(v.decode() for v in sales.vehicle_id.tolist()):
             want = sorted(min(max(d - int(sales.day[i]), 0), W)
                           for v, d in merged if v == vid)
             assert item_points(joined, i) == tuple(float(a) for a in want)

@@ -37,11 +37,10 @@ def is_clean(data, columns):
 
 
 def rows(table):
-    """A table's rows as tuples of its columns."""
-    columns = [table.vehicle_id, table.day] + (
-        [table.amount] if isinstance(table, ClaimsTable) else []
-    )
-    return list(zip(*(c.tolist() for c in columns)))
+    """A table's rows as tuples of its columns, ids decoded."""
+    vids = [v.decode() for v in table.vehicle_id.tolist()]
+    columns = [table.day] + ([table.amount] if isinstance(table, ClaimsTable) else [])
+    return list(zip(vids, *(c.tolist() for c in columns)))
 
 
 class TestLoadSales:
@@ -134,7 +133,7 @@ class TestLoadSales:
             RowIssue(51, "NUL character in vehicle_id"),
             RowIssue(53, "NUL character in vehicle_id"),
         ]
-        assert len(sales) == 201 and "N" in sales.vehicle_id.tolist()
+        assert len(sales) == 201 and b"N" in sales.vehicle_id.tolist()
 
     def test_long_id_in_a_rejected_row_does_not_widen_the_column(self, tmp_path):
         rows = ["vehicle_id,sale_date"] + [f"V{i:03d},{100 + i}" for i in range(200)]
@@ -147,8 +146,8 @@ class TestLoadSales:
         finally:
             tracemalloc.stop()
         assert [i.line for i in issues] == [181]
-        assert sales.vehicle_id.dtype == np.dtype("<U4")
-        assert peak < 5e6  # a column 100k characters wide would take 80 MB
+        assert sales.vehicle_id.dtype == np.dtype("S4")
+        assert peak < 5e6  # a column 100k bytes wide would take 20 MB
 
     def test_missing_columns_fatal(self, tmp_path):
         p = write(tmp_path / "s.csv", "vid,when\nA,100\n")
@@ -310,8 +309,8 @@ class TestLoadClaims:
             tracemalloc.stop()
         assert issues == [RowIssue(181, "empty vehicle_id")]
         assert len(claims) == 200
-        assert claims.vehicle_id.dtype == np.dtype("<U1")
-        assert peak < 5e6  # a claim id column 100k characters wide: 80 MB
+        assert claims.vehicle_id.dtype == np.dtype("S1")
+        assert peak < 5e6  # a claim id column 100k bytes wide: 20 MB
 
     def test_long_claim_id_in_a_clean_file_goes_the_csv_way(self, tmp_path):
         # no padding, so the file is clean but for the width of that one id
@@ -328,7 +327,7 @@ class TestLoadClaims:
             tracemalloc.stop()
         assert reader.called
         assert issues == [RowIssue(181, "empty vehicle_id")]
-        assert claims.vehicle_id.dtype == np.dtype("<U1")
+        assert claims.vehicle_id.dtype == np.dtype("S1")
         assert peak < 5e6
 
     def test_day_past_int64_is_an_issue(self, tmp_path):
@@ -348,7 +347,7 @@ class TestLoadClaims:
         p = write(tmp_path / "c.csv", "\n".join(rows) + "\n")
         records, issues = load_claims(p)
         assert len(records) == 198
-        assert set(records.vehicle_id.tolist()) == {"V"}
+        assert set(records.vehicle_id.tolist()) == {b"V"}
         assert issues == [
             RowIssue(8, "NUL character in vehicle_id"),
             RowIssue(10, "NUL character in claim_id"),
@@ -403,13 +402,17 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, load, head):
 class TestAnchoring:
     def test_day_zero_after_last_sale(self):
         sales = SalesTable(["A", "B"], [100, 400])
-        claims = ClaimsTable(["A"], [150], [1.0])
-        s2, c2, anchor = anchor_day_zero(sales, claims)
+        s2, anchor = anchor_day_zero(sales)
         assert anchor == 401
         assert s2.day.tolist() == [-301, -1]
-        assert c2.day[0] == -251
         # observed sales occupy [-span, 0)
         assert max(s2.day) == -1
+        assert s2.vehicle_id is sales.vehicle_id  # the ids are not copied
+        assert sales.day.tolist() == [100, 400]
+
+    def test_empty_sales_cannot_be_anchored(self):
+        with pytest.raises(LoadError, match="empty sales"):
+            anchor_day_zero(SalesTable([], []))
 
 
 class TestSeriesRoundTrip:
@@ -820,7 +823,7 @@ class TestBlocks:
                 got = outcome(load_sales, p)
         assert reader.called
         assert got == outcome(rowwise_csv.load_sales, p)
-        assert got[1] == ["<U30", "<i8"]
+        assert got[1] == ["|S30", "<i8"]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -913,19 +916,31 @@ def test_load_sales_memory_peak(tmp_path, tokenizer):
 )
 def test_clean_load_holds_its_file_its_columns_and_one_block(tmp_path, kind, load, n):
     """A clean file's load holds the file, its columns, one joined column
-    beside the blocks' (the widest bounds it) and one block's work, however
-    long the file.
+    beside the blocks' (the widest bounds it), the repeat test's packed id
+    and line number (16 bytes a row) and one block's work, however long
+    the file.
 
-    Over the file, the columns and the widest column the peak measured 0.12
-    to 0.92 MB (44 000 and 176 000 rows, both loaders).  For 176 000 claims
-    it was 1.61 MB when the repeat test sorted a copy of the packed claim
-    ids and 3.54 MB when every column was joined at once; splitting the
-    whole file at once took 13.6 MB for the 44 000-row claims file, against
-    6.6 MB here.  Since the widest column is at most all of them, this
-    bound is never above file + 2 x columns + 1.5 MB.
+    With ids held as bytes, the peak over the file, the columns, the
+    widest column and the 16 bytes a row measured 0.31 to 1.22 MB (44 000
+    and 176 000 rows, both loaders).  Held as str (28 bytes a 7-character
+    id), the widest column was the ids, which absorbed those 16 bytes, and
+    this bound was 1.1 to 4.4 MB higher.  For 176 000 claims the peak was
+    1.61 MB more when the repeat test sorted a copy of the packed claim ids
+    and 3.54 MB more when every column was joined at once; splitting the
+    whole file at once took 13.6 MB for the 44 000-row claims file.
     """
     path = paper_scale_file(tmp_path / f"{kind}.csv", kind, n)
     table, peak = traced_load(path, load, "numpy")
     columns = [c.nbytes for c in vars(table).values()]
     assert len(table) == n
-    assert peak <= path.stat().st_size + sum(columns) + max(columns) + 1.5e6
+    held = path.stat().st_size + sum(columns) + max(columns) + 16 * n
+    assert peak <= held + 1.5e6
+
+
+@pytest.mark.parametrize("kind, load", [("sales", load_sales), ("claims", load_claims)])
+def test_loaded_ids_take_one_byte_per_ascii_character(tmp_path, kind, load):
+    """A paper-scale file's 7-character ASCII ids load as a 7-byte column."""
+    path = paper_scale_file(tmp_path / f"{kind}.csv", kind, 44_000)
+    table, _ = load(path)
+    assert table.vehicle_id.dtype == np.dtype("S7")
+    assert table.vehicle_id.nbytes == len(table) * 7

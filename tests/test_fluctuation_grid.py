@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from claimcast import dataio, pipeline
-from claimcast.claims import ClaimsTable
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import fluctuation_moments
 from claimcast.sales import (
@@ -44,7 +43,7 @@ def synthetic_residuals(tmp_path_factory):
         atom0=0.1, atomW=0.04, seed=5,
     )
     sales, _ = dataio.load_sales(root / "sales.csv")
-    sales, _, _ = dataio.anchor_day_zero(sales, ClaimsTable([], [], []))
+    sales, _ = dataio.anchor_day_zero(sales)
     counts, first = pipeline._daily_counts(sales)
     bass = fit_bass(counts, len(sales), first)
     return compute_residuals(counts, first, bass), first

@@ -39,7 +39,7 @@ CONFIG = RunConfig(
 
 
 @pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
+def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("synthetic")
     synthesize_dataset(
         root / "sales.csv",
@@ -55,8 +55,13 @@ def dataset(tmp_path_factory):
         atomW=0.04,
         seed=11,
     )
-    sales, _ = load_sales(root / "sales.csv")
-    claims, _ = load_claims(root / "claims.csv")
+    return root
+
+
+@pytest.fixture(scope="module")
+def dataset(dataset_dir):
+    sales, _ = load_sales(dataset_dir / "sales.csv")
+    claims, _ = load_claims(dataset_dir / "claims.csv")
     return sales, claims
 
 
@@ -348,6 +353,42 @@ def brute_force_window_totals(sales, claims, horizon):
             count += 1
             cost += amount
     return count, cost
+
+
+def report_files(config, root, out):
+    """The files ``run_pipeline`` writes from the CSV pair in ``root``."""
+    sales, _ = load_sales(root / "sales.csv")
+    claims, _ = load_claims(root / "claims.csv")
+    run_pipeline(config, sales, claims, out_dir=out)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestVehicleIdSpelling:
+    """Only which rows share a vehicle id reaches the report, not how the
+    ids are spelled: renamed ids give the same files byte for byte."""
+
+    @pytest.mark.parametrize("policy", ["free_replacement", "prorata"])
+    @pytest.mark.parametrize(
+        "spelling",
+        ["VEHICLE-V", "Ü", "ÜV"],
+        # 15 bytes, compared as bytes; 8 bytes of UTF-8 from csv.reader,
+        # packed; 9 bytes from csv.reader, compared as bytes
+        ids=["past_8_bytes", "non_ascii_packed", "non_ascii_past_8_bytes"],
+    )
+    def test_renamed_ids_give_the_same_report(self, dataset_dir, tmp_path, policy, spelling):
+        config = replace(CONFIG, policy=policy, unit_price=250.0)
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for name in ("sales.csv", "claims.csv"):
+            lines = (dataset_dir / name).read_bytes().splitlines(keepends=True)
+            assert all(line.startswith(b"V") for line in lines[1:])
+            body = b"".join(spelling.encode() + line[1:] for line in lines[1:])
+            (renamed / name).write_bytes(lines[0] + body)
+        sales, _ = load_sales(renamed / "sales.csv")
+        assert sales.vehicle_id.dtype.itemsize == len(spelling.encode()) + 6
+        want = report_files(config, dataset_dir, tmp_path / "original")
+        assert len(want) >= 7
+        assert report_files(config, renamed, tmp_path / "out") == want
 
 
 class TestRealizedWindowTotals:
