@@ -15,13 +15,13 @@ other values are parsed one by one.  Ids are held as the UTF-8 bytes of
 the file: a clean file's are cut from its blocks, a ``csv.reader``
 chunk's are encoded once.  Only accepted ids become an array, so an id
 column is a byte column (``S<width>``) as wide as its longest accepted id
-in bytes; the ids that must be unique are held as packed 64-bit keys where
-they pack and as bytes where they do not.  A row is rejected by the first
-check it fails, in a fixed order per file, and reported as a
-:class:`RowIssue` with its line number; rejected rows are fatal only past
-a 1% share, a repeated id always.  :func:`anchor_day_zero` moves the sales
-onto the forecast clock (day 0 = the day after the last observed sale);
-claims join onto sales by day differences, so they are never moved.
+in bytes.  The id column that must not repeat is tested once, after the
+blocks are joined.  A row is rejected by the first check it fails, in a
+fixed order per file, and reported as a :class:`RowIssue` with its line
+number; rejected rows are fatal only past a 1% share, a repeated id
+always.  :func:`anchor_day_zero` moves the sales onto the forecast clock
+(day 0 = the day after the last observed sale); claims join onto sales by
+day differences, so they are never moved.
 """
 
 from __future__ import annotations
@@ -304,11 +304,6 @@ def _kept(column, keep: np.ndarray) -> np.ndarray:
     return _utf8(column if keep.all() else list(compress(column, keep)))
 
 
-def _unpacked(keys: np.ndarray) -> np.ndarray:
-    """The byte ids that :func:`claimcast.claims._id_keys` packed into ``keys``."""
-    return keys.astype(">u8").view("S8")
-
-
 def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
     """Day numbers of one raw column and the mask of the usable ones.
 
@@ -409,7 +404,7 @@ def _horner(digits: np.ndarray) -> np.ndarray:
     return values
 
 
-def _load(path, required: Sequence[str], check, duplicate: str):
+def _load(path, required: Sequence[str], check, unique: int, duplicate: str):
     """The accepted rows of ``path`` as columns, and its row issues.
 
     The file is read once as bytes.  A clean one goes through
@@ -417,9 +412,9 @@ def _load(path, required: Sequence[str], check, duplicate: str):
     ``csv.reader`` in chunks (:func:`_read_chunks`).  A file found not to
     be clean after some of its blocks were checked starts again through
     ``csv.reader``.  ``check`` maps one chunk's raw columns to its parsed
-    columns (ids as lists or :class:`_Fields`, the rest as arrays), its
-    ids that must be unique, and the (row, message) pairs of its rejected
-    rows.  A repeat among the accepted rows' ids raises ``duplicate`` (a
+    columns (ids as lists or :class:`_Fields`, the rest as arrays) and the
+    (row, message) pairs of its rejected rows.  Column ``unique`` must not
+    repeat among the accepted rows: a repeat raises ``duplicate`` (a
     message prefix) naming both lines, with the issues on earlier lines.
     As in a row-at-a-time read, a repeat takes precedence over the 1%
     budget and over a read error further down the file; the ``LoadError``
@@ -431,87 +426,74 @@ def _load(path, required: Sequence[str], check, duplicate: str):
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     try:
-        return _accepted(path, _clean(data, required), check, duplicate)
+        return _accepted(path, _clean(data, required), check, unique, duplicate)
     except _NotClean:
         pass  # the handler's traceback would hold the blocks checked so far
-    return _accepted(path, _read_chunks(path, data, required), check, duplicate)
+    return _accepted(path, _read_chunks(path, data, required), check, unique, duplicate)
 
 
-def _accepted(path, chunks, check, duplicate: str):
+def _accepted(path, chunks, check, unique: int, duplicate: str):
     """:func:`_load` over (line numbers, raw columns) chunks.
 
-    Each chunk's kept columns are held until ``_concat_blocks`` joins them;
-    its kept unique ids are held only as :func:`claimcast.claims._id_keys`
-    gives them (packed keys, or bytes where they do not pack), with their
-    lines.
+    Each chunk's kept columns are held until ``_concat_blocks`` joins them,
+    and its kept rows' line numbers until the load ends; the repeat test
+    then reads the joined column ``unique``.
     """
     parts: List[List[np.ndarray]] = []
-    ids: List[Tuple[np.ndarray, np.ndarray]] = []
+    lines: List[np.ndarray] = []
     issues: List[RowIssue] = []
     total = 0
     try:
-        for lines, raw in chunks:
-            columns, unique, rejected = check(*raw)
-            keep = np.ones(len(lines), dtype=bool)
+        for numbers, raw in chunks:
+            columns, rejected = check(*raw)
+            keep = np.ones(len(numbers), dtype=bool)
             for k, message in rejected:
                 keep[k] = False
-                issues.append(RowIssue(int(lines[k]), message))
+                issues.append(RowIssue(int(numbers[k]), message))
             parts.append([_kept(c, keep) for c in columns])
-            ids.append((lines[keep], _id_keys(_kept(unique, keep))[0]))
-            total += len(lines)
+            lines.append(numbers[keep])
+            total += len(numbers)
     except LoadError as exc:
-        _check_unique(path, ids, duplicate, issues)
+        if parts:
+            _check_unique(path, _concat_blocks(parts)[unique], lines, duplicate, issues)
         exc.issues = issues
         raise
-    _check_unique(path, ids, duplicate, issues)
+    columns = _concat_blocks(parts)
+    if columns:
+        _check_unique(path, columns[unique], lines, duplicate, issues)
     _check_bad_share(path, total, issues)
-    del ids  # freed before the columns are joined
-    return _concat_blocks(parts), issues
+    return columns, issues
 
 
-def _has_repeat(ids: np.ndarray) -> bool:
-    """Whether uint64 keys or byte ids hold some value twice; they are
-    sorted in place."""
-    ids.sort()
-    return bool(np.any(ids[1:] == ids[:-1]))
-
-
-def _joined_ids(parts) -> Tuple[np.ndarray, bool]:
-    """Every chunk's unique ids in file order, as uint64 keys where every
-    chunk's ids pack, else as bytes, and whether they are keys."""
-    ids = [keys for _, keys in parts]
-    packed = all(keys.dtype == np.uint64 for keys in ids)
-    if not packed:
-        ids = [keys if keys.dtype.kind == "S" else _unpacked(keys) for keys in ids]
-    return np.concatenate(ids), packed
-
-
-def _check_unique(path, parts, duplicate: str, issues) -> None:
+def _check_unique(path, ids: np.ndarray, lines, duplicate: str, issues) -> None:
     """Raise the ``LoadError`` for the earliest repeated id, if any.
 
-    ``parts`` holds each chunk's kept lines and unique ids as
-    :func:`_accepted` holds them.  The repeat test sorts the joined ids in
-    place; only a file with a repeat joins them again, in file order, to
-    find the earliest, whose bytes the message decodes.
+    ``ids`` is a joined byte column and ``lines`` its rows' line numbers in
+    blocks.  The repeat test sorts the ids' :func:`claimcast.claims._id_keys`
+    in place, or a copy of ids too wide to pack, so that ``ids`` keeps its
+    order.  Only a file with a repeat finds the earliest, in file order.
     """
-    if not parts or not _has_repeat(_joined_ids(parts)[0]):
+    (keys,) = _id_keys(ids)
+    if keys is ids:
+        keys = ids.copy()
+    keys.sort()
+    if not np.any(keys[1:] == keys[:-1]):
         return
-    ids, packed = _joined_ids(parts)
-    lines = np.concatenate([lines for lines, _ in parts])
-    unique, first = np.unique(ids, return_index=True)
-    again = np.ones(len(ids), dtype=bool)
+    (keys,) = _id_keys(ids)
+    lines = np.concatenate(lines)
+    unique, first = np.unique(keys, return_index=True)
+    again = np.ones(len(keys), dtype=bool)
     again[first] = False
     k = int(np.argmax(again))  # the earliest repeat in file order
-    earlier = int(lines[first[np.searchsorted(unique, ids[k])]])
-    repeat = _unpacked(ids[k : k + 1]) if packed else ids[k : k + 1]
+    earlier = int(lines[first[np.searchsorted(unique, keys[k])]])
     raise LoadError(
-        f"{path}: {duplicate} {repeat[0].decode()!r} (lines {earlier} and {int(lines[k])})",
+        f"{path}: {duplicate} {ids[k].decode()!r} (lines {earlier} and {int(lines[k])})",
         [issue for issue in issues if issue.line < lines[k]],
     )
 
 
 def _sales_rows(vehicle_id, sale_date):
-    """One chunk's checks: sale_date, then vehicle_id, the unique id."""
+    """One chunk's checks: sale_date, then vehicle_id."""
     vid, bad_vid = _ids(vehicle_id)
     day, day_ok = _days(sale_date)
     rejected = []
@@ -520,14 +502,12 @@ def _sales_rows(vehicle_id, sale_date):
             rejected.append((k, f"unparseable sale_date {sale_date[k]!r}"))
         else:
             rejected.append((k, _id_issue("vehicle_id", vid[k])))
-    return (vid, day), vid, rejected
+    return (vid, day), rejected
 
 
 def _claim_rows(vehicle_id, claim_date, claim_id, amount):
-    """One chunk's checks: vehicle_id, claim_id, claim_date, then amount.
-
-    The claim ids are the unique ids.
-    """
+    """One chunk's checks: vehicle_id, claim_id, claim_date, then amount;
+    the claim ids are the last column."""
     vid, bad_vid = _ids(vehicle_id)
     cid, bad_cid = _ids(claim_id)
     day, day_ok = _days(claim_date)
@@ -549,7 +529,7 @@ def _claim_rows(vehicle_id, claim_date, claim_id, amount):
         else:
             message = f"negative amount {float(value[k])}"
         rejected.append((k, message))
-    return (vid, day, value), cid, rejected
+    return (vid, day, value, cid), rejected
 
 
 def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
@@ -564,6 +544,7 @@ def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
         path,
         ("vehicle_id", "sale_date"),
         _sales_rows,
+        0,
         "duplicate sales rows for vehicle",
     )
     return SalesTable(vid, day), issues
@@ -578,10 +559,11 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     amount.  Duplicate claim ids are fatal (both line numbers reported);
     rejected rows are collected and become fatal only past a 1% share.
     """
-    (vid, day, amount), issues = _load(
+    (vid, day, amount, _), issues = _load(
         path,
         ("vehicle_id", "claim_date", "claim_id", "amount"),
         _claim_rows,
+        3,
         "duplicate claim id",
     )
     return ClaimsTable(vid, day, amount), issues
@@ -606,11 +588,21 @@ def anchor_day_zero(sales: SalesTable) -> Tuple[SalesTable, int]:
     [0, T], [T, 2T] start immediately after the data ends.  Claims are
     not shifted: :func:`claimcast.claims.join_claims` reads only day
     differences, so it joins the raw tables as loaded.  The anchored table
-    shares the vehicle-id column of ``sales``.
+    shares the vehicle-id column of ``sales``.  Sales whose day 0 is past
+    int64, or that span more days than ISO dates can (``date.max``'s
+    ordinal), cannot be anchored.
     """
     if len(sales) == 0:
         raise LoadError("cannot anchor an empty sales table")
-    anchor = int(sales.day.max()) + 1
+    first, last = int(sales.day.min()), int(sales.day.max())
+    anchor, widest = last + 1, date.max.toordinal()
+    if anchor > np.iinfo(np.int64).max:
+        raise LoadError(f"cannot anchor sale days {first} to {last}: day 0 is past int64")
+    if anchor - first > widest:
+        raise LoadError(
+            f"cannot anchor sale days {first} to {last}: "
+            f"they span more than the {widest} days of ISO dates"
+        )
     return SalesTable(sales.vehicle_id, sales.day - anchor), anchor
 
 

@@ -6,6 +6,7 @@ the pre-committed seed 1096 (the warranty length) and never scan seeds.
 """
 
 import functools
+import itertools
 import operator
 import time
 
@@ -178,8 +179,35 @@ def test_criterion_04_sanity_check_arithmetic():
             f"{name}: {got:.5f} vs {want} exceeds {tol}"
             " (see the README paragraph on the two failing acceptance checks:"
             " the mid-distribution entry is not reproducible to 0.002 from"
-            " inputs rounded at 4 decimals)"
+            " inputs rounded at 4 decimals: over their rounding box it spans"
+            " [0.56402, 0.57083], as"
+            " test_criterion_04_rounding_box_holds_the_published_value computes)"
         )
+
+
+def test_criterion_04_rounding_box_holds_the_published_value():
+    """The [T, 2T] normal CDF at 98 992.90 over every rounding of its inputs.
+
+    The published inputs are rounded: c1, c2, mu and sigma^2 to 4 decimals,
+    E and V to 2.  Moving each by minus, none and plus half its last digit
+    (3^6 combinations) moves the CDF over [0.56402, 0.57083], which holds
+    the published 0.5649 although the unmoved inputs give 0.5674, 0.0025
+    from it: criterion 4's 2e-3 cannot separate the two.
+    """
+    base = LIMITS[T]
+    rounded = (base.claims_mean, base.claims_var, base.fluct_mean, base.fluct_var)
+    values = []
+    for moves in itertools.product((-5e-5, 0.0, 5e-5), repeat=4):
+        limits = LimitParams(*(x + d for x, d in zip(rounded, moves)), base.horizon)
+        for e, v in itertools.product((-5e-3, 0.0, 5e-3), repeat=2):
+            approx = cost_approx_normal(limits, E_SIZE + e, V_SIZE + v)
+            values.append(approx_cdf(approx, 98_992.90))
+    low, high = min(values), max(values)
+    emit(4, low <= 0.5649 <= high, f"rounding box [{low:.5f}, {high:.5f}] holds 0.5649")
+    assert len(values) == 3**6
+    assert low == pytest.approx(0.56402, abs=1e-5)
+    assert high == pytest.approx(0.57083, abs=1e-5)
+    assert low <= 0.5649 <= high
 
 
 def test_criterion_05_stable_numerics_oracle():

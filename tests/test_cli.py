@@ -315,6 +315,28 @@ class TestExitCodes:
         assert f"error: {claims}: read failed after line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "day, error",
+        [
+            (9_223_372_036_854_775_807, "day 0 is past int64"),
+            (900_000_000_000, "they span more than the 3652059 days of ISO dates"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fit-sales", "report"])
+    def test_extreme_sale_day_is_validation_error(
+        self, dataset_dir, tmp_path, capsys, command, day, error
+    ):
+        sales = tmp_path / "sales.csv"
+        first = int(load_sales(dataset_dir / "sales.csv")[0].day.min())
+        extreme = f"X000001,{day}\r\n".encode()
+        sales.write_bytes((dataset_dir / "sales.csv").read_bytes() + extreme)
+        claims = ["--claims", str(dataset_dir / "claims.csv")] if command == "report" else []
+        rc = main([command, "--sales", str(sales), *claims, *COMMON])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot anchor sale days {first} to {day}: {error}"
+        )
+
+    @pytest.mark.parametrize(
         "rows,issues,error",
         [
             (["A,1", ",2", "C,x", "D,4"],

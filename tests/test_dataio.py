@@ -414,6 +414,32 @@ class TestAnchoring:
         with pytest.raises(LoadError, match="empty sales"):
             anchor_day_zero(SalesTable([], []))
 
+    @pytest.mark.parametrize(
+        "days, error",
+        [
+            ([9_223_372_036_854_775_807], "day 0 is past int64"),
+            ([1, 9_223_372_036_854_775_807], "day 0 is past int64"),
+            ([1, 900_000_000_000], "they span more than the 3652059 days of ISO dates"),
+            ([1, 3_652_060], "they span more than the 3652059 days of ISO dates"),
+        ],
+    )
+    def test_days_past_int64_or_iso_dates_cannot_be_anchored(self, days, error):
+        sales = SalesTable([f"V{i}" for i in range(len(days))], days)
+        with pytest.raises(LoadError) as caught:
+            anchor_day_zero(sales)
+        assert str(caught.value) == f"cannot anchor sale days {days[0]} to {days[-1]}: {error}"
+
+    @pytest.mark.parametrize(
+        "days",
+        [[1, 3_652_059], [-9_223_372_036_854_775_808, -9_223_372_036_854_775_808 + 5],
+         [9_223_372_036_854_775_806]],
+    )
+    def test_widest_anchorable_days(self, days):
+        """Day 0 may be the last int64 and the span every ISO date's."""
+        s2, anchor = anchor_day_zero(SalesTable([f"V{i}" for i in range(len(days))], days))
+        assert anchor == days[-1] + 1
+        assert s2.day.tolist() == [d - anchor for d in days]
+
 
 class TestSeriesRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -826,6 +852,30 @@ class TestBlocks:
         assert got[1] == ["|S30", "<i8"]
 
 
+@pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+@pytest.mark.parametrize(
+    "kind, load, columns",
+    [("sales", load_sales, SALES), ("claims", load_claims, CLAIMS)],
+    ids=["sales", "claims"],
+)
+def test_each_block_cuts_each_column_once(tmp_path, tokenizer, kind, load, columns):
+    """A load keeps each column of each block once: the repeat test reads
+    the joined id column, so no block's ids are cut a second time."""
+    line_end = "\r\n" if tokenizer == "csv_reader" else "\n"
+    path = paper_scale_file(tmp_path / f"{kind}.csv", kind, 1000, line_end)
+    with mock.patch.object(dataio, "BLOCK_BYTES", 2048), mock.patch.object(
+        dataio, "CHUNK_ROWS", 100
+    ), mock.patch.object(dataio, "_kept", wraps=dataio._kept) as kept:
+        blocks = len(clean_blocks(path, columns)) if tokenizer == "numpy" else 10
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            if tokenizer == "numpy":
+                reader.side_effect = AssertionError
+            table, _ = load(path)
+    assert reader.called == (tokenizer == "csv_reader")
+    assert len(table) == 1000 and blocks > 1
+    assert kept.call_count == len(columns) * blocks
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
@@ -916,13 +966,16 @@ def test_load_sales_memory_peak(tmp_path, tokenizer):
 )
 def test_clean_load_holds_its_file_its_columns_and_one_block(tmp_path, kind, load, n):
     """A clean file's load holds the file, its columns, one joined column
-    beside the blocks' (the widest bounds it), the repeat test's packed id
-    and line number (16 bytes a row) and one block's work, however long
-    the file.
+    beside the blocks' (the widest bounds it), the repeat test's packed
+    keys and the kept rows' line numbers (16 bytes a row) and one block's
+    work, however long the file.
 
-    With ids held as bytes, the peak over the file, the columns, the
-    widest column and the 16 bytes a row measured 0.31 to 1.22 MB (44 000
-    and 176 000 rows, both loaders).  Held as str (28 bytes a 7-character
+    With the repeat test run once on the joined id column, the peak over
+    the file, the columns, the widest column and the 16 bytes a row
+    measured -1.13 to 1.21 MB (44 000 and 176 000 rows, both loaders; a
+    claims load also holds its claim ids, 8 bytes a row, until it
+    returns).  With each block's ids packed and held beside their lines,
+    it was 0.31 to 1.22 MB.  With ids held as str (28 bytes a 7-character
     id), the widest column was the ids, which absorbed those 16 bytes, and
     this bound was 1.1 to 4.4 MB higher.  For 176 000 claims the peak was
     1.61 MB more when the repeat test sorted a copy of the packed claim ids
