@@ -319,7 +319,9 @@ class FluctuationIncrements:
     Entry k refers to the increment X(d) - X(d - 1) over day d = k - W + 1,
     so the entries run over days -W+1 .. T+offset, with X anchored at zero
     on day -W.  Increment k has mean ``mean[k]``; increments j and k have
-    covariance ``scale[j] * scale[k] * acf[|j - k|]``.
+    covariance ``scale[j] * scale[k] * acf[|j - k|]``.  An estimated record
+    has ``acf`` zero beyond lag min(N - 1, W), N the observed sale days,
+    and is assembled once per report, for its last window.
     """
 
     mean: np.ndarray

@@ -114,10 +114,12 @@ def fluctuation_moments(
     day's exposure a_k, so the mean is a . E[increment] and the
     variance the quadratic form of a in the increment covariance:
     acf[0] c[0] + 2 sum_{l>=1} acf[l] c[l] with c the autocorrelation of
-    y = a * scale.  No day-by-day grid is built.  A
-    variance below -1e-8 indicates an increment covariance that is not
-    positive semidefinite and raises; small negatives from rounding are
-    floored at zero.
+    y = a * scale, acf zero beyond lag min(N - 1, W) in an estimated
+    record.  No day-by-day grid is built.  Only the record's first
+    W + T + offset days are read, so the one record a report assembles,
+    for its last window, serves every window.  A variance below -1e-8
+    indicates an increment covariance that is not positive semidefinite
+    and raises; small negatives from rounding are floored at zero.
     """
     w, t = horizon.warranty, horizon.period
     if mean_measure.warranty != w:
@@ -129,17 +131,17 @@ def fluctuation_moments(
     weights[0] += mean_measure.atom0 * float(rebate(0.0))
     weights[w] += mean_measure.atomW * float(rebate(float(w)))
 
-    days = len(increments.mean)
-    if days != w + t + horizon.offset:
+    days = w + t + horizon.offset
+    if len(increments.mean) < days:
         raise DomainError("daily increments do not cover the forecast window")
     # entry k is the increment over day k - W + 1
     start, end = horizon.sale_day_range(u, u)
     exposure = range_sums(start + 1, end, weights, 1 - w, days)
 
-    mu = float(exposure @ increments.mean)
-    y = exposure * increments.scale
+    mu = float(exposure @ increments.mean[:days])
+    y = exposure * increments.scale[:days]
     c = np.correlate(y, y, "full")[days - 1 :]
-    acf = increments.acf
+    acf = increments.acf[:days]
     var = float(acf[0] * c[0] + 2.0 * (acf[1:] @ c[1:]))
     if var < -1e-8:
         raise NumericalError(f"fluctuation variance {var:.3e} violates PSD")
@@ -171,14 +173,23 @@ def cost_approx_normal(
 
     The defaults E = 1, V = 0 give the claim count; a pro-rata cost is the
     count at fixed size E = c_b, since the rebate weights are already
-    inside c1 and c2.
+    inside c1 and c2.  A location or variance that overflows raises
+    :class:`NumericalError`.
     """
     if var_size < 0.0:
         raise DomainError("size variance must be non-negative")
     n = lp.horizon.scale
     e, v = mean_size, var_size
-    location = n * lp.claims_mean * e + np.sqrt(n) * e * lp.fluct_mean
-    var = n * (v * lp.claims_mean + e**2 * (lp.claims_var + lp.fluct_var))
+    location = n * lp.claims_mean * e + math.sqrt(n) * e * lp.fluct_mean
+    try:
+        var = n * (v * lp.claims_mean + e**2 * (lp.claims_var + lp.fluct_var))
+    except OverflowError:  # a float power raises where a product gives inf
+        var = math.inf
+    if not (math.isfinite(location) and math.isfinite(var)):
+        raise NumericalError(
+            f"cost approximation not finite: location {location:.6g}, "
+            f"variance {var:.6g}"
+        )
     if var <= 0.0:
         raise DomainError("degenerate cost approximation (zero variance)")
     return CostApproximation(location=float(location), scale=float(np.sqrt(var)))
@@ -212,10 +223,12 @@ def cost_approx_stable(
     """
     if size_scale <= 0.0:
         raise DomainError("size scale must be positive")
+    c1 = lp.claims_mean
+    if c1 <= 0.0:
+        raise DomainError("c1 must be positive")
     n = lp.horizon.scale
     sc = tail_scalers(alpha, n)
     b_n = sc.b_n * size_scale
-    c1 = lp.claims_mean
     if alpha > 1.0:
         if mean_size is None:
             raise DomainError("1 < alpha < 2 needs the mean claim size")

@@ -254,12 +254,13 @@ def run_pipeline(
         for k in sorted(set(config.periods))
     ]
     grids = claims_mod.moment_grids(joined, fitted, rebate, horizons)
+    # the last window's record covers every earlier window too
+    increments = assemble_fluctuation(decomposition, horizons[-1], config.poly_degree)
     levels = np.array(QUANTILE_LEVELS)
     standard = {}  # stable law -> its quantile column: one call per distinct law
     for horizon, (mean, var, floored) in zip(horizons, grids):
         report["variance_floor_count"] += floored
         c1, c2 = rate_constants(mean, var, bass.share(horizon.sale_days))
-        increments = assemble_fluctuation(decomposition, horizon, config.poly_degree)
         mu_t, sig2_t = fluctuation_moments(increments, fitted, rebate, horizon)
         limits = dict(claims_mean=c1, claims_var=c2, fluct_mean=mu_t, fluct_var=sig2_t)
         lp = LimitParams(horizon=horizon, **limits)

@@ -199,9 +199,10 @@ class ResidualDecomposition:
     """Trend/scale decomposition of the sales residuals.
 
     ``std_resid`` holds the standardized surrogates (resid - trend)/scale
-    whose sample mean, variance and autocorrelation parameterize the
-    fluctuation limit.  With ``stationary`` set the caller has judged the
-    residual series stationary: trend is identically 0 and scale 1.
+    whose sample mean, variance and autocorrelation to lag min(N - 1, W)
+    (taken once per report by :func:`assemble_fluctuation`) parameterize
+    the fluctuation limit.  Under the stationary shortcut trend is
+    identically 0 and scale 1.
     """
 
     days: np.ndarray
@@ -210,8 +211,6 @@ class ResidualDecomposition:
     std_resid: np.ndarray
     mean: float
     var: float
-    acf: np.ndarray
-    stationary: bool = False
 
     def __post_init__(self):
         n = len(self.trend)
@@ -221,15 +220,13 @@ class ResidualDecomposition:
             raise DomainError("days must be consecutive, one per residual")
         if np.any(self.scale <= 0.0):
             raise DomainError("scale must be positive everywhere")
-        if abs(self.acf[0] - 1.0) > 1e-9 or np.any(np.abs(self.acf) > 1.0 + 1e-9):
-            raise DomainError("autocorrelation must start at 1 and stay in [-1, 1]")
 
 
 def sample_acf(x: np.ndarray, maxlag: int) -> np.ndarray:
-    """Autocorrelation with the 1/N normalization (positive semidefinite)."""
+    """Autocorrelation at lags 0..maxlag with the 1/N normalization
+    (positive semidefinite), one dot product per lag."""
     d = np.asarray(x, dtype=float) - np.mean(x)
-    full = np.correlate(d, d, mode="full")
-    cov = full[len(d) - 1 : len(d) + maxlag]
+    cov = np.array([d[k:] @ d[: len(d) - k] for k in range(maxlag + 1)])
     if cov[0] <= 0.0:
         out = np.zeros(maxlag + 1)
         out[0] = 1.0
@@ -271,8 +268,6 @@ def decompose_residuals(
         std_resid=std,
         mean=float(np.mean(std)),
         var=float(np.var(std, ddof=1)),
-        acf=sample_acf(std, len(std) - 1),
-        stationary=stationary,
     )
 
 
@@ -334,24 +329,21 @@ def assemble_fluctuation(
     """The limit's daily increments over days -W+1 .. T+offset.
 
     Daily increments have mean trend_t + l * scale_t and covariance
-    s^2 * scale_t * scale_s * c(|t-s|), with the autocorrelation cut off
-    beyond the warranty length (and beyond the observed lags); the record's
-    scale is s * scale_t.  Trend and log-scale extend into the forecast
-    window by polynomial fit.
+    s^2 * scale_t * scale_s * c(|t-s|), with the autocorrelation c of the
+    standardized residuals taken to lag min(N - 1, W) and zero beyond; the
+    record's scale is s * scale_t.  Trend and log-scale extend into the
+    forecast window by polynomial fit (a stationary decomposition's to
+    exactly 0 and 1).
     """
     w, t, off = horizon.warranty, horizon.period, horizon.offset
     inc_days = np.arange(-w + 1, t + off + 1)
-    if dec.stationary:
-        trend = np.zeros(len(inc_days))
-        scale = np.ones(len(inc_days))
-    else:
-        trend = _extend(dec.days, dec.trend, inc_days, poly_degree)
-        scale = _extend(dec.days, dec.scale, inc_days, poly_degree, log_domain=True)
-        scale = np.maximum(scale, SCALE_FLOOR)
+    trend = _extend(dec.days, dec.trend, inc_days, poly_degree)
+    scale = _extend(dec.days, dec.scale, inc_days, poly_degree, log_domain=True)
+    scale = np.maximum(scale, SCALE_FLOOR)
 
-    max_lag = min(len(dec.acf) - 1, w)
+    max_lag = min(len(dec.std_resid) - 1, w)
     acf = np.zeros(len(inc_days))
-    acf[: max_lag + 1] = dec.acf[: max_lag + 1]
+    acf[: max_lag + 1] = sample_acf(dec.std_resid, max_lag)
     return FluctuationIncrements(
         mean=trend + dec.mean * scale,
         scale=np.sqrt(dec.var) * scale,

@@ -270,6 +270,10 @@ class LognormalSizes:
     def __post_init__(self):
         if not (np.isfinite(self.mu_log) and 0.0 <= self.sigma_log < np.inf):
             raise DomainError("need a finite mu_log and a finite sigma_log >= 0")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.mean) and np.isfinite(self.var)
+        if not finite:
+            raise DomainError("lognormal sizes need a finite mean and variance")
 
     def sample(self, rng, size):
         return rng.lognormal(self.mu_log, self.sigma_log, size=size)

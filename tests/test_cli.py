@@ -277,6 +277,20 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_forecast_is_numerical_failure(self, dataset_dir, capsys):
+        rc = main(["report", *data_args(dataset_dir), *COMMON, "--policy", "prorata",
+                   "--unit-price", "1e200"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: cost approximation not finite" in err
+
+    def test_overflowing_validation_is_numerical_failure(self, capsys):
+        rc = main(["validate", "--theorem", "prorata", "--unit-price", "1e200",
+                   "--reps", "100"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: cost approximation not finite" in err
+
     def test_bad_qq_k_is_validation_error(self, dataset_dir, capsys):
         rc = main(
             [
@@ -418,6 +432,8 @@ class TestExitCodes:
             ["--atomW", "inf"],
             ["--density-slope", "inf"],
             ["--theorem", "stable_1_2", "--pareto-alpha", "nan"],
+            ["--theorem", "normal", "--size-mu-log", "800"],  # E = inf
+            ["--theorem", "normal", "--size-sigma-log", "30"],  # V = inf
         ],
     )
     def test_bad_model_parameter_rejected_before_any_replication(

@@ -16,7 +16,7 @@ from claimcast.engine import (
     fluctuation_moments,
     rate_constants,
 )
-from claimcast.errors import DomainError
+from claimcast.errors import DomainError, NumericalError
 from claimcast.sales import BassParams
 from claimcast.stable import (
     params_eq_one_case,
@@ -120,8 +120,6 @@ class TestFluctuationMoments:
         m = MeanClaimsMeasure(0.0, 0.0, atom0=1.0, warranty=10)
         # T = 4 unit increments with lag-1 correlation -1: 4 - 2 * 3 < 0
         inc = daily_increments(10, 4, acf=[-1.0])
-        from claimcast.errors import NumericalError
-
         with pytest.raises(NumericalError):
             fluctuation_moments(
                 inc, m, RebateFunction.free_replacement(10), TimeHorizon(10, 4)
@@ -186,6 +184,15 @@ class TestCostApproxNormal:
         # a negative variance is outside the domain
         with pytest.raises(DomainError):
             cost_approx_normal(car_limit_params(0), E_SIZE, -1.0)
+
+    @pytest.mark.parametrize(
+        "mean_size, var_size",
+        [(1e200, 0.0), (1e152, 0.0), (E_SIZE, 1e308)],
+        ids=["power", "product", "size_variance"],
+    )
+    def test_overflow_is_a_numerical_error(self, mean_size, var_size):
+        with pytest.raises(NumericalError, match="variance inf"):
+            cost_approx_normal(car_limit_params(0), mean_size, var_size)
 
 
 class TestCostApproxStableFiniteMean:
@@ -282,6 +289,13 @@ class TestCostApproxStable:
     def test_nonpositive_size_scale_rejected(self):
         with pytest.raises(DomainError):
             cost_approx_stable(car_limit_params(0), 0.7, size_scale=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.52, 1.0, 0.5])
+    def test_zero_claim_rate_rejected(self, alpha):
+        # a window that no sale day reaches has c1 = c2 = 0
+        lp = LimitParams(0.0, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, N))
+        with pytest.raises(DomainError, match="^c1 must be positive$"):
+            cost_approx_stable(lp, alpha, E_SIZE)
 
 
 class TestCostApproxProrata:

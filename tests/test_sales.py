@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -388,9 +389,9 @@ class TestDecomposeResiduals:
         r = rng.normal(size=800)
         dec = decompose_residuals(r, first_day=-800, stationary=True)
         band = 2.0 / np.sqrt(len(r))
-        lags = dec.acf[1:200]
-        assert np.mean(np.abs(lags) <= band) >= 0.90
-        assert dec.acf[0] == pytest.approx(1.0)
+        acf = sample_acf(dec.std_resid, 199)
+        assert np.mean(np.abs(acf[1:]) <= band) >= 0.90
+        assert acf[0] == pytest.approx(1.0)
 
     def test_series_shorter_than_window_rejected(self):
         with pytest.raises(DomainError):
@@ -428,8 +429,6 @@ class TestAssembleFluctuation:
             std_resid=np.zeros(60),
             mean=0.0,
             var=1.0,
-            acf=np.r_[1.0, np.zeros(59)],
-            stationary=True,
         )
         inc = assemble_fluctuation(dec, h)
         want = daily_increments(60, 20)  # days -59 .. 20
@@ -461,7 +460,6 @@ class TestAssembleFluctuation:
             std_resid=np.zeros(60),
             mean=0.0,
             var=1.0,
-            acf=np.r_[1.0, np.zeros(59)],
         )
         inc = assemble_fluctuation(dec, h, poly_degree=0)
         assert np.allclose(inc.mean, 0.01)
@@ -475,6 +473,33 @@ class TestAssembleFluctuation:
         # the log-scale polynomial keeps the extrapolated scale positive
         assert np.all(inc.scale > 0.0)
         assert np.all(np.isfinite(inc.scale))
+
+    def test_stationary_increments_are_the_residual_moments(self):
+        # a zero trend and a unit scale extend to exactly 0 and 1
+        rng = np.random.default_rng(13)
+        h = TimeHorizon(80, 25, offset=25)
+        dec = decompose_residuals(rng.normal(0.1, 0.5, size=80), -79, stationary=True)
+        inc = assemble_fluctuation(dec, h)
+        assert np.all(inc.mean == dec.mean)
+        assert np.all(inc.scale == np.sqrt(dec.var))
+
+    def test_long_sale_span_takes_the_acf_to_lag_w_only(self):
+        # one sale 200 000 days before the rest: the residual series is that
+        # long, but only lags 0..W are taken (the full correlation of the
+        # series alone takes about 5 s); best of two runs, so that starting
+        # the BLAS threads is not timed
+        rng = np.random.default_rng(31)
+        r = rng.normal(0.0, 0.01, size=200_000)
+        h = TimeHorizon(W, T, T)
+        seconds = []
+        for _ in range(2):
+            start = time.perf_counter()
+            dec = decompose_residuals(r, first_day=1 - len(r))
+            inc = assemble_fluctuation(dec, h)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 2.0
+        assert np.array_equal(inc.acf[: W + 1], sample_acf(dec.std_resid, W))
+        assert not inc.acf[W + 1 :].any()
 
     def test_rank_deficient_polynomial_raises(self):
         h = TimeHorizon(60, 20)
@@ -556,6 +581,22 @@ class TestWindowIncrementMoments:
         weights = age_weights(self.MEASURE, rebate)
         assert mu == pytest.approx(weights @ window, rel=1e-12)
 
+    def test_later_window_record_serves_the_first(self):
+        # the pipeline assembles one record, for its last window
+        rng = np.random.default_rng(37)
+        w, t = 120, 40
+        first, last = TimeHorizon(w, t), TimeHorizon(w, t, offset=t)
+        r = rng.normal(0.05, 0.3, size=w) + 0.001 * np.arange(w)
+        dec = decompose_residuals(r, first_day=-w + 1, halfwidth=7)
+        short = assemble_fluctuation(dec, first)
+        long = assemble_fluctuation(dec, last)
+        rebate = RebateFunction.linear(w)
+        measure = MeanClaimsMeasure(-1e-5, 2e-3, atom0=0.3, atomW=0.1, warranty=w)
+        got = fluctuation_moments(long, measure, rebate, first)
+        assert got == fluctuation_moments(short, measure, rebate, first)
+        with pytest.raises(DomainError, match="do not cover"):
+            fluctuation_moments(short, measure, rebate, last)
+
     def test_diagonal_nonnegative_on_realistic_fit(self):
         rng = np.random.default_rng(23)
         w, t = 120, 40
@@ -591,3 +632,29 @@ class TestSampleAcf:
 
         eigs = np.linalg.eigvalsh(toeplitz(c))
         assert eigs.min() >= -1e-10
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    @example(data=None)
+    def test_matches_the_full_correlation(self, data):
+        # the lags 0..L of the full correlation, normalized at lag 0, as the
+        # autocorrelation was taken before it stopped at lag L
+        if data is None:  # a constant series has the unit impulse as its acf
+            x, maxlag = np.full(50, 2.5), 49
+        else:
+            n = data.draw(st.integers(1, 400), label="n")
+            maxlag = data.draw(
+                st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)),
+                label="maxlag",
+            )
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            rng = np.random.default_rng(seed)
+            x = rng.normal(data.draw(st.floats(-5, 5), label="mean"), 1.0, size=n)
+        d = x - np.mean(x)
+        cov = np.correlate(d, d, mode="full")[len(d) - 1 : len(d) + maxlag]
+        want = cov / cov[0] if cov[0] > 0.0 else np.r_[1.0, np.zeros(maxlag)]
+        got = sample_acf(x, maxlag)
+        if len(x) > 11:
+            assert got.tobytes() == want.tobytes()
+        else:  # numpy sums lag 0 of a kernel of at most 11 values in its own order
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
