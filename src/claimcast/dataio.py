@@ -3,25 +3,25 @@
 Input files carry raw dates, either integer day numbers or ISO-8601
 calendar dates (auto-detected per value).  A loader reads its file once as
 bytes.  A clean file (:func:`_clean`: printable ASCII, one kind of line
-end, no quotes, every line as long in fields as the header) is split and
-cast in line-aligned blocks of about ``BLOCK_BYTES``, its fields kept as
-offsets into the block, so that beside the file and its columns a load
-holds one block's work.  Any other file goes through ``csv.reader`` in
-chunks of ``CHUNK_ROWS`` rows.  Either way the same row checks see each
-block or chunk as whole columns: day numbers and amounts are cast as a
-column where they are plain (digits; decimals as a clean file holds them,
-or any amount ``float()`` takes in a ``csv.reader`` chunk), and only the
-other values are parsed one by one.  Ids are held as the UTF-8 bytes of
-the file: a clean file's are cut from its blocks, a ``csv.reader``
-chunk's are encoded once.  Only accepted ids become an array, so an id
-column is a byte column (``S<width>``) as wide as its longest accepted id
-in bytes.  The id column that must not repeat is tested once, after the
-blocks are joined.  A row is rejected by the first check it fails, in a
-fixed order per file, and reported as a :class:`RowIssue` with its line
-number; rejected rows are fatal only past a 1% share, a repeated id
-always.  :func:`anchor_day_zero` moves the sales onto the forecast clock
-(day 0 = the day after the last observed sale); claims join onto sales by
-day differences, so they are never moved.
+end, no quotes, every line as long in fields as the header) is split in
+line-aligned blocks of about ``BLOCK_BYTES``, so that beside the file and
+its columns a load holds one block's work.  Any other file goes through
+``csv.reader`` in chunks of ``CHUNK_ROWS`` rows, each required column of a
+chunk encoded once as UTF-8.  Either tokenizer hands the row checks each
+required column as :class:`_Fields`, its fields as byte offsets: into the
+block, or into the chunk's encoded column.  Day numbers and amounts are
+cast as a column where they are plain (digits; decimals of at most 15
+digits), and only the other values are parsed one by one.  Only accepted
+ids become an array, a byte column (``S<width>``) as wide as its longest
+accepted id in bytes, and an id longer than ``MAX_ID_BYTES`` is rejected,
+so no one id widens a column past that.  The id column that must not
+repeat is tested once, after the blocks are joined.  A row is rejected by
+the first check it fails, in a fixed order per file, and reported as a
+:class:`RowIssue` with its line number; rejected rows are fatal only past
+a 1% share, a repeated id always.  :func:`anchor_day_zero` moves the
+sales onto the forecast clock (day 0 = the day after the last observed
+sale); claims join onto sales by day differences, so they are never
+moved.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .claims import ClaimsTable, SalesTable, _id_keys, _utf8
+from .claims import ClaimsTable, SalesTable, _id_keys
 from .core import _concat_blocks
 from .errors import LoadError
 
@@ -51,6 +50,7 @@ __all__ = [
 ]
 
 MAX_BAD_ROW_SHARE = 0.01
+MAX_ID_BYTES = 256  # an accepted id's most UTF-8 bytes
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ BLOCK_BYTES = 1 << 17  # bytes of a clean file split and cast at a time
 _READ_ERRORS = (csv.Error, UnicodeError)  # raised by a read
 _DAY_WIDTH = 18  # the most digits :func:`_days` casts at once
 _AMOUNT_WIDTH = 17  # a plain decimal's most characters: "-", 15 digits, "."
-# per column, the most bytes of one field that _days or _plain_decimals reads
-_GATHERED = {"sale_date": _DAY_WIDTH, "claim_date": _DAY_WIDTH, "amount": _AMOUNT_WIDTH}
 
 
 class _NotClean(Exception):
@@ -85,28 +83,22 @@ def _clean(data: bytes, required: Sequence[str]):
 
     A clean file is printable ASCII in lines that all end in ``\\n`` or all
     in ``\\r\\n``, with no ``"``, no blank line and the header's field count
-    on every line; its header holds the required columns, their fields
-    neither start nor end with a space, and they are narrow enough that
-    fixed-width copies cost at most about twice the file (a day or amount
-    column counted at most as wide as it is gathered).  No line is
-    longer than ``csv.reader``'s field limit.  ``csv.reader`` would split
-    such a file on every comma and line end, and each of its fields is
-    already stripped.
+    on every line; its header holds the required columns, and their fields
+    neither start nor end with a space.  No line is longer than
+    ``csv.reader``'s field limit.  ``csv.reader`` would split such a file
+    on every comma and line end, and each of its fields is already
+    stripped.
 
     The checks that are ``bytes`` methods see the whole file; the others
     see one block of whole lines at a time, about ``BLOCK_BYTES`` long,
     which is then yielded as its rows' line numbers and its required
     columns as :class:`_Fields`.  :class:`_NotClean` is raised where the
-    file is not clean, at the latest after its last block.  The width rule
-    weighs the file's row count against its widest fields so far, so it
-    fails at the first block that makes the whole file fail it.
+    file is not clean, at the latest after its last block.
     """
     if not data.isascii() or b'"' in data or b"\x7f" in data:
         raise _NotClean
     end = b"\r\n" if b"\r" in data else b"\n"
     tail = b"" if data.endswith(b"\n") else end  # the last line's missing end
-    size = len(data) + len(tail)
-    rows = data.count(b"\n") + bool(tail) - 1  # the data rows, if clean
     start = data.find(b"\n") + 1 or len(data)  # where the header line ends
     head = data[:start] + (tail if start == len(data) else b"")
     header = head.removesuffix(end).decode().split(",")
@@ -116,8 +108,6 @@ def _clean(data: bytes, required: Sequence[str]):
     pattern = np.full(len(header), ord(","), dtype=np.uint8)
     pattern[-1] = ord("\n")
     _line_ends(head, pattern, end)
-    caps = [_GATHERED.get(name, size) for name in required]
-    widest = [0] * len(required)
     done = 0  # the data rows of the blocks before
     while start < len(data):
         # the block ends with the line that holds its BLOCK_BYTES-th byte
@@ -130,9 +120,6 @@ def _clean(data: bytes, required: Sequence[str]):
             first = ends[:, j - 1] + 1 if j else np.append(0, ends[:-1, -1] + 1)
             last = ends[:, j] - (len(end) - 1 if j == len(header) - 1 else 0)
             columns.append(_Fields(block, first, last))
-        widest = [max(w, int(c.widths.max())) for w, c in zip(widest, columns)]
-        if rows * sum(map(min, widest, caps)) > 2 * size:
-            raise _NotClean  # costly fixed-width columns
         buf = np.frombuffer(block, dtype=np.uint8)
         if b" " in block and any(
             np.any(buf[c.starts] == ord(" ")) or np.any(buf[c.ends - 1] == ord(" "))
@@ -167,7 +154,9 @@ def _line_ends(block: bytes, pattern: np.ndarray, end: bytes) -> np.ndarray:
 
 
 class _Fields:
-    """One column of a clean file's block: its fields as offsets into the block."""
+    """One column of a block or chunk: its fields as byte offsets into
+    ``data``.  A field missing from a short row starts one past its end, so
+    its width is -1, and it reads back as ``None``."""
 
     def __init__(self, data: bytes, starts: np.ndarray, ends: np.ndarray):
         self.data, self.starts, self.ends = data, starts, ends
@@ -176,8 +165,8 @@ class _Fields:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, k) -> str:
-        return self.data[self.starts[k] : self.ends[k]].decode()
+    def __getitem__(self, k) -> Optional[str]:
+        return None if self.widths[k] < 0 else self.data[self.starts[k] : self.ends[k]].decode()
 
     def take(self, keep: np.ndarray) -> "_Fields":
         """The fields where ``keep`` is set."""
@@ -194,7 +183,7 @@ class _Fields:
         buf = np.frombuffer(self.data, dtype=np.uint8)
         first = self.ends - width if right else self.starts
         out = np.empty((width, len(self)), dtype=np.uint8)
-        for k, row in enumerate(out):
+        for k, row in enumerate(out if len(buf) else ()):  # no bytes: all masked below
             buf.take(first + k, out=row, mode="clip")
         at = np.arange(width)[:, None]
         if right:
@@ -204,18 +193,19 @@ class _Fields:
         return out
 
 
-def _read_chunks(path, data: bytes, required: Sequence[str]):
+def _read_chunks(path, data: bytes, required: Sequence[str], ids: Sequence[str]):
     """Yield the data rows of ``data`` as (line numbers, raw columns) chunks.
 
     ``data`` is the file's bytes after any UTF-8 byte-order mark.  Each
     chunk holds up to ``CHUNK_ROWS`` rows: an int64 array of each row's
-    ``reader.line_num`` (its last physical line) and, per required column, a
-    tuple of the raw field strings.  Blank lines are skipped, a repeated
-    header name reads its last column and a field missing from a short row
-    is ``None``, all as ``csv.DictReader`` would have it.  A read error
-    (bytes that are not UTF-8, a field past the csv module's size limit)
-    becomes a ``LoadError`` raised from it that names the line the last
-    row read ends on; the rows read before it are yielded first.
+    ``reader.line_num`` (its last physical line) and, per required column,
+    its fields as :class:`_Fields` (:func:`_encoded`), those named in
+    ``ids`` stripped.  Blank lines are skipped, a repeated header name
+    reads its last column and a field missing from a short row reads as
+    ``None``, all as ``csv.DictReader`` would have it.  A read error (bytes
+    that are not UTF-8, a field past the csv module's size limit) becomes
+    a ``LoadError`` raised from it that names the line the last row read
+    ends on; the rows read before it are yielded first.
     """
     reader = csv.reader(_text_lines(data))
     rows, lines, done = [], [], 0  # done: the line the last chunk ends on
@@ -226,22 +216,21 @@ def _read_chunks(path, data: bytes, required: Sequence[str]):
         if missing:
             raise LoadError(f"{path}: missing columns {missing} in header {header}")
         where = {name: i for i, name in enumerate(header)}
-        index = [where[c] for c in required]
-        width = max(index) + 1
+        index = [(where[name], name in ids) for name in required]
         for row in reader:
             if row:
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == CHUNK_ROWS:
-                    yield _chunk(rows, lines, index, width)
+                    yield _chunk(rows, lines, index)
                     done, rows, lines = lines[-1], [], []
     except _READ_ERRORS as exc:
         if rows:  # the rows read before a read error are still checked
-            yield _chunk(rows, lines, index, width)
+            yield _chunk(rows, lines, index)
         last = lines[-1] if lines else done
         raise LoadError(f"{path}: read failed after line {last}: {exc}") from exc
     if rows:
-        yield _chunk(rows, lines, index, width)
+        yield _chunk(rows, lines, index)
 
 
 def _text_lines(data: bytes):
@@ -261,35 +250,59 @@ def _text_lines(data: bytes):
     yield from io.StringIO(text, newline="")
 
 
-def _chunk(rows, lines, index, width):
-    """One chunk of :func:`_read_chunks`: short rows padded with ``None``."""
+def _chunk(rows, lines, index):
+    """One chunk of :func:`_read_chunks`: short rows padded with ``None``,
+    and each required column (its place, whether it holds ids) encoded."""
+    width = max(i for i, _ in index) + 1
     if min(map(len, rows)) < width:
         rows = [r + [None] * (width - len(r)) for r in rows]
     columns = list(zip(*rows))
-    return np.array(lines, dtype=np.int64), [columns[i] for i in index]
+    return np.array(lines, dtype=np.int64), [_encoded(columns[i], strip) for i, strip in index]
 
 
-def _ids(raw) -> Tuple[List[str], np.ndarray]:
-    """Stripped ids of one raw column and the mask of the unusable ones.
+def _encoded(values, strip: bool) -> _Fields:
+    """One ``csv.reader`` column as :class:`_Fields` over its UTF-8 bytes.
 
-    A missing field is the empty id.  An id holding a NUL is unusable too:
-    a numpy byte array drops trailing NULs, so it could not be stored as
-    read.  The ids stay Python strings (a clean file's stay
-    :class:`_Fields`, already stripped and free of NULs): only the kept
-    ones become an array (:func:`_kept`), so a long id in a rejected row
-    does not widen the column.
+    With ``strip`` (an id column) each value is stripped first, as
+    ``(v or "").strip()``, so a missing one is empty; otherwise the fields
+    keep their raw text and a missing one (``None``) reads back as ``None``.
     """
-    if isinstance(raw, _Fields):
-        return raw, raw.widths == 0
-    ids = [(v or "").strip() for v in raw]
-    if all(ids) and "\x00" not in "".join(ids):
-        return ids, np.zeros(len(ids), dtype=bool)
-    return ids, np.array([not v or "\x00" in v for v in ids], dtype=bool)
+    text = [(v or "").strip() for v in values] if strip else [v or "" for v in values]
+    joined = "".join(text)
+    data = joined.encode()
+    # ASCII text is as long in bytes as in characters
+    widths = map(len, text) if len(data) == len(joined) else (len(v.encode()) for v in text)
+    widths = np.fromiter(widths, dtype=np.int64, count=len(text))
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    if not strip and None in values:
+        starts[np.array([v is None for v in values])] += 1
+    return _Fields(data, starts, ends)
+
+
+def _ids(raw: _Fields) -> np.ndarray:
+    """The mask of one id column's unusable ids.
+
+    An id is unusable where it is empty, longer than ``MAX_ID_BYTES`` or
+    holds a NUL: a numpy byte array drops trailing NULs, so such an id
+    could not be stored as read.  Only the kept ids become an array
+    (:func:`_kept`), so a long id in a rejected row does not widen the
+    column.
+    """
+    bad = (raw.widths == 0) | (raw.widths > MAX_ID_BYTES)
+    if b"\x00" in raw.data:  # nuls[i]: the NULs before offset i
+        nuls = np.append(0, np.cumsum(np.frombuffer(raw.data, dtype=np.uint8) == 0))
+        bad |= nuls[raw.ends] > nuls[raw.starts]
+    return bad
 
 
 def _id_issue(name: str, value: str) -> str:
     """The row issue of an id that :func:`_ids` marks unusable."""
-    return f"empty {name}" if not value else f"NUL character in {name}"
+    if not value:
+        return f"empty {name}"
+    if "\x00" in value:
+        return f"NUL character in {name}"
+    return f"{name} longer than {MAX_ID_BYTES} bytes"
 
 
 def _kept(column, keep: np.ndarray) -> np.ndarray:
@@ -297,36 +310,24 @@ def _kept(column, keep: np.ndarray) -> np.ndarray:
     column as wide as the widest kept one."""
     if isinstance(column, np.ndarray):
         return column[keep]
-    if isinstance(column, _Fields):
-        kept = column.take(keep)
-        width = max(int(kept.widths.max(initial=0)), 1)
-        return np.ascontiguousarray(kept.chars(width).T).view(f"S{width}").ravel()
-    return _utf8(column if keep.all() else list(compress(column, keep)))
+    kept = column.take(keep)
+    width = max(int(kept.widths.max(initial=0)), 1)
+    return np.ascontiguousarray(kept.chars(width).T).view(f"S{width}").ravel()
 
 
-def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
-    """Day numbers of one raw column and the mask of the usable ones.
+def _days(raw: _Fields) -> Tuple[np.ndarray, np.ndarray]:
+    """Day numbers of one column and the mask of the usable ones.
 
-    Plain ASCII digit strings are cast at once: in a clean file each one
-    of at most 18 digits, in a chunk of ``csv.reader`` rows all of them if
-    every value is one.  Any other value, and a chunk that the cast refuses
-    (a value past int's digit limit or past int64), goes value by value
-    through :func:`_parse_day`.  A day past int64 is unusable like an
-    unparseable one.
+    Plain ASCII digit fields of at most 18 digits are cast at once; any
+    other value, a missing one included, goes value by value through
+    :func:`_parse_day`.  A day past int64 is unusable like an unparseable
+    one.
     """
     ok = np.ones(len(raw), dtype=bool)
-    if isinstance(raw, _Fields):
-        width = min(int(raw.widths.max(initial=0)), _DAY_WIDTH)
-        digits = raw.chars(width, right=True) - np.uint8(ord("0"))
-        plain = (raw.widths > 0) & (raw.widths <= width) & np.all(digits < 10, axis=0)
-        days = _horner(digits)
-    else:
-        days, plain = np.zeros(len(raw), dtype=np.int64), ~ok
-        if all(raw) and (text := "".join(raw)).isascii() and text.isdigit():
-            try:
-                days, plain = np.array(list(map(int, raw)), dtype=np.int64), ok
-            except (ValueError, OverflowError):
-                pass
+    width = min(int(raw.widths.max(initial=0)), _DAY_WIDTH)
+    digits = raw.chars(width, right=True) - np.uint8(ord("0"))
+    plain = (raw.widths > 0) & (raw.widths <= width) & np.all(digits < 10, axis=0)
+    days = _horner(digits)
     for k in np.flatnonzero(~plain):
         try:
             days[k] = _parse_day(raw[k] or "")
@@ -335,33 +336,36 @@ def _days(raw) -> Tuple[np.ndarray, np.ndarray]:
     return days, ok
 
 
-def _amounts(raw) -> Tuple[np.ndarray, np.ndarray]:
-    """Amounts of one raw column and the mask of the parseable ones.
+def _amounts(raw: _Fields) -> Tuple[np.ndarray, np.ndarray]:
+    """Amounts of one column and the mask of the parseable ones.
 
-    A value goes through ``float()`` unless it is cast at once: in a clean
-    file each plain decimal (:func:`_plain_decimals`), in a chunk of
-    ``csv.reader`` rows all values if ``float()`` takes each.
+    Each plain decimal (:func:`_plain_decimals`) is cast at once.  The
+    other values go through ``float()`` in one pass, or value by value
+    where that pass meets one it refuses, a missing one included.
     """
     ok = np.ones(len(raw), dtype=bool)
-    if isinstance(raw, _Fields):
-        amounts, plain = _plain_decimals(raw)
+    amounts, plain = _plain_decimals(raw)
+    rest = np.flatnonzero(~plain)
+    bounds = zip(raw.starts[rest].tolist(), raw.ends[rest].tolist())
+    if raw.data.isascii():  # its byte offsets are its character offsets
+        whole = raw.data.decode()
+        text = [whole[a:b] for a, b in bounds]  # a missing value reads ""
     else:
-        amounts, plain = np.empty(len(raw)), ~ok
-        try:
-            amounts, plain = np.array(list(map(float, raw)), dtype=float), ok
-        except (TypeError, ValueError):
-            pass
-    for k in np.flatnonzero(~plain):
-        try:
-            amounts[k] = float(raw[k] or "")
-        except ValueError:
-            amounts[k] = np.nan
-            ok[k] = False
+        text = [raw.data[a:b].decode() for a, b in bounds]
+    try:
+        amounts[rest] = list(map(float, text))
+    except ValueError:
+        for k, value in zip(rest, text):
+            try:
+                amounts[k] = float(value)
+            except ValueError:
+                amounts[k] = np.nan
+                ok[k] = False
     return amounts, ok
 
 
-def _plain_decimals(raw: "_Fields") -> Tuple[np.ndarray, np.ndarray]:
-    """The plain decimals of a clean file's column, and their mask.
+def _plain_decimals(raw: _Fields) -> Tuple[np.ndarray, np.ndarray]:
+    """The plain decimals of one column, and their mask.
 
     A plain decimal is an optional ``-``, then at most 15 digits with at
     most one ``.`` among or around them.  It is its digits m over 10**f for
@@ -404,21 +408,22 @@ def _horner(digits: np.ndarray) -> np.ndarray:
     return values
 
 
-def _load(path, required: Sequence[str], check, unique: int, duplicate: str):
+def _load(path, required: Sequence[str], ids: Sequence[str], check, unique: int, duplicate: str):
     """The accepted rows of ``path`` as columns, and its row issues.
 
     The file is read once as bytes.  A clean one goes through
     :func:`_clean` in line-aligned blocks, any other through
-    ``csv.reader`` in chunks (:func:`_read_chunks`).  A file found not to
-    be clean after some of its blocks were checked starts again through
-    ``csv.reader``.  ``check`` maps one chunk's raw columns to its parsed
-    columns (ids as lists or :class:`_Fields`, the rest as arrays) and the
-    (row, message) pairs of its rejected rows.  Column ``unique`` must not
-    repeat among the accepted rows: a repeat raises ``duplicate`` (a
-    message prefix) naming both lines, with the issues on earlier lines.
-    As in a row-at-a-time read, a repeat takes precedence over the 1%
-    budget and over a read error further down the file; the ``LoadError``
-    of a read error carries the issues found before it.
+    ``csv.reader`` in chunks (:func:`_read_chunks`), which strips the
+    columns named in ``ids``.  A file found not to be clean after some of
+    its blocks were checked starts again through ``csv.reader``.
+    ``check`` maps one chunk's :class:`_Fields` columns to its parsed
+    columns (ids as they came, the rest as arrays) and the (row, message)
+    pairs of its rejected rows.  Column ``unique`` must not repeat among
+    the accepted rows: a repeat raises ``duplicate`` (a message prefix)
+    naming both lines, with the issues on earlier lines.  As in a
+    row-at-a-time read, a repeat takes precedence over the 1% budget and
+    over a read error further down the file; the ``LoadError`` of a read
+    error carries the issues found before it.
     """
     path = Path(path)
     try:
@@ -429,11 +434,11 @@ def _load(path, required: Sequence[str], check, unique: int, duplicate: str):
         return _accepted(path, _clean(data, required), check, unique, duplicate)
     except _NotClean:
         pass  # the handler's traceback would hold the blocks checked so far
-    return _accepted(path, _read_chunks(path, data, required), check, unique, duplicate)
+    return _accepted(path, _read_chunks(path, data, required, ids), check, unique, duplicate)
 
 
 def _accepted(path, chunks, check, unique: int, duplicate: str):
-    """:func:`_load` over (line numbers, raw columns) chunks.
+    """:func:`_load` over (line numbers, :class:`_Fields` columns) chunks.
 
     Each chunk's kept columns are held until ``_concat_blocks`` joins them,
     and its kept rows' line numbers until the load ends; the repeat test
@@ -494,22 +499,22 @@ def _check_unique(path, ids: np.ndarray, lines, duplicate: str, issues) -> None:
 
 def _sales_rows(vehicle_id, sale_date):
     """One chunk's checks: sale_date, then vehicle_id."""
-    vid, bad_vid = _ids(vehicle_id)
+    bad_vid = _ids(vehicle_id)
     day, day_ok = _days(sale_date)
     rejected = []
     for k in np.flatnonzero(~day_ok | bad_vid):
         if not day_ok[k]:
             rejected.append((k, f"unparseable sale_date {sale_date[k]!r}"))
         else:
-            rejected.append((k, _id_issue("vehicle_id", vid[k])))
-    return (vid, day), rejected
+            rejected.append((k, _id_issue("vehicle_id", vehicle_id[k])))
+    return (vehicle_id, day), rejected
 
 
 def _claim_rows(vehicle_id, claim_date, claim_id, amount):
     """One chunk's checks: vehicle_id, claim_id, claim_date, then amount;
     the claim ids are the last column."""
-    vid, bad_vid = _ids(vehicle_id)
-    cid, bad_cid = _ids(claim_id)
+    bad_vid = _ids(vehicle_id)
+    bad_cid = _ids(claim_id)
     day, day_ok = _days(claim_date)
     value, value_ok = _amounts(amount)
     finite = np.isfinite(value)
@@ -517,9 +522,9 @@ def _claim_rows(vehicle_id, claim_date, claim_id, amount):
     bad = bad_vid | bad_cid | ~day_ok | ~value_ok | ~finite | (value < 0.0)
     for k in np.flatnonzero(bad):
         if bad_vid[k]:
-            message = _id_issue("vehicle_id", vid[k])
+            message = _id_issue("vehicle_id", vehicle_id[k])
         elif bad_cid[k]:
-            message = _id_issue("claim_id", cid[k])
+            message = _id_issue("claim_id", claim_id[k])
         elif not day_ok[k]:
             message = f"unparseable claim_date {claim_date[k]!r}"
         elif not value_ok[k]:
@@ -529,20 +534,22 @@ def _claim_rows(vehicle_id, claim_date, claim_id, amount):
         else:
             message = f"negative amount {float(value[k])}"
         rejected.append((k, message))
-    return (vid, day, value, cid), rejected
+    return (vehicle_id, day, value, claim_id), rejected
 
 
 def load_sales(path) -> Tuple[SalesTable, List[RowIssue]]:
     """Parse a sales CSV with columns (vehicle_id, sale_date).
 
     A row is rejected for an unparseable sale_date (or one past int64),
-    else for an empty vehicle_id or one holding a NUL.  Duplicate vehicle
-    ids are fatal (both line numbers reported); rejected rows are collected
-    and become fatal only past a 1% share.
+    else for an empty vehicle_id, one holding a NUL or one longer than
+    ``MAX_ID_BYTES``.  Duplicate vehicle ids are fatal (both line numbers
+    reported); rejected rows are collected and become fatal only past a
+    1% share.
     """
     (vid, day), issues = _load(
         path,
         ("vehicle_id", "sale_date"),
+        ("vehicle_id",),
         _sales_rows,
         0,
         "duplicate sales rows for vehicle",
@@ -554,14 +561,16 @@ def load_claims(path) -> Tuple[ClaimsTable, List[RowIssue]]:
     """Parse a claims CSV with columns (vehicle_id, claim_date, claim_id, amount).
 
     A row is rejected for the first of: empty vehicle_id (or one holding
-    a NUL), empty claim_id (or one holding a NUL), unparseable claim_date
-    (or one past int64), unparseable amount, non-finite amount, negative
-    amount.  Duplicate claim ids are fatal (both line numbers reported);
-    rejected rows are collected and become fatal only past a 1% share.
+    a NUL or longer than ``MAX_ID_BYTES``), the same for claim_id,
+    unparseable claim_date (or one past int64), unparseable amount,
+    non-finite amount, negative amount.  Duplicate claim ids are fatal
+    (both line numbers reported); rejected rows are collected and become
+    fatal only past a 1% share.
     """
     (vid, day, amount, _), issues = _load(
         path,
         ("vehicle_id", "claim_date", "claim_id", "amount"),
+        ("vehicle_id", "claim_id"),
         _claim_rows,
         3,
         "duplicate claim id",

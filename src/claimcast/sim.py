@@ -576,6 +576,9 @@ def monte_carlo_validate(
     scored in fixed-size blocks; with ``workers > 1`` the blocks are farmed
     out in contiguous chunks and reduced in replication order, so the
     report depends neither on the worker count nor on the block size.
+    The limit law is built before the first replication, where the claim
+    rate c1 is positive, so a law that cannot be built fails at once; a
+    run that draws claims where c1 is not positive has no limit law.
     """
     if reps < 100:
         raise DomainError("need at least 100 replications")
@@ -583,6 +586,8 @@ def monte_carlo_validate(
         raise DomainError(f"need a non-negative seed, got {seed}")
     if workers < 1:
         raise DomainError(f"need at least one worker, got {workers}")
+    lp = theoretical_limit(study)
+    law = _limit_law(study, lp) if lp.claims_mean > 0 else None
     blocks = [range(r, min(r + _BLOCK, reps)) for r in range(0, reps, _BLOCK)]
     replicate = functools.partial(_replicate_block, study, seed)
     if workers > 1:
@@ -603,7 +608,9 @@ def monte_carlo_validate(
         ks, limit_q, coverage = float("nan"), nan_row, nan_row
         emp_q = (0.0,) * len(_REPORT_LEVELS)
     else:
-        center, norm, approx = _limit_law(study, theoretical_limit(study))
+        if law is None:
+            raise DomainError("claims were drawn, but the claim rate c1 is not positive")
+        center, norm, approx = law
         z = ((counts if study.theorem == "count" else costs) - center) / norm
         ks = _ks_against(approx, z)
         limit_q = tuple(approx_quantile(approx, np.array(_REPORT_LEVELS)).tolist())

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import tracemalloc
+import uuid
 from unittest import mock
 
 import numpy as np
@@ -109,8 +111,8 @@ class TestLoadSales:
         assert issues == [RowIssue(121, f"unparseable sale_date {day!r}")]
 
     def test_long_day_keeps_a_clean_file_on_the_numpy_path(self, tmp_path):
-        # the day column counts at most 18 bytes wide, as _days gathers it,
-        # so one 19-digit day does not make the fixed-width copies too costly
+        # a 19-digit day is wider than _days casts as a column; it is parsed
+        # by itself, and the file is clean, so it is read in one numpy pass
         rows = ["vehicle_id,sale_date"] + [f"V{i:05d},{1000 + i}" for i in range(450)]
         rows[201] = "V00200,9999999999999999999"
         text = "\n".join(rows) + "\n"
@@ -148,6 +150,51 @@ class TestLoadSales:
         assert [i.line for i in issues] == [181]
         assert sales.vehicle_id.dtype == np.dtype("S4")
         assert peak < 5e6  # a column 100k bytes wide would take 20 MB
+
+    @pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+    def test_id_longer_than_max_id_bytes_is_an_issue(self, tmp_path, tokenizer):
+        # a CRLF header line among LF lines sends the file to csv.reader
+        line_end = "\r\n" if tokenizer == "csv_reader" else "\n"
+        rows = [f"V{i:05d},{100 + i}" for i in range(2000)]
+        rows[500] = "W" * 20_001 + ",600"
+        rows[900] = "X" * dataio.MAX_ID_BYTES + ",1000"
+        p = write(tmp_path / "s.csv", "vehicle_id,sale_date" + line_end + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+                sales, issues = load_sales(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reader.called == (tokenizer == "csv_reader")
+        assert issues == [RowIssue(502, "vehicle_id longer than 256 bytes")]
+        assert len(sales) == 1999
+        assert sales.vehicle_id.dtype == np.dtype("S256")
+        assert peak < 5e6  # a column 20 001 bytes wide would take 40 MB
+
+    @pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+    def test_ids_all_longer_than_64_bytes_load(self, tmp_path, tokenizer):
+        # "veh-" and a 64-digit hex hash: 68 bytes in every row
+        line_end = "\r\n" if tokenizer == "csv_reader" else "\n"
+        ids = [f"veh-{hashlib.sha256(str(i).encode()).hexdigest()}" for i in range(500)]
+        rows = [f"{v},{100 + i}" for i, v in enumerate(ids)]
+        p = write(tmp_path / "s.csv", "vehicle_id,sale_date" + line_end + "\n".join(rows) + "\n")
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            sales, issues = load_sales(p)
+        assert reader.called == (tokenizer == "csv_reader")
+        assert issues == []
+        assert sales.vehicle_id.dtype == np.dtype("S68")
+        assert sales.vehicle_id.tolist() == [v.encode() for v in ids]
+
+    def test_id_length_is_counted_in_utf8_bytes(self, tmp_path):
+        rows = ["vehicle_id,sale_date"] + [f"V{i},{100 + i}" for i in range(200)]
+        rows[20] = "É" * 128 + ",5"  # 256 bytes
+        rows[40] = "É" * 129 + ",6"  # 258 bytes, 129 characters
+        p = write(tmp_path / "s.csv", "\n".join(rows) + "\n")
+        sales, issues = load_sales(p)
+        assert issues == [RowIssue(41, "vehicle_id longer than 256 bytes")]
+        assert ("É" * 128).encode() in sales.vehicle_id.tolist()
+        assert sales.vehicle_id.dtype == np.dtype("S256")
 
     def test_missing_columns_fatal(self, tmp_path):
         p = write(tmp_path / "s.csv", "vid,when\nA,100\n")
@@ -312,8 +359,8 @@ class TestLoadClaims:
         assert claims.vehicle_id.dtype == np.dtype("S1")
         assert peak < 5e6  # a claim id column 100k bytes wide: 20 MB
 
-    def test_long_claim_id_in_a_clean_file_goes_the_csv_way(self, tmp_path):
-        # no padding, so the file is clean but for the width of that one id
+    def test_long_claim_id_in_a_clean_file_stays_on_the_numpy_path(self, tmp_path):
+        # no padding, so the file is clean; its one wide id is in a rejected row
         rows = ["vehicle_id,claim_date,claim_id,amount"]
         rows += [f"V,{100 + i},C{i:03d},1.0" for i in range(200)]
         rows.insert(180, ",100," + "K" * 100_000 + ",1.0")
@@ -325,10 +372,53 @@ class TestLoadClaims:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert reader.called
+        assert not reader.called
         assert issues == [RowIssue(181, "empty vehicle_id")]
         assert claims.vehicle_id.dtype == np.dtype("S1")
         assert peak < 5e6
+
+    @pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+    def test_ids_longer_than_max_id_bytes_are_issues(self, tmp_path, tokenizer):
+        """Each id is checked in its place: a long vehicle id before an empty
+        claim id, a long claim id before an unparseable amount."""
+        line_end = "\r\n" if tokenizer == "csv_reader" else "\n"
+        rows = [f"V{i % 7},{100 + i},C{i:05d},1.0" for i in range(2000)]
+        rows[300] = "U" * 20_001 + ",400,,1.0"
+        rows[600] = "V1,700," + "K" * 20_001 + ",n/a"
+        rows[900] = "X" * dataio.MAX_ID_BYTES + ",1000," + "Y" * dataio.MAX_ID_BYTES + ",2.5"
+        header = "vehicle_id,claim_date,claim_id,amount"
+        p = write(tmp_path / "c.csv", header + line_end + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+                claims, issues = load_claims(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reader.called == (tokenizer == "csv_reader")
+        assert issues == [
+            RowIssue(302, "vehicle_id longer than 256 bytes"),
+            RowIssue(602, "claim_id longer than 256 bytes"),
+        ]
+        assert len(claims) == 1998
+        assert claims.vehicle_id.dtype == np.dtype("S256")
+        assert peak < 5e6  # a claim id column 20 001 bytes wide: 40 MB
+
+    @pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])
+    def test_ids_all_longer_than_64_bytes_load(self, tmp_path, tokenizer):
+        # two UUIDs joined by ":" make a 73-byte claim id in every row
+        line_end = "\r\n" if tokenizer == "csv_reader" else "\n"
+        vids = [f"veh-{hashlib.sha256(str(i % 7).encode()).hexdigest()}" for i in range(500)]
+        cids = [f"{uuid.UUID(int=i)}:{uuid.UUID(int=2 * i + 1)}" for i in range(500)]
+        rows = [f"{v},{100 + i},{c},1.5" for i, (v, c) in enumerate(zip(vids, cids))]
+        header = "vehicle_id,claim_date,claim_id,amount"
+        p = write(tmp_path / "c.csv", header + line_end + "\n".join(rows) + "\n")
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            claims, issues = load_claims(p)
+        assert reader.called == (tokenizer == "csv_reader")
+        assert issues == []
+        assert claims.vehicle_id.dtype == np.dtype("S68")
+        assert claims.vehicle_id.tolist() == [v.encode() for v in vids]
 
     def test_day_past_int64_is_an_issue(self, tmp_path):
         rows = ["vehicle_id,claim_date,claim_id,amount"]
@@ -468,8 +558,9 @@ class TestSeriesRoundTrip:
 
 # Raw field values for the generated files: plain values and every form
 # the row checks treat specially (quoting, padding, signs, underscores,
-# ISO dates, non-finite and negative amounts, blanks, non-ASCII, NUL).
-IDS = ["A", "B", " C ", "É9", "车", "x,y", "p\nq", "r\r\ns", "N\x00", "N", "", "  "]
+# ISO dates, non-finite and negative amounts, blanks, non-ASCII, NUL, an
+# id past MAX_ID_BYTES).
+IDS = ["A", "B", " C ", "É9", "车", "x,y", "p\nq", "r\r\ns", "N\x00", "N", "", "  ", "L" * 300]
 DAYS = [
     "17", "+7", "1_000", " 12 ", "-3", "2001-01-31", "20010131", "٣",
     "", "x", "1\n2", "12.0", "99999999999999999999", "7" * 5000,
@@ -583,13 +674,16 @@ def csv_files(draw, columns, clean=False):
 
 
 def beyond_oracle(value):
-    """An id holding a NUL or a day past int64.
+    """An id holding a NUL or longer than ``MAX_ID_BYTES``, or a day past int64.
 
-    The oracle stores such an id truncated at the NUL and fails on such a
-    day with ``OverflowError``; the loaders make each a row issue, which
-    the ``TestLoadSales`` and ``TestLoadClaims`` cases check.
+    The oracle stores such an id truncated at the NUL, keeps an id of any
+    length and fails on such a day with ``OverflowError``; the loaders make
+    each a row issue, which the ``TestLoadSales`` and ``TestLoadClaims``
+    cases check.  A long digit string is a day, not an id.
     """
     if "\x00" in value:
+        return True
+    if len(value.strip().encode()) > dataio.MAX_ID_BYTES and not value.isdigit():
         return True
     try:
         return not -(2**63) <= dataio._parse_day(value) < 2**63
@@ -705,7 +799,7 @@ class TestAgainstRowwiseLoaders:
             header, rows, line_end = file
             lines = [",".join(row) for row in [header] + rows]
             path.write_bytes("".join(line + line_end for line in lines).encode())
-            # one wide field among short rows sends a file the csv way
+            # only a clean file can be read without csv.reader
             assume(is_clean(path.read_bytes(), columns))
             with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError):
                 want = outcome(load, path)
@@ -716,6 +810,68 @@ class TestAgainstRowwiseLoaders:
             assert outcome(load, path) == want
 
         check()
+
+
+class TestCsvReaderChunks:
+    """``csv.reader`` chunks hand the row checks :class:`dataio._Fields`
+    columns, as a clean file's blocks do."""
+
+    def test_every_required_column_is_fields(self):
+        data = (
+            "vehicle_id,note,claim_date,claim_id,amount\r\n"
+            " V1 ,x,12, É ,1.5\r\nV2\r\n\r\nV3,y, 7 ,\"C\n3\",n/a\r\n"
+        ).encode()
+        ids = ("vehicle_id", "claim_id")
+        ((lines, columns),) = dataio._read_chunks("c.csv", data, CLAIMS, ids)
+        assert lines.tolist() == [2, 3, 6]
+        assert all(isinstance(column, dataio._Fields) for column in columns)
+        assert [[c[k] for k in range(len(c))] for c in columns] == [
+            ["V1", "V2", "V3"],  # ids stripped
+            ["12", None, " 7 "],  # other fields raw, a missing one None
+            ["É", "", "C\n3"],
+            ["1.5", None, "n/a"],
+        ]
+
+    @pytest.mark.parametrize(
+        "load, oracle, plain, short, message",
+        [
+            (load_sales, rowwise_csv.load_sales, "V{i},{d}", "V9",
+             "unparseable sale_date None"),
+            (load_claims, rowwise_csv.load_claims, "V{i},{d},C{i},1.0", "V9,109,C9",
+             "unparseable amount None"),
+        ],
+        ids=["sales", "claims"],
+    )
+    def test_field_missing_from_a_short_row_reads_as_none(
+        self, tmp_path, load, oracle, plain, short, message
+    ):
+        rows = [plain.format(i=i, d=100 + i) for i in range(200)]
+        rows[9] = short
+        header = "vehicle_id,sale_date" if load is load_sales else ",".join(CLAIMS)
+        p = write(tmp_path / "input.csv", "\n".join([header] + rows) + "\n")
+        got = outcome(load, p)
+        assert got == outcome(oracle, p)
+        assert got[3] == [RowIssue(11, message)]
+
+    def test_nul_in_an_id_is_caught(self, tmp_path):
+        rows = [f"V{i},{100 + i},C{i},1.0" for i in range(400)]
+        rows[0] = "\x00V0,100,C0,1.0"  # the first byte of a chunk
+        rows[63] = "É\x00,163,C63,1.0"  # the last row of a chunk
+        rows[64] = "V64,164,C6\x004,1.0"
+        rows[100] = "V100,200,C100,1\x00"  # a NUL in another column
+        p = write(tmp_path / "c.csv", "\n".join([",".join(CLAIMS)] + rows) + "\n")
+        with mock.patch.object(dataio, "CHUNK_ROWS", 64), mock.patch.object(
+            dataio.csv, "reader", wraps=csv.reader
+        ) as reader:
+            claims, issues = load_claims(p)
+        assert reader.called
+        assert issues == [
+            RowIssue(2, "NUL character in vehicle_id"),
+            RowIssue(65, "NUL character in vehicle_id"),
+            RowIssue(66, "NUL character in claim_id"),
+            RowIssue(102, "unparseable amount '1\\x00'"),
+        ]
+        assert len(claims) == 396 and b"V1" in claims.vehicle_id.tolist()
 
 
 def check_without_csv_reader(tmp_path, line_end, mark):
@@ -829,27 +985,6 @@ class TestBlocks:
         assert got == outcome(oracle, p)
         assert got[:2] == ("LoadError", f"{p}: {error}")
         assert got[2] == [RowIssue(102, f"unparseable {columns[1]} '11x0'")]
-
-    def test_width_rule_failing_in_a_late_block_goes_the_csv_way(self, tmp_path):
-        # 3000 rows of 12 bytes: 10 bytes of fields per row pass the rule
-        # (at most twice the file), one 30-character id in the last block fails it
-        lines = ["vehicle_id,sale_date"] + [f"V{i:05d},{1000 + i}" for i in range(3000)]
-        narrow = "".join(line + "\n" for line in lines).encode()
-        lines[2991] = "W" * 30 + ",3990"
-        p = tmp_path / "s.csv"
-        p.write_bytes("".join(line + "\n" for line in lines).encode())
-        with mock.patch.object(dataio, "BLOCK_BYTES", 1200):
-            assert is_clean(narrow, SALES)
-            checked = []
-            with pytest.raises(dataio._NotClean):
-                for block, _ in dataio._clean(p.read_bytes(), SALES):
-                    checked.append(block)
-            assert len(checked) == 29  # the blocks of 100 rows before the wide id
-            with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
-                got = outcome(load_sales, p)
-        assert reader.called
-        assert got == outcome(rowwise_csv.load_sales, p)
-        assert got[1] == ["|S30", "<i8"]
 
 
 @pytest.mark.parametrize("tokenizer", ["numpy", "csv_reader"])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from claimcast import sim
 from claimcast.core import MeanClaimsMeasure, RebateFunction, TimeHorizon
 from claimcast.engine import CostApproximation, approx_quantile, cost_approx_stable
-from claimcast.errors import DomainError
+from claimcast.errors import DomainError, NumericalError
 from claimcast.sim import (
     LinearShare,
     LognormalSizes,
@@ -445,6 +446,34 @@ class TestMonteCarloValidate:
         report = monte_carlo_validate(study, reps=100, seed=1)
         assert report.degenerate
         assert report.dkw_band == 1.36 / 10.0
+
+    def test_limit_law_that_cannot_be_built_fails_before_any_replication(self):
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(W, W + T)),
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=RebateFunction.linear(W, unit_price=1e200),
+            horizon=HORIZON,
+            theorem="prorata",
+        )
+        with mock.patch.object(sim, "run_replication", wraps=sim.run_replication) as spy:
+            with pytest.raises(NumericalError, match="not finite"):
+                monte_carlo_validate(study, reps=4000, seed=1)
+        assert not spy.called
+
+    def test_claims_drawn_without_a_positive_claim_rate_have_no_limit_law(self):
+        study = MonteCarloStudy(
+            sales=NhppSales(LinearShare(W, W + T)),
+            claims=PoissonClaims(paper_shaped_measure(W)),
+            rebate=RebateFunction.linear(W),
+            horizon=HORIZON,
+            theorem="count",
+        )
+        limit = sim.theoretical_limit(study)
+        with mock.patch.object(
+            sim, "theoretical_limit", return_value=replace(limit, claims_mean=0.0)
+        ):
+            with pytest.raises(DomainError, match="c1 is not positive"):
+                monte_carlo_validate(study, reps=100, seed=1)
 
     def test_deterministic_and_worker_invariant(self):
         study = MonteCarloStudy(
