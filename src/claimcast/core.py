@@ -21,7 +21,8 @@ Conventions used throughout the package:
   and the age-W atom exactly when ``hi == W``; :meth:`MeanClaimsMeasure.mass`
   measures it with no further switch.
 * Sums of weights over ranges of integer days go through one kernel,
-  :func:`range_sums`; columns made in blocks are joined by ``_concat_blocks``.
+  :func:`range_sums`, which rejects a non-empty range off its grid; columns
+  made in blocks are joined by ``_concat_blocks``.
 * Power-basis polynomials are numpy's ``polyval``, ``polyint``, ``polymul``
   and ``polypow`` (from ``numpy.polynomial.polynomial``), ported with their
   operation order so the bits match, without loading that package.
@@ -95,12 +96,14 @@ class TimeHorizon:
         For ages ``0 <= a <= b <= W`` (arrays), returns the first and last
         integer sale day ``x`` whose claim window contains both ``a`` and
         ``b``; the range is empty when ``start > end``.  The window contains
-        them iff ``x >= o - a`` and ``x <= T + o - b``, intersected with the
-        sale grid.
+        them iff ``x >= o - a`` and ``x <= T + o - b``.  Under the
+        precondition on the ages that range lies inside the sale grid
+        ``[-W + o, T + o]``, so nothing is clamped; :func:`range_sums`
+        rejects a non-empty range that leaves its grid.
         """
-        w, t, o = self.warranty, self.period, self.offset
-        start = np.maximum(np.ceil(o - np.asarray(a)), -w + o)
-        end = np.minimum(np.floor(t + o - np.asarray(b)), t + o)
+        t, o = self.period, self.offset
+        start = np.ceil(o - np.asarray(a))
+        end = np.floor(t + o - np.asarray(b))
         return start.astype(np.int64), end.astype(np.int64)
 
     def lands_in_window(self, sale_time, age) -> np.ndarray:
@@ -297,15 +300,23 @@ def range_sums(start, end, weight, first: int, size: int) -> np.ndarray:
 
     Entry k of the result, for day ``first + k`` (k = 0 .. size - 1), sums
     ``weight[i]`` over every range i with ``start[i] <= first + k <=
-    end[i]``.  Ranges with ``start > end`` are empty; the others must lie
-    inside the ``size`` days from ``first``.  One difference array and one
-    cumulative sum, whatever the number of ranges.
+    end[i]``.  Ranges with ``start > end`` are empty; a non-empty range
+    that leaves the ``size`` days from ``first`` raises, the first such
+    range named.  One difference array and one cumulative sum, whatever
+    the number of ranges.
     """
     start, end = np.asarray(start), np.asarray(end)
     weight = np.asarray(weight, dtype=float)
     keep = start <= end
     if not keep.all():
         start, end, weight = start[keep], end[keep], weight[keep]
+    last = first + size - 1
+    off = (start < first) | (end > last)
+    if off.any():
+        i = off.argmax()
+        raise DomainError(
+            f"day range [{start[i]}, {end[i]}] leaves the grid [{first}, {last}]"
+        )
     acc = np.zeros(size + 1)
     np.add.at(acc, start - first, weight)
     np.add.at(acc, end - (first - 1), -weight)

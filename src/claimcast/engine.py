@@ -203,8 +203,9 @@ def cost_approx_stable(
 ) -> CostApproximation:
     """Heavy-tail cost limit for sizes with tail index 0 < alpha < 2.
 
-    b(n) and e(n) are the Pareto plug-ins of :func:`tail_scalers` times
-    ``size_scale`` (the Pareto xm).  For 1 < alpha < 2 the cost is
+    b(n) and e(n) are the Pareto plug-ins of :func:`tail_scalers` at
+    ``size_scale`` (the Pareto xm), which rejects a scale that is not
+    positive and finite.  For 1 < alpha < 2 the cost is
     n c1 E plus b(n) c1^(1/alpha) times the standard skewed stable law;
     for alpha <= 1 it is n c1 e(n) plus b(n) times the stable law at
     intensity c1.
@@ -221,14 +222,11 @@ def cost_approx_stable(
     compensated on (0, 1], which is exactly the limit of
     (S - n c1 log n) / n.
     """
-    if size_scale <= 0.0:
-        raise DomainError("size scale must be positive")
     c1 = lp.claims_mean
     if c1 <= 0.0:
         raise DomainError("c1 must be positive")
     n = lp.horizon.scale
-    sc = tail_scalers(alpha, n)
-    b_n = sc.b_n * size_scale
+    b_n, e_n = tail_scalers(alpha, n, size_scale)
     if alpha > 1.0:
         if mean_size is None:
             raise DomainError("1 < alpha < 2 needs the mean claim size")
@@ -238,7 +236,7 @@ def cost_approx_stable(
             stable=params_mean_case(alpha),
         )
     return CostApproximation(
-        location=n * c1 * (sc.e_n * size_scale),
+        location=n * c1 * e_n,
         scale=b_n,
         stable=params_eq_one_case(c1)
         if alpha == 1.0

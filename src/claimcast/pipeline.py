@@ -323,11 +323,7 @@ def run_pipeline(
         fit_curve = bass.n * (bass.share(days) - bass.share(days - 1))
         dataio.write_series(out_dir / "sales_fit.csv", "day", days, "count", fit_curve)
         dataio.write_series(
-            out_dir / "residuals.csv",
-            "day",
-            decomposition.days,
-            "std_resid",
-            decomposition.std_resid,
+            out_dir / "residuals.csv", "day", days, "std_resid", decomposition.std_resid
         )
         if tail is not None:
             hist, edges = np.histogram(

@@ -196,7 +196,8 @@ def centered_moving_average(x: np.ndarray, halfwidth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualDecomposition:
-    """Trend/scale decomposition of the sales residuals.
+    """Trend/scale decomposition of the sales residuals of the consecutive
+    days ``first_day``, ``first_day + 1``, ...
 
     ``std_resid`` holds the standardized surrogates (resid - trend)/scale
     whose sample mean, variance and autocorrelation to lag min(N - 1, W)
@@ -205,19 +206,15 @@ class ResidualDecomposition:
     identically 0 and scale 1.
     """
 
-    days: np.ndarray
+    first_day: int
     trend: np.ndarray
     scale: np.ndarray
     std_resid: np.ndarray
-    mean: float
-    var: float
 
     def __post_init__(self):
         n = len(self.trend)
         if self.scale.shape != (n,) or self.std_resid.shape != (n,):
             raise DomainError("trend, scale and standardized residuals must align")
-        if not np.array_equal(self.days, self.days[0] + np.arange(n)):
-            raise DomainError("days must be consecutive, one per residual")
         if np.any(self.scale <= 0.0):
             raise DomainError("scale must be positive everywhere")
 
@@ -244,31 +241,22 @@ def decompose_residuals(
 
     The trend is a centered moving average of the residuals and the scale a
     centered moving average of the absolute deviations, floored at 1e-8
-    before dividing.  Under the stationary shortcut both are skipped.
+    before dividing.  The stationary shortcut takes trend 0 and scale 1,
+    which leave the residuals exactly as they are.
     """
     resid = np.asarray(resid, dtype=float)
     if halfwidth < 1:
         raise DomainError("halfwidth must be >= 1")
     if len(resid) <= 2 * halfwidth:
         raise DomainError("series must be longer than twice the halfwidth")
-    days = first_day + np.arange(len(resid))
     if stationary:
         trend = np.zeros_like(resid)
         scale = np.ones_like(resid)
-        std = resid.copy()
     else:
         trend = centered_moving_average(resid, halfwidth)
         dev = np.abs(resid - trend)
         scale = np.maximum(centered_moving_average(dev, halfwidth), SCALE_FLOOR)
-        std = (resid - trend) / scale
-    return ResidualDecomposition(
-        days=days,
-        trend=trend,
-        scale=scale,
-        std_resid=std,
-        mean=float(np.mean(std)),
-        var=float(np.var(std, ddof=1)),
-    )
+    return ResidualDecomposition(first_day, trend, scale, (resid - trend) / scale)
 
 
 def _poly_fit(x, y, degree: int, at: np.ndarray) -> np.ndarray:
@@ -305,8 +293,8 @@ def _extend(
 ) -> np.ndarray:
     """Observed values where available, polynomial fit values elsewhere.
 
-    ``obs_days`` must be consecutive days, as :class:`ResidualDecomposition`
-    guarantees, so an observed day is looked up by its offset.
+    ``obs_days`` must be consecutive days, as :func:`assemble_fluctuation`
+    builds them, so an observed day is looked up by its offset.
     """
     if degree < 0:
         raise DomainError("polynomial degree must be >= 0")
@@ -329,24 +317,26 @@ def assemble_fluctuation(
     """The limit's daily increments over days -W+1 .. T+offset.
 
     Daily increments have mean trend_t + l * scale_t and covariance
-    s^2 * scale_t * scale_s * c(|t-s|), with the autocorrelation c of the
-    standardized residuals taken to lag min(N - 1, W) and zero beyond; the
-    record's scale is s * scale_t.  Trend and log-scale extend into the
-    forecast window by polynomial fit (a stationary decomposition's to
-    exactly 0 and 1).
+    s^2 * scale_t * scale_s * c(|t-s|), with l, s^2 and c the sample mean,
+    unbiased variance and autocorrelation of the N standardized residuals,
+    c taken to lag min(N - 1, W) and zero beyond; the record's scale is
+    s * scale_t.  Trend and log-scale extend into the forecast window by
+    polynomial fit (a stationary decomposition's to exactly 0 and 1).
     """
     w, t, off = horizon.warranty, horizon.period, horizon.offset
+    std = dec.std_resid
+    obs_days = dec.first_day + np.arange(len(std))
     inc_days = np.arange(-w + 1, t + off + 1)
-    trend = _extend(dec.days, dec.trend, inc_days, poly_degree)
-    scale = _extend(dec.days, dec.scale, inc_days, poly_degree, log_domain=True)
+    trend = _extend(obs_days, dec.trend, inc_days, poly_degree)
+    scale = _extend(obs_days, dec.scale, inc_days, poly_degree, log_domain=True)
     scale = np.maximum(scale, SCALE_FLOOR)
 
-    max_lag = min(len(dec.std_resid) - 1, w)
+    max_lag = min(len(std) - 1, w)
     acf = np.zeros(len(inc_days))
-    acf[: max_lag + 1] = sample_acf(dec.std_resid, max_lag)
+    acf[: max_lag + 1] = sample_acf(std, max_lag)
     return FluctuationIncrements(
-        mean=trend + dec.mean * scale,
-        scale=np.sqrt(dec.var) * scale,
+        mean=trend + float(np.mean(std)) * scale,
+        scale=np.sqrt(float(np.var(std, ddof=1))) * scale,
         acf=acf,
     )
 

@@ -491,7 +491,7 @@ def _limit_law(
         e, v = sizes.mean, sizes.var
         center, norm, approx = n * c1 * e, np.sqrt(n * v), cost_approx_normal(lp, e, v)
     elif study.theorem == "stable_1_2":
-        center, norm = n * c1 * sizes.mean, tail_scalers(sizes.alpha, n).b_n * sizes.xm
+        center, norm = n * c1 * sizes.mean, tail_scalers(sizes.alpha, n, sizes.xm)[0]
         approx = cost_approx_stable(lp, sizes.alpha, sizes.mean, sizes.xm)
     else:
         approx = cost_approx_stable(lp, sizes.alpha, size_scale=sizes.xm)

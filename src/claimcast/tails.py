@@ -3,7 +3,8 @@
 Heavy-tailed claim sizes steer the cost approximation toward a stable
 limit; the tail index is read off the slope of the upper order statistics
 against exponential quantiles.  The regime picks which limit applies and
-the scalers supply the stable regimes' normalizing sequences.
+:func:`tail_scalers` supplies the stable regimes' normalizing sequences,
+scaled to the claim sizes.
 """
 
 from __future__ import annotations
@@ -139,33 +140,32 @@ def select_regime(
     return Regime.STABLE_0_1
 
 
-@dataclass(frozen=True)
-class Scalers:
-    """Normalizing b(n) and centering e(n) sequences for the stable limits."""
+def tail_scalers(
+    alpha_hat: float, n: int, size_scale: float = 1.0
+) -> Tuple[float, Optional[float]]:
+    """Pareto plug-in estimates ``(b, e)`` of the stable normalizing
+    sequences b(n) and e(n), in the units of sizes with Pareto scale
+    ``size_scale`` (xm).
 
-    b_n: float
-    e_n: Optional[float] = None
-
-
-def tail_scalers(alpha_hat: float, n: int) -> Scalers:
-    """Pareto plug-in estimates of the stable normalizing sequences.
-
-    For 1 < alpha < 2 only b(n) = n^(1/alpha) is needed.  For alpha < 1
-    the Pareto plug-ins give b(n) = n^(1/alpha) with
-    e(n) = alpha/(1-alpha) (n^((1-alpha)/alpha) - 1), degenerating to
-    b(n) = n, e(n) = log n at alpha = 1.
+    For 1 < alpha < 2 only b(n) = xm n^(1/alpha) is needed, and e is None.
+    For alpha < 1 the Pareto plug-ins give b(n) = xm n^(1/alpha) with
+    e(n) = xm alpha/(1-alpha) (n^((1-alpha)/alpha) - 1), degenerating to
+    b(n) = xm n, e(n) = xm log n at alpha = 1.  This is the one place the
+    sequences are multiplied by the size scale.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if not (0.0 < alpha_hat < 2.0):
         raise DomainError("stable scalers need 0 < alpha < 2")
+    if not 0.0 < size_scale < np.inf:
+        raise DomainError(f"size scale must be positive and finite, got {size_scale}")
     if alpha_hat == 1.0:
-        return Scalers(b_n=float(n), e_n=float(np.log(n)))
-    b = float(n ** (1.0 / alpha_hat))
+        return float(n) * size_scale, float(np.log(n)) * size_scale
+    b = float(n ** (1.0 / alpha_hat)) * size_scale
     if alpha_hat > 1.0:
-        return Scalers(b_n=b)
+        return b, None
     e = alpha_hat / (1.0 - alpha_hat) * (n ** ((1.0 - alpha_hat) / alpha_hat) - 1.0)
-    return Scalers(b_n=b, e_n=float(e))
+    return b, float(e) * size_scale
 
 
 @dataclass(frozen=True)

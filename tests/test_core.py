@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from claimcast.core import (
+    FluctuationIncrements,
     MeanClaimsMeasure,
     RebateFunction,
     TimeHorizon,
@@ -192,6 +193,11 @@ class TestRebateFunction:
         with pytest.raises(DomainError, match="unit price"):
             RebateFunction.linear(W, unit_price=price)
 
+    @pytest.mark.parametrize("age", [-1e-6, W + 1e-6])
+    def test_evaluated_outside_warranty_rejected(self, age):
+        with pytest.raises(DomainError, match=r"outside \[0, W\]"):
+            RebateFunction.linear(W)(np.array([0.0, age]))
+
     def test_squared(self):
         days = np.arange(0, W + 1, 7)
         for kind in ("free_replacement", "linear", "quadratic"):
@@ -278,6 +284,11 @@ class TestMeanClaimsMeasure:
     def test_negative_atom_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             replace(car_mean_measure(), atomW=-1e-3)
+
+    @pytest.mark.parametrize("warranty", [0, -W])
+    def test_nonpositive_warranty_rejected(self, warranty):
+        with pytest.raises(DomainError, match="warranty must be positive"):
+            replace(car_mean_measure(), warranty=warranty)
 
     def test_bin_masses_sum_to_total(self):
         m = car_mean_measure()
@@ -463,3 +474,45 @@ class TestRangeSums:
         assert got.tolist() == [1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 2.5]
         assert np.array_equal(range_sums(start[:2], end[:2], weight[:2], first, size),
                               np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(-6, -5), (-7, 2), (-6, -6), (2, 3), (-5, 3), (3, 3)],
+        ids=["before", "before_to_last", "one_day_before", "past", "first_to_past",
+             "one_day_past"],
+    )
+    def test_off_grid_range_rejected(self, start, end):
+        # days -5 .. 2: a non-empty range leaving them at either end would
+        # wrap round (a negative index) or run past the difference array
+        with pytest.raises(DomainError, match=r"leaves the grid \[-5, 2\]"):
+            range_sums(np.array([start]), np.array([end]), np.ones(1), -5, 8)
+
+    def test_first_off_grid_range_named_after_empty_ones_drop(self):
+        # empty ranges may lie anywhere; the first non-empty one off the
+        # grid is named
+        start = np.array([0, 9, 2, -1, 1])
+        end = np.array([2, -9, 4, 0, 1])
+        with pytest.raises(DomainError, match=r"^day range \[2, 4\] leaves the grid \[0, 2\]$"):
+            range_sums(start, end, np.ones(5), 0, 3)
+        assert range_sums(start[:2], end[:2], np.ones(2), 0, 3).tolist() == [1.0, 1.0, 1.0]
+
+
+class TestFluctuationIncrements:
+    @pytest.mark.parametrize(
+        "mean, scale, acf",
+        [(np.zeros(5), np.ones(4), np.zeros(5)),
+         (np.zeros(5), np.ones(5), np.zeros(6)),
+         (np.zeros((5, 1)), np.ones((5, 1)), np.zeros((5, 1)))],
+        ids=["scale", "acf", "two_dimensional"],
+    )
+    def test_series_must_align(self, mean, scale, acf):
+        with pytest.raises(DomainError, match="must align"):
+            FluctuationIncrements(mean, scale, acf)
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan])
+    def test_negative_scale_rejected(self, bad):
+        scale = np.ones(5)
+        scale[3] = bad
+        with pytest.raises(DomainError, match="scale must be non-negative"):
+            FluctuationIncrements(np.zeros(5), scale, np.zeros(5))
+        assert FluctuationIncrements(np.zeros(5), np.zeros(5), np.zeros(5)).scale.sum() == 0.0

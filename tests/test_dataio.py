@@ -302,6 +302,23 @@ class TestLoadClaims:
                 load_claims(p)
             assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
+    def test_non_ascii_amount_read_through_csv_reader(self, tmp_path):
+        # a CRLF header line among LF lines sends the file to csv.reader; a
+        # non-ASCII byte in the amount column makes each value that is not
+        # a plain decimal decode on its own
+        lines = [f"V,{100 + i},C{i},1.0" for i in range(100)]
+        lines[3] = "V,103,C3,n/\u00e4"
+        lines[7] = "V,107,C7,1e2"
+        p = tmp_path / "c.csv"
+        text = "vehicle_id,claim_date,claim_id,amount\r\n" + "\n".join(lines) + "\n"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataio.csv, "reader", wraps=csv.reader) as reader:
+            claims, issues = load_claims(p)
+        assert reader.called
+        assert issues == [RowIssue(5, "unparseable amount 'n/\u00e4'")]
+        assert len(claims) == 99
+        assert ("V", 107, 100.0) in rows(claims)
+
     def test_read_error_names_the_last_line_and_carries_the_issues(self, tmp_path):
         rows = ["vehicle_id,claim_date,claim_id,amount"]
         rows += [f"V,{100 + i},C{i},1.0" for i in range(100)]

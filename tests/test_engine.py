@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -230,13 +232,13 @@ class TestCostApproxStableInfiniteMean:
         # the limit of (S - n c1 log n) / n is the intensity-c1 law itself
         n, c1 = 400, 2.5
         lp = LimitParams(c1, 0.0, 0.0, 0.0, TimeHorizon(W, T, 0, n))
-        sc = tail_scalers(1.0, n)
+        b_n, _ = tail_scalers(1.0, n)
         approx = cost_approx_stable(lp, 1.0)
         from claimcast.stable import stable_quantile
 
         assert approx.stable == params_eq_one_case(c1)
         assert approx.location == pytest.approx(n * c1 * np.log(n), rel=1e-15)
-        assert approx.scale == sc.b_n == n
+        assert approx.scale == b_n == n
         for p in (0.2, 0.5, 0.8):
             want = approx.location + n * stable_quantile(approx.stable, p)
             assert approx_quantile(approx, p) == pytest.approx(want, rel=1e-12)
@@ -289,6 +291,12 @@ class TestCostApproxStable:
     def test_nonpositive_size_scale_rejected(self):
         with pytest.raises(DomainError):
             cost_approx_stable(car_limit_params(0), 0.7, size_scale=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.52, 0.7])
+    def test_nan_size_scale_rejected(self, alpha):
+        # NaN passes a `<= 0` test: it would give a NaN scale and quantiles
+        with pytest.raises(DomainError, match="positive and finite"):
+            cost_approx_stable(car_limit_params(0), alpha, 47.5, size_scale=np.nan)
 
     @pytest.mark.parametrize("alpha", [1.52, 1.0, 0.5])
     def test_zero_claim_rate_rejected(self, alpha):
@@ -507,6 +515,15 @@ class TestExtremeness:
     def test_domain(self):
         with pytest.raises(DomainError):
             extremeness(1.2)
+
+
+class TestLimitParamsValidation:
+    @pytest.mark.parametrize("field", ["claims_mean", "claims_var", "fluct_var"])
+    def test_negative_rate_or_variance_rejected(self, field):
+        with pytest.raises(DomainError, match="must be non-negative"):
+            replace(car_limit_params(0), **{field: -1e-12})
+        # the fluctuation mean is a signed drift
+        assert replace(car_limit_params(0), fluct_mean=-1.0).fluct_mean == -1.0
 
 
 class TestCostApproximationValidation:

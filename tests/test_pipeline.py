@@ -66,6 +66,10 @@ def dataset(dataset_dir):
 
 
 class TestRunConfig:
+    def test_unknown_n_policy_rejected(self):
+        with pytest.raises(DomainError, match="unknown n policy 'shipped_total'"):
+            RunConfig(n_policy="shipped_total")
+
     def test_validation(self):
         with pytest.raises(DomainError):
             RunConfig(n_policy="explicit")

@@ -71,6 +71,16 @@ class TestBassCurve:
         with pytest.raises(DomainError, match="need finite p and q"):
             BassParams(p=p, q=q, n=100, origin=0)
 
+    @pytest.mark.parametrize("p, q", [(0.0, 0.01), (-4e-4, 0.01), (4e-4, -4e-4)])
+    def test_nonpositive_rates_rejected(self, p, q):
+        with pytest.raises(DomainError, match=r"need p > 0 and p \+ q > 0"):
+            BassParams(p=p, q=q, n=100, origin=0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_total_rejected(self, n):
+        with pytest.raises(DomainError, match="total sales must be positive"):
+            BassParams(p=CAR_P, q=CAR_C - CAR_P, n=n, origin=0)
+
 
 class TestFitBass:
     def test_recovers_noiseless_curve(self):
@@ -104,6 +114,11 @@ class TestFitBass:
         counts[17] = bad
         with pytest.raises(DomainError, match="finite"):
             fit_bass(counts, 100, first_day=-40)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_nonpositive_bin_width_rejected(self, width):
+        with pytest.raises(DomainError, match="bin width must be >= 1"):
+            fit_bass(np.ones(40), 100, first_day=-40, bin_width=width)
 
     @pytest.mark.parametrize("days, width", [(40, 30), (59, 30), (30, 16)])
     def test_fewer_than_two_bins_rejected(self, days, width):
@@ -397,14 +412,16 @@ class TestDecomposeResiduals:
         with pytest.raises(DomainError):
             decompose_residuals(np.ones(20), first_day=-20, halfwidth=15)
 
-    def test_days_must_be_consecutive(self):
+    def test_nonpositive_halfwidth_rejected(self):
+        with pytest.raises(DomainError, match="halfwidth must be >= 1"):
+            decompose_residuals(np.ones(40), first_day=-39, halfwidth=0)
+
+    def test_series_must_align_and_scale_be_positive(self):
         dec = decompose_residuals(np.sin(np.arange(40.0)), first_day=-39, halfwidth=5)
-        gap = dec.days.copy()
-        gap[20:] += 1
-        with pytest.raises(DomainError, match="consecutive"):
-            replace(dec, days=gap)
         with pytest.raises(DomainError, match="align"):
             replace(dec, scale=dec.scale[:-1])
+        with pytest.raises(DomainError, match="positive"):
+            replace(dec, scale=np.where(np.arange(40) == 7, 0.0, dec.scale))
 
     def test_moving_average_edges_shrink(self):
         x = np.arange(10.0)
@@ -420,15 +437,13 @@ FREE_60 = RebateFunction.free_replacement(60)
 class TestAssembleFluctuation:
     def test_unit_white_noise_gives_brownian_grid(self):
         h = TimeHorizon(60, 20)
-        days = np.arange(-59, 1)
-        # mean 0, var 1, acf = delta: increments iid standard
+        # two spikes +-6 over 73 days: mean exactly 0, unbiased variance
+        # 72 / 72 = 1 and, the spikes 72 > W days apart, an autocorrelation
+        # of exactly 0 at lags 1..W: increments iid standard
+        std = np.zeros(73)
+        std[0], std[-1] = 6.0, -6.0
         dec = ResidualDecomposition(
-            days=days,
-            trend=np.zeros(60),
-            scale=np.ones(60),
-            std_resid=np.zeros(60),
-            mean=0.0,
-            var=1.0,
+            first_day=-72, trend=np.zeros(73), scale=np.ones(73), std_resid=std
         )
         inc = assemble_fluctuation(dec, h)
         want = daily_increments(60, 20)  # days -59 .. 20
@@ -446,20 +461,15 @@ class TestAssembleFluctuation:
         dec = decompose_residuals(r, first_day=-79, halfwidth=8)
         inc = assemble_fluctuation(dec, h, poly_degree=2)
         obs = days + h.warranty - 1  # entry k is day k - W + 1
-        assert np.array_equal(inc.mean[obs], dec.trend + dec.mean * dec.scale)
-        assert np.array_equal(inc.scale[obs], np.sqrt(dec.var) * dec.scale)
+        mean, var = np.mean(dec.std_resid), np.var(dec.std_resid, ddof=1)
+        assert np.array_equal(inc.mean[obs], dec.trend + mean * dec.scale)
+        assert np.array_equal(inc.scale[obs], np.sqrt(var) * dec.scale)
 
     def test_zero_mean_std_resid_leaves_trend_only(self):
         h = TimeHorizon(60, 20)
-        days = np.arange(-59, 1)
         trend = 0.01 * np.ones(60)
         dec = ResidualDecomposition(
-            days=days,
-            trend=trend,
-            scale=np.ones(60),
-            std_resid=np.zeros(60),
-            mean=0.0,
-            var=1.0,
+            first_day=-59, trend=trend, scale=np.ones(60), std_resid=np.zeros(60)
         )
         inc = assemble_fluctuation(dec, h, poly_degree=0)
         assert np.allclose(inc.mean, 0.01)
@@ -480,8 +490,8 @@ class TestAssembleFluctuation:
         h = TimeHorizon(80, 25, offset=25)
         dec = decompose_residuals(rng.normal(0.1, 0.5, size=80), -79, stationary=True)
         inc = assemble_fluctuation(dec, h)
-        assert np.all(inc.mean == dec.mean)
-        assert np.all(inc.scale == np.sqrt(dec.var))
+        assert np.all(inc.mean == np.mean(dec.std_resid))
+        assert np.all(inc.scale == np.sqrt(np.var(dec.std_resid, ddof=1)))
 
     def test_long_sale_span_takes_the_acf_to_lag_w_only(self):
         # one sale 200 000 days before the rest: the residual series is that
@@ -508,6 +518,11 @@ class TestAssembleFluctuation:
         dec = decompose_residuals(r, first_day=-59, halfwidth=5)
         with pytest.raises(FitError):
             assemble_fluctuation(dec, h, poly_degree=70)
+
+    def test_negative_polynomial_degree_rejected(self):
+        dec = decompose_residuals(np.linspace(-1, 1, 60), first_day=-59, halfwidth=5)
+        with pytest.raises(DomainError, match="polynomial degree must be >= 0"):
+            assemble_fluctuation(dec, TimeHorizon(60, 20), poly_degree=-1)
 
 
 class TestPolynomialFitPort:

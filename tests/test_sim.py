@@ -50,6 +50,11 @@ class TestSimulateSales:
         assert s[0] == pytest.approx(-W + 10.0)
         assert s[-1] <= T
 
+    @pytest.mark.parametrize("mean, var", [(0.0, 1.0), (-2.0, 1.0), (2.0, -1.0)])
+    def test_renewal_gaps_need_positive_mean_and_non_negative_var(self, mean, var):
+        with pytest.raises(DomainError, match="need mean > 0 and var >= 0"):
+            RenewalSales(mean=mean, var=var)
+
     def test_sales_confined_to_clock(self):
         for spec in (
             RenewalSales(mean=3.0, var=4.0),
@@ -630,6 +635,17 @@ class TestMonteCarloValidate:
         report = monte_carlo_validate(study, reps=400, seed=5)
         assert report.ks_distance < 0.12
 
+    def test_unknown_theorem_rejected(self):
+        with pytest.raises(DomainError, match="unknown theorem tag 'stable_2_3'"):
+            MonteCarloStudy(
+                sales=NhppSales(LinearShare(W, W + T)),
+                claims=PoissonClaims(paper_shaped_measure(W)),
+                rebate=FREE,
+                horizon=HORIZON,
+                theorem="stable_2_3",
+                sizes=ParetoSizes(alpha=1.5),
+            )
+
     @pytest.mark.parametrize(
         "theorem, alpha",
         [("stable_1_2", 0.7), ("stable_1_2", 1.0), ("stable_1_2", 2.0),
@@ -782,3 +798,8 @@ class TestSizeLaws:
     def test_pareto_needs_finite_positive_parameters(self, alpha, xm):
         with pytest.raises(DomainError, match="alpha"):
             ParetoSizes(alpha, xm)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_pareto_mean_undefined_at_or_below_alpha_one(self, alpha):
+        with pytest.raises(DomainError, match="mean undefined for alpha <= 1"):
+            ParetoSizes(alpha, 2.0).mean

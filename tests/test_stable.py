@@ -123,6 +123,11 @@ class TestParamsEqOneCase:
             3.0 * params_eq_one_case(1.0).mu
         )
 
+    @pytest.mark.parametrize("c1", [0.0, -1.0])
+    def test_nonpositive_intensity_rejected(self, c1):
+        with pytest.raises(DomainError, match="c1 must be positive"):
+            params_eq_one_case(c1)
+
 
 class TestStableParamsValidation:
     def test_bounds(self):
@@ -273,6 +278,16 @@ class TestQuantileRoundTrip:
         params = StableParams(0.8, 1.0, 2.0, 1.0)
         qs = [stable_quantile(params, p) for p in np.linspace(0.05, 0.95, 10)]
         assert np.all(np.diff(qs) > 0.0)
+
+    def test_left_skewed_quantiles_stay_below_the_support_edge(self):
+        # alpha < 1 and beta = -1: the law lives on (-inf, mu], so the
+        # quantile search is bracketed from above at mu
+        params = StableParams(0.5, -1.0, 2.0, 3.0)
+        levels = np.array([1e-6, 0.01, 0.25, 0.5, 0.9, 0.999999])
+        q = stable_quantile(params, levels)
+        assert np.all(q <= params.mu)
+        assert np.all(np.diff(q) > 0.0)
+        assert np.max(np.abs(stable_cdf(params, q) - levels)) <= 1e-8
 
     def test_level_domain(self):
         params = StableParams(1.5, 0.0, 1.0, 0.0)

@@ -175,20 +175,37 @@ class TestSelectRegime:
 
 class TestTailScalers:
     def test_pareto_b_for_mid_regime(self):
-        s = tail_scalers(1.52, 34807)
-        assert s.b_n == pytest.approx(34807 ** (1 / 1.52))
-        assert s.e_n is None
+        b, e = tail_scalers(1.52, 34807)
+        assert b == pytest.approx(34807 ** (1 / 1.52))
+        assert e is None
 
     def test_alpha_one_plugins(self):
         n = int(round(np.e))
-        s = tail_scalers(1.0, n)
-        assert s.b_n == n
-        assert s.e_n == pytest.approx(np.log(n))
+        b, e = tail_scalers(1.0, n)
+        assert b == n
+        assert e == pytest.approx(np.log(n))
 
     def test_low_alpha_closed_form(self):
-        s = tail_scalers(0.5, 100)
-        assert s.b_n == pytest.approx(100.0**2)
-        assert s.e_n == pytest.approx(99.0)
+        b, e = tail_scalers(0.5, 100)
+        assert b == pytest.approx(100.0**2)
+        assert e == pytest.approx(99.0)
+
+    @pytest.mark.parametrize("alpha", [1.52, 1.0, 0.5])
+    def test_size_scale_multiplies_both_sequences(self, alpha):
+        # one product each, the same operation as scaling the unit plug-ins
+        b1, e1 = tail_scalers(alpha, 34807)
+        b, e = tail_scalers(alpha, 34807, 47.5)
+        assert b == b1 * 47.5
+        assert e == (None if e1 is None else e1 * 47.5)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_size_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(DomainError, match="size scale"):
+            tail_scalers(1.52, 100, scale)
+
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(DomainError, match="n must be positive"):
+            tail_scalers(1.52, 0)
 
     def test_finite_variance_has_no_scalers(self):
         with pytest.raises(DomainError):
