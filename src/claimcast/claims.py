@@ -248,12 +248,14 @@ def join_claims(sales: SalesTable, claims: ClaimsTable, warranty: int) -> Joined
 def empirical_mean_measure(ages, n: int, warranty: int) -> np.ndarray:
     """Average daily claim-age histogram over all n sold items.
 
-    ``ages`` holds every claim's age in [0, W]; ``n`` counts every sold
+    ``ages`` holds every claim's finite age in [0, W]; ``n`` counts every sold
     item, claim-free ones included.  Bin i of the W + 1 bins holds the mean
     number of claims per item aged in (i-1, i], with bin 0 those at age 0.
     """
     if n < 1:
         raise DomainError("need at least one sold item")
+    if not np.all(np.isfinite(ages)):
+        raise DomainError("claim ages must be finite")
     days = np.minimum(np.ceil(np.maximum(ages, 0.0)), warranty).astype(np.int64)
     return np.bincount(days, minlength=warranty + 1) / n
 

@@ -23,9 +23,8 @@ Conventions used throughout the package:
 * Sums of weights over ranges of integer days go through one kernel,
   :func:`range_sums`, which rejects a non-empty range off its grid; columns
   made in blocks are joined by ``_concat_blocks``.
-* Power-basis polynomials are numpy's ``polyval``, ``polyint``, ``polymul``
-  and ``polypow`` (from ``numpy.polynomial.polynomial``), ported with their
-  operation order so the bits match, without loading that package.
+* Polynomials are coefficient arrays, highest power first, handled by
+  numpy's own ``np.polyval``, ``np.polyint`` and ``np.polymul``.
 """
 
 from __future__ import annotations
@@ -118,51 +117,10 @@ class TimeHorizon:
         return hit
 
 
-def _polytrim(c: np.ndarray) -> np.ndarray:
-    """``c`` without its trailing zero coefficients, keeping at least one."""
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if len(nonzero) else c[:1]
-
-
-def _polyval(x, c):
-    """Horner's rule from the highest coefficient, as numpy's ``polyval``;
-    ``c`` is a 1-d float array, ``x`` a scalar or an array."""
-    if isinstance(x, np.ndarray):
-        c = c.reshape(c.shape + (1,) * x.ndim)
-    out = c[-1] + x * 0
-    for i in range(2, len(c) + 1):
-        out = c[-i] + out * x
-    return out
-
-
-def _polymul(c1, c2) -> np.ndarray:
-    return _polytrim(np.convolve(_polytrim(c1), _polytrim(c2)))
-
-
-def _polypow(c, power: int) -> np.ndarray:
-    c = _polytrim(np.array(c, dtype=float))
-    out = np.ones(1) if power == 0 else c
-    for _ in range(2, power + 1):
-        out = np.convolve(out, c)
-    return out
-
-
-def _polyint(c) -> np.ndarray:
-    """The antiderivative that is 0 at 0, as numpy's ``polyint``."""
-    c = np.array(c, dtype=float)
-    if len(c) == 1 and c[0] == 0:
-        return np.zeros(1)
-    out = np.empty(len(c) + 1)
-    out[0] = c[0] * 0
-    out[1:] = c / np.arange(1, len(c) + 1)
-    out[0] += 0 - _polyval(0, out)
-    return out
-
-
-# r(t) = p(t / W): power-basis coefficients of p, exact in the unit variable
+# r(t) = p(t / W): p's coefficients, highest power first, exact in t / W
 _REBATE_SHAPES = {
     "free_replacement": (1.0,),
-    "linear": (1.0, -1.0),
+    "linear": (-1.0, 1.0),
     "quadratic": (1.0, -2.0, 1.0),
 }
 
@@ -203,20 +161,25 @@ class RebateFunction:
         return cls("quadratic", warranty, unit_price)
 
     def poly_coef(self, power: int = 1) -> np.ndarray:
-        """Power-basis coefficients of r^power in t.
+        """Coefficients of r^power in t, highest power first, as
+        ``np.polyval`` takes them; ``power`` must be a non-negative integer.
 
         The power is taken on the integer coefficients in t/W and scaled
         once, so the square of ``linear`` has exactly the coefficients of
         ``quadratic``.
         """
-        shape = _polypow(_REBATE_SHAPES[self.kind], power)
-        return shape / float(self.warranty) ** np.arange(len(shape))
+        if power < 0:
+            raise DomainError(f"rebate power must be non-negative, got {power}")
+        shape = np.ones(1)
+        for _ in range(power):
+            shape = np.polymul(shape, _REBATE_SHAPES[self.kind])
+        return shape / float(self.warranty) ** np.arange(len(shape) - 1, -1, -1)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-9) or np.any(t > self.warranty + 1e-9):
+        if not np.all((t >= -1e-9) & (t <= self.warranty + 1e-9)):
             raise DomainError("rebate evaluated outside [0, W]")
-        out = _polyval(t, self.poly_coef())
+        out = np.polyval(self.poly_coef(), t)
         return float(out) if out.ndim == 0 else out
 
 
@@ -278,11 +241,10 @@ class MeanClaimsMeasure:
         if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= w)):
             raise DomainError(f"interval [{lo}, {hi}] not inside [0, {w}]")
         coef = rebate.poly_coef(power)
-        dens = np.array([self.intercept, self.slope])
-        anti = _polyint(_polymul(coef, dens))
-        out = _polyval(hi, anti) - _polyval(lo, anti)
-        out = out + np.where(lo == 0.0, self.atom0 * _polyval(0.0, coef), 0.0)
-        out = out + np.where(hi == w, self.atomW * _polyval(float(w), coef), 0.0)
+        anti = np.polyint(np.polymul(coef, [self.slope, self.intercept]))
+        out = np.polyval(anti, hi) - np.polyval(anti, lo)
+        out = out + np.where(lo == 0.0, self.atom0 * np.polyval(coef, 0.0), 0.0)
+        out = out + np.where(hi == w, self.atomW * np.polyval(coef, float(w)), 0.0)
         return float(out) if out.ndim == 0 else out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluctuationIncrements, TimeHorizon, _polyval
+from .core import FluctuationIncrements, TimeHorizon
 from .errors import DomainError, FitError
 
 logger = logging.getLogger(__name__)
@@ -264,7 +264,8 @@ def _poly_fit(x, y, degree: int, at: np.ndarray) -> np.ndarray:
     ``at``: numpy's ``Polynomial.fit(x, y, degree)(at)``, ported with its
     operation order so the bits match.  x is mapped from [min, max] onto
     [-1, 1], the Vandermonde columns are scaled to unit norm for one
-    ``lstsq``, and a rank below degree + 1 is a :class:`FitError`."""
+    ``lstsq``, whose coefficients, lowest power first, ``np.polyval``
+    takes reversed; a rank below degree + 1 is a :class:`FitError`."""
     domain = np.asarray(x, dtype=float)
     lo, hi = domain.min(), domain.max()
     if lo == hi:
@@ -281,7 +282,7 @@ def _poly_fit(x, y, degree: int, at: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(powers.T / norm, y + 0.0, rcond)
     if rank != degree + 1:
         raise FitError("rank-deficient polynomial fit: The fit may be poorly conditioned")
-    return _polyval(off + scl * at, coef / norm)
+    return np.polyval((coef / norm)[::-1], off + scl * at)
 
 
 def _extend(

@@ -354,12 +354,10 @@ def _score(
         return counts, np.array([np.sum(part) for part in parts])
     costs = np.empty(len(scenarios))
     for k, ((*_, sizes), count) in enumerate(zip(scenarios, counts)):
-        if sizes is None or len(sizes) < count:
-            raise DomainError(
-                f"size stream exhausted: need {count}, have "
-                f"{0 if sizes is None else len(sizes)}"
-            )
-        costs[k] = np.sum(np.asarray(sizes, dtype=float)[:count])
+        sizes = np.asarray(() if sizes is None else sizes, dtype=float)
+        if len(sizes) < count:
+            raise DomainError(f"size stream exhausted: need {count}, have {len(sizes)}")
+        costs[k] = np.sum(sizes[:count])
     return counts, costs
 
 
@@ -376,9 +374,10 @@ def realize_cost(
     Claim k is raised by the item sold at ``sales[item[k]]`` at age
     ``age[k]``; the columns must be sorted by (item, age).  Under free
     replacement every claim landing in the window consumes the next entry
-    of the ``sizes`` stream; under a rebate schedule only each item's first
-    claim can pay, at ``unit_price * r(age)``.  This is the block scoring
-    of :func:`monte_carlo_validate` on a block of one checked scenario.
+    of the ``sizes`` stream, None being an empty one; under a rebate
+    schedule only each item's first claim can pay, at ``unit_price *
+    r(age)``.  This is the block scoring of :func:`monte_carlo_validate` on
+    a block of one checked scenario.
     """
     sales = np.asarray(sales, dtype=float)
     item = np.asarray(item, dtype=np.int64)

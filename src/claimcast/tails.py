@@ -60,7 +60,7 @@ def sample_quantiles(sample, levels) -> np.ndarray:
     if n == 0:
         raise DomainError("need a non-empty sample")
     q = np.asarray(levels, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise DomainError("quantile levels must lie in [0, 1]")
     virtual = (n - 1) * q
     below = np.floor(virtual).astype(np.intp)

@@ -420,6 +420,11 @@ class TestEmpiricalMeanMeasure:
         with pytest.raises(DomainError):
             empirical_mean_measure(np.zeros(0), 0, W)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ages_rejected(self, bad):
+        with pytest.raises(DomainError, match="ages must be finite"):
+            empirical_mean_measure(np.array([1.0, bad]), 2, W)
+
 
 class TestFitMeanMeasure:
     def test_flat_bins(self):

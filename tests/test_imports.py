@@ -50,8 +50,10 @@ def test_cli_loads_no_scipy():
     assert scipy_modules("import claimcast.cli") == []
 
 
-# each was loaded for one function that claimcast now computes itself:
-# core's polynomial helpers, sales' polynomial fit and engine's normal quantile
+# none is needed: polynomials are evaluated, multiplied and integrated by
+# numpy's np.polyval, np.polymul and np.polyint, which load with numpy itself,
+# and engine computes its own normal quantile (statistics loads fractions and
+# decimal)
 UNUSED_LIBRARIES = ("numpy.polynomial", "statistics", "fractions", "decimal")
 
 

@@ -281,6 +281,13 @@ class TestRealizeCost:
                 HORIZON,
             )
 
+    def test_missing_size_stream_is_empty(self):
+        # a claim outside the window consumes no size; one landing needs one
+        got = realize_cost(np.array([0.0]), *columns([(T + 1.0,)]), None, FREE, HORIZON)
+        assert got == (0, 0.0)
+        with pytest.raises(DomainError, match="need 1, have 0"):
+            realize_cost(np.array([0.0]), *columns([(1.0,)]), None, FREE, HORIZON)
+
     def test_mismatched_lengths(self):
         with pytest.raises(DomainError):
             realize_cost(np.array([0.0]), np.array([0]), np.array([]), None, FREE, HORIZON)

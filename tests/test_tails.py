@@ -90,9 +90,9 @@ class TestSampleQuantiles:
     def test_rejects_empty_sample_and_bad_levels(self):
         with pytest.raises(DomainError):
             sample_quantiles([], [0.5])
-        for level in (-0.1, 1.5):
-            with pytest.raises(DomainError):
-                sample_quantiles([1.0, 2.0], [level])
+        for level in (-0.1, 1.5, np.nan):
+            with pytest.raises(DomainError, match=r"levels must lie in \[0, 1\]"):
+                sample_quantiles([1.0, 2.0, 3.0], [level])
 
 
 class TestQQPlot:
