@@ -290,13 +290,16 @@ def fit_mean_measure(bins) -> MeanClaimsMeasure:
 
 
 def _close_pairs(item: np.ndarray, age: np.ndarray, warranty: int, period: int):
-    """The ordered pairs (i, j) of one item's claims at most ``period`` apart,
-    in (i, j) order, for claims sorted by (item, age), yielded for one block
-    of ``PAIR_BLOCK`` claims i at a time (one empty block if there are no
-    claims).  Claim i's candidates run from ``first[i]``, the first claim
-    whose key item * (W + T + 2) + age is at most T + 1/2 below i's, to the
-    last j with ``first[j] <= i`` (``first`` is non-decreasing); the key
-    can round fractional ages, so hi - lo <= T is tested on the ages."""
+    """The ordered pairs (i, j) of one item's claims whose keys
+    item * (W + T + 2) + age are at most T + 1/2 apart, in (i, j) order, for
+    claims sorted by (item, age), yielded for one block of ``PAIR_BLOCK``
+    claims i at a time (one empty block if there are no claims).  Claim i's
+    candidates run from ``first[i]``, the first claim whose key is at most
+    T + 1/2 below i's, to the last j with ``first[j] <= i`` (``first`` is
+    non-decreasing).  They hold every pair at most T apart; with whole-day
+    ages, as :func:`join_claims` gives, they are exactly those pairs, and
+    fractional ages more than T apart have an empty sale-day range, which
+    :func:`range_sums` drops."""
     key = item * (warranty + period + 2.0) + age
     first = np.searchsorted(key, key - (period + 0.5))
     del key
@@ -306,8 +309,7 @@ def _close_pairs(item: np.ndarray, age: np.ndarray, warranty: int, period: int):
         count = np.searchsorted(first, claim, side="right") - first[a:b]
         left = np.repeat(claim, count)
         right = np.arange(len(left)) - np.repeat(np.cumsum(count) - count - first[a:b], count)
-        close = np.abs(age[left] - age[right]) <= period
-        yield left[close], right[close]
+        yield left, right
 
 
 def _pair_ranges(claims: JoinedClaims, rebate: RebateFunction, warranty: int, period: int):

@@ -80,14 +80,23 @@ class TimeHorizon:
         ``[0, W]``, i.e. when ``max(0, o - x) <= c <= min(W, T + o - x)``.
         Sale times outside ``[-W + o, T + o]`` raise.
         """
-        w, t, o = self.warranty, self.period, self.offset
-        x = np.asarray(sale_time, dtype=float)
-        outside = ~((x >= -w + o) & (x <= t + o))
-        if np.any(outside):
+        x, inside, lo, hi = self._window(sale_time)
+        if not np.all(inside):
             raise DomainError(
-                f"sale time {x[outside].flat[0]} outside [{-w + o}, {t + o}]"
+                f"sale time {float(x[~inside].flat[0])} outside "
+                f"[{-self.warranty + self.offset}, {self.period + self.offset}]"
             )
-        return np.maximum(0.0, o - x)[()], np.minimum(float(w), t + o - x)[()]
+        return lo[()], hi[()]
+
+    def _window(self, sale_time):
+        """Sale times as an array, whether each lies in ``[-W + o, T + o]``,
+        and the float bounds ``max(0, o - x)`` and ``min(W, T + o - x)`` of
+        their claim ages.  Integer days stay integers: their bounds are exact
+        either way, and a float copy would be one more column beside both."""
+        w, t, o = self.warranty, self.period, self.offset
+        x = np.asarray(sale_time)
+        inside = (x >= -w + o) & (x <= t + o)
+        return x, inside, np.maximum(0.0, o - x), np.minimum(float(w), t + o - x)
 
     def sale_day_range(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
         """Inverse of :meth:`claim_window` over integer sale days.
@@ -109,12 +118,8 @@ class TimeHorizon:
         """Whether a claim of age ``c`` from a sale at ``x`` lands in the
         window, element-wise: ``-W + o <= x <= T + o`` and ``max(0, o - x) <=
         c <= min(W, T + o - x)``, so a sale outside that range misses."""
-        w, t, o = self.warranty, self.period, self.offset
-        x = np.asarray(sale_time, dtype=float)
-        hit = (x >= -w + o) & (x <= t + o)
-        hit &= np.maximum(0.0, o - x) <= age
-        hit &= age <= np.minimum(float(w), t + o - x)
-        return hit
+        _, inside, lo, hi = self._window(sale_time)
+        return inside & (lo <= age) & (age <= hi)
 
 
 # r(t) = p(t / W): p's coefficients, highest power first, exact in t / W

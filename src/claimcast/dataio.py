@@ -38,7 +38,7 @@ import numpy as np
 
 from .claims import ClaimsTable, SalesTable, _id_keys
 from .core import _concat_blocks
-from .errors import LoadError
+from .errors import DomainError, LoadError
 
 __all__ = [
     "RowIssue",
@@ -617,14 +617,17 @@ def anchor_day_zero(sales: SalesTable) -> Tuple[SalesTable, int]:
 
 def write_series(path, x_name: str, x: np.ndarray, y_name: str, y: np.ndarray) -> None:
     """Two-column CSV with full-precision floats (round-trips exactly),
-    formatted and written ``CHUNK_ROWS`` rows at a time."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    formatted and written ``CHUNK_ROWS`` rows at a time; columns of
+    different lengths raise before anything is written."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(x) != len(y):
+        raise DomainError(f"series columns differ in length: {len(x)} and {len(y)}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow([x_name, y_name])
-        for k in range(0, min(len(x), len(y)), CHUNK_ROWS):
+        for k in range(0, len(x), CHUNK_ROWS):
             rows = zip(x[k : k + CHUNK_ROWS].tolist(), y[k : k + CHUNK_ROWS].tolist())
             # a float's repr never needs quoting; "\r\n" is csv.writer's line end
             handle.write("".join([f"{a!r},{b!r}\r\n" for a, b in rows]))

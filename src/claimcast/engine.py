@@ -161,8 +161,10 @@ class CostApproximation:
     stable: Optional[StableParams] = None
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise DomainError("scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        if not -np.inf < self.location < np.inf:
+            raise DomainError(f"location must be finite, got {self.location}")
 
 
 def cost_approx_normal(
@@ -230,18 +232,16 @@ def cost_approx_stable(
     if alpha > 1.0:
         if mean_size is None:
             raise DomainError("1 < alpha < 2 needs the mean claim size")
-        return CostApproximation(
-            location=n * c1 * mean_size,
-            scale=b_n * c1 ** (1.0 / alpha),
-            stable=params_mean_case(alpha),
+        location, scale = n * c1 * mean_size, b_n * c1 ** (1.0 / alpha)
+        stable = params_mean_case(alpha)
+    else:
+        location, scale = n * c1 * e_n, b_n
+        stable = params_eq_one_case(c1) if alpha == 1.0 else params_zero_one_case(alpha, c1)
+    if not (math.isfinite(location) and math.isfinite(scale)):
+        raise NumericalError(
+            f"cost approximation not finite: location {location:.6g}, scale {scale:.6g}"
         )
-    return CostApproximation(
-        location=n * c1 * e_n,
-        scale=b_n,
-        stable=params_eq_one_case(c1)
-        if alpha == 1.0
-        else params_zero_one_case(alpha, c1),
-    )
+    return CostApproximation(location=location, scale=scale, stable=stable)
 
 
 def approx_cdf(approx: CostApproximation, x):

@@ -99,8 +99,10 @@ class RenewalSales:
     var: float
 
     def __post_init__(self):
-        if self.mean <= 0.0 or self.var < 0.0:
-            raise DomainError("need mean > 0 and var >= 0")
+        if not (0.0 < self.mean < np.inf and 0.0 <= self.var < np.inf):
+            raise DomainError(
+                f"need mean > 0 and var >= 0, both finite, got {self.mean}, {self.var}"
+            )
 
     def share_on(self, days, horizon: TimeHorizon) -> np.ndarray:
         return (np.asarray(days, dtype=float) + horizon.warranty) / self.mean

@@ -67,8 +67,10 @@ class StableParams:
             raise DomainError("alpha must lie in (0, 2)")
         if not (-1.0 <= self.beta <= 1.0):
             raise DomainError("beta must lie in [-1, 1]")
-        if self.sigma <= 0.0:
-            raise DomainError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not -np.inf < self.mu < np.inf:
+            raise DomainError(f"mu must be finite, got {self.mu}")
 
 
 def params_mean_case(alpha: float) -> StableParams:

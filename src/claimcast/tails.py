@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -151,7 +151,8 @@ def tail_scalers(
     For alpha < 1 the Pareto plug-ins give b(n) = xm n^(1/alpha) with
     e(n) = xm alpha/(1-alpha) (n^((1-alpha)/alpha) - 1), degenerating to
     b(n) = xm n, e(n) = xm log n at alpha = 1.  This is the one place the
-    sequences are multiplied by the size scale.
+    sequences are multiplied by the size scale.  A b(n) that overflows
+    raises :class:`NumericalError`; e(n) <= b(n), so it is finite too.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -159,9 +160,17 @@ def tail_scalers(
         raise DomainError("stable scalers need 0 < alpha < 2")
     if not 0.0 < size_scale < np.inf:
         raise DomainError(f"size scale must be positive and finite, got {size_scale}")
+    try:
+        b = (float(n) if alpha_hat == 1.0 else float(n ** (1.0 / alpha_hat))) * size_scale
+    except OverflowError:  # a float power raises where a product gives inf
+        b = np.inf
+    if not b < np.inf:
+        raise NumericalError(
+            f"stable scaler b(n) overflows at alpha {alpha_hat:.6g}, n {n}, "
+            f"size scale {size_scale:.6g}"
+        )
     if alpha_hat == 1.0:
-        return float(n) * size_scale, float(np.log(n)) * size_scale
-    b = float(n ** (1.0 / alpha_hat)) * size_scale
+        return b, float(np.log(n)) * size_scale
     if alpha_hat > 1.0:
         return b, None
     e = alpha_hat / (1.0 - alpha_hat) * (n ** ((1.0 - alpha_hat) / alpha_hat) - 1.0)

@@ -521,6 +521,23 @@ def brute_close_pairs(joined, period):
     ]
 
 
+def assert_holds_close_pairs(joined, left, right, period):
+    """The expanded pairs hold every pair at most ``period`` apart, in (i, j)
+    order; any other pair is more than ``period`` apart, has a fractional
+    age, and has an empty sale-day range, so it adds nothing to the grids."""
+    got = list(zip(left.tolist(), right.tolist()))
+    want = brute_close_pairs(joined, period)
+    close = set(want)
+    assert [pair for pair in got if pair in close] == want
+    extra = np.array([pair for pair in got if pair not in close], dtype=np.int64)
+    a, b = joined.age[extra.reshape(-1, 2).T]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    assert np.all(hi - lo > period)
+    assert not np.any((lo == np.floor(lo)) & (hi == np.floor(hi)))
+    start, end = TimeHorizon(40, period).sale_day_range(lo, hi)
+    assert np.all(start > end)
+
+
 SPREAD_AGES = st.lists(st.lists(st.integers(0, 40), max_size=6), max_size=8)
 
 
@@ -574,13 +591,11 @@ class TestCloseClaimPairs:
         st.integers(1, 19),
         st.sampled_from([1, 2, 5, claims_mod.PAIR_BLOCK]),
     )
-    def test_expanded_pairs_are_the_pairs_at_most_t_apart(self, per_item, period, block):
+    def test_expanded_pairs_hold_the_pairs_at_most_t_apart(self, per_item, period, block):
         joined = joined_from(per_item)
         with mock.patch.object(claims_mod, "PAIR_BLOCK", block):
             left, right = close_pairs(joined.item, joined.age, 40, period)
-        assert list(zip(left.tolist(), right.tolist())) == brute_close_pairs(
-            joined, period
-        )
+        assert_holds_close_pairs(joined, left, right, period)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_grids_do_not_depend_on_the_block_size(self, block):
@@ -597,12 +612,12 @@ class TestCloseClaimPairs:
             assert floored == floored0
 
     def test_pairs_exactly_t_apart_kept(self):
+        # (0, 2) is 12 + 2e-15 apart: a candidate whose sale-day range is empty
         age = np.array([0.3, 12.3, 12.300000000000002, 40.0])
         item = np.zeros(4, dtype=np.int64)
         left, right = close_pairs(item, age, 40, 12)
-        want = brute_close_pairs(JoinedClaims(item, age, np.zeros(4)), 12)
-        assert list(zip(left.tolist(), right.tolist())) == want
-        assert (0, 1) in want
+        assert_holds_close_pairs(JoinedClaims(item, age, np.zeros(4)), left, right, 12)
+        assert (0, 1) in zip(left.tolist(), right.tolist())
 
     def test_horizons_must_share_the_clock(self):
         fitted = zero_measure(W)

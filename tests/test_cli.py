@@ -284,6 +284,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: cost approximation not finite" in err
 
+    def test_overflowing_stable_scalers_are_numerical_failure(self, capsys):
+        # b(n) = n^100 overflows at n = 34807: exit 3, not an OverflowError
+        rc = main(["validate", "--theorem", "stable_0_1", "--pareto-alpha", "0.01",
+                   "--n-scale", "34807", "--reps", "100"])
+        assert rc == 3
+        assert "numerical failure: stable scaler b(n) overflows" in capsys.readouterr().err
+
     def test_overflowing_validation_is_numerical_failure(self, capsys):
         rc = main(["validate", "--theorem", "prorata", "--unit-price", "1e200",
                    "--reps", "100"])

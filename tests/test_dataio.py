@@ -19,7 +19,7 @@ from claimcast.dataio import (
     load_sales,
     write_series,
 )
-from claimcast.errors import LoadError
+from claimcast.errors import DomainError, LoadError
 from series_csv import read_series
 
 
@@ -571,6 +571,12 @@ class TestSeriesRoundTrip:
             for a, b in zip(x, y):
                 writer.writerow([repr(float(a)), repr(float(b))])
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_columns_of_different_lengths_rejected(self, tmp_path):
+        path = tmp_path / "out" / "series.csv"
+        with pytest.raises(DomainError, match="differ in length: 3 and 1"):
+            write_series(path, "x", [0, 1, 2], "y", [0])
+        assert not path.parent.exists()
 
 
 # Raw field values for the generated files: plain values and every form

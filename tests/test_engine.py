@@ -305,6 +305,16 @@ class TestCostApproxStable:
         with pytest.raises(DomainError, match="^c1 must be positive$"):
             cost_approx_stable(lp, alpha, E_SIZE)
 
+    def test_overflowing_scalers_are_a_numerical_error(self):
+        # b(n) = n^100 at alpha = 0.01: a float power raises OverflowError
+        with pytest.raises(NumericalError, match="b\\(n\\) overflows"):
+            cost_approx_stable(car_limit_params(0), 0.01)
+
+    def test_overflowing_location_is_a_numerical_error(self):
+        # n c1 E overflows while b(n) c1^(1/alpha) stays finite
+        with pytest.raises(NumericalError, match="location inf"):
+            cost_approx_stable(car_limit_params(0), 1.52, 1e306)
+
 
 class TestCostApproxProrata:
     def test_unit_price_scales_everything(self):
@@ -532,3 +542,12 @@ class TestCostApproximationValidation:
             CostApproximation(0.0, 0.0)
         # without stable parameters the family is the normal law
         assert approx_cdf(CostApproximation(1.0, 2.0), 1.0) == 0.5
+
+    @pytest.mark.parametrize(
+        "location, scale",
+        [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0)],
+    )
+    def test_non_finite_location_or_scale_rejected(self, location, scale):
+        # a NaN scale passes a `<= 0` test and gives NaN quantiles
+        with pytest.raises(DomainError, match="finite"):
+            CostApproximation(location, scale)

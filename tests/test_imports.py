@@ -1,5 +1,5 @@
-"""The import boundary: no claimcast module loads scipy, and none loads a
-library it does not use.
+"""The import boundary: no claimcast module loads scipy, every operation
+runs with scipy blocked, and none loads a library it does not use.
 
 Each check imports in a fresh interpreter, so that modules loaded by other
 tests cannot hide an import.
@@ -81,20 +81,32 @@ def test_pipeline_loads_what_its_operation_uses():
 
 
 def test_operations_load_no_numpy_ma(tmp_path):
-    # a bare np.unique, np.quantile or np.percentile loads numpy.ma (about
-    # 20 ms); neither a report nor a validation calls one, nor loads one of
+    # with every scipy import blocked, a simulation and a report at their
+    # defaults and at a small scale, and a validation of every theorem (one
+    # with a pool of two workers; forked workers inherit the block), all
+    # succeed; a bare np.unique, np.quantile or np.percentile loads numpy.ma
+    # (about 20 ms), and none of them calls one, nor loads one of
     # UNUSED_LIBRARIES on the way
     small = ["--warranty", "200", "--period", "30"]
     commands = [
+        ["simulate", "--out-dir", str(tmp_path / "default")],
+        ["report", "--sales", str(tmp_path / "default" / "sales.csv"), "--claims",
+         str(tmp_path / "default" / "claims.csv"), "--out-dir", str(tmp_path / "default" / "out")],
         ["simulate", "--out-dir", str(tmp_path), "--n-items", "2000",
          "--warranty", "200", "--span", "240"],
         ["report", "--sales", str(tmp_path / "sales.csv"), "--claims",
          str(tmp_path / "claims.csv"), *small, "--qq-k", "300",
          "--out-dir", str(tmp_path / "out")],
         *(["validate", "--theorem", theorem, *small, "--n-scale", "150", "--reps", "100"]
-          for theorem in ("count", "normal", "stable_1_2", "prorata")),
+          for theorem in ("count", "stable_1_2", "prorata")),
+        ["validate", "--theorem", "normal", *small, "--n-scale", "150", "--reps", "100",
+         "--workers", "2"],
+        ["validate", "--theorem", "stable_0_1", "--pareto-alpha", "0.7", *small,
+         "--n-scale", "150", "--reps", "100"],
     ]
     run = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "import contextlib, io\n"
         "from claimcast import cli\n"
         f"for argv in {commands!r}:\n"

@@ -55,6 +55,14 @@ class TestSimulateSales:
         with pytest.raises(DomainError, match="need mean > 0 and var >= 0"):
             RenewalSales(mean=mean, var=var)
 
+    @pytest.mark.parametrize(
+        "mean, var", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)]
+    )
+    def test_renewal_gaps_need_finite_mean_and_var(self, mean, var):
+        # a NaN mean or var would make every increment variance NaN
+        with pytest.raises(DomainError, match="both finite"):
+            RenewalSales(mean=mean, var=var)
+
     def test_sales_confined_to_clock(self):
         for spec in (
             RenewalSales(mean=3.0, var=4.0),

@@ -138,6 +138,14 @@ class TestStableParamsValidation:
         with pytest.raises(DomainError):
             StableParams(1.5, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "sigma, mu", [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_non_finite_scale_or_location_rejected(self, sigma, mu):
+        # an infinite sigma would give CDF values of inf
+        with pytest.raises(DomainError, match="finite"):
+            StableParams(1.5, 1.0, sigma, mu)
+
 
 class TestCauchyClosedForm:
     def test_cdf_on_grid(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcast.errors import DomainError
+from claimcast.errors import DomainError, NumericalError
 from claimcast.tails import (
     Regime,
     diagnose,
@@ -215,6 +215,14 @@ class TestTailScalers:
     def test_alpha_outside_open_interval_rejected(self, alpha):
         with pytest.raises(DomainError):
             tail_scalers(alpha, 100)
+
+    @pytest.mark.parametrize(
+        "alpha, scale", [(0.01, 1.0), (1.0, 1e306), (1.52, 1e306)],
+        ids=["power", "alpha_one_product", "product"],
+    )
+    def test_overflow_is_a_numerical_error(self, alpha, scale):
+        with pytest.raises(NumericalError, match="b\\(n\\) overflows"):
+            tail_scalers(alpha, 34807, scale)
 
 
 class TestDiagnose:
